@@ -6,33 +6,13 @@ the custom-policy hook, and the read-through :class:`FileCache` used by
 generated servers.
 """
 
-from repro.cache.base import Cache, CacheEntry, CacheStats, ReplacementPolicy
-from repro.cache.file_cache import CachedFile, FileCache, FileNotCacheable
-from repro.cache.policies import (
-    POLICIES,
-    CustomPolicy,
-    HyperGPolicy,
-    LFUPolicy,
-    LRUMinPolicy,
-    LRUPolicy,
-    LRUThresholdPolicy,
-    make_policy,
-)
+from repro import lazy_exports
 
-__all__ = [
-    "Cache",
-    "CacheEntry",
-    "CacheStats",
-    "CachedFile",
-    "CustomPolicy",
-    "FileCache",
-    "FileNotCacheable",
-    "HyperGPolicy",
-    "LFUPolicy",
-    "LRUMinPolicy",
-    "LRUPolicy",
-    "LRUThresholdPolicy",
-    "POLICIES",
-    "ReplacementPolicy",
-    "make_policy",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, globals(), {
+    "base": ("Cache", "CacheEntry", "CacheStats", "ReplacementPolicy"),
+    "file_cache": ("CachedFile", "FileCache", "FileNotCacheable"),
+    "policies": (
+        "POLICIES", "CustomPolicy", "HyperGPolicy", "LFUPolicy",
+        "LRUMinPolicy", "LRUPolicy", "LRUThresholdPolicy", "make_policy",
+    ),
+})

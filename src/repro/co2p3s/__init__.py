@@ -5,47 +5,19 @@ crosscut analysis (Table 2) and code metrics (Tables 3 and 4).  The
 N-Server template lives in :mod:`repro.co2p3s.nserver`.
 """
 
-from repro.co2p3s.codegen import (
-    ClassSpec,
-    CodeGenerator,
-    Fragment,
-    GeneratedClass,
-    GenerationReport,
-    ModuleSpec,
-    OMIT,
-    always,
-    when,
-)
-from repro.co2p3s.metrics import CodeMetrics, measure_file, measure_paths, measure_source
-from repro.co2p3s.options import OptionError, OptionSet, OptionSpec
-from repro.co2p3s.template import (
-    PatternTemplate,
-    available_templates,
-    get_template,
-    load_generated_package,
-    register_template,
-)
+from repro import lazy_exports
 
-__all__ = [
-    "ClassSpec",
-    "CodeGenerator",
-    "CodeMetrics",
-    "Fragment",
-    "GeneratedClass",
-    "GenerationReport",
-    "ModuleSpec",
-    "OMIT",
-    "OptionError",
-    "OptionSet",
-    "OptionSpec",
-    "PatternTemplate",
-    "always",
-    "available_templates",
-    "get_template",
-    "load_generated_package",
-    "measure_file",
-    "measure_paths",
-    "measure_source",
-    "register_template",
-    "when",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, globals(), {
+    "codegen": (
+        "ClassSpec", "CodeGenerator", "Fragment", "GeneratedClass",
+        "GenerationReport", "ModuleSpec", "OMIT", "always", "when",
+    ),
+    "metrics": (
+        "CodeMetrics", "measure_file", "measure_paths", "measure_source",
+    ),
+    "options": ("OptionError", "OptionSet", "OptionSpec"),
+    "template": (
+        "PatternTemplate", "available_templates", "get_template",
+        "load_generated_package", "register_template",
+    ),
+})

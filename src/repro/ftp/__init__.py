@@ -6,25 +6,12 @@ an existing FTP implementation that COPS-FTP (``repro.servers.cops_ftp``)
 adapts onto the event-driven generated framework.
 """
 
-from repro.ftp.auth import AuthError, User, UserRegistry
-from repro.ftp.replies import REPLY_TEXT, multiline_reply, reply
-from repro.ftp.session import FtpSession, SessionResult, TransferAction
-from repro.ftp.threaded_server import ThreadedFtpServer
-from repro.ftp.vfs import DirNode, FileNode, VfsError, VirtualFS
+from repro import lazy_exports
 
-__all__ = [
-    "ThreadedFtpServer",
-    "AuthError",
-    "DirNode",
-    "FileNode",
-    "FtpSession",
-    "REPLY_TEXT",
-    "SessionResult",
-    "TransferAction",
-    "User",
-    "UserRegistry",
-    "VfsError",
-    "VirtualFS",
-    "multiline_reply",
-    "reply",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, globals(), {
+    "auth": ("AuthError", "User", "UserRegistry"),
+    "replies": ("REPLY_TEXT", "multiline_reply", "reply"),
+    "session": ("FtpSession", "SessionResult", "TransferAction"),
+    "threaded_server": ("ThreadedFtpServer",),
+    "vfs": ("DirNode", "FileNode", "VfsError", "VirtualFS"),
+})

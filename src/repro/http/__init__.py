@@ -6,31 +6,15 @@ incremental parser providing the framing hook the generated
 Read-Request step needs, status codes and MIME types.
 """
 
-from repro.http.headers import Headers
-from repro.http.mime import DEFAULT_TYPE, MIME_TYPES, guess_type
-from repro.http.parser import (
-    MAX_BODY_BYTES,
-    MAX_HEAD_BYTES,
-    parse_request,
-    split_request,
-)
-from repro.http.request import BadRequest, HttpRequest
-from repro.http.response import HttpResponse, error_response
-from repro.http.status import REASONS, reason_phrase
+from repro import lazy_exports
 
-__all__ = [
-    "BadRequest",
-    "DEFAULT_TYPE",
-    "Headers",
-    "HttpRequest",
-    "HttpResponse",
-    "MAX_BODY_BYTES",
-    "MAX_HEAD_BYTES",
-    "MIME_TYPES",
-    "REASONS",
-    "error_response",
-    "guess_type",
-    "parse_request",
-    "reason_phrase",
-    "split_request",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, globals(), {
+    "headers": ("Headers",),
+    "mime": ("DEFAULT_TYPE", "MIME_TYPES", "guess_type"),
+    "parser": (
+        "MAX_BODY_BYTES", "MAX_HEAD_BYTES", "parse_request", "split_request",
+    ),
+    "request": ("BadRequest", "HttpRequest"),
+    "response": ("HttpResponse", "error_response"),
+    "status": ("REASONS", "reason_phrase"),
+})

@@ -37,29 +37,18 @@ analyses plus a docstring-coverage ratchet and exits non-zero on any
 unsuppressed finding; the race detector activates over the tier-1 test
 suite via the ``race_detector`` fixture (``REPRO_RACE_DETECTOR=1``).
 
-This ``__init__`` stays import-light on purpose: the runtime imports
+This ``__init__`` is a lazy façade on purpose: the runtime imports
 :mod:`repro.lint.locks` on its hot paths, and pulling the auditor (and
 with it the whole generator) into that import would be a layering
 inversion.  Import the analysis modules directly.
 """
 
-from repro.lint.findings import Finding, render_findings
-from repro.lint.locks import (
-    RaceDetector,
-    TrackedLock,
-    access,
-    active_detector,
-    make_lock,
-    shared,
-)
+from repro import lazy_exports
 
-__all__ = [
-    "Finding",
-    "RaceDetector",
-    "TrackedLock",
-    "access",
-    "active_detector",
-    "make_lock",
-    "render_findings",
-    "shared",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, globals(), {
+    "findings": ("Finding", "render_findings"),
+    "locks": (
+        "RaceDetector", "TrackedLock", "access", "active_detector",
+        "make_lock", "shared",
+    ),
+})

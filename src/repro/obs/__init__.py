@@ -27,90 +27,30 @@ runtime imports *it* (the Profiler is a façade over the registry), and
 the generated frameworks' ``Observability`` component wires the rest.
 """
 
-from repro.obs.exposition import (
-    clustered_status_fields,
-    render_prometheus,
-    render_status_auto,
-    render_status_html,
-    sharded_status_fields,
-    status_fields,
-)
-from repro.obs.flight import (
-    FlightEvent,
-    FlightRecorder,
-    dump_all,
-    install_signal_dump,
-    parse_dump,
-    reconstruct_path,
-)
-from repro.obs.registry import (
-    DEFAULT_BUCKETS,
-    NULL_METRIC,
-    NULL_REGISTRY,
-    Counter,
-    Gauge,
-    Histogram,
-    MetricFamily,
-    MetricsRegistry,
-    NullMetric,
-    NullRegistry,
-)
-from repro.obs.sampler import PeriodicSampler
-from repro.obs.tracing import (
-    NULL_EXPORTER,
-    JsonlExporter,
-    NullExporter,
-    RingExporter,
-    format_trace_id,
-    next_trace_id,
-    read_jsonl,
-    render_trace_report,
-)
-from repro.obs.spans import (
-    NULL_SPAN,
-    NULL_SPANS,
-    NullSpan,
-    NullSpanRecorder,
-    Span,
-    SpanRecorder,
-)
+from repro import lazy_exports
 
-__all__ = [
-    "Counter",
-    "DEFAULT_BUCKETS",
-    "FlightEvent",
-    "FlightRecorder",
-    "Gauge",
-    "Histogram",
-    "JsonlExporter",
-    "MetricFamily",
-    "MetricsRegistry",
-    "NULL_EXPORTER",
-    "NULL_METRIC",
-    "NULL_REGISTRY",
-    "NULL_SPAN",
-    "NULL_SPANS",
-    "NullExporter",
-    "NullMetric",
-    "NullRegistry",
-    "NullSpan",
-    "NullSpanRecorder",
-    "PeriodicSampler",
-    "RingExporter",
-    "Span",
-    "SpanRecorder",
-    "clustered_status_fields",
-    "dump_all",
-    "format_trace_id",
-    "install_signal_dump",
-    "next_trace_id",
-    "parse_dump",
-    "read_jsonl",
-    "reconstruct_path",
-    "render_prometheus",
-    "render_status_auto",
-    "render_status_html",
-    "render_trace_report",
-    "sharded_status_fields",
-    "status_fields",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, globals(), {
+    "exposition": (
+        "clustered_status_fields", "render_prometheus", "render_status_auto",
+        "render_status_html", "sharded_status_fields", "status_fields",
+    ),
+    "flight": (
+        "FlightEvent", "FlightRecorder", "dump_all", "install_signal_dump",
+        "parse_dump", "reconstruct_path",
+    ),
+    "registry": (
+        "DEFAULT_BUCKETS", "NULL_METRIC", "NULL_REGISTRY", "Counter", "Gauge",
+        "Histogram", "MetricFamily", "MetricsRegistry", "NullMetric",
+        "NullRegistry",
+    ),
+    "sampler": ("PeriodicSampler",),
+    "spans": (
+        "NULL_SPAN", "NULL_SPANS", "NullSpan", "NullSpanRecorder", "Span",
+        "SpanRecorder",
+    ),
+    "tracing": (
+        "NULL_EXPORTER", "JsonlExporter", "NullExporter", "RingExporter",
+        "format_trace_id", "next_trace_id", "read_jsonl",
+        "render_trace_report",
+    ),
+})

@@ -9,204 +9,64 @@ scheduler (O8), overload (O9), profiling (O11), tracing (O10/O12),
 idle (O7).
 """
 
-from repro.runtime.acceptor import Acceptor, Connector
-from repro.runtime.buffers import (
-    BufferPool,
-    BufferPoolStats,
-    OutBuffer,
-    PooledBuffer,
-    segment_bytes,
-)
-from repro.runtime.communicator import CLOSE, PENDING, Communicator, ServerHooks
-from repro.runtime.container import Container
-from repro.runtime.degradation import (
-    AdaptiveController,
-    BrownoutController,
-    CircuitBreaker,
-    CircuitOpenError,
-    ClientRateLimiter,
-    RetryBudget,
-    ShedDecision,
-    SheddingPolicy,
-    SojournQueue,
-    TokenBucket,
-    hill_climb,
-    reject_handle,
-    rejection_response,
-)
-from repro.runtime.deployment import (
-    STATS_SOCKET_ENV,
-    ProcessSupervisor,
-    adopted_listen_socket,
-    cluster_status_fields,
-    generated_worker,
-    generated_worker_args,
-    in_worker_process,
-    reactor_worker,
-    worker_listen_handle,
-)
-from repro.runtime.dispatcher import EventDispatcher
-from repro.runtime.event_source import (
-    EventSource,
-    EventSourceDecorator,
-    NullEventSource,
-    QueueEventSource,
-    SocketEventSource,
-    TimerEventSource,
-)
-from repro.runtime.events import (
-    AcceptEvent,
-    AsynchronousCompletionToken,
-    CompletionEvent,
-    ConnectEvent,
-    Event,
-    EventKind,
-    FileOpenEvent,
-    FileReadEvent,
-    ReadableEvent,
-    ShutdownEvent,
-    TimerEvent,
-    UserEvent,
-    WritableEvent,
-)
-from repro.runtime.file_io import AsyncFileIO
-from repro.runtime.handles import FileHandle, Handle, ListenHandle, SocketHandle
-from repro.runtime.idle import IdleConnectionReaper
-from repro.runtime.overload import OverloadController, Watermark
-from repro.runtime.poller import (
-    EpollPoller,
-    Poller,
-    SelectPoller,
-    available_pollers,
-    make_poller,
-)
-from repro.runtime.processor import EventProcessor, ProcessorController
-from repro.runtime.profiling import NULL_PROFILER, NullProfiler, Profiler, ServerProfile
-from repro.runtime.resilience import (
-    DeadlineMonitor,
-    DeadlinePolicy,
-    EventQuarantine,
-    WorkerSupervisor,
-    is_transient_accept_error,
-)
-from repro.runtime.scheduler import FifoEventQueue, QuotaPriorityQueue
-from repro.runtime.server import ReactorServer, RuntimeConfig
-from repro.runtime.sharding import (
-    ConnectionHashPolicy,
-    LeastConnectionsPolicy,
-    ReactorShard,
-    RoundRobinPolicy,
-    ShardedReactorServer,
-    ShardPolicy,
-    make_shard_policy,
-)
-from repro.runtime.timerwheel import TimerWheel
-from repro.runtime.tracing import (
-    NULL_LOG,
-    NULL_TRACER,
-    EventTracer,
-    NullLog,
-    NullTracer,
-    ServerLog,
-    TraceRecord,
-)
+from repro import lazy_exports
 
-__all__ = [
-    "Acceptor",
-    "AcceptEvent",
-    "AdaptiveController",
-    "AsyncFileIO",
-    "AsynchronousCompletionToken",
-    "BrownoutController",
-    "BufferPool",
-    "BufferPoolStats",
-    "CLOSE",
-    "CircuitBreaker",
-    "CircuitOpenError",
-    "ClientRateLimiter",
-    "Communicator",
-    "CompletionEvent",
-    "ConnectEvent",
-    "ConnectionHashPolicy",
-    "Connector",
-    "Container",
-    "DeadlineMonitor",
-    "DeadlinePolicy",
-    "EpollPoller",
-    "Event",
-    "EventDispatcher",
-    "EventKind",
-    "EventProcessor",
-    "EventQuarantine",
-    "EventSource",
-    "EventSourceDecorator",
-    "EventTracer",
-    "FifoEventQueue",
-    "FileHandle",
-    "FileOpenEvent",
-    "FileReadEvent",
-    "Handle",
-    "IdleConnectionReaper",
-    "LeastConnectionsPolicy",
-    "ListenHandle",
-    "NULL_LOG",
-    "NULL_PROFILER",
-    "NULL_TRACER",
-    "NullEventSource",
-    "NullLog",
-    "NullProfiler",
-    "NullTracer",
-    "OutBuffer",
-    "OverloadController",
-    "PENDING",
-    "Poller",
-    "PooledBuffer",
-    "ProcessSupervisor",
-    "ProcessorController",
-    "Profiler",
-    "QueueEventSource",
-    "QuotaPriorityQueue",
-    "ReactorServer",
-    "ReactorShard",
-    "ReadableEvent",
-    "RetryBudget",
-    "RoundRobinPolicy",
-    "RuntimeConfig",
-    "SelectPoller",
-    "ServerHooks",
-    "ServerLog",
-    "ServerProfile",
-    "ShardPolicy",
-    "ShardedReactorServer",
-    "ShedDecision",
-    "SheddingPolicy",
-    "ShutdownEvent",
-    "STATS_SOCKET_ENV",
-    "SocketEventSource",
-    "SocketHandle",
-    "SojournQueue",
-    "TimerEvent",
-    "TimerEventSource",
-    "TimerWheel",
-    "TokenBucket",
-    "TraceRecord",
-    "UserEvent",
-    "Watermark",
-    "WorkerSupervisor",
-    "WritableEvent",
-    "adopted_listen_socket",
-    "available_pollers",
-    "cluster_status_fields",
-    "generated_worker",
-    "generated_worker_args",
-    "hill_climb",
-    "in_worker_process",
-    "is_transient_accept_error",
-    "make_poller",
-    "make_shard_policy",
-    "reactor_worker",
-    "reject_handle",
-    "rejection_response",
-    "segment_bytes",
-    "worker_listen_handle",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, globals(), {
+    "acceptor": ("Acceptor", "Connector", "is_transient_accept_error"),
+    "buffers": (
+        "BufferPool", "BufferPoolStats", "OutBuffer", "PooledBuffer",
+        "segment_bytes",
+    ),
+    "communicator": ("CLOSE", "PENDING", "Communicator", "ServerHooks"),
+    "container": ("Container",),
+    "degradation": (
+        "AdaptiveController", "BrownoutController", "CircuitBreaker",
+        "CircuitOpenError", "ClientRateLimiter", "RetryBudget", "ShedDecision",
+        "SheddingPolicy", "SojournQueue", "TokenBucket", "hill_climb",
+        "reject_handle", "rejection_response",
+    ),
+    "deployment": (
+        "STATS_SOCKET_ENV", "ProcessSupervisor", "adopted_listen_socket",
+        "cluster_status_fields", "generated_worker", "generated_worker_args",
+        "in_worker_process", "reactor_worker", "worker_listen_handle",
+    ),
+    "dispatcher": ("EventDispatcher",),
+    "event_source": (
+        "EventSource", "EventSourceDecorator", "NullEventSource",
+        "QueueEventSource", "SocketEventSource", "TimerEventSource",
+    ),
+    "events": (
+        "AcceptEvent", "AsynchronousCompletionToken", "CompletionEvent",
+        "ConnectEvent", "Event", "EventKind", "FileOpenEvent", "FileReadEvent",
+        "ReadableEvent", "ShutdownEvent", "TimerEvent", "UserEvent",
+        "WritableEvent",
+    ),
+    "file_io": ("AsyncFileIO",),
+    "handles": ("FileHandle", "Handle", "ListenHandle", "SocketHandle"),
+    "idle": ("IdleConnectionReaper",),
+    "overload": ("OverloadController", "Watermark"),
+    "poller": (
+        "EpollPoller", "Poller", "SelectPoller", "available_pollers",
+        "make_poller",
+    ),
+    "processor": ("EventProcessor", "ProcessorController"),
+    "profiling": (
+        "NULL_PROFILER", "NullProfiler", "Profiler", "ServerProfile",
+    ),
+    "resilience": (
+        "DeadlineMonitor", "DeadlinePolicy", "EventQuarantine",
+        "WorkerSupervisor",
+    ),
+    "scheduler": ("FifoEventQueue", "QuotaPriorityQueue"),
+    "server": ("ReactorServer", "RuntimeConfig"),
+    "sharding": (
+        "ConnectionHashPolicy", "LeastConnectionsPolicy", "ReactorShard",
+        "RoundRobinPolicy", "ShardedReactorServer", "ShardPolicy",
+        "make_shard_policy",
+    ),
+    "timerwheel": ("TimerWheel",),
+    "tracing": (
+        "NULL_LOG", "NULL_TRACER", "EventTracer", "NullLog", "NullTracer",
+        "ServerLog", "TraceRecord",
+    ),
+})

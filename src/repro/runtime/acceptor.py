@@ -11,20 +11,42 @@ data connections).
 
 from __future__ import annotations
 
+import errno
 import socket
 import time
-from typing import Callable, Optional
+from typing import TYPE_CHECKING, Callable, Optional
 
 from repro.obs.flight import GLOBAL as GLOBAL_FLIGHT
-from repro.runtime.degradation import reject_handle
 from repro.runtime.event_source import SocketEventSource
 from repro.runtime.events import AcceptEvent
 from repro.runtime.handles import ListenHandle, SocketHandle
-from repro.runtime.overload import OverloadController
 from repro.runtime.profiling import NULL_PROFILER
-from repro.runtime.resilience import is_transient_accept_error
 
-__all__ = ["Acceptor", "Connector"]
+if TYPE_CHECKING:
+    from repro.runtime.overload import OverloadController
+
+__all__ = ["Acceptor", "Connector", "is_transient_accept_error"]
+
+
+# -- accept-loop error classification ----------------------------------------
+
+#: transient per-connection failures: the aborted connection is consumed
+#: from the backlog (or the call was merely interrupted), so retrying the
+#: accept loop immediately is correct and cannot spin.
+_TRANSIENT_ACCEPT_ERRNOS = frozenset(
+    e for e in (
+        getattr(errno, "ECONNABORTED", None),
+        getattr(errno, "EINTR", None),
+        getattr(errno, "EPROTO", None),
+    ) if e is not None)
+
+
+def is_transient_accept_error(exc: OSError) -> bool:
+    """True when the accept loop should just try again; False for
+    resource exhaustion (``EMFILE``/``ENFILE``/``ENOBUFS``/``ENOMEM``)
+    and anything unrecognised, where the right move is to back off and
+    shed — the kernel backlog keeps the connections queued meanwhile."""
+    return getattr(exc, "errno", None) in _TRANSIENT_ACCEPT_ERRNOS
 
 
 class Acceptor:
@@ -175,6 +197,8 @@ class Acceptor:
             self.shedding.record_rejection(
                 decision, f"client={handle.name}",
                 getattr(handle, "trace_id", 0))
+        from repro.runtime.degradation import reject_handle  # O17 only
+
         reject_handle(handle, self.shedding.reject_payload)
 
     def close(self) -> None:

@@ -238,8 +238,11 @@ class SocketEventSource(EventSource):
             return
         with self._lock:
             fd = handle.fileno()
-            if fd not in self._handles:
-                return  # deregistered entirely
+            if self._handles.get(fd) is not handle:
+                # Deregistered entirely, or a late call from a closed
+                # handle whose fd the kernel already gave to a new
+                # connection: the poller entry belongs to that one.
+                return
             try:
                 self._poller.modify(fd, self._mask(handle), handle)
             except (KeyError, ValueError, OSError):

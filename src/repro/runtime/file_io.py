@@ -26,7 +26,6 @@ import threading
 from typing import Callable, Optional
 
 from repro.cache import FileCache
-from repro.runtime.degradation import CircuitOpenError
 from repro.runtime.events import (
     AsynchronousCompletionToken,
     CompletionEvent,
@@ -107,6 +106,8 @@ class AsyncFileIO:
         # O17: while the breaker is open the disk is presumed dead —
         # fail fast at issue time so nothing piles onto the pool queue.
         if self.breaker is not None and not self.breaker.allow():
+            from repro.runtime.degradation import CircuitOpenError
+
             self.breaker_rejections += 1
             self.sink(FileReadEvent(token=act, error=CircuitOpenError(path),
                                     priority=priority))

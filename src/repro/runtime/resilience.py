@@ -15,10 +15,8 @@ gracefully instead of wedging under hostile conditions:
   event a bounded number of times and then quarantines it, so a poison
   event cannot re-kill fresh workers forever.
 
-Plus :func:`is_transient_accept_error`, the classification the hardened
-Acceptor uses to decide between retrying ``accept()`` immediately
-(``ECONNABORTED``, ``EINTR``) and backing off to shed load (``EMFILE``
-and friends — descriptor/buffer exhaustion does not clear by retrying).
+Plus :func:`is_transient_accept_error`, re-exported from
+:mod:`repro.runtime.acceptor`, whose always-on accept loop owns it.
 
 Everything here follows the option-guarded style of the rest of the
 runtime: null-object metrics/log defaults, zero references from any code
@@ -27,7 +25,6 @@ path that did not opt in.
 
 from __future__ import annotations
 
-import errno
 import threading
 import time
 from dataclasses import dataclass
@@ -36,6 +33,7 @@ from typing import Callable, Optional
 from repro.lint.locks import access, make_lock
 from repro.obs.flight import GLOBAL as GLOBAL_FLIGHT
 from repro.obs.registry import NULL_METRIC
+from repro.runtime.acceptor import is_transient_accept_error
 from repro.runtime.tracing import NULL_LOG
 
 __all__ = [
@@ -45,27 +43,6 @@ __all__ = [
     "EventQuarantine",
     "is_transient_accept_error",
 ]
-
-
-# -- accept-loop error classification ----------------------------------------
-
-#: transient per-connection failures: the aborted connection is consumed
-#: from the backlog (or the call was merely interrupted), so retrying the
-#: accept loop immediately is correct and cannot spin.
-_TRANSIENT_ACCEPT_ERRNOS = frozenset(
-    e for e in (
-        getattr(errno, "ECONNABORTED", None),
-        getattr(errno, "EINTR", None),
-        getattr(errno, "EPROTO", None),
-    ) if e is not None)
-
-
-def is_transient_accept_error(exc: OSError) -> bool:
-    """True when the accept loop should just try again; False for
-    resource exhaustion (``EMFILE``/``ENFILE``/``ENOBUFS``/``ENOMEM``)
-    and anything unrecognised, where the right move is to back off and
-    shed — the kernel backlog keeps the connections queued meanwhile."""
-    return getattr(exc, "errno", None) in _TRANSIENT_ACCEPT_ERRNOS
 
 
 # -- per-stage connection deadlines -------------------------------------------

@@ -1,34 +1,15 @@
 """The applications built from the N-Server template: COPS-HTTP,
 COPS-FTP, and the trivial Time server."""
 
-from repro.servers.cops_ftp import CopsFtpHooks, build_cops_ftp, default_ftp_fs
-from repro.servers.cops_http import (
-    CopsHttpHooks,
-    PriorityByPeerHooks,
-    build_cops_http,
-)
-from repro.servers.mail_server import (
-    MAIL_SERVER_OPTIONS,
-    MailServerHooks,
-    build_mail_server,
-)
-from repro.servers.time_server import (
-    TIME_SERVER_OPTIONS,
-    TimeServerHooks,
-    build_time_server,
-)
+from repro import lazy_exports
 
-__all__ = [
-    "CopsFtpHooks",
-    "CopsHttpHooks",
-    "MAIL_SERVER_OPTIONS",
-    "MailServerHooks",
-    "PriorityByPeerHooks",
-    "TIME_SERVER_OPTIONS",
-    "TimeServerHooks",
-    "build_cops_ftp",
-    "build_cops_http",
-    "build_mail_server",
-    "build_time_server",
-    "default_ftp_fs",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, globals(), {
+    "cops_ftp": ("CopsFtpHooks", "build_cops_ftp", "default_ftp_fs"),
+    "cops_http": ("CopsHttpHooks", "PriorityByPeerHooks", "build_cops_http"),
+    "mail_server": (
+        "MAIL_SERVER_OPTIONS", "MailServerHooks", "build_mail_server",
+    ),
+    "time_server": (
+        "TIME_SERVER_OPTIONS", "TimeServerHooks", "build_time_server",
+    ),
+})

@@ -77,6 +77,15 @@ def test_fault_storm_path_reconstructed_from_dumps(tmp_path):
                       if "worker-death" in name]
         assert auto_dumps, "worker death produced no flight dump"
 
+        # A client can read its reply before the write-complete event
+        # lands in the ring, so snapshot only once the server is
+        # quiescent: every survivor's completion is on the record.
+        rings = [server.flight] + [shard.flight for shard in server.shards]
+        wait_until(lambda: len({e.trace_id for ring in rings
+                                for e in ring.events("write-complete")})
+                   >= REQUESTS - 1,
+                   message="survivors' write-complete events never landed")
+
         # One snapshot per recorder plane, then stop looking at the
         # server: the reconstruction below reads only files and the
         # exporter's record list.

@@ -1,5 +1,6 @@
 """Tests for the Decorator-pattern event sources."""
 
+import os
 import socket
 import threading
 import time
@@ -17,6 +18,7 @@ from repro.runtime import (
     TimerEventSource,
     UserEvent,
 )
+from repro.runtime.poller import Poller, make_poller
 
 
 def poll_until(source, want, timeout=2.0):
@@ -155,6 +157,72 @@ def test_register_rejects_non_socket_handle():
     with pytest.raises(TypeError):
         src.register(object())
     src.close()
+
+
+class EntryRecordingPoller(Poller):
+    """A real backend that also remembers which handle each fd's entry
+    points at — the cookie ``poll`` would hand back for that fd."""
+
+    def __init__(self, backend):
+        self.inner = make_poller(backend)
+        self.name = self.inner.name
+        self.edge_triggered = self.inner.edge_triggered
+        self.entries = {}
+
+    def register(self, fd, mask, data):
+        self.inner.register(fd, mask, data)
+        self.entries[fd] = data
+
+    def modify(self, fd, mask, data):
+        self.inner.modify(fd, mask, data)
+        self.entries[fd] = data
+
+    def unregister(self, fd):
+        self.entries.pop(fd, None)
+        self.inner.unregister(fd)
+
+    def poll(self, timeout=None):
+        return self.inner.poll(timeout)
+
+    def close(self):
+        self.inner.close()
+
+
+def test_late_pause_resume_of_closed_handle_spares_fd_reuser(poller_backend):
+    """A connection's handle releases its fd before it reads as closed,
+    and the kernel may hand that fd number straight to a new connection.
+    A late pause/resume of the old handle must not re-point the poller
+    entry at it, or the new connection's readiness goes to a handle no
+    Communicator owns and its request is never answered."""
+    poller = EntryRecordingPoller(poller_backend)
+    src = SocketEventSource(poller=poller)
+    a_sock, a_peer = socket.socketpair()
+    b_orig, b_peer = socket.socketpair()
+    a = SocketHandle(a_sock, name="a")
+    src.register(a)
+    fd = a.fileno()
+    # Release A's fd without marking A closed (the window inside
+    # SocketHandle.close), then give the same fd number to B.
+    a_sock.close()
+    os.dup2(b_orig.fileno(), fd)
+    b_orig.close()
+    b = SocketHandle(socket.socket(fileno=fd), name="b")
+    try:
+        assert b.fileno() == fd and not a.closed
+        src.register(b)
+        src.pause(a)
+        src.resume(a)
+        src.update_interest(a)
+        assert poller.entries[fd] is b
+        assert src._handles[fd] is b
+        b_peer.sendall(b"x")
+        found = poll_until(src, [EventKind.READABLE])
+        assert found[EventKind.READABLE].handle is b
+    finally:
+        b.close()
+        for sock in (a_peer, b_peer):
+            sock.close()
+        src.close()
 
 
 # -- TimerEventSource ----------------------------------------------------------
