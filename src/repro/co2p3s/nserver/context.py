@@ -465,6 +465,12 @@ def build_context(o: OptionSet) -> Dict[str, Any]:
                   "key=lambda s: (len(s.container), s.shard_id))")
     ctx["shard_overload_opened"] = on(
         overload, "shard.overload.connection_opened()")
+    # The placement evidence: one flight event per placed connection,
+    # next to the accept event the listen handle recorded.  It names
+    # the trace id, so only builds with the tracing plane (O11) carry it.
+    ctx["shard_record_adopt"] = on(
+        profiling, 'listen.flight.record("adopt", f"shard={shard.shard_id} '
+                   '{handle.name}", handle.trace_id)')
     ctx["shard_log_accept"] = on(
         logging, 'self.primary.log.info(f"accepted {handle.name} '
                  '-> shard {shard.shard_id}")')

@@ -9,11 +9,9 @@ injection seams:
 * the application hooks — via :meth:`wrap_hooks` (done by the caller at
   construction time, since hooks are baked into the server).
 
-``install`` understands both server shapes in this repo: the library
-:class:`~repro.runtime.server.ReactorServer` (install *before*
-``start()``: its listen handle is created at start) and a generated
-framework's ``Server`` facade (whose Reactor builds the listen handle
-at construction, so install any time before ``start()``).
+``install`` targets a generated framework's ``Server`` facade, whose
+Reactor builds the listen handle at construction: install any time
+before ``start()``.
 """
 
 from __future__ import annotations
@@ -57,57 +55,24 @@ class FaultPlane:
     def install(self, server):
         """Attach socket and disk faults to a not-yet-started server.
 
-        Understands all four server shapes: the library
-        ``ReactorServer`` and ``ShardedReactorServer`` and the generated
-        ``Server`` facade in its single-reactor and O14-sharded forms.
-        In the sharded shapes the single accept plane gets the faulty
-        handle class (every accepted socket passes through it) and each
+        Understands the generated ``Server`` facade in its
+        single-reactor and O14-sharded forms.  In the sharded form only
+        the primary listens, so its listen handle gets the faulty handle
+        class (every accepted socket passes through it) and each
         shard's own file loader gets the disk-fault hook.
 
         Returns the server for chaining.  Hook faults are separate —
         pass ``plane.wrap_hooks(hooks)`` when building the server.
         """
-        # Injected-fault events should land in the target server's own
-        # flight ring (next to its lifecycle events), not the process
-        # global — when the server exposes one.
-        flight = getattr(server, "flight", None)
-        if flight is not None:
-            self.schedule.flight = flight
+        listen = server.reactor.server_component.listen
+        listen.handle_cls = self.handle_cls(base=listen.handle_cls)
         sharding = getattr(server, "sharding", None)
-        reactor = getattr(server, "reactor", None)
-        if sharding is not None and reactor is not None:
-            # Generated O14 facade: only the primary listens; every
-            # shard loads files through its own AsyncFileIO.
-            listen = reactor.server_component.listen
-            listen.handle_cls = self.handle_cls(base=listen.handle_cls)
-            self._install_shard_file_faults(sharding.shards)
-            return server
-        if reactor is not None:
-            # Generated framework facade: the listen handle exists.
-            listen = reactor.server_component.listen
-            listen.handle_cls = self.handle_cls(base=listen.handle_cls)
-            file_io = getattr(reactor, "file_io", None)
-        elif hasattr(server, "shards"):
-            # Library ShardedReactorServer: the accept plane's listen
-            # handle is created at start().
-            server.handle_cls = self.handle_cls(
-                base=server.handle_cls or SocketHandle)
-            self._install_shard_file_faults(server.shards)
-            return server
-        else:
-            # Library ReactorServer: listen handle is created at start().
-            server.handle_cls = self.handle_cls(
-                base=server.handle_cls or SocketHandle)
-            file_io = getattr(server, "file_io", None)
-        if file_io is not None:
-            file_io.fault_hook = self.file_fault_hook()
-        return server
-
-    def _install_shard_file_faults(self, shards) -> None:
+        shards = sharding.shards if sharding is not None else [server.reactor]
         for shard in shards:
             file_io = getattr(shard, "file_io", None)
             if file_io is not None:
                 file_io.fault_hook = self.file_fault_hook()
+        return server
 
     # -- inspection -----------------------------------------------------------
     @property

@@ -97,7 +97,7 @@ class FlightRecorder:
     """A bounded, always-on ring of binary-packed lifecycle events.
 
     ``capacity`` bounds the ring (oldest events fall off); ``name``
-    labels dump files (``reactor``, ``shard-2``, ``accept-plane``);
+    labels dump files (``global`` for the process-wide ring);
     ``dump_dir`` pins snapshots to a directory (default: the
     ``$REPRO_FLIGHT_DIR``/tempdir resolution described in the module
     docstring).
@@ -272,7 +272,7 @@ def reconstruct_path(trace_id: int,
     """One request's lifecycle, chronologically, from merged dumps.
 
     Feed it the concatenated events of every recorder that saw the
-    request (accept plane, shard, global) and it returns that trace's
+    request (or one dump of the global ring) and it returns that trace's
     ordered path — the accept→shard→worker→write story the fault-storm
     test asserts on.
     """

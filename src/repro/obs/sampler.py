@@ -6,14 +6,10 @@ cache hit rate — have to be pulled.  :class:`PeriodicSampler` holds
 (gauge, probe) pairs and copies probe values into gauges on every
 :meth:`sample` tick.
 
-Two drive modes, matching the two server assemblies:
-
-* the generated frameworks re-arm a ``obs-sample`` timer through their
-  Timer Event Source and call :meth:`sample` from the generated
-  ServerEventHandler (so sampling flows through the same event machinery
-  as everything else);
-* the hand-wired :class:`~repro.runtime.server.ReactorServer` runs
-  :meth:`start`'s helper thread.
+The sampler owns no thread: the generated frameworks re-arm an
+``obs-sample`` timer through their Timer Event Source and call
+:meth:`sample` from the generated ServerEventHandler, so sampling flows
+through the same event machinery as everything else.
 
 Probe exceptions are swallowed (a dying probe must not take the server
 down) and ``None`` returns skip the tick, so probes may be attached
@@ -23,7 +19,6 @@ before their subsystem is live.
 from __future__ import annotations
 
 import threading
-import time
 from typing import Callable, List, Optional, Tuple
 
 __all__ = ["PeriodicSampler"]
@@ -32,17 +27,14 @@ __all__ = ["PeriodicSampler"]
 class PeriodicSampler:
     """Copies probe callables into registry gauges on a timer tick."""
 
-    def __init__(self, registry, interval: float = 1.0,
-                 clock=time.monotonic):
+    def __init__(self, registry, interval: float = 1.0):
         if interval <= 0:
             raise ValueError("interval must be positive")
         self.registry = registry
+        #: nominal period of the tick that drives :meth:`sample`
         self.interval = interval
-        self.clock = clock
         self._probes: List[Tuple[object, Callable[[], Optional[float]]]] = []
         self._lock = threading.Lock()
-        self._stop = threading.Event()
-        self._thread: Optional[threading.Thread] = None
         self.ticks = registry.counter(
             "server_sampler_ticks_total", "Sampler ticks executed")
 
@@ -67,22 +59,3 @@ class PeriodicSampler:
                 continue
             gauge.set(float(value))
         self.ticks.inc()
-
-    # -- thread mode (hand-wired ReactorServer) --------------------------
-    def start(self) -> None:
-        if self._thread is not None:
-            return
-        self._stop.clear()
-        self._thread = threading.Thread(target=self._run, daemon=True,
-                                        name="obs-sampler")
-        self._thread.start()
-
-    def stop(self) -> None:
-        self._stop.set()
-        if self._thread is not None:
-            self._thread.join(timeout=2.0)
-            self._thread = None
-
-    def _run(self) -> None:
-        while not self._stop.wait(self.interval):
-            self.sample()

@@ -28,7 +28,7 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, globals(), {
     "deployment": (
         "STATS_SOCKET_ENV", "ProcessSupervisor", "adopted_listen_socket",
         "cluster_status_fields", "generated_worker", "generated_worker_args",
-        "in_worker_process", "reactor_worker", "worker_listen_handle",
+        "in_worker_process", "worker_listen_handle",
     ),
     "dispatcher": ("EventDispatcher",),
     "event_source": (
@@ -58,11 +58,9 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, globals(), {
         "WorkerSupervisor",
     ),
     "scheduler": ("FifoEventQueue", "QuotaPriorityQueue"),
-    "server": ("ReactorServer", "RuntimeConfig"),
     "sharding": (
-        "ConnectionHashPolicy", "LeastConnectionsPolicy", "ReactorShard",
-        "RoundRobinPolicy", "ShardedReactorServer", "ShardPolicy",
-        "make_shard_policy",
+        "ConnectionHashPolicy", "LeastConnectionsPolicy", "RoundRobinPolicy",
+        "ShardPolicy", "make_shard_policy",
     ),
     "timerwheel": ("TimerWheel",),
     "tracing": (

@@ -41,12 +41,9 @@ accepting from one shared listening socket:
   (:func:`repro.obs.tracing.next_trace_id`), so evidence from
   different workers never collides.
 
-The generated frameworks reach this module through two factories:
+The generated frameworks reach this module through one factory:
 :func:`generated_worker` rebuilds a generated package's ``Worker``
-inside the child process from the :func:`generated_worker_args` spec,
-and :func:`reactor_worker` does the same for the hand-wired
-:class:`~repro.runtime.server.ReactorServer` (the codegen-free path
-tests use).
+inside the child process from the :func:`generated_worker_args` spec.
 """
 
 from __future__ import annotations
@@ -64,7 +61,8 @@ import time
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.lint.locks import access, make_lock, shared
-from repro.obs.exposition import clustered_status_fields, status_fields
+from repro.obs.exposition import clustered_status_fields
+from repro.obs.flight import install_signal_dump
 
 __all__ = [
     "STATS_SOCKET_ENV",
@@ -74,7 +72,6 @@ __all__ = [
     "generated_worker",
     "generated_worker_args",
     "in_worker_process",
-    "reactor_worker",
     "worker_listen_handle",
 ]
 
@@ -761,55 +758,7 @@ def cluster_status_fields(timeout: float = 5.0) -> Optional[list]:
     return clustered_status_fields(sections, uptime=payload.get("uptime"))
 
 
-# -- worker factories ---------------------------------------------------------
-
-
-class _ReactorWorker:
-    """Adapter giving a :class:`ReactorServer` the worker surface
-    (``status_fields`` over its registry, pass-through lifecycle)."""
-
-    def __init__(self, server):
-        self.server = server
-
-    @property
-    def port(self) -> int:
-        """The adopted (shared) socket's port."""
-        return self.server.port
-
-    def start(self) -> None:
-        """Start the wrapped reactor."""
-        self.server.start()
-
-    def stop(self) -> None:
-        """Stop the wrapped reactor."""
-        self.server.stop()
-
-    def drain(self, timeout: Optional[float] = None) -> bool:
-        """Graceful drain of the wrapped reactor."""
-        return self.server.drain(timeout)
-
-    def status_fields(self) -> list:
-        """This worker's O11 registry as status-field pairs."""
-        if self.server.sampler is not None:
-            self.server.sampler.sample()
-        return status_fields(self.server.registry)
-
-
-def reactor_worker(args: dict, listen_sock) -> _ReactorWorker:
-    """Worker factory over the hand-wired ReactorServer (no codegen).
-
-    ``args``: ``hooks`` (a ``"module:attr"`` path to a no-argument
-    hooks callable), optional ``config`` (RuntimeConfig field dict),
-    optional ``host``/``port``.
-    """
-    from repro.runtime.server import ReactorServer, RuntimeConfig
-    hooks = _resolve(args["hooks"])()
-    config = RuntimeConfig(**(args.get("config") or {}))
-    server = ReactorServer(hooks, config,
-                           host=args.get("host", "127.0.0.1"),
-                           port=int(args.get("port") or 0),
-                           listen_sock=listen_sock)
-    return _ReactorWorker(server)
+# -- the worker factory -----------------------------------------------------
 
 
 def generated_worker(args: dict, listen_sock):
@@ -912,6 +861,9 @@ def worker_main(control_fd: int) -> int:
         _ADOPTED_LISTEN = socket.socket(fileno=fds[0])
         for extra_fd in fds[1:]:  # pragma: no cover - defensive
             os.close(extra_fd)
+    # The supervisor forwards SIGUSR2 to every worker: dump this
+    # process's flight rings instead of dying of the default action.
+    install_signal_dump()
     factory = _resolve(spec["factory"])
     server = factory(spec.get("args") or {}, _ADOPTED_LISTEN)
     server.start()

@@ -54,8 +54,7 @@ class OverloadController:
     length < low (hysteresis, so accepts don't flap).
     """
 
-    def __init__(self, max_connections: Optional[int] = None,
-                 flight=None, trip_dump_after: Optional[int] = None):
+    def __init__(self, max_connections: Optional[int] = None):
         if max_connections is not None and max_connections < 1:
             raise ValueError("max_connections must be >= 1")
         self.max_connections = max_connections
@@ -67,17 +66,7 @@ class OverloadController:
         self.open_connections = 0
         #: accounting for the experiment harness
         self.postponed_accepts = 0
-        #: flight recorder receiving trip/clear transitions and the
-        #: sustained-overload dump (None disables both)
-        self.flight = flight
-        #: consecutive postponed accepts that trigger one flight-ring
-        #: snapshot (evidence of *why* hits disk during the storm);
-        #: None disables the dump
-        self.trip_dump_after = trip_dump_after
-        self._postponed_streak = 0
-        self._trip_dumped = False
         shared(self, "_tripped", "open_connections", "postponed_accepts",
-               "_postponed_streak",
                label="overload admission state (dispatcher vs sampler "
                      "vs adaptive controller)")
 
@@ -138,29 +127,9 @@ class OverloadController:
 
     # -- the admission decision -------------------------------------------
     def _postponed(self) -> None:
-        """Account one postponed accept (caller holds the lock); a
-        sustained streak dumps the flight ring once per episode.  The
-        dump itself runs on a one-shot thread: the accept path must
-        never block on disk."""
+        """Account one postponed accept (caller holds the lock)."""
         access(self, "postponed_accepts")
         self.postponed_accepts += 1
-        access(self, "_postponed_streak")
-        self._postponed_streak += 1
-        if (self.trip_dump_after is not None
-                and self.flight is not None
-                and not self._trip_dumped
-                and self._postponed_streak >= self.trip_dump_after):
-            self._trip_dumped = True
-            import threading
-
-            def _dump(flight=self.flight):
-                try:
-                    flight.snapshot("sustained-overload")
-                except OSError:  # pragma: no cover - disk trouble
-                    pass
-
-            threading.Thread(target=_dump, daemon=True,
-                             name="overload-dump").start()
 
     def accepting(self) -> bool:
         """May the Acceptor take a new connection right now?"""
@@ -177,25 +146,13 @@ class OverloadController:
                 if self._tripped[name]:
                     if length < mark.low:
                         self._tripped[name] = False
-                        if self.flight is not None:
-                            self.flight.record(
-                                "overload-clear",
-                                f"queue={name} length={length}")
                     else:
                         self._postponed()
                         return False
                 elif length > mark.high:
                     self._tripped[name] = True
-                    if self.flight is not None:
-                        self.flight.record(
-                            "overload-trip",
-                            f"queue={name} length={length} "
-                            f"high={mark.high}")
                     self._postponed()
                     return False
-            access(self, "_postponed_streak")
-            self._postponed_streak = 0
-            self._trip_dumped = False
             return True
 
     def overloaded_queues(self) -> list:

@@ -1,41 +1,22 @@
-"""Multi-reactor sharding: one accept plane feeding N reactor shards.
+"""Connection placement for multi-reactor sharding (option O14).
 
 The paper's servers run a single reactor loop; the classic step past
-one core is N reactors behind one listening socket.  Here a dedicated
-accept plane (its own Event Source plus a single-threaded dispatcher)
-drains the kernel backlog through one :class:`Acceptor` and hands each
-accepted connection to one of N :class:`ReactorShard`\\ s — each a full
-:class:`~repro.runtime.server.ReactorServer` (own Event Source, Event
-Processor pool, scheduler queue, idle reaper, resilience runtime) that
-simply never listens.  Placement is a pluggable :class:`ShardPolicy`:
-round-robin, least-connections, or connection-hash affinity.
-
-The generated counterpart is the ``Sharding`` class emitted by the
-template's ``mod_sharding.py`` when option O14 ("Reactor shards") is
-greater than one.
+one core is N reactors behind one listening socket.  The template's
+``mod_sharding.py`` generates that shape when O14>1: a ``Sharding``
+component builds N Reactors, lets only the primary listen, and places
+every accepted connection on one shard.  Placement is a pluggable
+:class:`ShardPolicy` — round-robin, least-connections, or
+connection-hash affinity — chosen by the generated
+``ServerConfiguration.shard_policy`` knob through
+:func:`make_shard_policy`.
 """
 
 from __future__ import annotations
 
-import time
 import zlib
-from typing import Callable, List, Optional, Sequence, Union
+from typing import Callable, Optional, Sequence
 
 from repro.lint.locks import access, make_lock
-from repro.obs.flight import FlightRecorder
-from repro.obs.tracing import render_trace_report
-from repro.obs.exposition import (
-    render_status_auto,
-    render_status_html,
-    sharded_status_fields,
-)
-from repro.runtime.acceptor import Acceptor
-from repro.runtime.communicator import Communicator, ServerHooks
-from repro.runtime.dispatcher import EventDispatcher
-from repro.runtime.event_source import SocketEventSource
-from repro.runtime.events import EventKind
-from repro.runtime.handles import ListenHandle, SocketHandle
-from repro.runtime.server import ReactorServer, RuntimeConfig
 
 __all__ = [
     "ShardPolicy",
@@ -43,8 +24,6 @@ __all__ = [
     "LeastConnectionsPolicy",
     "ConnectionHashPolicy",
     "make_shard_policy",
-    "ReactorShard",
-    "ShardedReactorServer",
 ]
 
 
@@ -130,290 +109,3 @@ def make_shard_policy(name: str, shard_count: int,
     if name in ("connection-hash", "hash"):
         return ConnectionHashPolicy(shard_count)
     raise ValueError(f"unknown shard policy {name!r}")
-
-
-class ReactorShard(ReactorServer):
-    """A ReactorServer that never listens: connections are *adopted*
-    from the shared accept plane instead of accepted locally."""
-
-    def __init__(self, hooks: ServerHooks, config: RuntimeConfig,
-                 shard_id: int = 0, **kwargs):
-        super().__init__(hooks, config, **kwargs)
-        self.shard_id = shard_id
-        # the per-server recorder is built by ReactorServer.__init__;
-        # renaming it makes every dump file say which shard it came from
-        self.flight.name = f"shard-{shard_id}"
-        self.adopted = 0
-        self._adopt_lock = make_lock("ReactorShard")
-
-    def _open_acceptor(self) -> None:
-        """No listen socket: the accept plane feeds this shard."""
-
-    def adopt(self, handle: SocketHandle) -> Communicator:
-        """Take ownership of an accepted connection: build its
-        Communicator and watch the handle on this shard's own source."""
-        handle.last_activity = time.monotonic()
-        if self.overload is not None:
-            self.overload.connection_opened()
-        self.profiler.connection_accepted()
-        conn = self._make_communicator(handle)
-        self.socket_source.register(handle)
-        # registration happened off the shard's dispatcher thread — kick
-        # the poll loop so the handle is watched immediately
-        self.socket_source.wakeup()
-        with self._adopt_lock:
-            access(self, "adopted")
-            self.adopted += 1
-        return conn
-
-
-class _ShardGate:
-    """Overload facade for the accept plane: keep accepting while any
-    shard will take the connection; per-shard controllers do their own
-    open/close accounting in :meth:`ReactorShard.adopt`."""
-
-    def __init__(self, shards: Sequence[ReactorShard]):
-        self._shards = shards
-
-    def accepting(self) -> bool:
-        """True while any shard will still take a connection."""
-        return any(s.overload is None or s.overload.accepting()
-                   for s in self._shards)
-
-    def connection_opened(self) -> None:
-        """Per-shard controllers account in ``adopt``; nothing to do."""
-        pass
-
-    def at_connection_limit(self) -> bool:
-        """Is the connection cap the binding constraint on every shard?
-        (The O17 shedding policy uses this to pick a reason code.)"""
-        gated = [s.overload for s in self._shards if s.overload is not None]
-        return bool(gated) and all(g.at_connection_limit() for g in gated)
-
-    def overloaded_queues(self) -> list:
-        """Tripped queues across all shards, shard-qualified names."""
-        names = []
-        for shard in self._shards:
-            if shard.overload is not None:
-                names.extend(
-                    f"shard{shard.shard_id}:{name}"
-                    for name in shard.overload.overloaded_queues())
-        return names
-
-
-class ShardedReactorServer:
-    """N reactor shards behind one Acceptor.
-
-    Mirrors the :class:`ReactorServer` surface (``start`` / ``stop`` /
-    ``drain`` / ``port`` / context manager) so anything driving one
-    shape drives the other.  Per-shard obs registries aggregate through
-    :func:`~repro.obs.exposition.sharded_status_fields`; O13 resilience
-    (deadlines, supervision, quarantine) runs independently inside each
-    shard, and :meth:`drain` is a barrier across all of them.
-    """
-
-    def __init__(self, hooks: ServerHooks, config: RuntimeConfig,
-                 shards: int = 2,
-                 policy: Union[str, ShardPolicy] = "round-robin",
-                 host: str = "127.0.0.1", port: int = 0,
-                 handle_cls: Optional[type] = None):
-        if shards < 1:
-            raise ValueError("shards must be >= 1")
-        self.hooks = hooks
-        self.config = config
-        self.host = host
-        self.handle_cls = handle_cls
-        self._requested_port = port
-        self.shards: List[ReactorShard] = [
-            ReactorShard(hooks, config, shard_id=i) for i in range(shards)]
-        for shard in self.shards:
-            shard.sharding = self
-        if isinstance(policy, ShardPolicy):
-            self.router = policy
-        else:
-            self.router = make_shard_policy(
-                policy, shards,
-                loads=[(lambda s=s: len(s.container)) for s in self.shards])
-        self.accepted_per_shard = [0] * shards
-        #: the accept plane's own lifecycle ring — shard rings only see a
-        #: connection after placement, so accept/shed events land here
-        self.flight = FlightRecorder(capacity=config.flight_capacity,
-                                     name="accept-plane",
-                                     dump_dir=config.flight_dump_dir)
-        self.accept_source = SocketEventSource(poller=config.poller)
-        self.accept_dispatcher = EventDispatcher(self.accept_source, threads=1)
-        self.listen: Optional[ListenHandle] = None
-        self.acceptor: Optional[Acceptor] = None
-        self._gate = (_ShardGate(self.shards)
-                      if any(s.overload is not None for s in self.shards)
-                      else None)
-        #: O17: the accept plane runs its own SheddingPolicy over the
-        #: shard gate — rejection happens before placement, so a shed
-        #: storm never touches a shard's event sources at all
-        self.shedding = None
-        if config.degradation:
-            from repro.runtime.degradation import (
-                ClientRateLimiter,
-                SheddingPolicy,
-                rejection_response,
-            )
-            self.shedding = SheddingPolicy(
-                overload=self._gate,
-                limiter=ClientRateLimiter(
-                    rate=config.shed_rate,
-                    burst=config.shed_burst,
-                    max_clients=config.shed_max_clients),
-                classes=dict(config.shed_classes),
-                priority_floor=config.shed_priority_floor,
-                retry_after=config.shed_retry_after,
-                reject_payload=rejection_response(config.shed_retry_after),
-                on_overload=config.shed_on_overload,
-                flight=self.flight,
-            )
-        self._started = False
-        self._start_time: Optional[float] = None
-        self._lock = make_lock("ShardedReactorServer")
-
-    # -- accept plane -----------------------------------------------------
-    def _distribute(self, handle: SocketHandle) -> None:
-        """Place one accepted handle on a shard and adopt it there."""
-        shard = self.shards[self.router.pick(handle)]
-        if shard.overload is not None and not shard.overload.accepting():
-            # the policy's pick is overloaded — reroute to the least
-            # loaded shard still accepting (the gate guarantees one)
-            open_shards = [s for s in self.shards
-                           if s.overload is None or s.overload.accepting()]
-            if open_shards:
-                shard = min(open_shards,
-                            key=lambda s: (len(s.container), s.shard_id))
-        with self._lock:
-            access(self, "accepted_per_shard")
-            self.accepted_per_shard[shard.shard_id] += 1
-        shard.flight.record("adopt", f"shard={shard.shard_id} {handle.name}",
-                            getattr(handle, "trace_id", 0))
-        shard.adopt(handle)
-
-    # -- lifecycle --------------------------------------------------------
-    @property
-    def port(self) -> int:
-        """The accept plane's bound port (server must be started)."""
-        if self.listen is None:
-            raise RuntimeError("server not started")
-        return self.listen.port
-
-    def start(self) -> None:
-        """Start every shard, then open the shared accept plane."""
-        with self._lock:
-            access(self, "_started")
-            if self._started:
-                return
-            self._started = True
-        for shard in self.shards:
-            shard.start()
-        self.listen = ListenHandle(self.host, self._requested_port,
-                                   handle_cls=self.handle_cls)
-        self.acceptor = Acceptor(
-            self.listen,
-            self.accept_source,
-            on_connection=self._distribute,
-            overload=self._gate,
-            register_accepted=False,
-            flight=self.flight,
-            shedding=self.shedding,
-            accept_batch=self.config.accept_batch,
-        )
-        self.accept_dispatcher.route(EventKind.ACCEPT, self.acceptor.handle)
-        self.acceptor.open()
-        self.accept_dispatcher.start()
-        self._start_time = time.monotonic()
-
-    def stop(self) -> None:
-        """Stop the accept plane first, then every shard."""
-        with self._lock:
-            access(self, "_started")
-            if not self._started:
-                return
-            self._started = False
-        self.accept_dispatcher.stop()
-        if self.acceptor is not None:
-            self.acceptor.close()
-        for shard in self.shards:
-            shard.stop()
-        self.accept_source.close()
-
-    def drain(self, timeout: Optional[float] = None) -> bool:
-        """Cross-shard drain barrier: stop accepting, then wait for
-        *every* shard to go quiescent before stopping them all."""
-        timeout = (timeout if timeout is not None
-                   else self.config.drain_timeout)
-        with self._lock:
-            access(self, "_started", write=False)
-            started = self._started
-        if not started:
-            return True
-        if self.acceptor is not None:
-            self.acceptor.close()
-        deadline = time.monotonic() + timeout
-        settled_since = None
-        drained = False
-        while time.monotonic() < deadline:
-            if all(shard._quiescent() for shard in self.shards):
-                if settled_since is None:
-                    settled_since = time.monotonic()
-                elif time.monotonic() - settled_since >= 0.05:
-                    drained = True
-                    break
-            else:
-                settled_since = None
-            time.sleep(0.005)
-        self.stop()
-        return drained
-
-    # -- inspection -------------------------------------------------------
-    @property
-    def open_connections(self) -> int:
-        """Open connections summed across shards."""
-        return sum(len(shard.container) for shard in self.shards)
-
-    def status_fields(self):
-        """Aggregated mod_status fields across all shard registries."""
-        uptime = (time.monotonic() - self._start_time
-                  if self._start_time is not None else None)
-        return sharded_status_fields(
-            [shard.registry for shard in self.shards], uptime=uptime)
-
-    def status_report(self, auto: bool = False) -> str:
-        """The aggregated status page (HTML, or plain with ``auto``)."""
-        fields = self.status_fields()
-        return render_status_auto(fields) if auto \
-            else render_status_html(fields)
-
-    def degradation_status(self) -> dict:
-        """Accept-plane O17 snapshot plus every shard's own plane."""
-        if self.shedding is None:
-            return {}
-        return {
-            "shed": self.shedding.status(),
-            "shards": [shard.degradation_status() for shard in self.shards],
-        }
-
-    def trace_records(self) -> list:
-        """Finished span records merged from every shard's exporter."""
-        records = []
-        for shard in self.shards:
-            records.extend(shard.trace_records())
-        return records
-
-    def trace_report(self) -> str:
-        """Plain-text trace report across all shards (merged, sorted by
-        span start so interleavings read chronologically)."""
-        return render_trace_report(self.trace_records(), sharded=True)
-
-    def __enter__(self) -> "ShardedReactorServer":
-        """Context-manager start."""
-        self.start()
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        """Context-manager stop."""
-        self.stop()

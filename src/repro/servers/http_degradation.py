@@ -25,19 +25,10 @@ __all__ = [
 
 
 def degradation_plane(conn):
-    """The O17 degradation plane, wherever this framework keeps it:
-    generated builds hang a ``Degradation`` component off the reactor;
-    the hand-wired :class:`~repro.runtime.server.ReactorServer` exposes
-    the same attributes itself.  None when the build has no plane
-    (O17=No leaves no call site behind)."""
-    reactor = getattr(conn, "reactor", None)
-    plane = getattr(reactor, "degradation", None)
-    if plane is not None:
-        return plane
-    server = conn.context.get("server")
-    if server is not None and getattr(server, "shedding", None) is not None:
-        return server
-    return None
+    """The O17 degradation plane: the ``Degradation`` component a
+    generated build hangs off the connection's reactor.  None when the
+    build has no plane (O17=No leaves no call site behind)."""
+    return getattr(getattr(conn, "reactor", None), "degradation", None)
 
 
 def shed_response(request, decision):

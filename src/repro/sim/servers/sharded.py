@@ -1,7 +1,7 @@
 """Sharded event-driven N-Server (template option O14, simulated).
 
-The simulated counterpart of :class:`repro.runtime.ShardedReactorServer`
-and the generated O14 framework: N reactor shards — each with its own
+The simulated counterpart of the generated O14 framework's ``Sharding``
+component: N reactor shards — each with its own
 listen backlog, reactive queue, Event Processor pool and file cache —
 sharing ONE host (one CPU pool, one OS buffer cache / disk, one link).
 This is what distinguishes sharding from the :mod:`cluster

@@ -9,7 +9,8 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.runtime import ReactorServer, RuntimeConfig, ServerHooks
+from harness import generated_server
+from repro.runtime import ServerHooks
 
 pytestmark = [pytest.mark.faults, pytest.mark.timeout(120)]
 
@@ -38,12 +39,9 @@ payloads = st.lists(
 @given(batch=payloads)
 def test_drain_never_loses_accepted_requests(batch):
     hooks = SlowUpperHooks(delay=0.03)
-    config = RuntimeConfig(
-        fault_tolerance=True,
-        drain_timeout=10.0,
-        processor_threads=2,
-    )
-    server = ReactorServer(hooks, config)
+    # O13 emits the drain path; the build is generated once per session
+    server = generated_server(hooks, {"O13": True},
+                              drain_timeout=10.0, processor_threads=2)
     server.start()
     try:
         client = socket.create_connection(("127.0.0.1", server.port),

@@ -1,25 +1,29 @@
-"""The acceptance storm: a seeded fault against a sharded server, then
-the full per-request path — accept, shard placement, worker dispatch,
-stage bracketing, the injected fault, reply completion — reconstructed
-*purely* from flight-recorder dump files plus the trace exporter's
-records, never from live server state."""
+"""The acceptance storm: a seeded fault against a generated sharded
+server (O11+O13+O14), then the full per-request path — accept, shard
+placement, worker dispatch, stage bracketing, the injected fault, reply
+completion — reconstructed *purely* from flight-recorder dump files plus
+the trace exporter's records, never from live server state."""
 
 import os
 
 import pytest
 
-from harness import ServerFixture, wait_until
+from harness import ServerFixture, generated_server, wait_until
 from repro.faults import FaultPlane, FaultSpec
+from repro.obs.flight import GLOBAL as GLOBAL_FLIGHT
 from repro.obs.flight import parse_dump, reconstruct_path
-from repro.runtime import RuntimeConfig, ServerHooks, ShardedReactorServer
+from repro.runtime import ServerHooks
 
 pytestmark = [pytest.mark.faults, pytest.mark.timeout(120)]
 
 #: the seeded schedule of test_sharded_faults: handler_crash=0.3 under
-#: seed 4 crashes exactly one handle() call — request index 3
+#: seed 4 crashes exactly one handle() call — request index 3, which
+#: round-robin places on shard 1
 SEED = 4
 CRASH_INDEX = 3
 REQUESTS = 12
+SHARDS = 2
+OPTIONS = {"O4": "Synchronous", "O11": True, "O13": True, "O14": SHARDS}
 
 
 class PingHooks(ServerHooks):
@@ -50,29 +54,34 @@ def load_events(directory):
     return events
 
 
-def test_fault_storm_path_reconstructed_from_dumps(tmp_path):
+def test_fault_storm_path_reconstructed_from_dumps(tmp_path, monkeypatch):
     auto_dir = tmp_path / "auto"        # where crash-triggered dumps land
     probe_dir = tmp_path / "probe"      # the explicit end-of-run snapshot
     auto_dir.mkdir()
     probe_dir.mkdir()
+    # Generated builds record to the process-global ring, which dumps
+    # to $REPRO_FLIGHT_DIR on its own.
+    monkeypatch.setenv("REPRO_FLIGHT_DIR", str(auto_dir))
+    GLOBAL_FLIGHT.clear()
 
     plane = FaultPlane(FaultSpec(handler_crash=0.3), seed=SEED)
-    cfg = RuntimeConfig(async_completions=False, fault_tolerance=True,
-                        supervision_interval=0.02, processor_threads=2,
-                        profiling=True, flight_dump_dir=str(auto_dir))
-    server = ShardedReactorServer(plane.wrap_hooks(PingHooks()), cfg,
-                                  shards=3)
+    server = generated_server(plane.wrap_hooks(PingHooks()), OPTIONS,
+                              supervision_interval=0.02,
+                              processor_threads=2)
     plane.install(server)
+    shards = server.sharding.shards
+    victim_shard = shards[CRASH_INDEX % SHARDS]
     with ServerFixture(server) as fixture:
         outcomes = [attempt(fixture) for _ in range(REQUESTS)]
         assert outcomes[CRASH_INDEX] == b""
         assert all(outcomes[i] == b"PING\n"
                    for i in range(REQUESTS) if i != CRASH_INDEX), outcomes
 
-        # The worker death dumped the victim shard's ring on its own —
-        # the always-on story: the evidence hits disk before anyone asks.
-        wait_until(lambda: server.shards[0].supervisor.restarts >= 1,
-                   message="supervisor never replaced the dead worker")
+        # The worker death dumped the ring on its own — the always-on
+        # story: the evidence hits disk before anyone asks.
+        wait_until(
+            lambda: victim_shard.resilience.supervisor.restarts >= 1,
+            message="supervisor never replaced the dead worker")
         auto_dumps = [name for name in os.listdir(auto_dir)
                       if "worker-death" in name]
         assert auto_dumps, "worker death produced no flight dump"
@@ -80,19 +89,17 @@ def test_fault_storm_path_reconstructed_from_dumps(tmp_path):
         # A client can read its reply before the write-complete event
         # lands in the ring, so snapshot only once the server is
         # quiescent: every survivor's completion is on the record.
-        rings = [server.flight] + [shard.flight for shard in server.shards]
-        wait_until(lambda: len({e.trace_id for ring in rings
-                                for e in ring.events("write-complete")})
+        wait_until(lambda: len({e.trace_id for e
+                                in GLOBAL_FLIGHT.events("write-complete")})
                    >= REQUESTS - 1,
                    message="survivors' write-complete events never landed")
 
-        # One snapshot per recorder plane, then stop looking at the
-        # server: the reconstruction below reads only files and the
-        # exporter's record list.
-        server.flight.snapshot("probe", directory=str(probe_dir))
-        for shard in server.shards:
-            shard.flight.snapshot("probe", directory=str(probe_dir))
-        exported = server.trace_records()
+        # One snapshot, then stop looking at the server: the
+        # reconstruction below reads only files and the exporters'
+        # record lists.
+        GLOBAL_FLIGHT.snapshot("probe", directory=str(probe_dir))
+        exported = [record for shard in shards
+                    for record in shard.observability.exporter.records()]
 
     events = load_events(probe_dir)
 

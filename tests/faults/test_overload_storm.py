@@ -1,5 +1,6 @@
-"""The overload storm: a 3-shard server at its connection cap under a
-seeded fault schedule, hammered with more connections than it will take.
+"""The overload storm: a generated 2-shard server (O9+O11+O13+O14+O17)
+at its connection cap under a seeded fault schedule, hammered with more
+connections than it will take.
 
 Acceptance criteria for the O17 degradation plane (the robustness
 counterpart of test_fault_storm_trace's crash storm):
@@ -7,13 +8,13 @@ counterpart of test_fault_storm_trace's crash storm):
 * every admitted request completes, with bounded latency;
 * every connection over capacity gets a *well-formed* 503 with a
   ``Retry-After`` header — cheap explicit rejection, not a silent stall
-  in the kernel backlog;
-* zero worker deaths: shedding happens on the accept plane, so the
-  storm never touches the shards' Event Processors;
+  in the kernel backlog — and is counted under the reason that bound,
+  the connection cap;
+* zero worker deaths: shedding happens in the accept loop, before
+  placement, so the storm never touches the shards' Event Processors;
 * the evidence is on the record: shed decisions (with reason codes and
-  trace ids) in the accept-plane flight ring, a ``sustained-overload``
-  dump on disk from the streak trigger, and the span exporter knowing
-  exactly the admitted — and none of the shed — connections.
+  trace ids) in the flight ring, and the span exporters knowing exactly
+  the admitted — and none of the shed — connections.
 """
 
 import os
@@ -22,20 +23,22 @@ import time
 
 import pytest
 
-from harness import ServerFixture, wait_until
+from harness import ServerFixture, generated_server, wait_until
 from repro.faults import FaultPlane, FaultSpec
+from repro.obs.flight import GLOBAL as GLOBAL_FLIGHT
 from repro.obs.flight import parse_dump
-from repro.runtime import RuntimeConfig, ServerHooks, ShardedReactorServer
+from repro.runtime import ServerHooks
 
 pytestmark = [pytest.mark.faults, pytest.mark.timeout(120)]
 
 SEED = 11
-SHARDS = 3
+SHARDS = 2
 PER_SHARD_CAP = 2
 CAPACITY = SHARDS * PER_SHARD_CAP
 STORM = 15          # rejected connections on top of a full house
 AFTERMATH = 20      # admitted requests once the storm clears
-DUMP_AFTER = 5      # sustained-overload streak trigger
+OPTIONS = {"O4": "Synchronous", "O9": True, "O11": True, "O13": True,
+           "O14": SHARDS, "O17": True}
 
 
 class PingHooks(ServerHooks):
@@ -71,31 +74,27 @@ def parse_http(payload: bytes):
 
 
 def test_overload_storm_sheds_gracefully(tmp_path):
-    dump_dir = tmp_path / "dumps"
     probe_dir = tmp_path / "probe"
-    dump_dir.mkdir()
     probe_dir.mkdir()
+    GLOBAL_FLIGHT.clear()
 
     # Seeded socket-level noise (fragmented reads, spurious readiness)
     # keeps the admitted path honest; no handler or send faults, so
     # every admission decision — and every 503 — stays deterministic.
     plane = FaultPlane(FaultSpec(partial_read=0.2, recv_eagain=0.1),
                        seed=SEED)
-    cfg = RuntimeConfig(
-        async_completions=False, fault_tolerance=True,
+    server = generated_server(
+        plane.wrap_hooks(PingHooks()), OPTIONS,
         supervision_interval=0.02, processor_threads=2,
-        profiling=True, flight_dump_dir=str(dump_dir),
-        degradation=True,
         max_connections=PER_SHARD_CAP,
-        overload_dump_after=DUMP_AFTER,
         shed_retry_after=2.0,
         # the whole storm comes from 127.0.0.1 — keep the per-client
         # limiter out of the way so the connection cap decides alone
         shed_rate=1e6, shed_burst=1e6,
     )
-    server = ShardedReactorServer(plane.wrap_hooks(PingHooks()), cfg,
-                                  shards=SHARDS)
     plane.install(server)
+    shards = server.sharding.shards
+    degradation = server.reactor.degradation
 
     with ServerFixture(server) as fixture:
         # -- fill the house: CAPACITY held connections, one request each
@@ -106,8 +105,7 @@ def test_overload_storm_sheds_gracefully(tmp_path):
             assert fixture.read_line(sock) == b"PING\n"
             occupiers.append(sock)
         wait_until(
-            lambda: all(s.overload.at_connection_limit()
-                        for s in server.shards),
+            lambda: all(s.overload.at_connection_limit() for s in shards),
             message="shards never reached the connection cap")
 
         # -- the storm: every connection over capacity is rejected with
@@ -121,24 +119,16 @@ def test_overload_storm_sheds_gracefully(tmp_path):
             assert int(headers["content-length"]) == len(body)
             assert body == b"503 Service Unavailable\r\n"
 
-        assert server.shedding.shed_total == STORM
-        assert server.acceptor.rejected == STORM
-        status = server.degradation_status()
+        assert degradation.shedding.shed_total == STORM
+        status = degradation.status()
         assert status["shed"]["shed_total"] == STORM
         assert status["shed"]["shed_by_reason"] == {"max-connections": STORM}
-
-        # -- the sustained streak dumped the evidence on its own
-        wait_until(
-            lambda: any("sustained-overload" in name
-                        for name in os.listdir(dump_dir)),
-            message="sustained overload never dumped a flight ring")
 
         # -- storm over: release the house and the server recovers
         for sock in occupiers:
             sock.close()
         wait_until(
-            lambda: sum(s.overload.open_connections
-                        for s in server.shards) == 0,
+            lambda: sum(s.overload.open_connections for s in shards) == 0,
             message="closed connections never drained")
 
         latencies = []
@@ -151,11 +141,12 @@ def test_overload_storm_sheds_gracefully(tmp_path):
         assert p99 < 2.0, f"admitted p99 {p99:.3f}s not bounded"
 
         # -- zero worker deaths: the storm never reached a shard
-        for shard in server.shards:
-            assert shard.supervisor.restarts == 0
+        for shard in shards:
+            assert shard.resilience.supervisor.restarts == 0
 
-        server.flight.snapshot("probe", directory=str(probe_dir))
-        exported = server.trace_records()
+        GLOBAL_FLIGHT.snapshot("probe", directory=str(probe_dir))
+        exported = [record for shard in shards
+                    for record in shard.observability.exporter.records()]
 
     # -- reconstruction from the dump alone ------------------------------
     (dump,) = os.listdir(probe_dir)

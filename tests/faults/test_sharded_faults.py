@@ -1,21 +1,23 @@
-"""Fault storm against the sharded shape: a seeded WorkerCrash kills
-one shard's Event Processor worker mid-event; that shard's O13
-supervisor respawns it while the other shards keep serving — the blast
-radius of a worker death is one shard, not the server."""
+"""Fault storm against the generated sharded shape (O13+O14): a seeded
+WorkerCrash kills one shard's Event Processor worker mid-event; that
+shard's O13 supervisor respawns it while the other shard keeps serving
+— the blast radius of a worker death is one shard, not the server."""
 
 import pytest
 
-from harness import ServerFixture, wait_until
+from harness import ServerFixture, generated_server, wait_until
 from repro.faults import FaultPlane, FaultSpec
-from repro.runtime import RuntimeConfig, ServerHooks, ShardedReactorServer
+from repro.runtime import ServerHooks
 
 pytestmark = [pytest.mark.faults, pytest.mark.timeout(120)]
 
 #: with handler_crash=0.3, seed 4 injects exactly one crash in twelve
-#: handle() calls — at call index 3, which round-robin over three
-#: shards places on shard 0 (its second connection)
+#: handle() calls — at call index 3, which round-robin over two shards
+#: places on shard 1 (its second connection)
 SEED = 4
 CRASH_INDEX = 3
+SHARDS = 2
+OPTIONS = {"O4": "Synchronous", "O11": True, "O13": True, "O14": SHARDS}
 
 
 class PingHooks(ServerHooks):
@@ -39,12 +41,12 @@ def attempt(fixture, timeout=1.0) -> bytes:
 
 def test_worker_crash_stays_inside_one_shard(tmp_path):
     plane = FaultPlane(FaultSpec(handler_crash=0.3), seed=SEED)
-    cfg = RuntimeConfig(async_completions=False, fault_tolerance=True,
-                        supervision_interval=0.02, processor_threads=2,
-                        profiling=True)
-    server = ShardedReactorServer(plane.wrap_hooks(PingHooks()), cfg,
-                                  shards=3)
+    server = generated_server(plane.wrap_hooks(PingHooks()), OPTIONS,
+                              supervision_interval=0.02,
+                              processor_threads=2)
     plane.install(server)
+    shards = server.sharding.shards
+    victim = CRASH_INDEX % SHARDS
     with ServerFixture(server) as fixture:
         outcomes = [attempt(fixture) for _ in range(12)]
 
@@ -57,18 +59,21 @@ def test_worker_crash_stays_inside_one_shard(tmp_path):
                 ].count("crash") == 1
 
         # Round-robin spread the twelve connections evenly — the other
-        # shards were serving while shard 0 took the hit.
-        assert server.accepted_per_shard == [4, 4, 4]
+        # shard was serving while the victim took the hit.
+        assert server.sharding.accepted_per_shard == [6, 6]
 
         # The supervisor on the crashed shard — and only that shard —
         # replaced the dead worker, restoring the pool to full strength.
-        wait_until(lambda: server.shards[0].supervisor.restarts >= 1,
-                   message="supervisor never replaced the dead worker")
-        assert [s.supervisor.restarts for s in server.shards] == [1, 0, 0]
-        wait_until(lambda: server.shards[0].processor.thread_count == 2,
+        wait_until(
+            lambda: shards[victim].resilience.supervisor.restarts >= 1,
+            message="supervisor never replaced the dead worker")
+        assert [s.resilience.supervisor.restarts for s in shards] == \
+            [int(index == victim) for index in range(SHARDS)]
+        wait_until(lambda: shards[victim].processor.thread_count == 2,
                    message="worker pool never restored to full strength")
 
         # Restart counters surface in the aggregated status report.
-        fields = dict(server.status_fields())
+        fields = dict(server.sharding.status_fields())
         assert float(fields["server_worker_restarts_total"]) == 1
-        assert float(fields['server_worker_restarts_total{shard="0"}']) == 1
+        assert float(fields[
+            f'server_worker_restarts_total{{shard="{victim}"}}']) == 1

@@ -10,7 +10,10 @@ Three small tools replace ad-hoc ``time.sleep()`` synchronization:
   state (counters, tracer records) to become visible;
 * :class:`ServerFixture` — a context manager owning a started server's
   lifecycle plus the client-side plumbing every integration test was
-  re-implementing (connect, framed request/response, raw HTTP GET).
+  re-implementing (connect, framed request/response, raw HTTP GET);
+* :func:`generated_server` — a generated framework's ``Server`` for an
+  option set, generating each distinct option set only once per test
+  session (:func:`generated_framework` returns the package itself).
 
 The package lives under ``tests/`` (made importable as ``harness`` by
 ``tests/conftest.py``) because it is test infrastructure, not library
@@ -19,12 +22,15 @@ code: nothing under ``src/`` may depend on it.
 
 from __future__ import annotations
 
+import atexit
+import shutil
 import socket
+import tempfile
 import time
-from typing import Callable, Optional
+from typing import Callable, Mapping, Optional
 
 __all__ = ["FakeClock", "FakeHandle", "ServerFixture", "feed",
-           "wait_until"]
+           "generated_framework", "generated_server", "wait_until"]
 
 
 class FakeClock:
@@ -114,13 +120,54 @@ def wait_until(predicate: Callable[[], bool], timeout: float = 10.0,
         time.sleep(interval)
 
 
+#: generated packages of this session, keyed by their full option set
+_FRAMEWORKS: dict = {}
+#: where they live; created on first use, removed at interpreter exit
+_framework_dir: Optional[str] = None
+
+
+def generated_framework(options: Mapping[str, object]):
+    """The loaded framework package generated for ``options``.
+
+    ``options`` overrides the template defaults (e.g. ``{"O4":
+    "Synchronous", "O14": 2}``).  Each distinct option set is generated
+    once per session into a temporary directory removed at exit, so
+    tests that share a shape share its package.
+    """
+    global _framework_dir
+    from repro.co2p3s.nserver import NSERVER
+    from repro.co2p3s.template import load_generated_package
+
+    opts = NSERVER.configure(options)
+    key = repr(sorted(opts.as_dict().items()))
+    framework = _FRAMEWORKS.get(key)
+    if framework is None:
+        if _framework_dir is None:
+            _framework_dir = tempfile.mkdtemp(prefix="repro-fw-")
+            atexit.register(shutil.rmtree, _framework_dir, True)
+        package = f"harness_fw_{len(_FRAMEWORKS)}"
+        NSERVER.generate(opts, _framework_dir, package=package)
+        framework = load_generated_package(_framework_dir, package)
+        _FRAMEWORKS[key] = framework
+    return framework
+
+
+def generated_server(hooks, options: Mapping[str, object], **config):
+    """A not-yet-started generated ``Server`` for ``options`` whose
+    ``ServerConfiguration`` takes ``config`` as overrides."""
+    framework = generated_framework(options)
+    return framework.Server(
+        hooks, configuration=framework.ServerConfiguration(**config))
+
+
 class ServerFixture:
     """Own a server's start/stop lifecycle and its client plumbing.
 
     Works with any object exposing ``start()``, ``stop()`` and ``port``
-    — the library ``ReactorServer``/``ShardedReactorServer`` and the
-    generated ``Server`` facade alike.  ``stop()`` is exactly-once:
-    tests that drain/stop early call :meth:`mark_stopped`.
+    — in practice the generated ``Server`` facade, single-reactor or
+    O14-sharded (build one with :func:`generated_server`).  ``stop()``
+    is exactly-once: tests that drain/stop early call
+    :meth:`mark_stopped`.
     """
 
     def __init__(self, server, host: str = "127.0.0.1",

@@ -1,10 +1,11 @@
 """The harness tested on itself: FakeClock driving real deadline logic
-(the O7 idle reaper) without any wall-clock waiting, and wait_until's
-timeout/message contract."""
+(the O7 idle reaper) without any wall-clock waiting, wait_until's
+timeout/message contract, and the once-per-option-set generation cache
+behind generated_server."""
 
 import pytest
 
-from harness import FakeClock, wait_until
+from harness import FakeClock, generated_framework, wait_until
 from repro.runtime.idle import IdleConnectionReaper
 
 
@@ -52,3 +53,15 @@ def test_wait_until_returns_and_raises():
     assert wait_until(lambda: False, timeout=0.05) is False
     with pytest.raises(AssertionError, match="never happened"):
         wait_until(lambda: False, timeout=0.05, message="never happened")
+
+
+def test_generated_framework_generates_each_option_set_once():
+    first = generated_framework({"O4": "Synchronous", "O3": False})
+    # the same option set — spelled with defaults made explicit — is
+    # the same loaded package, not a regeneration
+    assert generated_framework(
+        {"O3": False, "O4": "Synchronous", "O14": 1}) is first
+    other = generated_framework({"O4": "Synchronous"})
+    assert other is not first
+    assert other.GENERATED_OPTIONS["O3"] is True
+    assert first.GENERATED_OPTIONS["O3"] is False

@@ -41,11 +41,11 @@ print(json.dumps({"status": reply.split(b"\\r\\n", 1)[0].decode(),
 """
 
 #: never needed by a default build: other applications and their
-#: protocol libraries, the hand-wired static twin, option-off runtime
-#: planes (O7 idle, O9 overload, O13 resilience, O16 deployment, O17
+#: protocol libraries, option-off runtime planes (O7 idle, O9 overload,
+#: O13 resilience, O14 shard placement, O16 deployment, O17
 #: degradation), O11 exposition/sampling and the offline tooling
 NOT_LOADED = [
-    "repro.runtime.server", "repro.runtime.sharding",
+    "repro.runtime.sharding",
     "repro.runtime.deployment", "repro.runtime.degradation",
     "repro.runtime.overload", "repro.runtime.resilience",
     "repro.runtime.idle",

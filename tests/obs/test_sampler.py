@@ -2,7 +2,6 @@
 
 import pytest
 
-from harness import wait_until
 from repro.obs import MetricsRegistry, PeriodicSampler
 
 
@@ -57,21 +56,3 @@ def test_ticks_counter_increments():
     sampler.sample()
     sampler.sample()
     assert reg.value("server_sampler_ticks_total") == 2
-
-
-def test_thread_mode_samples_until_stopped():
-    reg = MetricsRegistry()
-    sampler = PeriodicSampler(reg, interval=0.01)
-    sampler.add_probe("g", lambda: 1)
-    sampler.start()
-    sampler.start()                        # idempotent
-    wait_until(lambda: reg.value("server_sampler_ticks_total") > 0,
-               timeout=2.0, message="sampler thread never ticked")
-    sampler.stop()
-    assert sampler._thread is None
-    ticks = reg.value("server_sampler_ticks_total")
-    # negative wait: no tick may arrive after stop
-    assert not wait_until(
-        lambda: reg.value("server_sampler_ticks_total") != ticks,
-        timeout=0.1)
-    assert reg.value("g") == 1.0

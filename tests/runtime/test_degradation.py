@@ -1,8 +1,9 @@
 """Unit tests for the O17 graceful-degradation primitives.
 
-The classes under test are exactly what both the live ReactorServer and
-the simulation testbed run — everything is clock-injectable, so these
-tests drive them deterministically with a hand-rolled fake clock.
+The classes under test are exactly what both the generated O17
+``Degradation`` component and the simulation testbed run — everything
+is clock-injectable, so these tests drive them deterministically with a
+hand-rolled fake clock.
 """
 
 import pytest

@@ -6,17 +6,22 @@ small.  Synchronisation is harness-timed (``wait_until`` on supervisor
 state), never slept.
 """
 
+import importlib
+import os
 import random
+import signal
 import socket
 import threading
 
 import pytest
 
-from harness import wait_until
-from repro.runtime.deployment import ProcessSupervisor
+from harness import generated_framework, wait_until
+from repro.runtime.deployment import ProcessSupervisor, generated_worker_args
+from repro.servers.time_server import TIME_SERVER_OPTIONS, TimeServerHooks
 
-#: importable by the fresh worker interpreters (module:attr, zero-arg)
-HOOKS = "repro.servers.time_server:TimeServerHooks"
+#: the time server as a worker build: O16>1 emits the Worker each
+#: process runs, O11 its status fields and O13 its graceful drain
+OPTIONS = dict(TIME_SERVER_OPTIONS, O11=True, O13=True, O16=2)
 
 pytestmark = pytest.mark.skipif(
     not hasattr(socket, "send_fds"),
@@ -24,10 +29,14 @@ pytestmark = pytest.mark.skipif(
 
 
 def make_supervisor(procs=2, **kwargs):
-    kwargs.setdefault("factory", "repro.runtime.deployment:reactor_worker")
-    kwargs.setdefault("args", {"hooks": HOOKS,
-                               "config": {"profiling": True,
-                                          "use_codec": False}})
+    """A supervisor whose workers rebuild the generated time server
+    from the spec its own ``Deployment`` component would ship."""
+    framework = generated_framework(OPTIONS)
+    deployment = importlib.import_module(framework.__name__ + ".deployment")
+    kwargs.setdefault("factory", "repro.runtime.deployment:generated_worker")
+    kwargs.setdefault("args", generated_worker_args(
+        deployment.__name__, deployment.__file__,
+        framework.ServerConfiguration(), TimeServerHooks()))
     return ProcessSupervisor(procs=procs, **kwargs)
 
 
@@ -192,6 +201,23 @@ def test_aggregated_status_fields_cover_every_worker_exactly_once():
         assert float(as_dict["server_requests_total"]) == sum(
             float(as_dict[name]) for name in labelled) == 6.0
         assert int(as_dict["Workers"]) == 2
+
+
+def test_sigusr2_dumps_every_worker_flight_ring(tmp_path, monkeypatch):
+    """The supervisor forwards SIGUSR2 to every worker: each dumps its
+    flight ring and keeps serving instead of dying of the signal."""
+    monkeypatch.setenv("REPRO_FLIGHT_DIR", str(tmp_path))
+    with make_supervisor(procs=2) as supervisor:
+        ask_time(supervisor.port)
+        before = set(supervisor.status()["workers"])
+        for worker in supervisor._live_workers():
+            worker.proc.send_signal(signal.SIGUSR2)
+        wait_until(lambda: len([name for name in os.listdir(tmp_path)
+                                if "sigusr2" in name]) >= 2,
+                   message="workers never dumped their flight rings")
+        assert set(supervisor.status()["workers"]) == before
+        assert supervisor.status()["restarts_total"] == 0
+        assert ask_time(supervisor.port).endswith(b"\n")
 
 
 def test_generated_worker_args_reject_unimportable_hooks():

@@ -17,14 +17,8 @@ import socket
 
 from hypothesis import given, settings, strategies as st
 
-from harness import ServerFixture, wait_until
-from repro.runtime import (
-    BufferPool,
-    ReactorServer,
-    RuntimeConfig,
-    ServerHooks,
-    SocketHandle,
-)
+from harness import ServerFixture, generated_server, wait_until
+from repro.runtime import BufferPool, ServerHooks, SocketHandle
 from repro.runtime.event_source import SocketEventSource
 
 
@@ -128,20 +122,20 @@ def test_reassembly_survives_adversarial_chunking(payload, cut_sizes):
 
 
 def test_read_pool_hit_rate_gauge():
-    """The read pool's accounting is wired into the profiling sampler
-    as ``server_read_pool_hit_rate`` and reports a sane ratio after
-    real traffic."""
-    with ServerFixture(ReactorServer(
-            ServerHooks(), RuntimeConfig(use_codec=False,
-                                         async_completions=False,
-                                         profiling=True))) as srv:
+    """The read pool's accounting is wired into the O11 sampler as
+    ``server_read_pool_hit_rate`` and reports a sane ratio after real
+    traffic."""
+    server = generated_server(
+        ServerHooks(), {"O3": False, "O4": "Synchronous", "O11": True})
+    with ServerFixture(server) as srv:
         for _ in range(3):  # sequential connections: later ones hit
             assert srv.request(b"ping\n") == b"ping\n"
-        server = srv.server
-        stats = server.socket_source.read_pool.stats
+        reactor = server.reactor
+        stats = reactor.socket_source.read_pool.stats
         wait_until(lambda: stats.acquires >= 3)
-        server.sampler.sample()
-        value = server.registry.value("server_read_pool_hit_rate")
+        reactor.observability.sample()
+        value = reactor.observability.registry.value(
+            "server_read_pool_hit_rate")
         assert value is not None
         assert 0.0 <= value <= 1.0
         assert value == stats.hit_rate

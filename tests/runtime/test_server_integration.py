@@ -1,4 +1,9 @@
-"""Integration tests: ReactorServer over real sockets on localhost.
+"""Integration tests: generated N-Server frameworks over real sockets on
+localhost.
+
+Each test asks for the option set that emits the feature under test
+(O2=No for the inline reactor, O7 for idle reaping, O11 for profiling
+counters, ...) and tunes it through ``ServerConfiguration`` overrides.
 
 Synchronization discipline: no ``time.sleep()`` — cross-thread state
 (profiler counters, tracer records, pending accepts) is awaited with
@@ -6,19 +11,25 @@ Synchronization discipline: no ``time.sleep()`` — cross-thread state
 ``harness.ServerFixture``.
 """
 
+import os
 import socket
 import threading
 
 import pytest
 
-from harness import ServerFixture, wait_until
+from harness import ServerFixture, generated_server, wait_until
 from repro.runtime import (
     CLOSE,
     PENDING,
-    ReactorServer,
-    RuntimeConfig,
+    AsynchronousCompletionToken,
+    QuotaPriorityQueue,
     ServerHooks,
 )
+
+#: synchronous completions: no file-I/O pool the tests never use
+SYNC = {"O4": "Synchronous"}
+#: ...and no codec steps: the raw request bytes reach ``handle``
+RAW = dict(SYNC, O3=False)
 
 
 @pytest.fixture(autouse=True)
@@ -27,8 +38,12 @@ def _every_backend(poller_backend):
     (select is the oracle; epoll is the O18 fast path)."""
 
 
-def fixture(hooks, cfg) -> ServerFixture:
-    return ServerFixture(ReactorServer(hooks, cfg))
+def fixture(hooks, options, **config) -> ServerFixture:
+    """A generated server in the O18 shape of the backend under test:
+    only the epoll shape re-posts a listener whose backlog an overload
+    postponement left behind (the edge will not repeat)."""
+    options = dict(options, O18=os.environ["REPRO_POLLER"])
+    return ServerFixture(generated_server(hooks, options, **config))
 
 
 class UpperHooks(ServerHooks):
@@ -45,18 +60,17 @@ class UpperHooks(ServerHooks):
 
 
 def test_echo_roundtrip():
-    with fixture(ServerHooks(), RuntimeConfig(use_codec=False,
-                                              async_completions=False)) as srv:
+    with fixture(ServerHooks(), RAW) as srv:
         assert srv.request(b"hello\n") == b"hello\n"
 
 
 def test_codec_pipeline():
-    with fixture(UpperHooks(), RuntimeConfig(async_completions=False)) as srv:
+    with fixture(UpperHooks(), SYNC) as srv:
         assert srv.request(b"hello\n") == b"HELLO\n"
 
 
 def test_multiple_requests_one_connection():
-    with fixture(UpperHooks(), RuntimeConfig(async_completions=False)) as srv:
+    with fixture(UpperHooks(), SYNC) as srv:
         s = srv.connect(timeout=3)
         try:
             for word in (b"one", b"two", b"three"):
@@ -67,8 +81,7 @@ def test_multiple_requests_one_connection():
 
 
 def test_concurrent_clients():
-    with fixture(UpperHooks(), RuntimeConfig(
-            async_completions=False, processor_threads=4)) as srv:
+    with fixture(UpperHooks(), SYNC, processor_threads=4) as srv:
         results = {}
 
         def client(i):
@@ -88,8 +101,7 @@ def test_close_sentinel_drops_connection():
         def handle(self, request, conn):
             return CLOSE if request.strip() == b"quit" else request
 
-    with fixture(QuitHooks(), RuntimeConfig(
-            use_codec=False, async_completions=False)) as srv:
+    with fixture(QuitHooks(), RAW) as srv:
         s = srv.connect(timeout=3)
         s.sendall(b"quit\n")
         assert s.recv(4096) == b""  # orderly close, no reply
@@ -103,8 +115,7 @@ def test_pending_async_reply():
                             args=(request.strip().upper() + b"\n",)).start()
             return PENDING
 
-    with fixture(AsyncHooks(), RuntimeConfig(
-            use_codec=False, async_completions=False)) as srv:
+    with fixture(AsyncHooks(), RAW) as srv:
         assert srv.request(b"later\n") == b"LATER\n"
 
 
@@ -115,8 +126,7 @@ def test_hook_exception_closes_connection_not_server():
                 raise RuntimeError("handler bug")
             return request
 
-    with fixture(Flaky(), RuntimeConfig(
-            use_codec=False, async_completions=False, profiling=True)) as srv:
+    with fixture(Flaky(), dict(RAW, O11=True)) as srv:
         # First connection crashes its handler...
         s = srv.connect(timeout=3)
         s.sendall(b"die\n")
@@ -124,21 +134,18 @@ def test_hook_exception_closes_connection_not_server():
         s.close()
         # ... but the server still serves new clients.
         assert srv.request(b"alive\n") == b"alive\n"
-        assert srv.server.profiler.snapshot().errors == 1
+        assert srv.server.reactor.profiler.snapshot().errors == 1
 
 
 def test_inline_reactor_without_processor_pool():
-    cfg = RuntimeConfig(use_processor_pool=False, use_codec=False,
-                        async_completions=False)
-    with fixture(ServerHooks(), cfg) as srv:
-        assert srv.server.processor is None
+    with fixture(ServerHooks(), dict(RAW, O2=False)) as srv:
+        assert not hasattr(srv.server.reactor, "processor")
         assert srv.request(b"inline\n") == b"inline\n"
 
 
 def test_two_dispatcher_threads():
-    cfg = RuntimeConfig(dispatcher_threads=2, use_codec=False,
-                        async_completions=False)
-    with fixture(ServerHooks(), cfg) as srv:
+    with fixture(ServerHooks(), dict(RAW, O1="2N")) as srv:
+        assert len(srv.server.reactor.dispatcher._threads) >= 2
         assert srv.request(b"dual\n") == b"dual\n"
 
 
@@ -147,8 +154,7 @@ def test_large_reply_flushes_through_writable_events():
         def handle(self, request, conn):
             return b"X" * 1_000_000 + b"\n"
 
-    with fixture(BigHooks(), RuntimeConfig(
-            use_codec=False, async_completions=False)) as srv:
+    with fixture(BigHooks(), RAW) as srv:
         s = srv.connect(timeout=5)
         s.sendall(b"go\n")
         total = 0
@@ -162,10 +168,9 @@ def test_large_reply_flushes_through_writable_events():
 
 
 def test_max_connections_cap():
-    cfg = RuntimeConfig(use_codec=False, async_completions=False,
-                        max_connections=1, profiling=True)
-    with fixture(ServerHooks(), cfg) as srv:
-        profiler = srv.server.profiler
+    with fixture(ServerHooks(), dict(RAW, O9=True, O11=True),
+                 max_connections=1) as srv:
+        profiler = srv.server.reactor.profiler
         s1 = srv.connect(timeout=3)
         s1.sendall(b"first\n")
         assert srv.read_line(s1) == b"first\n"
@@ -187,19 +192,19 @@ def test_max_connections_cap():
 
 
 def test_idle_reaper_closes_idle_connections():
-    cfg = RuntimeConfig(use_codec=False, async_completions=False,
-                        shutdown_long_idle=True, idle_limit=0.2)
-    with fixture(ServerHooks(), cfg) as srv:
+    with fixture(ServerHooks(), dict(RAW, O7=True), idle_limit=0.2,
+                 idle_scan_interval=0.05) as srv:
         s = srv.connect(timeout=3)
         assert s.recv(4096) == b""  # server reaps us (recv is the wait)
         s.close()
-        assert srv.server.reaper.reaped == 1
+        container = srv.server.reactor.container
+        wait_until(lambda: len(container) == 0,
+                   message="reaped connection still registered")
 
 
 def test_profiling_counts_bytes():
-    with fixture(ServerHooks(), RuntimeConfig(
-            use_codec=False, async_completions=False, profiling=True)) as srv:
-        snapshot = srv.server.profiler.snapshot
+    with fixture(ServerHooks(), dict(RAW, O11=True)) as srv:
+        snapshot = srv.server.reactor.profiler.snapshot
         srv.request(b"12345\n")
         # The sender thread bumps bytes_sent after the flush our read
         # observed; wait for the counter, not a wall-clock guess.
@@ -212,25 +217,22 @@ def test_profiling_counts_bytes():
 
 
 def test_debug_mode_traces_events():
-    with fixture(ServerHooks(), RuntimeConfig(
-            use_codec=False, async_completions=False, debug_mode=True)) as srv:
-        tracer = srv.server.tracer
+    with fixture(ServerHooks(), dict(RAW, O10="Debug")) as srv:
+        tracer = srv.server.reactor.tracer
         srv.request(b"traced\n")
 
         def categories():
             return {r.category for r in tracer.records()}
 
-        wait_until(lambda: {"read", "send"} <= categories(),
+        wait_until(lambda: {"accept", "read-request", "compute"} <= categories(),
                    message=f"tracer saw only {categories()}")
 
 
 def test_event_scheduling_config_builds_priority_queue():
-    from repro.runtime import QuotaPriorityQueue
-
-    cfg = RuntimeConfig(use_codec=False, async_completions=False,
-                        event_scheduling=True, scheduling_quotas={1: 4, 0: 1})
-    with fixture(ServerHooks(), cfg) as srv:
-        assert isinstance(srv.server.processor.queue, QuotaPriorityQueue)
+    with fixture(ServerHooks(), dict(RAW, O8=True),
+                 scheduling_quotas={1: 4, 0: 1}) as srv:
+        assert isinstance(srv.server.reactor.processor.queue,
+                          QuotaPriorityQueue)
         assert srv.request(b"sched\n") == b"sched\n"
 
 
@@ -239,33 +241,22 @@ def test_file_cache_async_serving(tmp_path):
 
     class FileHooks(ServerHooks):
         def handle(self, request, conn):
-            server = conn.context["server"]
-            path = request.strip().decode()
-            server.file_io.read_file(
-                path,
-                act=__import__("repro.runtime", fromlist=["AsynchronousCompletionToken"]
-                               ).AsynchronousCompletionToken(
+            conn.reactor.read_file_async(
+                request.strip().decode(),
+                AsynchronousCompletionToken(
                     on_complete=lambda ev: conn.complete_request(
-                        (ev.payload if ev.ok else b"ERROR") + b"\n")),
-            )
+                        (ev.payload if ev.ok else b"ERROR") + b"\n")))
             return PENDING
 
-    cfg = RuntimeConfig(use_codec=False, cache_policy="LRU",
-                        document_root=str(tmp_path))
-    with fixture(FileHooks(), cfg) as srv:
+    with fixture(FileHooks(), {"O3": False, "O6": "LRU"},
+                 document_root=str(tmp_path)) as srv:
         assert srv.request(b"/page.html\n") == b"<html>cached</html>\n"
         assert srv.request(b"/page.html\n") == b"<html>cached</html>\n"
-        assert srv.server.cache.stats.hits >= 1
+        assert srv.server.reactor.cache.stats.hits >= 1
 
 
 def test_stop_is_idempotent():
-    srv = ReactorServer(ServerHooks(), RuntimeConfig(async_completions=False))
+    srv = fixture(ServerHooks(), SYNC).server
     srv.start()
     srv.stop()
     srv.stop()
-
-
-def test_port_before_start_raises():
-    srv = ReactorServer(ServerHooks(), RuntimeConfig(async_completions=False))
-    with pytest.raises(RuntimeError):
-        srv.port

@@ -1,6 +1,6 @@
 """The multi-reactor sharding layer: placement policies (unit),
-placement totality (property), and the sharded server end-to-end over
-real sockets — including the cross-shard drain barrier."""
+placement totality (property), and generated O14>1 servers end-to-end
+over real sockets — including the cross-shard drain barrier."""
 
 import zlib
 
@@ -8,17 +8,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from harness import ServerFixture, wait_until
+from harness import ServerFixture, generated_server, wait_until
+from repro import obs
+from repro.obs.flight import GLOBAL as GLOBAL_FLIGHT
 from repro.runtime import (
     ConnectionHashPolicy,
     LeastConnectionsPolicy,
-    ReactorShard,
     RoundRobinPolicy,
-    RuntimeConfig,
     ServerHooks,
-    ShardedReactorServer,
     make_shard_policy,
 )
+
+#: synchronous completions: no file-I/O pool the tests never use
+SYNC = {"O4": "Synchronous"}
 
 
 class FakeHandle:
@@ -110,50 +112,54 @@ def test_every_connection_lands_on_exactly_one_shard(shard_count, peers,
         assert max(counts) - min(counts) <= 1
 
 
-# -- the sharded server over real sockets ----------------------------------
+# -- the generated sharded server over real sockets -------------------------
 
 def test_sharded_server_round_robin_placement_and_serving():
-    cfg = RuntimeConfig(async_completions=False)
-    with ServerFixture(ShardedReactorServer(UpperHooks(), cfg,
-                                            shards=4)) as srv:
+    GLOBAL_FLIGHT.clear()
+    server = generated_server(UpperHooks(), dict(SYNC, O11=True, O14=4))
+    with ServerFixture(server) as srv:
         for i in range(8):
             assert srv.request(f"word{i}\n".encode()) == \
                 f"WORD{i}\n".encode().upper()
-        server = srv.server
-        wait_until(lambda: sum(server.accepted_per_shard) == 8,
-                   message=f"placed {server.accepted_per_shard}")
+        sharding = server.sharding
+        wait_until(lambda: sum(sharding.accepted_per_shard) == 8,
+                   message=f"placed {sharding.accepted_per_shard}")
         # Sequential connections under round-robin: perfectly uniform,
-        # and adoption bookkeeping agrees with the accept plane's.
-        assert server.accepted_per_shard == [2, 2, 2, 2]
-        assert [s.adopted for s in server.shards] == [2, 2, 2, 2]
-        assert all(isinstance(s, ReactorShard) for s in server.shards)
+        # and the adopt events on the flight record agree with the
+        # accept loop's own bookkeeping.
+        assert sharding.accepted_per_shard == [2, 2, 2, 2]
+        adopted = [0] * 4
+        for event in GLOBAL_FLIGHT.events("adopt"):
+            adopted[int(event.detail.split()[0].split("=")[1])] += 1
+        assert adopted == [2, 2, 2, 2]
+        assert [shard.shard_id for shard in sharding.shards] == [0, 1, 2, 3]
 
 
 def test_connection_hash_sends_one_client_to_one_shard():
-    cfg = RuntimeConfig(async_completions=False)
-    with ServerFixture(ShardedReactorServer(UpperHooks(), cfg, shards=4,
-                                            policy="connection-hash")) as srv:
+    server = generated_server(UpperHooks(), dict(SYNC, O14=4),
+                              shard_policy="connection-hash")
+    with ServerFixture(server) as srv:
         for i in range(6):
             assert srv.request(b"hi\n") == b"HI\n"
-        server = srv.server
-        wait_until(lambda: sum(server.accepted_per_shard) == 6,
-                   message=f"placed {server.accepted_per_shard}")
+        sharding = server.sharding
+        wait_until(lambda: sum(sharding.accepted_per_shard) == 6,
+                   message=f"placed {sharding.accepted_per_shard}")
         # All connections come from 127.0.0.1 — affinity puts every one
         # of them on the same single shard.
-        assert sorted(server.accepted_per_shard) == [0, 0, 0, 6]
+        assert sorted(sharding.accepted_per_shard) == [0, 0, 0, 6]
 
 
 def test_drain_quiesces_every_shard():
-    cfg = RuntimeConfig(async_completions=False, drain_timeout=5.0)
-    with ServerFixture(ShardedReactorServer(UpperHooks(), cfg,
-                                            shards=3)) as srv:
+    server = generated_server(UpperHooks(), dict(SYNC, O13=True, O14=2),
+                              drain_timeout=5.0)
+    with ServerFixture(server) as srv:
         for _ in range(6):
             assert srv.request(b"x\n") == b"X\n"
-        server = srv.server
         assert server.drain() is True
         srv.mark_stopped()
-        assert all(shard._quiescent() for shard in server.shards)
-        assert server.open_connections == 0
+        shards = server.sharding.shards
+        assert all(shard.resilience.quiescent() for shard in shards)
+        assert sum(len(shard.container) for shard in shards) == 0
 
 
 def test_sharded_status_fields_are_complete_and_aggregate_once():
@@ -163,32 +169,33 @@ def test_sharded_status_fields_are_complete_and_aggregate_once():
     including the O15 buffer-pool hit-rate gauge."""
     import math
 
-    from repro.obs import status_fields
-
     #: Apache-style fields derived from the aggregates; a shard's own
     #: copy of these must NOT leak into the per-shard section
     derived = {"Total Accesses", "Total Connections", "BusyWorkers",
                "CacheHitRate", "Uptime", "Total kBytes", "ReqPerSec",
                "BytesPerSec"}
-    cfg = RuntimeConfig(async_completions=False, profiling=True,
-                        write_path="zerocopy", sample_interval=0.05)
-    with ServerFixture(ShardedReactorServer(UpperHooks(), cfg,
-                                            shards=2)) as srv:
+    # status_fields() samples every shard itself; a timer tick between
+    # the aggregate and the per-shard reads would skew the comparison
+    server = generated_server(
+        UpperHooks(), dict(SYNC, O11=True, O14=2, O15="zerocopy"),
+        obs_sample_interval=3600.0)
+    with ServerFixture(server) as srv:
         for _ in range(4):
             assert srv.request(b"z\n") == b"Z\n"
-        server = srv.server
-        wait_until(lambda: sum(server.accepted_per_shard) == 4,
-                   message=f"placed {server.accepted_per_shard}")
-        wait_until(lambda: server.open_connections == 0,
+        sharding = server.sharding
+        wait_until(lambda: sum(sharding.accepted_per_shard) == 4,
+                   message=f"placed {sharding.accepted_per_shard}")
+        wait_until(lambda: sum(len(shard.container)
+                               for shard in sharding.shards) == 0,
                    message="connections still closing")
 
-        fields = server.status_fields()
+        fields = sharding.status_fields()
         keys = [key for key, _value in fields]
         assert len(keys) == len(set(keys)), "duplicate status keys"
         field_map = dict(fields)
 
-        per_shard = [dict(status_fields(shard.registry))
-                     for shard in server.shards]
+        per_shard = [dict(obs.status_fields(shard.observability.registry))
+                     for shard in sharding.shards]
         scalar_keys = [key for key in per_shard[0]
                        if key not in derived
                        and not key.rsplit("-", 1)[-1] in
@@ -197,7 +204,7 @@ def test_sharded_status_fields_are_complete_and_aggregate_once():
 
         for key in scalar_keys:
             # once per shard, re-labelled...
-            for index in range(len(server.shards)):
+            for index in range(len(sharding.shards)):
                 if "{" in key:
                     close = key.index("}")
                     labelled = (key[:close] + f',shard="{index}"'
@@ -215,7 +222,7 @@ def test_sharded_status_fields_are_complete_and_aggregate_once():
                                 rel_tol=1e-6, abs_tol=1e-9), key
 
         # Histogram quantiles stay per-shard only (they do not merge).
-        for index in range(len(server.shards)):
+        for index in range(len(sharding.shards)):
             assert (f'server_request_seconds{{shard="{index}"}}-count'
                     in field_map)
         assert "server_request_seconds-count" not in field_map
@@ -225,18 +232,17 @@ def test_sharded_status_fields_are_complete_and_aggregate_once():
 
 
 def test_sharded_status_fields_aggregate_per_shard():
-    cfg = RuntimeConfig(async_completions=False, profiling=True)
-    with ServerFixture(ShardedReactorServer(UpperHooks(), cfg,
-                                            shards=2)) as srv:
+    server = generated_server(UpperHooks(), dict(SYNC, O11=True, O14=2))
+    with ServerFixture(server) as srv:
         for _ in range(4):
             assert srv.request(b"y\n") == b"Y\n"
-        server = srv.server
-        wait_until(lambda: sum(server.accepted_per_shard) == 4,
-                   message=f"placed {server.accepted_per_shard}")
-        fields = dict(server.status_fields())
+        sharding = server.sharding
+        wait_until(lambda: sum(sharding.accepted_per_shard) == 4,
+                   message=f"placed {sharding.accepted_per_shard}")
+        fields = dict(sharding.status_fields())
         assert fields["Shards"] == "2"
         assert float(fields["server_connections_accepted_total"]) == 4
         per_shard = [k for k in fields if 'shard="' in k]
         assert per_shard, "no per-shard labelled fields in the report"
-        report = server.status_report(auto=True)
+        report = server.reactor.observability.status_report(auto=True)
         assert "Shards: 2" in report
