@@ -15,37 +15,46 @@ from __future__ import annotations
 
 import itertools
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, Optional
 
 __all__ = ["CacheEntry", "CacheStats", "ReplacementPolicy", "Cache"]
 
 
-@dataclass
 class CacheEntry:
-    """One cached object plus the bookkeeping every policy may need."""
+    """One cached object plus the bookkeeping every policy may need:
+    ``last_access`` is the logical timestamp of the most recent access
+    (a monotone counter), ``inserted_at`` that of insertion, and
+    ``frequency`` the hits since insertion (insertion itself counts as 1)."""
 
-    key: Any
-    size: int
-    payload: Any = None
-    #: logical timestamp of the most recent access (monotone counter)
-    last_access: int = 0
-    #: logical timestamp of insertion
-    inserted_at: int = 0
-    #: number of hits since insertion (insertion itself counts as 1)
-    frequency: int = 1
+    __slots__ = ("key", "size", "payload", "last_access", "inserted_at",
+                 "frequency")
+
+    def __init__(self, key: Any, size: int, payload: Any = None,
+                 last_access: int = 0, inserted_at: int = 0,
+                 frequency: int = 1):
+        self.key = key
+        self.size = size
+        self.payload = payload
+        self.last_access = last_access
+        self.inserted_at = inserted_at
+        self.frequency = frequency
 
 
-@dataclass
 class CacheStats:
     """Hit/miss/eviction counters; ``hit_rate`` is the paper's profiling stat."""
 
-    hits: int = 0
-    misses: int = 0
-    insertions: int = 0
-    evictions: int = 0
-    rejections: int = 0
-    bytes_evicted: int = 0
+    __slots__ = ("hits", "misses", "insertions", "evictions", "rejections",
+                 "bytes_evicted")
+
+    def __init__(self, hits: int = 0, misses: int = 0, insertions: int = 0,
+                 evictions: int = 0, rejections: int = 0,
+                 bytes_evicted: int = 0):
+        self.hits = hits
+        self.misses = misses
+        self.insertions = insertions
+        self.evictions = evictions
+        self.rejections = rejections
+        self.bytes_evicted = bytes_evicted
 
     @property
     def lookups(self) -> int:

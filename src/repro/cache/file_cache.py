@@ -14,7 +14,6 @@ development effort" — the generated Read-file path goes through
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any, Callable, Optional
 
 from repro.cache.base import Cache, ReplacementPolicy
@@ -27,14 +26,16 @@ class FileNotCacheable(Exception):
     """Raised by loaders to signal a file exists but must not be cached."""
 
 
-@dataclass
 class CachedFile:
     """What ``get_file`` returns: payload plus where it came from."""
 
-    path: str
-    size: int
-    payload: Any
-    from_cache: bool
+    __slots__ = ("path", "size", "payload", "from_cache")
+
+    def __init__(self, path: str, size: int, payload: Any, from_cache: bool):
+        self.path = path
+        self.size = size
+        self.payload = payload
+        self.from_cache = from_cache
 
 
 class FileCache:

@@ -23,7 +23,6 @@ from __future__ import annotations
 import os
 import re
 import textwrap
-from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.co2p3s.options import OptionSet
@@ -60,7 +59,6 @@ _SUBST = re.compile(r"\$(\w+)")
 OMIT = "\x00omit\x00"
 
 
-@dataclass
 class Fragment:
     """A guarded block of source at class-body (or module) level.
 
@@ -71,9 +69,13 @@ class Fragment:
     rather than silent misdocumentation.
     """
 
-    source: str
-    guard: Guard = always
-    options: Tuple[str, ...] = ()
+    __slots__ = ("source", "guard", "options")
+
+    def __init__(self, source: str, guard: Guard = always,
+                 options: Tuple[str, ...] = ()):
+        self.source = source
+        self.guard = guard
+        self.options = options
 
     def render(self, opts: OptionSet, context: Dict[str, Any]) -> Optional[str]:
         if not self.guard(opts):
@@ -94,16 +96,21 @@ class Fragment:
         return text
 
 
-@dataclass
 class ClassSpec:
     """One class of the generated framework."""
 
-    name: str
-    doc: str
-    bases: Tuple[str, ...] = ()
-    exists: Guard = always
-    exists_options: Tuple[str, ...] = ()
-    fragments: List[Fragment] = field(default_factory=list)
+    __slots__ = ("name", "doc", "bases", "exists", "exists_options",
+                 "fragments")
+
+    def __init__(self, name: str, doc: str, bases: Tuple[str, ...] = (),
+                 exists: Guard = always, exists_options: Tuple[str, ...] = (),
+                 fragments: Optional[List[Fragment]] = None):
+        self.name = name
+        self.doc = doc
+        self.bases = bases
+        self.exists = exists
+        self.exists_options = exists_options
+        self.fragments = fragments if fragments is not None else []
 
     def render(self, opts: OptionSet, context: Dict[str, Any]) -> Optional[str]:
         if not self.exists(opts):
@@ -134,16 +141,22 @@ class ClassSpec:
         return tuple(seen)
 
 
-@dataclass
 class ModuleSpec:
     """One module of the generated package."""
 
-    name: str
-    doc: str = ""
-    imports: List[Fragment] = field(default_factory=list)
-    prelude: List[Fragment] = field(default_factory=list)
-    classes: List[ClassSpec] = field(default_factory=list)
-    epilogue: List[Fragment] = field(default_factory=list)
+    __slots__ = ("name", "doc", "imports", "prelude", "classes", "epilogue")
+
+    def __init__(self, name: str, doc: str = "",
+                 imports: Optional[List[Fragment]] = None,
+                 prelude: Optional[List[Fragment]] = None,
+                 classes: Optional[List[ClassSpec]] = None,
+                 epilogue: Optional[List[Fragment]] = None):
+        self.name = name
+        self.doc = doc
+        self.imports = imports if imports is not None else []
+        self.prelude = prelude if prelude is not None else []
+        self.classes = classes if classes is not None else []
+        self.epilogue = epilogue if epilogue is not None else []
 
     def render(self, opts: OptionSet, context: Dict[str, Any]) -> Optional[str]:
         class_texts = [c.render(opts, context) for c in self.classes]
@@ -166,25 +179,33 @@ class ModuleSpec:
         return "\n\n\n".join(parts) + "\n"
 
 
-@dataclass
 class GeneratedClass:
     """Metadata for one class that made it into the output."""
 
-    name: str
-    module: str
-    source: str
-    exists_options: Tuple[str, ...]
-    body_options: Tuple[str, ...]
+    __slots__ = ("name", "module", "source", "exists_options", "body_options")
+
+    def __init__(self, name: str, module: str, source: str,
+                 exists_options: Tuple[str, ...],
+                 body_options: Tuple[str, ...]):
+        self.name = name
+        self.module = module
+        self.source = source
+        self.exists_options = exists_options
+        self.body_options = body_options
 
 
-@dataclass
 class GenerationReport:
     """What a generation run produced."""
 
-    package: str
-    dest: str
-    files: Dict[str, str] = field(default_factory=dict)
-    classes: List[GeneratedClass] = field(default_factory=list)
+    __slots__ = ("package", "dest", "files", "classes")
+
+    def __init__(self, package: str, dest: str,
+                 files: Optional[Dict[str, str]] = None,
+                 classes: Optional[List[GeneratedClass]] = None):
+        self.package = package
+        self.dest = dest
+        self.files = files if files is not None else {}
+        self.classes = classes if classes is not None else []
 
     @property
     def total_lines(self) -> int:

@@ -1,9 +1,12 @@
 """The N-Server pattern template (the paper's contribution).
 
 ``NSERVER`` is the registered template instance; the Table 1 application
-configurations are exported alongside it.
+configurations are exported alongside it.  The Table 2 data
+(:mod:`repro.co2p3s.nserver.table2`) is only read by the crosscut
+analysis and its tests, so its names load on first use.
 """
 
+from repro import lazy_exports
 from repro.co2p3s.nserver.generator import NSERVER, NSERVER_MODULES, NServerTemplate
 from repro.co2p3s.nserver.options import (
     ALL_FEATURES_ON,
@@ -23,12 +26,13 @@ from repro.co2p3s.nserver.options import (
     POOL_TOGGLE_BASE,
     option_table_rows,
 )
-from repro.co2p3s.nserver.table2 import (
-    EXPECTED_TABLE2,
-    PAPER_TABLE2,
-    TABLE2_CLASS_ORDER,
-    TABLE2_EXTENSIONS,
-)
+
+__getattr__, __dir__, _ = lazy_exports(__name__, globals(), {
+    "table2": (
+        "EXPECTED_TABLE2", "PAPER_TABLE2", "TABLE2_CLASS_ORDER",
+        "TABLE2_EXTENSIONS",
+    ),
+})
 
 __all__ = [
     "ALL_FEATURES_ON",

@@ -220,7 +220,7 @@ MODULE_COMMUNICATION = ModuleSpec(
                     '''
                     def __init__(self, reactor):
                         self.reactor = reactor
-                        self.connector = rt.Connector(handle_cls=Handle)
+                        self.connector = None
                     '''
                 ),
                 Fragment(
@@ -228,6 +228,8 @@ MODULE_COMMUNICATION = ModuleSpec(
                     def connect(self, client_configuration):
                         """Establish an outbound connection and hand it to the
                         framework as a Communicator."""
+                        if self.connector is None:
+                            self.connector = rt.Connector(handle_cls=Handle)
                         handle = self.connector.connect(client_configuration.host,
                                                         client_configuration.port)
                         $client_connect_trace

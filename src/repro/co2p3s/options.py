@@ -10,7 +10,6 @@ matrix computable).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Iterable, Mapping, Optional, Sequence, Tuple
 
 __all__ = ["OptionSpec", "OptionError", "OptionSet"]
@@ -20,7 +19,6 @@ class OptionError(ValueError):
     """Illegal option key or value."""
 
 
-@dataclass(frozen=True)
 class OptionSpec:
     """One template option.
 
@@ -30,12 +28,18 @@ class OptionSpec:
     string printed in the Table 1 reproduction.
     """
 
-    key: str
-    name: str
-    describe_values: str
-    default: Any
-    values: Optional[Tuple[Any, ...]] = None
-    validator: Optional[Callable[[Any], bool]] = None
+    __slots__ = ("key", "name", "describe_values", "default", "values",
+                 "validator")
+
+    def __init__(self, key: str, name: str, describe_values: str,
+                 default: Any, values: Optional[Tuple[Any, ...]] = None,
+                 validator: Optional[Callable[[Any], bool]] = None):
+        self.key = key
+        self.name = name
+        self.describe_values = describe_values
+        self.default = default
+        self.values = values
+        self.validator = validator
 
     def check(self, value: Any) -> None:
         if self.values is not None and value in self.values:

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import importlib
 import sys
-from dataclasses import dataclass
 from typing import Any, Dict, Mapping, Optional, Sequence
 
 from repro.co2p3s.codegen import CodeGenerator, GenerationReport

@@ -15,6 +15,6 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, globals(), {
         "MAX_BODY_BYTES", "MAX_HEAD_BYTES", "parse_request", "split_request",
     ),
     "request": ("BadRequest", "HttpRequest"),
-    "response": ("HttpResponse", "error_response"),
+    "response": ("HttpResponse", "error_response", "http_date"),
     "status": ("REASONS", "reason_phrase"),
 })

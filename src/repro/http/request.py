@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Optional
 from urllib.parse import unquote
 
@@ -21,15 +20,18 @@ class BadRequest(ValueError):
         self.status = status
 
 
-@dataclass
 class HttpRequest:
     """A parsed request line + headers + body."""
 
-    method: str
-    target: str
-    version: str
-    headers: Headers = field(default_factory=Headers)
-    body: bytes = b""
+    __slots__ = ("method", "target", "version", "headers", "body")
+
+    def __init__(self, method: str, target: str, version: str,
+                 headers: Optional[Headers] = None, body: bytes = b""):
+        self.method = method
+        self.target = target
+        self.version = version
+        self.headers = headers if headers is not None else Headers()
+        self.body = body
 
     @property
     def path(self) -> str:

@@ -2,33 +2,65 @@
 
 from __future__ import annotations
 
+import math
 import time
-from dataclasses import dataclass, field
-from email.utils import formatdate
 from typing import Optional
 
 from repro.http.headers import Headers
 from repro.http.status import reason_phrase
 
-__all__ = ["HttpResponse", "error_response"]
+__all__ = ["HttpResponse", "error_response", "http_date"]
 
 SERVER_TOKEN = "COPS-HTTP/1.0 (repro)"
 
+_DAYS = ("Mon", "Tue", "Wed", "Thu", "Fri", "Sat", "Sun")
+_MONTHS = ("Jan", "Feb", "Mar", "Apr", "May", "Jun",
+           "Jul", "Aug", "Sep", "Oct", "Nov", "Dec")
 
-@dataclass
+
+def http_date(timestamp: float) -> str:
+    """The IMF-fixdate for a POSIX ``timestamp`` (RFC 7231 7.1.1.1),
+    e.g. ``Sun, 06 Nov 1994 08:49:37 GMT``.
+
+    Byte-identical to ``email.utils.formatdate(timestamp, usegmt=True)``
+    without importing :mod:`email`: the fraction is rounded to whole
+    microseconds half-to-even and carried into the seconds exactly as
+    ``datetime.fromtimestamp`` does, so a timestamp a hair below a
+    second boundary lands on the same second.
+    """
+    fraction, whole = math.modf(timestamp)
+    micros = round(fraction * 1e6)
+    if micros >= 1_000_000:
+        whole += 1
+    elif micros < 0:
+        whole -= 1
+    t = time.gmtime(whole)
+    return "%s, %02d %s %04d %02d:%02d:%02d GMT" % (
+        _DAYS[t.tm_wday], t.tm_mday, _MONTHS[t.tm_mon - 1], t.tm_year,
+        t.tm_hour, t.tm_min, t.tm_sec)
+
+
 class HttpResponse:
     """A response ready for serialisation.
 
     ``encode`` fills in Content-Length, Server and Date when absent, so
-    hook code can stay minimal.
+    hook code can stay minimal.  ``head_only`` suppresses the body on
+    the wire (HEAD requests keep Content-Length).
     """
 
-    status: int = 200
-    headers: Headers = field(default_factory=Headers)
-    body: bytes = b""
-    version: str = "HTTP/1.1"
-    #: suppress the body on the wire (HEAD requests keep Content-Length)
-    head_only: bool = False
+    __slots__ = ("status", "headers", "body", "version", "head_only",
+                 "_close_after")
+
+    def __init__(self, status: int = 200, headers: Optional[Headers] = None,
+                 body: bytes = b"", version: str = "HTTP/1.1",
+                 head_only: bool = False):
+        self.status = status
+        self.headers = headers if headers is not None else Headers()
+        self.body = body
+        self.version = version
+        self.head_only = head_only
+        #: the application asks the connection to close after this reply
+        self._close_after = False
 
     def _wire_headers(self, date: Optional[str]) -> Headers:
         """The headers as they go on the wire: defaults filled in
@@ -44,7 +76,7 @@ class HttpResponse:
             headers.set("Server", SERVER_TOKEN)
         if "Date" not in headers:
             headers.set("Date", date if date is not None
-                        else formatdate(time.time(), usegmt=True))
+                        else http_date(time.time()))
         return headers
 
     def encode_head(self, date: Optional[str] = None) -> bytes:

@@ -12,7 +12,7 @@ analyses:
   annotations instrument the hot shared structures (metrics registry
   counters, buffer-pool free lists, the Event Processor worker table,
   shard placement state, the event quarantine).  While a
-  :class:`~repro.lint.locks.RaceDetector` is installed, every annotated
+  :class:`~repro.lint.detector.RaceDetector` is installed, every annotated
   field access refines the intersection of locksets held across
   threads; an empty intersection on a shared-modified field is a
   candidate race, reported with both access stacks.
@@ -46,9 +46,7 @@ inversion.  Import the analysis modules directly.
 from repro import lazy_exports
 
 __getattr__, __dir__, __all__ = lazy_exports(__name__, globals(), {
+    "detector": ("RaceCandidate", "RaceDetector"),
     "findings": ("Finding", "render_findings"),
-    "locks": (
-        "RaceDetector", "TrackedLock", "access", "active_detector",
-        "make_lock", "shared",
-    ),
+    "locks": ("TrackedLock", "access", "active_detector", "make_lock", "shared"),
 })

@@ -44,7 +44,6 @@ import tempfile
 import time
 import weakref
 from collections import deque
-from dataclasses import dataclass
 from typing import Callable, Iterable, List, Optional, Sequence
 
 from repro.lint.locks import access, make_lock
@@ -77,14 +76,34 @@ _snapshot_seq = itertools.count(1)
 _recorders: "weakref.WeakSet[FlightRecorder]" = weakref.WeakSet()
 
 
-@dataclass(frozen=True)
 class FlightEvent:
-    """One decoded flight-recorder event."""
+    """One decoded flight-recorder event (a value: compared and hashed
+    by its four fields)."""
 
-    timestamp: float
-    trace_id: int
-    category: str
-    detail: str
+    __slots__ = ("timestamp", "trace_id", "category", "detail")
+
+    def __init__(self, timestamp: float, trace_id: int, category: str,
+                 detail: str):
+        self.timestamp = timestamp
+        self.trace_id = trace_id
+        self.category = category
+        self.detail = detail
+
+    def _key(self):
+        return (self.timestamp, self.trace_id, self.category, self.detail)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        return (f"FlightEvent(timestamp={self.timestamp!r}, "
+                f"trace_id={self.trace_id!r}, category={self.category!r}, "
+                f"detail={self.detail!r})")
 
     def format(self) -> str:
         """The dump-file line for this event (inverse of

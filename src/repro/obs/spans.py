@@ -27,7 +27,8 @@ an *exemplar* for the Prometheus exposition.
 
 When O11=No the call sites either aren't generated at all (generated
 frameworks) or hit :data:`NULL_SPANS` / :data:`NULL_SPAN` — no-op
-singletons, never an ``if enabled`` branch.
+singletons (standalone, in :mod:`repro.runtime.nulls`), never an ``if
+enabled`` branch.
 """
 
 from __future__ import annotations
@@ -37,6 +38,8 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.lint.locks import access, make_lock
 from repro.obs.registry import DEFAULT_BUCKETS
+from repro.runtime.nulls import (NULL_SPAN, NULL_SPANS, NullSpan,
+                                 NullSpanRecorder)
 
 __all__ = ["Span", "SpanRecorder", "NullSpan", "NullSpanRecorder",
            "NULL_SPAN", "NULL_SPANS"]
@@ -193,60 +196,3 @@ class SpanRecorder:
             self.tracer.trace(
                 "span", f"{span.name} {span.detail} "
                         f"total={span.duration:.6f} {parts}".rstrip())
-
-
-class NullSpan:
-    """The O11=No span: every method is a pass, every context manager a
-    no-op.  A singleton — allocation-free on the disabled path."""
-
-    __slots__ = ()
-    finished = True
-    duration = None
-    trace_id = 0
-    parent_id = 0
-    stages: List[Tuple[str, float, float]] = []
-
-    def stage(self, name: str) -> "NullSpan":
-        return self
-
-    def stage_begin(self, name: str) -> None:
-        pass
-
-    def stage_end(self) -> None:
-        pass
-
-    def __enter__(self) -> "NullSpan":
-        return self
-
-    def __exit__(self, *exc_info) -> bool:
-        return False
-
-    def finish(self) -> None:
-        pass
-
-
-NULL_SPAN = NullSpan()
-
-
-class NullSpanRecorder:
-    """O11=No recorder: hands out the null span, absorbs observations."""
-
-    enabled = False
-    tracer = None
-    exporter = None
-
-    def start(self, name: str = "request", detail: str = "",
-              trace_id: int = 0, parent_id: int = 0) -> NullSpan:
-        return NULL_SPAN
-
-    def observe(self, stage: str, seconds: float) -> None:
-        pass
-
-    def stage_quantiles(self, quantiles=(0.50, 0.90, 0.99)) -> dict:
-        return {}
-
-    def exemplars(self) -> dict:
-        return {}
-
-
-NULL_SPANS = NullSpanRecorder()

@@ -49,10 +49,12 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, globals(), {
         "EpollPoller", "Poller", "SelectPoller", "available_pollers",
         "make_poller",
     ),
-    "processor": ("EventProcessor", "ProcessorController"),
-    "profiling": (
-        "NULL_PROFILER", "NullProfiler", "Profiler", "ServerProfile",
+    "nulls": (
+        "NULL_LOG", "NULL_PROFILER", "NULL_TRACER", "NullLog", "NullProfiler",
+        "NullTracer",
     ),
+    "processor": ("EventProcessor", "ProcessorController"),
+    "profiling": ("Profiler", "ServerProfile"),
     "resilience": (
         "DeadlineMonitor", "DeadlinePolicy", "EventQuarantine",
         "WorkerSupervisor",
@@ -63,8 +65,5 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, globals(), {
         "ShardPolicy", "make_shard_policy",
     ),
     "timerwheel": ("TimerWheel",),
-    "tracing": (
-        "NULL_LOG", "NULL_TRACER", "EventTracer", "NullLog", "NullTracer",
-        "ServerLog", "TraceRecord",
-    ),
+    "tracing": ("EventTracer", "ServerLog", "TraceRecord"),
 })

@@ -20,7 +20,7 @@ from repro.obs.flight import GLOBAL as GLOBAL_FLIGHT
 from repro.runtime.event_source import SocketEventSource
 from repro.runtime.events import AcceptEvent
 from repro.runtime.handles import ListenHandle, SocketHandle
-from repro.runtime.profiling import NULL_PROFILER
+from repro.runtime.nulls import NULL_PROFILER
 
 if TYPE_CHECKING:
     from repro.runtime.overload import OverloadController

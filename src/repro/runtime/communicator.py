@@ -25,12 +25,9 @@ from collections import deque
 from typing import Any, Callable, Optional, Tuple
 
 from repro.obs.flight import GLOBAL as GLOBAL_FLIGHT
-from repro.obs.spans import NULL_SPANS
-from repro.runtime.buffers import segment_bytes
 from repro.runtime.events import Event
 from repro.runtime.handles import SocketHandle
-from repro.runtime.profiling import NULL_PROFILER
-from repro.runtime.tracing import NULL_LOG, NULL_TRACER
+from repro.runtime.nulls import NULL_LOG, NULL_PROFILER, NULL_SPANS, NULL_TRACER
 
 __all__ = ["PENDING", "CLOSE", "ServerHooks", "Communicator"]
 
@@ -208,7 +205,8 @@ class Communicator:
             self.handle.last_activity = now
             self.spans.observe("read", now - t0)
             self.profiler.bytes_read(n)
-            self.tracer.trace("read", f"{self.handle.name} +{n}B")
+            if self.tracer.enabled:
+                self.tracer.trace("read", f"{self.handle.name} +{n}B")
             self._pump_requests()
             if self.closed:
                 return
@@ -235,7 +233,8 @@ class Communicator:
             self.handle.last_activity = now
             self.spans.observe("send", now - t0)
             self.profiler.bytes_sent(sent)
-            self.tracer.trace("send", f"{self.handle.name} -{sent}B")
+            if self.tracer.enabled:
+                self.tracer.trace("send", f"{self.handle.name} -{sent}B")
         if self.handle.closed:
             self.close()
             return
@@ -289,7 +288,8 @@ class Communicator:
             with span.stage("decode"):
                 request = self.step_decode(raw)
             self.flight.record("stage-exit", "decode", trace_id)
-            self.tracer.trace("decode", f"{self.handle.name} {len(raw)}B")
+            if self.tracer.enabled:
+                self.tracer.trace("decode", f"{self.handle.name} {len(raw)}B")
             span.stage_begin("handle")
             self.flight.record("stage-enter", "handle", trace_id)
             result = self.step_handle(request)
@@ -429,6 +429,7 @@ class Communicator:
                     for segment in data:
                         append(segment)
                 else:
+                    from repro.runtime.buffers import segment_bytes
                     out.extend(b"".join(segment_bytes(s) for s in data))
             else:
                 out.extend(data)
@@ -440,7 +441,8 @@ class Communicator:
             now = self.clock()
             self.spans.observe("send", now - t0)
             self.profiler.bytes_sent(sent)
-            self.tracer.trace("send", f"{self.handle.name} -{sent}B")
+            if self.tracer.enabled:
+                self.tracer.trace("send", f"{self.handle.name} -{sent}B")
             self.handle.last_activity = now
         if self.handle.closed:
             self.close()

@@ -750,7 +750,7 @@ class AdaptiveController:
         brownout_step: float = 0.1,
         log=None,
     ):
-        from repro.runtime.tracing import NULL_LOG
+        from repro.runtime.nulls import NULL_LOG
 
         if not 0.0 < decrease < 1.0:
             raise ValueError("decrease must be in (0, 1)")

@@ -18,7 +18,6 @@ which is what Table 2's ``Event x O8 = +`` records).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from enum import Enum, auto
 from typing import Any, Callable, Optional
 
@@ -54,13 +53,19 @@ class EventKind(Enum):
     SHUTDOWN = auto()      # server is stopping
 
 
-@dataclass
 class AsynchronousCompletionToken:
     """ACT pattern: opaque state attached to an async operation so the
     completion handler can resume the right context without lookup."""
 
-    context: Any = None
-    on_complete: Optional[Callable[["CompletionEvent"], None]] = None
+    __slots__ = ("context", "on_complete")
+
+    def __init__(
+        self,
+        context: Any = None,
+        on_complete: Optional[Callable[["CompletionEvent"], None]] = None,
+    ):
+        self.context = context
+        self.on_complete = on_complete
 
 
 class Event:

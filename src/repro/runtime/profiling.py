@@ -17,7 +17,9 @@ contention point (see ``benchmarks/bench_micro_components.py`` for the
 before/after numbers).
 
 When O11=No those call sites are simply not generated and the
-:class:`NullProfiler` singleton keeps the library code branch-free.
+:data:`NULL_PROFILER` singleton (a standalone stub in
+:mod:`repro.runtime.nulls`, re-exported here) keeps the library code
+branch-free.
 """
 
 from __future__ import annotations
@@ -26,7 +28,8 @@ import time
 from dataclasses import dataclass
 from typing import Optional
 
-from repro.obs.registry import NULL_REGISTRY, MetricsRegistry
+from repro.obs.registry import MetricsRegistry
+from repro.runtime.nulls import NULL_PROFILER, NullProfiler
 
 __all__ = ["ServerProfile", "Profiler", "NullProfiler", "NULL_PROFILER"]
 
@@ -128,50 +131,3 @@ class Profiler:
                             if self._cache_stats is not None else None),
             uptime=self._clock() - self._start,
         )
-
-
-class NullProfiler(Profiler):
-    """No-op profiler used when O11=No: every recorder is a pass."""
-
-    enabled = False
-
-    def __init__(self):  # noqa: D401 - deliberately skips parent state
-        self._start = 0.0
-        self.registry = NULL_REGISTRY
-
-    @property
-    def uptime(self) -> float:
-        return 0.0
-
-    def attach_cache(self, stats) -> None:
-        pass
-
-    def connection_accepted(self) -> None:
-        pass
-
-    def connection_closed(self) -> None:
-        pass
-
-    def bytes_read(self, n: int) -> None:
-        pass
-
-    def bytes_sent(self, n: int) -> None:
-        pass
-
-    def request_handled(self) -> None:
-        pass
-
-    def error(self) -> None:
-        pass
-
-    def event_dispatched(self, n: int = 1) -> None:
-        pass
-
-    def accept_error(self) -> None:
-        pass
-
-    def snapshot(self) -> ServerProfile:
-        return ServerProfile()
-
-
-NULL_PROFILER = NullProfiler()

@@ -34,7 +34,7 @@ from repro.lint.locks import access, make_lock
 from repro.obs.flight import GLOBAL as GLOBAL_FLIGHT
 from repro.obs.registry import NULL_METRIC
 from repro.runtime.acceptor import is_transient_accept_error
-from repro.runtime.tracing import NULL_LOG
+from repro.runtime.nulls import NULL_LOG
 
 __all__ = [
     "DeadlinePolicy",

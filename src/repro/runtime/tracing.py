@@ -28,6 +28,7 @@ from dataclasses import dataclass
 from typing import IO, Optional
 
 from repro.obs.flight import FlightRecorder
+from repro.runtime.nulls import NULL_LOG, NULL_TRACER, NullLog, NullTracer
 
 __all__ = ["TraceRecord", "EventTracer", "NullTracer", "NULL_TRACER",
            "ServerLog", "NullLog", "NULL_LOG"]
@@ -107,35 +108,6 @@ class EventTracer:
             sink.flush()
 
 
-class NullTracer(EventTracer):
-    """Production mode: tracing call sites are not generated, but library
-    code that takes a tracer parameter gets this free-of-cost stub."""
-
-    enabled = False
-    flight = None
-
-    def __init__(self):
-        pass
-
-    def trace(self, category: str, detail: str, trace_id: int = 0) -> None:
-        pass
-
-    def records(self, category: Optional[str] = None) -> list:
-        return []
-
-    def dump(self, sink) -> int:
-        return 0
-
-    def flush(self) -> None:
-        pass
-
-    def close(self) -> None:
-        pass
-
-
-NULL_TRACER = NullTracer()
-
-
 class ServerLog:
     """Tiny severity logger (option O12)."""
 
@@ -172,16 +144,3 @@ class ServerLog:
 
     def error(self, message: str) -> None:
         self.log("error", message)
-
-
-class NullLog(ServerLog):
-    enabled = False
-
-    def __init__(self):
-        self.lines = []
-
-    def log(self, level: str, message: str) -> None:
-        pass
-
-
-NULL_LOG = NullLog()

@@ -19,12 +19,26 @@ import tempfile
 from typing import Optional
 
 from repro import http
-from repro.servers import http_degradation as o17
 from repro.co2p3s.nserver import COPS_HTTP_OPTIONS, NSERVER
 from repro.co2p3s.template import load_generated_package
 from repro.runtime import AsynchronousCompletionToken, PENDING, ServerHooks
 
 __all__ = ["CopsHttpHooks", "build_cops_http", "main"]
+
+
+def degradation_plane(conn):
+    """The O17 degradation plane: the ``Degradation`` component a
+    generated build hangs off the connection's reactor.  None when the
+    build has no plane (O17=No leaves no call site behind) — and then
+    the O17 application surface, :mod:`repro.servers.http_degradation`,
+    is never imported."""
+    return getattr(getattr(conn, "reactor", None), "degradation", None)
+
+
+def _o17():
+    """The O17 application surface, imported on the O17 path only."""
+    from repro.servers import http_degradation
+    return http_degradation
 
 
 class _Garbage(bytes):
@@ -98,25 +112,28 @@ class CopsHttpHooks(ServerHooks):
         # O17: per-request priority shedding — under a tripped
         # watermark, classes below the policy floor answer 503 without
         # ever touching the file I/O plane.
-        plane = o17.degradation_plane(conn)
-        shedding = getattr(plane, "shedding", None)
-        if shedding is not None:
-            decision = shedding.admit_request(
-                self.classify_request(request),
-                getattr(conn.handle, "trace_id", 0))
-            if not decision.admitted:
-                return o17.shed_response(request, decision)
+        plane = degradation_plane(conn)
+        if plane is not None:
+            o17 = _o17()
+            shedding = getattr(plane, "shedding", None)
+            if shedding is not None:
+                decision = shedding.admit_request(
+                    self.classify_request(request),
+                    getattr(conn.handle, "trace_id", 0))
+                if not decision.admitted:
+                    return o17.shed_response(request, decision)
 
-        # O17 brownout: above the stale threshold, answer from whatever
-        # the cache plane already holds — no disk, no revalidation.
-        brownout = getattr(plane, "brownout", None)
-        if brownout is not None and brownout.serve_stale:
-            stale = o17.stale_payload(conn, path)
-            if stale is not None:
-                brownout.served_stale()
-                return self._file_response(
-                    path, stale, head_only, keep_alive, version,
-                    brownout=brownout)
+            # O17 brownout: above the stale threshold, answer from
+            # whatever the cache plane already holds — no disk, no
+            # revalidation.
+            brownout = getattr(plane, "brownout", None)
+            if brownout is not None and brownout.serve_stale:
+                stale = o17.stale_payload(conn, path)
+                if stale is not None:
+                    brownout.served_stale()
+                    return self._file_response(
+                        path, stale, head_only, keep_alive, version,
+                        brownout=brownout)
 
         # The order ticket pairs the disk completion with *this* request:
         # pipelined reads finish out of order (worker threads, inline
@@ -145,7 +162,8 @@ class CopsHttpHooks(ServerHooks):
                        brownout=None):
         """Build the 200 for a served file, applying the brownout
         response cap when one is active."""
-        payload = o17.bound_payload(payload, brownout)
+        if brownout is not None:
+            payload = _o17().bound_payload(payload, brownout)
         headers = http.Headers([
             ("Content-Type", http.guess_type(path)),
         ])
@@ -167,10 +185,9 @@ class CopsHttpHooks(ServerHooks):
             # O17: a failing disk (or an open breaker) can still be
             # browned out — answer stale from the cache plane rather
             # than 404ing content we have in memory.
-            plane = o17.degradation_plane(conn)
-            brownout = getattr(plane, "brownout", None)
+            brownout = getattr(degradation_plane(conn), "brownout", None)
             if brownout is not None and brownout.serve_stale:
-                stale = o17.stale_payload(conn, path)
+                stale = _o17().stale_payload(conn, path)
                 if stale is not None:
                     brownout.served_stale()
                     conn.complete_request(self._file_response(
@@ -184,10 +201,9 @@ class CopsHttpHooks(ServerHooks):
                 response.headers.set("Connection", "keep-alive")
             response._close_after = not keep_alive
         else:
-            plane = o17.degradation_plane(conn)
             response = self._file_response(
                 path, event.payload, head_only, keep_alive, version,
-                brownout=getattr(plane, "brownout", None))
+                brownout=getattr(degradation_plane(conn), "brownout", None))
         conn.complete_request(response, ticket)
 
     def _server_status(self, request, conn):
@@ -215,9 +231,9 @@ class CopsHttpHooks(ServerHooks):
             content_type = ("text/plain; charset=utf-8" if auto
                             else "text/html; charset=utf-8")
             if auto:
-                plane = o17.degradation_plane(conn)
+                plane = degradation_plane(conn)
                 if plane is not None:
-                    body += o17.degradation_report(plane)
+                    body += _o17().degradation_report(plane)
         headers = http.Headers([("Content-Type", content_type)])
         if not keep_alive:
             headers.set("Connection", "close")

@@ -3,12 +3,13 @@
 :mod:`repro.servers.cops_http` is Table 4's "other application code" —
 the hand-written part of the *paper's* COPS-HTTP, measured against the
 paper's NCSS counts.  The graceful-degradation extension (template
-option O17) adds an application surface of its own — finding the plane,
-building shed responses, serving stale under brownout, reporting in
-``?auto`` — that no base build ever executes, exactly as O17=No emits
-zero generated code.  It lives here so the extension stays out of the
-paper-comparison measurement the same way it stays out of the generated
-base framework; the hooks in ``cops_http`` call in when a plane exists.
+option O17) adds an application surface of its own — building shed
+responses, serving stale under brownout, reporting in ``?auto`` — that
+no base build ever executes, exactly as O17=No emits zero generated
+code.  It lives here so the extension stays out of the paper-comparison
+measurement the same way it stays out of the generated base framework;
+the hooks in ``cops_http`` find the plane and import this module only
+when one exists.
 """
 
 from __future__ import annotations
@@ -17,18 +18,10 @@ from repro import http
 
 __all__ = [
     "bound_payload",
-    "degradation_plane",
     "degradation_report",
     "shed_response",
     "stale_payload",
 ]
-
-
-def degradation_plane(conn):
-    """The O17 degradation plane: the ``Degradation`` component a
-    generated build hangs off the connection's reactor.  None when the
-    build has no plane (O17=No leaves no call site behind)."""
-    return getattr(getattr(conn, "reactor", None), "degradation", None)
 
 
 def shed_response(request, decision):

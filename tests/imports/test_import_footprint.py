@@ -3,10 +3,12 @@
 The generated framework carries no code for an option that is off
 (Table 2); this holds the process that serves it to the same rule.  A
 fresh interpreter builds COPS-HTTP, answers one request and reports
-which ``repro`` modules it had to import.  The package façades are lazy
-and the always-on runtime imports option modules only on the option's
-own code path, so the other applications, the hand-wired static
-server and every switched-off runtime plane stay out of ``sys.modules``.
+which modules it had to import.  The package façades are lazy and the
+always-on runtime imports option modules only on the option's own code
+path, so the other applications, every switched-off runtime plane, the
+O10/O11 façades behind the null objects, the race detector and the
+stdlib modules no serving code needs (``dataclasses`` → ``inspect``,
+``email``) stay out of ``sys.modules``.
 """
 
 import json
@@ -36,28 +38,39 @@ try:
 finally:
     server.stop()
 print(json.dumps({"status": reply.split(b"\\r\\n", 1)[0].decode(),
-                  "modules": sorted(m for m in sys.modules
-                                    if m == "repro" or m.startswith("repro."))}))
+                  "modules": sorted(sys.modules)}))
 """
 
 #: never needed by a default build: other applications and their
 #: protocol libraries, option-off runtime planes (O7 idle, O9 overload,
 #: O13 resilience, O14 shard placement, O16 deployment, O17
-#: degradation), O11 exposition/sampling and the offline tooling
+#: degradation and its COPS-HTTP surface), the O10/O11 façades (the
+#: null objects in repro.runtime.nulls stand in for them), O11
+#: exposition/sampling, the outbound Connector (built on first
+#: connect), the race detector's findings model, the Table 2 data and
+#: the offline tooling
 NOT_LOADED = [
     "repro.runtime.sharding",
     "repro.runtime.deployment", "repro.runtime.degradation",
     "repro.runtime.overload", "repro.runtime.resilience",
-    "repro.runtime.idle",
+    "repro.runtime.idle", "repro.runtime.acceptor",
+    "repro.runtime.profiling", "repro.runtime.tracing",
+    "repro.obs.spans", "repro.obs.registry",
     "repro.obs.exposition", "repro.obs.sampler",
+    "repro.lint.detector", "repro.lint.findings",
     "repro.servers.cops_ftp", "repro.servers.mail_server",
-    "repro.servers.time_server",
+    "repro.servers.time_server", "repro.servers.http_degradation",
+    "repro.co2p3s.nserver.table2",
     "repro.ftp", "repro.smtp", "repro.co2p3s.metrics", "repro.conform",
     "repro.sim",
 ]
 
+#: stdlib packages no serving code needs: ``dataclasses`` (and the
+#: ``inspect`` it pulls in) for class builds, ``email`` for one header
+STDLIB_NOT_LOADED = ["dataclasses", "inspect", "email"]
+
 #: repro modules a default COPS-HTTP process may hold after one request
-MAX_DEFAULT_MODULES = 62
+MAX_DEFAULT_MODULES = 53
 
 
 def serve_one_request(tmp_path, **overrides):
@@ -91,8 +104,15 @@ def test_default_build_does_not_load(default_modules, name):
         f"{name} loaded by a default COPS-HTTP server")
 
 
+@pytest.mark.parametrize("name", STDLIB_NOT_LOADED)
+def test_default_build_does_not_load_stdlib(default_modules, name):
+    assert not loaded(default_modules, name), (
+        f"{name} loaded by a default COPS-HTTP server")
+
+
 def test_default_build_module_budget(default_modules):
-    assert len(default_modules) <= MAX_DEFAULT_MODULES, default_modules
+    repro_modules = [m for m in default_modules if loaded([m], "repro")]
+    assert len(repro_modules) <= MAX_DEFAULT_MODULES, repro_modules
 
 
 def test_option_on_build_loads_its_module(tmp_path):
@@ -100,3 +120,39 @@ def test_option_on_build_loads_its_module(tmp_path):
     runtime the generated framework references is loaded."""
     modules = serve_one_request(tmp_path, degradation=True)
     assert "repro.runtime.degradation" in modules
+
+
+def test_observability_build_loads_span_recorder(tmp_path):
+    """The null objects stand in only when O11 is off: an O11=Yes
+    build records spans, so the real recorder is loaded."""
+    from repro.co2p3s.nserver import COPS_HTTP_OBSERVABILITY_OPTIONS
+
+    modules = serve_one_request(
+        tmp_path, options=COPS_HTTP_OBSERVABILITY_OPTIONS)
+    assert "repro.obs.spans" in modules
+    assert "repro.obs.registry" in modules
+
+
+def test_installed_detector_loads_detector_module():
+    """Naming ``repro.lint.locks.RaceDetector`` loads the detector (and
+    the findings model its reports use); importing the lock shim alone
+    does not."""
+    probe = """
+import json, sys
+from repro.lint import locks
+before = sorted(m for m in sys.modules if m.startswith("repro.lint."))
+detector = locks.RaceDetector()
+detector.install()
+installed = locks.active_detector() is detector
+detector.uninstall()
+after = sorted(m for m in sys.modules if m.startswith("repro.lint."))
+print(json.dumps([before, after, installed]))
+"""
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=dict(os.environ, PYTHONPATH=SRC),
+        capture_output=True, text=True, timeout=60, check=True)
+    before, after, installed = json.loads(out.stdout)
+    assert before == ["repro.lint.locks"]
+    assert installed
+    assert "repro.lint.detector" in after
+    assert "repro.lint.findings" in after

@@ -1,6 +1,10 @@
 """Tests for the event model, profiler, tracer and log."""
 
 import io
+import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -249,3 +253,22 @@ def test_log_bad_level():
 def test_null_log_is_inert():
     NULL_LOG.error("nothing happens")
     assert NULL_LOG.lines == []
+
+
+def test_communicator_import_leaves_observability_facades_unloaded():
+    """The null objects are standalone: a fresh interpreter importing
+    the Communicator loads none of the real profiler, tracer, span
+    recorder or metrics registry they stand in for."""
+    src = os.path.abspath(os.path.join(os.path.dirname(__file__),
+                                       os.pardir, os.pardir, "src"))
+    probe = ("import json, sys, repro.runtime.communicator; "
+             "print(json.dumps(sorted(sys.modules)))")
+    out = subprocess.run([sys.executable, "-c", probe],
+                         env=dict(os.environ, PYTHONPATH=src),
+                         capture_output=True, text=True, timeout=60,
+                         check=True)
+    modules = set(json.loads(out.stdout))
+    assert "repro.runtime.nulls" in modules
+    for name in ("repro.runtime.profiling", "repro.runtime.tracing",
+                 "repro.obs.spans", "repro.obs.registry"):
+        assert name not in modules, name

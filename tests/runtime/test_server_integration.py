@@ -228,6 +228,31 @@ def test_debug_mode_traces_events():
                    message=f"tracer saw only {categories()}")
 
 
+def test_debug_mode_trace_strings():
+    """The O10=Debug trace text is pinned: the generated steps trace the
+    peer's handle name, the server its port, the dispatcher the event
+    type, and the container the removal."""
+    with fixture(ServerHooks(), dict(RAW, O10="Debug")) as srv:
+        tracer = srv.server.reactor.tracer
+        assert srv.request(b"traced\n") == b"traced\n"
+
+        def pairs():
+            return [(r.category, r.detail) for r in tracer.records()]
+
+        wait_until(lambda: any(c == "container" for c, _ in pairs()),
+                   message=f"tracer saw only {pairs()}")
+        records = pairs()
+        assert records[0] == ("server", f"open port {srv.server.port}")
+        peer = next(d for c, d in records if c == "accept")
+        assert peer.startswith("127.0.0.1:")
+        assert {(c, d) for c, d in records
+                if c not in ("server", "dispatch")} == {
+            ("accept", peer), ("read-request", peer), ("compute", peer),
+            ("container", f"remove {peer}")}
+        assert {d for c, d in records if c == "dispatch"} <= {
+            "AcceptEvent", "ReadableEvent", "WritableEvent"}
+
+
 def test_event_scheduling_config_builds_priority_queue():
     with fixture(ServerHooks(), dict(RAW, O8=True),
                  scheduling_quotas={1: 4, 0: 1}) as srv:
