@@ -376,6 +376,12 @@ def build_context(o: OptionSet) -> Dict[str, Any]:
         profiling, "self.reactor.profiler.accept_error()")
     ctx["log_accept_error"] = on(
         logging, 'self.reactor.log.error(f"accept error: {exc!r}")')
+    # After an accept backoff the backlog is still queued: the
+    # level-triggered source reports it again, the edge-triggered one
+    # only once the listener is re-posted ($accept_repost).
+    ctx["accept_backoff_resume"] = (
+        "the listener is re-posted" if epoll
+        else "the level-triggered source re-fires")
     ctx["make_resilience"] = on(resilient, "self.resilience = Resilience(self)")
     # Wheel-backed deadline arming: a watched connection costs O(1) per
     # re-arm instead of a full scan per monitor interval.

@@ -98,8 +98,9 @@ PAPER_TABLE2 = {
 #: Component arms the sampling timer and the Server Configuration
 #: carries its period, so both gain an O11 ``+``.  The O13
 #: fault-tolerance extension adds the Resilience row (exists iff O13;
-#: body depends on the pool it supervises, the counters it registers
-#: and the log it writes) and '+' cells where the option weaves in:
+#: body depends on the pool it supervises, the counters it registers,
+#: the log it writes and, at O18=epoll, the listener re-post after an
+#: accept backoff) and '+' cells where the option weaves in:
 #: the accept loop, the configuration's tuning block, the Reactor's
 #: construction/lifecycle/drain and the Server's drain facade.  The
 #: O14 reactor-shards extension adds the Sharding row (exists iff
@@ -150,7 +151,7 @@ TABLE2_EXTENSIONS = {
     "ServerComponent": {"O11": "+", "O14": "+", "O15": "+", "O16": "+"},
     "ServerConfiguration": {"O11": "+", "O13": "+", "O14": "+", "O15": "+",
                             "O16": "+", "O17": "+", "O18": "+"},
-    "Resilience": {"O2": "+", "O11": "+", "O12": "+", "O13": "O"},
+    "Resilience": {"O2": "+", "O11": "+", "O12": "+", "O13": "O", "O18": "+"},
     "Reactor": {"O13": "+", "O14": "+", "O15": "+", "O17": "+", "O18": "+"},
     "AcceptorEventHandler": {"O13": "+", "O17": "+", "O18": "+"},
     "Server": {"O13": "+", "O14": "+", "O16": "+"},

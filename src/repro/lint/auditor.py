@@ -167,15 +167,32 @@ _O16_FORBIDDEN = re.compile(
     re.IGNORECASE)
 
 
-def _option_value(options, key: str, default):
-    """Exception-safe option lookup: audit callers may pass a full
-    OptionSet, a plain dict, or a partial stub."""
+#: one row per option with a residue vocabulary: (option key, the off
+#: setting as messages name it, "is off" predicate, forbidden
+#: vocabulary, message noun).  A build whose options set the key to an
+#: off value must not mention the vocabulary outside ``__init__.py``
+#: (which records every option, the disabled ones too); a missing key
+#: means no scan.
+_PURITY = (
+    ("O11", "No", lambda value: not value, _O11_FORBIDDEN, "observability"),
+    ("O16", "1", lambda value: int(value) == 1, _O16_FORBIDDEN,
+     "deployment plane"),
+    ("O17", "No", lambda value: not value, _O17_FORBIDDEN,
+     "degradation plane"),
+    ("O18", "select", lambda value: value == "select", _O18_FORBIDDEN,
+     "epoll backend"),
+)
+
+
+def _purity_checks(options) -> List[Tuple[str, str, re.Pattern, str]]:
+    """The :data:`_PURITY` rows (minus the predicate) whose option is
+    off in ``options`` — a full OptionSet, a plain dict or a stub."""
     if options is None:
-        return default
-    try:
-        return options[key]
-    except Exception:
-        return default
+        return []
+    values = options.as_dict() if hasattr(options, "as_dict") else options
+    return [(key, off, forbidden, noun)
+            for key, off, is_off, forbidden, noun in _PURITY
+            if key in values and is_off(values[key])]
 
 
 def audit_report(report, label: str,
@@ -183,61 +200,27 @@ def audit_report(report, label: str,
                  ) -> List[Finding]:
     """Static checks over one in-memory :class:`GenerationReport`.
 
-    When the rendering ``options`` are supplied and O11 is off, the
-    emitted text is additionally scanned for observability vocabulary —
-    the generated-not-configured contract means a disabled option leaves
-    *zero* residue, down to the identifier level.
+    When the rendering ``options`` are supplied, every option that is
+    off and has a row in :data:`_PURITY` has its vocabulary scanned for
+    in the emitted text — the generated-not-configured contract means a
+    disabled option leaves *zero* residue, down to the identifier level.
     """
     findings: List[Finding] = []
     emitted = set(report.class_names())
     absent = class_universe() - emitted
-    check_o11 = options is not None and not options["O11"]
-    check_o16 = (options is not None
-                 and int(_option_value(options, "O16", 2)) == 1)
-    check_o17 = options is not None and not _option_value(options, "O17", True)
-    check_o18 = (options is not None
-                 and _option_value(options, "O18", "epoll") == "select")
+    purity = _purity_checks(options)
     for filename, text in sorted(report.files.items()):
         where = f"{label}/{filename}"
-        if check_o11 and filename != "__init__.py":
-            match = _O11_FORBIDDEN.search(text)
+        scans = purity if filename != "__init__.py" else ()
+        for key, off, forbidden, noun in scans:
+            match = forbidden.search(text)
             if match is not None:
                 findings.append(Finding(
                     kind="audit",
-                    ident=f"audit:o11-purity:{filename}",
+                    ident=f"audit:{key.lower()}-purity:{filename}",
                     location=where,
-                    message=(f"O11=No build mentions {match.group(0)!r} — "
-                             f"disabled observability left residue"),
-                ))
-        if check_o16 and filename != "__init__.py":
-            match = _O16_FORBIDDEN.search(text)
-            if match is not None:
-                findings.append(Finding(
-                    kind="audit",
-                    ident=f"audit:o16-purity:{filename}",
-                    location=where,
-                    message=(f"O16=1 build mentions {match.group(0)!r} — "
-                             f"disabled deployment plane left residue"),
-                ))
-        if check_o17 and filename != "__init__.py":
-            match = _O17_FORBIDDEN.search(text)
-            if match is not None:
-                findings.append(Finding(
-                    kind="audit",
-                    ident=f"audit:o17-purity:{filename}",
-                    location=where,
-                    message=(f"O17=No build mentions {match.group(0)!r} — "
-                             f"disabled degradation plane left residue"),
-                ))
-        if check_o18 and filename != "__init__.py":
-            match = _O18_FORBIDDEN.search(text)
-            if match is not None:
-                findings.append(Finding(
-                    kind="audit",
-                    ident=f"audit:o18-purity:{filename}",
-                    location=where,
-                    message=(f"O18=select build mentions {match.group(0)!r} "
-                             f"— disabled epoll backend left residue"),
+                    message=(f"{key}={off} build mentions {match.group(0)!r}"
+                             f" — disabled {noun} left residue"),
                 ))
         try:
             tree = ast.parse(text, filename=where)

@@ -31,8 +31,8 @@ from repro import lazy_exports
 
 __getattr__, __dir__, __all__ = lazy_exports(__name__, globals(), {
     "exposition": (
-        "clustered_status_fields", "render_prometheus", "render_status_auto",
-        "render_status_html", "sharded_status_fields", "status_fields",
+        "merge_status_fields", "render_prometheus", "render_status_auto",
+        "render_status_html", "status_fields",
     ),
     "flight": (
         "FlightEvent", "FlightRecorder", "dump_all", "install_signal_dump",

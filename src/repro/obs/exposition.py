@@ -6,7 +6,9 @@ Two renderers over a :class:`~repro.obs.registry.MetricsRegistry`:
   (``# HELP`` / ``# TYPE`` / sample lines, histograms as cumulative
   ``_bucket{le=...}`` series).
 * :func:`status_fields` + :func:`render_status_auto` /
-  :func:`render_status_html` — an Apache ``mod_status``-style report.
+  :func:`render_status_html` — an Apache ``mod_status``-style report,
+  and :func:`merge_status_fields` for one report over several shards
+  or worker processes.
   The paper benchmarks COPS-HTTP against Apache 1.3, so the fitting
   inspection surface is Apache's: ``GET /server-status`` renders HTML
   for humans and ``GET /server-status?auto`` the ``Key: value`` lines
@@ -25,8 +27,7 @@ from typing import List, Optional, Tuple
 __all__ = [
     "render_prometheus",
     "status_fields",
-    "sharded_status_fields",
-    "clustered_status_fields",
+    "merge_status_fields",
     "render_status_auto",
     "render_status_html",
 ]
@@ -113,6 +114,28 @@ _APACHE_FIELDS = (
 )
 
 
+def _derived_fields(by_name: dict, uptime: Optional[float]
+                    ) -> List[Tuple[str, str]]:
+    """The Apache ``mod_status`` fields, computed from unlabelled
+    metric values by registry name (the server's own, or the totals of
+    a merged report)."""
+    fields: List[Tuple[str, str]] = []
+    if uptime is not None:
+        fields.append(("Uptime", f"{uptime:.3f}"))
+    for name, apache_key in _APACHE_FIELDS:
+        if name in by_name:
+            fields.append((apache_key, _fmt(by_name[name])))
+    bytes_sent = by_name.get("server_bytes_sent_total")
+    if bytes_sent is not None:
+        fields.append(("Total kBytes", _fmt(int(bytes_sent) // 1024)))
+    requests = by_name.get("server_requests_total")
+    if requests is not None and uptime:
+        fields.append(("ReqPerSec", f"{requests / uptime:.3f}"))
+        if bytes_sent is not None:
+            fields.append(("BytesPerSec", f"{bytes_sent / uptime:.1f}"))
+    return fields
+
+
 def status_fields(registry, uptime: Optional[float] = None
                   ) -> List[Tuple[str, str]]:
     """Ordered ``(key, value)`` pairs for the status page.
@@ -134,21 +157,7 @@ def status_fields(registry, uptime: Optional[float] = None
                 if not labels:
                     by_name[family.name] = metric.value
 
-    fields: List[Tuple[str, str]] = []
-    if uptime is not None:
-        fields.append(("Uptime", f"{uptime:.3f}"))
-    for name, apache_key in _APACHE_FIELDS:
-        if name in by_name:
-            fields.append((apache_key, _fmt(by_name[name])))
-    bytes_sent = by_name.get("server_bytes_sent_total")
-    if bytes_sent is not None:
-        fields.append(("Total kBytes", _fmt(bytes_sent // 1024)))
-    requests = by_name.get("server_requests_total")
-    if requests is not None and uptime:
-        fields.append(("ReqPerSec", f"{requests / uptime:.3f}"))
-        if bytes_sent is not None:
-            fields.append(("BytesPerSec", f"{bytes_sent / uptime:.1f}"))
-
+    fields = _derived_fields(by_name, uptime)
     for key, value in scalars:
         fields.append((key, _fmt(value)))
     for key, snap in histograms:
@@ -165,98 +174,24 @@ _DERIVED_KEYS = frozenset(
     {apache for _, apache in _APACHE_FIELDS}
     | {"Uptime", "Total kBytes", "ReqPerSec", "BytesPerSec"})
 
+#: key suffixes :func:`status_fields` gives a histogram's lines
+_HISTOGRAM_SUFFIXES = ("-count", "-p50", "-p90", "-p99")
 
-def _shard_key(key: str, index: int) -> str:
-    """Weave a ``shard="i"`` label into a status-field key."""
-    extra = f'shard="{index}"'
+
+def _labelled_key(key: str, label: str) -> str:
+    """Weave one ``name="value"`` label into a status-field key, inside
+    an existing brace pair if the key already carries labels."""
     if "{" in key:
         close = key.index("}")
-        return key[:close] + "," + extra + key[close:]
-    for suffix in ("-count", "-p50", "-p90", "-p99"):
+        return key[:close] + "," + label + key[close:]
+    for suffix in _HISTOGRAM_SUFFIXES:
         if key.endswith(suffix):
-            return key[:-len(suffix)] + "{" + extra + "}" + suffix
-    return key + "{" + extra + "}"
+            return key[:-len(suffix)] + "{" + label + "}" + suffix
+    return key + "{" + label + "}"
 
 
-def sharded_status_fields(registries, uptime: Optional[float] = None
-                          ) -> List[Tuple[str, str]]:
-    """One status report over N per-shard registries.
-
-    The aggregate section first — scalars summed across shards (rates
-    averaged), with the Apache-derived fields computed over the sums —
-    then a ``Shards`` count, then every shard's own scalar and
-    histogram fields re-labelled with ``shard="i"`` so a scraper can
-    see the per-shard queue depths and connection gauges behind the
-    totals.
-    """
-    sums: dict = {}
-    counts: dict = {}
-    order: List[Tuple[str, str, bool]] = []
-    for registry in registries:
-        for family in registry.collect():
-            for labels, metric in family.children():
-                if family.kind == "histogram":
-                    continue
-                key = family.name + _labels_text(labels)
-                if key not in sums:
-                    sums[key] = 0.0
-                    counts[key] = 0
-                    order.append((key, family.name, bool(labels)))
-                sums[key] += metric.value
-                counts[key] += 1
-
-    def aggregate(key: str, name: str) -> float:
-        # hit *rates* do not add up across shards; everything else does
-        if "rate" in name:
-            return sums[key] / max(counts[key], 1)
-        return sums[key]
-
-    by_name = {name: aggregate(key, name)
-               for key, name, labeled in order if not labeled}
-
-    fields: List[Tuple[str, str]] = []
-    if uptime is not None:
-        fields.append(("Uptime", f"{uptime:.3f}"))
-    for name, apache_key in _APACHE_FIELDS:
-        if name in by_name:
-            fields.append((apache_key, _fmt(by_name[name])))
-    bytes_sent = by_name.get("server_bytes_sent_total")
-    if bytes_sent is not None:
-        fields.append(("Total kBytes", _fmt(int(bytes_sent) // 1024)))
-    requests = by_name.get("server_requests_total")
-    if requests is not None and uptime:
-        fields.append(("ReqPerSec", f"{requests / uptime:.3f}"))
-        if bytes_sent is not None:
-            fields.append(("BytesPerSec", f"{bytes_sent / uptime:.1f}"))
-    for key, name, _labeled in order:
-        fields.append((key, _fmt(aggregate(key, name))))
-
-    fields.append(("Shards", str(len(registries))))
-    for index, registry in enumerate(registries):
-        for key, value in status_fields(registry):
-            if key in _DERIVED_KEYS:
-                continue
-            fields.append((_shard_key(key, index), value))
-    return fields
-
-
-def _worker_key(key: str, label: object) -> str:
-    """Weave a ``worker="pid"`` label into a status-field key.
-
-    Composes with shard labels: a key that already carries
-    ``{shard="i"}`` gains the worker label inside the same brace pair.
-    """
-    extra = f'worker="{label}"'
-    if "{" in key:
-        close = key.index("}")
-        return key[:close] + "," + extra + key[close:]
-    for suffix in ("-count", "-p50", "-p90", "-p99"):
-        if key.endswith(suffix):
-            return key[:-len(suffix)] + "{" + extra + "}" + suffix
-    return key + "{" + extra + "}"
-
-
-def _parse_field(value: str) -> Optional[float]:
+def _parse_field(value) -> Optional[float]:
+    """A finite number, or None for a value the aggregate must skip."""
     try:
         number = float(value)
     except (TypeError, ValueError):
@@ -264,75 +199,45 @@ def _parse_field(value: str) -> Optional[float]:
     return number if math.isfinite(number) else None
 
 
-def clustered_status_fields(sections, uptime: Optional[float] = None
-                            ) -> List[Tuple[str, str]]:
-    """One status report over N per-worker status-field lists.
+def merge_status_fields(sections, label: str, uptime: Optional[float] = None
+                        ) -> List[Tuple[str, str]]:
+    """One status report over N sections of :func:`status_fields` output.
 
-    The multi-process (O16>1) sibling of :func:`sharded_status_fields`.
-    Workers live in other processes, so the inputs are not registries
-    but the ``(key, value)`` field lists each worker already rendered —
-    the shape that travels over the supervisor's stats channel as JSON.
-    ``sections`` is a sequence of ``(label, fields)`` pairs where
-    ``label`` is the worker's identity (its PID) and ``fields`` the
-    worker's own :func:`status_fields` output.
-
-    Layout mirrors the sharded report: the aggregate section first —
-    scalars summed across workers (rates averaged), Apache-derived
-    fields recomputed over the sums — then a ``Workers`` count, then
-    every worker's own fields re-labelled with ``worker="pid"``.  Each
-    worker's fields appear exactly once; quantile estimates are not
-    summable so they appear only in the per-worker sections.
+    ``sections`` is a sequence of ``(label_value, fields)`` pairs: the
+    shards of one process (``label="shard"``, values 0..N-1) or the
+    worker processes of a deployment (``label="worker"``, values their
+    PIDs, fields that arrived as JSON).  The report is the aggregate
+    section first — scalars summed across sections (``*rate*`` metrics
+    averaged), non-numeric values skipped, the Apache-derived fields
+    recomputed over the totals — then a ``Shards``/``Workers`` count,
+    then every section's own fields re-labelled with
+    ``label="value"``.  Histogram lines (``-count``/``-pNN``) do not
+    merge, so they appear per section only.
     """
     sums: dict = {}
     counts: dict = {}
-    order: List[str] = []
-    for _label, fields in sections:
+    for _value, fields in sections:
         for key, value in fields:
-            if key in _DERIVED_KEYS or key[-4:] in ("-p50", "-p90", "-p99"):
+            if key in _DERIVED_KEYS or key.endswith(_HISTOGRAM_SUFFIXES):
                 continue
             number = _parse_field(value)
             if number is None:
                 continue
-            if key not in sums:
-                sums[key] = 0.0
-                counts[key] = 0
-                order.append(key)
-            sums[key] += number
-            counts[key] += 1
+            sums[key] = sums.get(key, 0.0) + number
+            counts[key] = counts.get(key, 0) + 1
+    totals = {key: total / counts[key] if "rate" in key.partition("{")[0]
+              else total for key, total in sums.items()}
 
-    def aggregate(key: str) -> float:
-        # hit *rates* do not add up across workers; everything else does
-        if "rate" in key:
-            return sums[key] / max(counts[key], 1)
-        return sums[key]
-
-    by_name = {key: aggregate(key) for key in order
-               if "{" not in key and not key.endswith("-count")}
-
-    fields_out: List[Tuple[str, str]] = []
-    if uptime is not None:
-        fields_out.append(("Uptime", f"{uptime:.3f}"))
-    for name, apache_key in _APACHE_FIELDS:
-        if name in by_name:
-            fields_out.append((apache_key, _fmt(by_name[name])))
-    bytes_sent = by_name.get("server_bytes_sent_total")
-    if bytes_sent is not None:
-        fields_out.append(("Total kBytes", _fmt(int(bytes_sent) // 1024)))
-    requests = by_name.get("server_requests_total")
-    if requests is not None and uptime:
-        fields_out.append(("ReqPerSec", f"{requests / uptime:.3f}"))
-        if bytes_sent is not None:
-            fields_out.append(("BytesPerSec", f"{bytes_sent / uptime:.1f}"))
-    for key in order:
-        fields_out.append((key, _fmt(aggregate(key))))
-
-    fields_out.append(("Workers", str(len(sections))))
-    for label, fields in sections:
-        for key, value in fields:
-            if key in _DERIVED_KEYS:
-                continue
-            fields_out.append((_worker_key(key, label), value))
-    return fields_out
+    merged = _derived_fields(
+        {key: total for key, total in totals.items() if "{" not in key},
+        uptime)
+    merged.extend((key, _fmt(total)) for key, total in totals.items())
+    merged.append((label.capitalize() + "s", str(len(sections))))
+    for value, fields in sections:
+        tag = f'{label}="{value}"'
+        merged.extend((_labelled_key(key, tag), shown)
+                      for key, shown in fields if key not in _DERIVED_KEYS)
+    return merged
 
 
 def render_status_auto(fields: List[Tuple[str, str]]) -> str:

@@ -12,7 +12,7 @@ idle (O7).
 from repro import lazy_exports
 
 __getattr__, __dir__, __all__ = lazy_exports(__name__, globals(), {
-    "acceptor": ("Acceptor", "Connector", "is_transient_accept_error"),
+    "acceptor": ("Connector", "is_transient_accept_error"),
     "buffers": (
         "BufferPool", "BufferPoolStats", "OutBuffer", "PooledBuffer",
         "segment_bytes",

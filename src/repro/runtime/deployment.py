@@ -35,8 +35,8 @@ accepting from one shared listening socket:
   ``$REPRO_STATS_SOCKET``); a worker answering ``/server-status``
   calls :func:`cluster_status_fields`, which asks the supervisor,
   which polls every worker's O11 registry over the control channels
-  and merges them with
-  :func:`repro.obs.exposition.clustered_status_fields`.  Flight dumps
+  and merges them with :func:`repro.obs.exposition.merge_status_fields`
+  (label ``worker``).  Flight dumps
   are already namespaced per PID, and trace ids carry a PID component
   (:func:`repro.obs.tracing.next_trace_id`), so evidence from
   different workers never collides.
@@ -61,7 +61,7 @@ import time
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.lint.locks import access, make_lock, shared
-from repro.obs.exposition import clustered_status_fields
+from repro.obs.exposition import merge_status_fields
 from repro.obs.flight import install_signal_dump
 
 __all__ = [
@@ -642,8 +642,8 @@ class ProcessSupervisor:
     def aggregated_status_fields(self) -> list:
         """One merged status-field list over every worker's registry."""
         uptime = time.monotonic() - self._started_at
-        return clustered_status_fields(self.collect_status_fields(),
-                                       uptime=uptime)
+        return merge_status_fields(self.collect_status_fields(), "worker",
+                                   uptime=uptime)
 
     def _open_stats_socket(self) -> None:
         """Bind the Unix stats socket workers aggregate through."""
@@ -755,7 +755,8 @@ def cluster_status_fields(timeout: float = 5.0) -> Optional[list]:
                 if isinstance(entry, list) and len(entry) == 2]
     if not sections:
         return None
-    return clustered_status_fields(sections, uptime=payload.get("uptime"))
+    return merge_status_fields(sections, "worker",
+                               uptime=payload.get("uptime"))
 
 
 # -- the worker factory -----------------------------------------------------

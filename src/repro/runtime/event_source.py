@@ -216,8 +216,9 @@ class SocketEventSource(EventSource):
 
         The next poll returns immediately and reports the handle ready
         (AcceptEvent for a listener, ReadableEvent otherwise) on top of
-        whatever the kernel says.  Used by the Acceptor when it stops a
-        batched drain early, and safe under both backends."""
+        whatever the kernel says.  Used by the generated O18
+        ``Poller.repost_accept`` when an accept drain stops before
+        EAGAIN, and safe under both backends."""
         with self._lock:
             if handle.fileno() not in self._handles:
                 return

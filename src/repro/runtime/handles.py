@@ -183,7 +183,7 @@ class SocketHandle(Handle):
 
 
 class ListenHandle(Handle):
-    """A listening TCP socket (the Acceptor's handle).
+    """A listening TCP socket (the Acceptor Event Handler's handle).
 
     ``handle_cls`` lets generated frameworks wrap accepted sockets in
     their own Handle subclass (Table 2's generated ``Handle``).
@@ -209,9 +209,8 @@ class ListenHandle(Handle):
         self.backlog = backlog
         self.handle_cls = handle_cls or SocketHandle
         #: flight recorder receiving the accept events; recording here
-        #: (not in the Acceptor) covers generated frameworks whose own
-        #: AcceptorEventHandler drains the backlog directly.  An owning
-        #: Acceptor repoints this at its server's recorder.
+        #: covers every generated AcceptorEventHandler that drains the
+        #: backlog.
         self.flight = GLOBAL_FLIGHT
         super().__init__(name=f"listen:{self.address[1]}")
         self._fd = sock.fileno()

@@ -16,7 +16,8 @@ gracefully instead of wedging under hostile conditions:
   event cannot re-kill fresh workers forever.
 
 Plus :func:`is_transient_accept_error`, re-exported from
-:mod:`repro.runtime.acceptor`, whose always-on accept loop owns it.
+:mod:`repro.runtime.acceptor`: the generated O13 ``safe_accept`` uses
+it to tell a retryable accept error from one that needs a backoff.
 
 Everything here follows the option-guarded style of the rest of the
 runtime: null-object metrics/log defaults, zero references from any code

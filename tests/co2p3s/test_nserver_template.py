@@ -256,7 +256,7 @@ def test_sharding_code_present_when_o14_gt1():
     assert "self.primary.resilience.safe_accept(listen)" in sh
     assert "def drain(self" in sh
     # O11=Yes: aggregated per-shard status fields.
-    assert "obs.sharded_status_fields" in sh
+    assert "obs.merge_status_fields" in sh
     # O9=No: no overload gating woven into the accept loop.
     assert "overload" not in sh
     server = report.files["server.py"]

@@ -8,16 +8,18 @@ import types
 
 import pytest
 
+from harness import ServerFixture, generated_server
 from repro.faults import WorkerCrash
 from repro.runtime import (
-    Acceptor,
     DeadlineMonitor,
     DeadlinePolicy,
     EventProcessor,
     EventQuarantine,
     IdleConnectionReaper,
+    ServerHooks,
     UserEvent,
     WorkerSupervisor,
+    available_pollers,
     is_transient_accept_error,
 )
 
@@ -234,7 +236,6 @@ def test_distinct_events_tracked_separately():
 class FlakyListen:
     def __init__(self, errnos):
         self.errnos = list(errnos)
-        self.closed = False
         self.calls = 0
 
     def try_accept(self):
@@ -244,12 +245,11 @@ class FlakyListen:
         return None
 
 
-class NullSource:
-    def register(self, handle):
-        pass
-
-    def deregister(self, handle):
-        pass
+def resilient_server(**options):
+    """A generated O13 echo server (no codec steps, synchronous
+    completions) whose accept backoff is short enough for a test."""
+    options = dict({"O3": False, "O4": "Synchronous", "O13": True}, **options)
+    return generated_server(ServerHooks(), options, accept_backoff=0.01)
 
 
 def test_transient_accept_error_classification():
@@ -261,23 +261,50 @@ def test_transient_accept_error_classification():
 
 
 def test_acceptor_survives_econnaborted_and_keeps_draining():
-    listen = FlakyListen([errno.ECONNABORTED, errno.ECONNABORTED])
-    acceptor = Acceptor(listen, NullSource(), on_connection=lambda h: None,
-                        backoff=0.001)
-    acceptor.handle(None)          # must not raise
-    assert acceptor.accept_errors == 2
-    assert listen.calls == 3       # two aborted retries + the final None
+    with ServerFixture(resilient_server(O18="select")) as srv:
+        resilience = srv.server.reactor.resilience
+        listen = FlakyListen([errno.ECONNABORTED, errno.ECONNABORTED])
+        assert resilience.safe_accept(listen) is None   # must not raise
+        assert resilience.accept_errors == 2
+        assert listen.calls == 3   # two aborted retries + the final None
 
 
 def test_acceptor_backs_off_on_emfile():
-    listen = FlakyListen([errno.EMFILE])
-    acceptor = Acceptor(listen, NullSource(), on_connection=lambda h: None,
-                        backoff=0.001)
-    acceptor.handle(None)
-    assert acceptor.accept_errors == 1
-    assert listen.calls == 1       # shed: no immediate retry
-    acceptor.handle(None)          # next event drains normally
-    assert listen.calls == 2
+    with ServerFixture(resilient_server(O18="select")) as srv:
+        resilience = srv.server.reactor.resilience
+        listen = FlakyListen([errno.EMFILE])
+        assert resilience.safe_accept(listen) is None
+        assert resilience.accept_errors == 1
+        assert listen.calls == 1   # shed: no immediate retry
+        resilience.safe_accept(listen)   # the next event drains normally
+        assert listen.calls == 2
+
+
+@pytest.mark.skipif("epoll" not in available_pollers(),
+                    reason="epoll poller unavailable on this platform")
+def test_emfile_backoff_reposts_listener_on_edge_triggered_build():
+    """Under O18=epoll the accept edge is consumed by the failed
+    accept(); without a re-post the queued client would wait for some
+    *other* connection to arrive."""
+    with ServerFixture(resilient_server(O18="epoll")) as srv:
+        listen = srv.server.reactor.server_component.listen
+        accept = listen.try_accept
+        failures = [errno.EMFILE]
+
+        def flaky_accept():
+            if failures:
+                raise OSError(failures.pop(), "injected")
+            return accept()
+
+        listen.try_accept = flaky_accept
+        client = srv.connect(timeout=3)
+        try:
+            client.sendall(b"ping\n")
+            assert client.recv(4096) == b"ping\n"
+        finally:
+            client.close()
+        assert not failures
+        assert srv.server.reactor.resilience.accept_errors == 1
 
 
 # -- idle reaper snapshot ---------------------------------------------------------

@@ -1,8 +1,11 @@
 """Generated-code auditor tests: option corners and seeded violations."""
 
+import pytest
+
 from repro.co2p3s.nserver import NSERVER
 from repro.co2p3s.nserver.options import ALL_FEATURES_ON
 from repro.lint.auditor import (
+    _PURITY,
     audit_config,
     audit_report,
     class_universe,
@@ -190,6 +193,44 @@ def test_o16_multiproc_build_is_not_purity_scanned():
     assert not any(
         "o16-purity" in f.ident
         for f in audit_report(report, "stub", options={"O11": True}))
+
+
+#: per purity-table row: (off value, on value, a residue line)
+PURITY_CASES = {
+    "O11": (False, True, "x = handle.trace_id\n"),
+    "O16": (1, 2, "x = rt.ProcessSupervisor\n"),
+    "O17": (False, True, "x = self.shedding.brownout\n"),
+    "O18": ("select", "epoll", "x = self.reactor.poller.repost_accept\n"),
+}
+
+
+def test_purity_cases_cover_the_table():
+    assert sorted(PURITY_CASES) == sorted(row[0] for row in _PURITY)
+
+
+def _purity_idents(key, text, options):
+    report = _StubReport({"mod.py": text})
+    return [f.ident for f in audit_report(report, "stub", options=options)
+            if f.ident.startswith(f"audit:{key.lower()}-purity:")]
+
+
+@pytest.mark.parametrize("key", sorted(PURITY_CASES))
+def test_purity_row_flags_off_build_only(key):
+    off, on, residue = PURITY_CASES[key]
+    assert _purity_idents(key, residue, {key: off}) == [
+        f"audit:{key.lower()}-purity:mod.py"]
+    assert _purity_idents(key, residue, {key: on}) == []
+    # a missing key means no scan, whatever the other options say
+    others = {other: PURITY_CASES[other][0]
+              for other in PURITY_CASES if other != key}
+    assert _purity_idents(key, residue, others) == []
+
+
+def test_stub_options_without_o11_do_not_crash():
+    report = _StubReport({"mod.py": "x = self.shedding.brownout\n"})
+    idents = [f.ident for f in audit_report(report, "stub",
+                                            options={"O17": False})]
+    assert idents == ["audit:o17-purity:mod.py"]
 
 
 def test_crosscut_three_way_agreement():

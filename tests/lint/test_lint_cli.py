@@ -19,13 +19,21 @@ def test_blocking_shipped_tree_clean_under_baseline(capsys):
     assert main(["blocking"]) == 0
 
 
-def test_blocking_shipped_tree_suppression_is_live_without_baseline(capsys):
-    assert main(["blocking", "--no-baseline"]) == 1
-    assert "acceptor.py" in capsys.readouterr().out
+def test_blocking_shipped_tree_clean_without_baseline(capsys):
+    # no blocking finding in the shipped tree is merely suppressed
+    assert main(["blocking", "--no-baseline"]) == 0
+    assert "no findings" in capsys.readouterr().out
 
 
-def test_verbose_lists_suppressions_with_reasons(capsys):
-    assert main(["blocking", "--verbose"]) == 0
+def test_verbose_lists_suppressions_with_reasons(fixture_path, tmp_path,
+                                                 capsys):
+    baseline = tmp_path / "lint-baseline.toml"
+    baseline.write_text(
+        '[[suppression]]\n'
+        'id = "blocking:*:SleepyHandler._refill:time.sleep"\n'
+        'reason = "deliberate load shedding"\n')
+    assert main(["blocking", fixture_path("known_blocking.py"),
+                 "--baseline", str(baseline), "--verbose"]) == 0
     out = capsys.readouterr().out
     assert "suppressed" in out
     assert "load shedding" in out

@@ -1,7 +1,10 @@
 """Exposition tests: Prometheus golden output and the mod_status page."""
 
+import pytest
+
 from repro.obs import (
     MetricsRegistry,
+    merge_status_fields,
     render_prometheus,
     render_status_auto,
     render_status_html,
@@ -108,3 +111,91 @@ def test_render_status_html():
     assert "<tr><td>Total Accesses</td><td>10</td></tr>" in html
     assert "a&lt;b" in html and "x&amp;y" in html      # escaped
     assert "N-Server Status" in html
+
+
+# -- one report over several sections (shards / worker processes) ----------
+
+#: two worker processes' status_fields output, as it arrives over the
+#: supervisor's stats channel (worker 7 is itself sharded)
+WORKER_SECTIONS = [
+    (7, [("Total Accesses", "10"), ("Total kBytes", "2"),
+         ("server_requests_total", "10"),
+         ("server_bytes_sent_total", "2048"),
+         ("server_cache_hit_rate", "0.5"),
+         ('server_errors_total{kind="io"}', "1"),
+         ('server_open_connections{shard="0"}', "2"),
+         ("server_queue_depth", "3"),
+         ("rt_seconds-count", "2"), ("rt_seconds-p50", "0.050000")]),
+    (8, [("Total Accesses", "30"),
+         ("server_requests_total", "30"),
+         ("server_bytes_sent_total", "4096"),
+         ("server_cache_hit_rate", "1"),
+         ('server_errors_total{kind="io"}', "4"),
+         ("server_queue_depth", "NaN"),
+         ("server_state", "draining"),
+         ("rt_seconds-count", "1"), ("rt_seconds-p50", "0.500000")]),
+]
+
+
+def test_merge_status_fields_golden():
+    assert merge_status_fields(WORKER_SECTIONS, "worker") == [
+        # Apache fields recomputed from the totals, not summed
+        ("Total Accesses", "40"),
+        ("CacheHitRate", "0.75"),
+        ("Total kBytes", "6"),
+        # totals: summed, the rate averaged, NaN and text skipped,
+        # histogram lines left out
+        ("server_requests_total", "40"),
+        ("server_bytes_sent_total", "6144"),
+        ("server_cache_hit_rate", "0.75"),
+        ('server_errors_total{kind="io"}', "5"),
+        ('server_open_connections{shard="0"}', "2"),
+        ("server_queue_depth", "3"),
+        ("Workers", "2"),
+        # each section verbatim, re-labelled, derived fields dropped
+        ('server_requests_total{worker="7"}', "10"),
+        ('server_bytes_sent_total{worker="7"}', "2048"),
+        ('server_cache_hit_rate{worker="7"}', "0.5"),
+        ('server_errors_total{kind="io",worker="7"}', "1"),
+        ('server_open_connections{shard="0",worker="7"}', "2"),
+        ('server_queue_depth{worker="7"}', "3"),
+        ('rt_seconds{worker="7"}-count', "2"),
+        ('rt_seconds{worker="7"}-p50', "0.050000"),
+        ('server_requests_total{worker="8"}', "30"),
+        ('server_bytes_sent_total{worker="8"}', "4096"),
+        ('server_cache_hit_rate{worker="8"}', "1"),
+        ('server_errors_total{kind="io",worker="8"}', "4"),
+        ('server_queue_depth{worker="8"}', "NaN"),
+        ('server_state{worker="8"}', "draining"),
+        ('rt_seconds{worker="8"}-count', "1"),
+        ('rt_seconds{worker="8"}-p50', "0.500000"),
+    ]
+
+
+@pytest.mark.parametrize("uptime, head", [
+    (None, ["Total Accesses"]),
+    (0, ["Uptime", "Total Accesses"]),
+    (4.0, ["Uptime", "Total Accesses", "CacheHitRate", "Total kBytes",
+           "ReqPerSec", "BytesPerSec"]),
+])
+def test_merge_status_fields_uptime(uptime, head):
+    fields = merge_status_fields(WORKER_SECTIONS, "worker", uptime=uptime)
+    keys = [key for key, _value in fields]
+    assert keys[:len(head)] == head
+    values = dict(fields)
+    if uptime:
+        assert values["ReqPerSec"] == "10.000"
+        assert values["BytesPerSec"] == "1536.0"
+    else:
+        assert "ReqPerSec" not in values and "BytesPerSec" not in values
+
+
+def test_merge_status_fields_of_shard_registries():
+    fields = merge_status_fields(
+        [(index, status_fields(make_registry())) for index in range(2)],
+        "shard")
+    values = dict(fields)
+    assert values["Shards"] == "2"
+    assert values["Total Accesses"] == "20"
+    assert values['rt_seconds{shard="1"}-count'] == "2"
+    assert "rt_seconds-count" not in values

@@ -1,4 +1,7 @@
-"""Unit tests for EventDispatcher routing and the Acceptor/Connector."""
+"""Unit tests for EventDispatcher routing and the Connector.
+
+The accept side is generated; socket-level tests of generated builds
+cover it (accept and wire, O9 postpone, burst drain)."""
 
 import socket
 import time
@@ -6,15 +9,11 @@ import time
 import pytest
 
 from repro.runtime import (
-    Acceptor,
     Connector,
     EventDispatcher,
     EventKind,
-    ListenHandle,
     NullEventSource,
-    OverloadController,
     QueueEventSource,
-    SocketEventSource,
     TimerEvent,
     UserEvent,
 )
@@ -83,79 +82,6 @@ def test_start_stop_idempotent():
     dispatcher.start()
     dispatcher.stop()
     dispatcher.stop()
-
-
-# -- acceptor --------------------------------------------------------------------
-
-
-def test_acceptor_accepts_and_wires_connection():
-    source = SocketEventSource()
-    listen = ListenHandle()
-    conns = []
-    acceptor = Acceptor(listen, source, on_connection=conns.append)
-    acceptor.open()
-    client = socket.create_connection(("127.0.0.1", listen.port), timeout=2)
-    try:
-        deadline = time.monotonic() + 2
-        while not conns and time.monotonic() < deadline:
-            for event in source.poll(0.05):
-                if event.kind == EventKind.ACCEPT:
-                    acceptor.handle(event)
-        assert len(conns) == 1
-        assert acceptor.accepted == 1
-    finally:
-        client.close()
-        acceptor.close()
-        source.close()
-
-
-def test_acceptor_postpones_when_overloaded():
-    source = SocketEventSource()
-    listen = ListenHandle()
-    conns = []
-    # A watched queue that is permanently over its watermark.
-    from repro.runtime import Watermark
-
-    overload = OverloadController()
-    overload.watch("q", probe=lambda: 100, mark=Watermark(high=20, low=5))
-    acceptor = Acceptor(listen, source, on_connection=conns.append,
-                        overload=overload)
-    acceptor.open()
-    client = socket.create_connection(("127.0.0.1", listen.port), timeout=2)
-    try:
-        deadline = time.monotonic() + 1
-        while time.monotonic() < deadline:
-            for event in source.poll(0.05):
-                if event.kind == EventKind.ACCEPT:
-                    acceptor.handle(event)
-        assert conns == []
-        assert acceptor.postponed > 0
-    finally:
-        client.close()
-        acceptor.close()
-        source.close()
-
-
-def test_acceptor_drains_burst():
-    source = SocketEventSource()
-    listen = ListenHandle()
-    conns = []
-    acceptor = Acceptor(listen, source, on_connection=conns.append)
-    acceptor.open()
-    clients = [socket.create_connection(("127.0.0.1", listen.port), timeout=2)
-               for _ in range(5)]
-    try:
-        deadline = time.monotonic() + 2
-        while len(conns) < 5 and time.monotonic() < deadline:
-            for event in source.poll(0.05):
-                if event.kind == EventKind.ACCEPT:
-                    acceptor.handle(event)
-        assert len(conns) == 5
-    finally:
-        for c in clients:
-            c.close()
-        acceptor.close()
-        source.close()
 
 
 # -- connector -----------------------------------------------------------------------
