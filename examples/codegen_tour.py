@@ -11,9 +11,8 @@ Run:  python examples/codegen_tour.py
 import difflib
 
 from repro.co2p3s.crosscut import empirical_matrix, format_matrix
-from repro.co2p3s.nserver import (ALL_FEATURES_ON, DEGRADATION_TOGGLE_BASE,
-                                  DEPLOYMENT_TOGGLE_BASE, NSERVER,
-                                  POOL_TOGGLE_BASE)
+from repro.co2p3s.nserver import (ALL_FEATURES_ON, DEPLOYMENT_TOGGLE_BASE,
+                                  NSERVER, POOL_TOGGLE_BASE)
 
 
 def main() -> None:
@@ -45,7 +44,6 @@ def main() -> None:
     print()
     matrix = empirical_matrix(NSERVER, ALL_FEATURES_ON,
                               extra_bases=(POOL_TOGGLE_BASE,
-                                           DEGRADATION_TOGGLE_BASE,
                                            DEPLOYMENT_TOGGLE_BASE))
     print(format_matrix(matrix, title="Empirical crosscut matrix (Table 2):"))
 

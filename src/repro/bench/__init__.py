@@ -12,12 +12,12 @@ Schema (version 1)::
 
     {
       "schema_version": 1,
-      "name": "shards",                  # suite name
+      "name": "procs",                   # suite name
       "created": 1754000000.0,           # unix timestamp of the run
       "smoke": false,                    # shrunk smoke workload?
       "machine": {"python": ..., "platform": ..., "machine": ...,
                   "cpus": ...},
-      "options": {"O14": [1, 4]},        # template option axes exercised
+      "options": {"O16": [1, 4]},        # template option axes exercised
       "benchmarks": [                    # one entry per benchmark test
         {"test": "...", "params": {...}, "extra": {...},
          "samples": [s0, s1, ...],       # per-round wall seconds
@@ -25,8 +25,8 @@ Schema (version 1)::
                    "stddev": ..., "rounds": ...}},
         ...
       ],
-      "derived": {"shard_speedup_4v1": 1.7},  # machine-portable ratios
-      "smoke_derived": {"shard_speedup_4v1": 0.7}   # optional: the same
+      "derived": {"procs_speedup_4v1": 1.7},  # machine-portable ratios
+      "smoke_derived": {"procs_speedup_4v1": 0.7}   # optional: the same
                                          # ratios under the shrunk smoke
                                          # workload, the baseline smoke
                                          # runs gate against
@@ -67,7 +67,7 @@ SCHEMA_VERSION = 1
 #: default regression threshold: a derived ratio may shrink to this
 #: fraction of its committed baseline before the gate trips.  Generous
 #: on purpose — CI machines are noisy; a real regression (the zero-copy
-#: path quietly copying again, shards serialising on a new lock)
+#: path quietly copying again, workers serialising on a new lock)
 #: collapses the ratio toward 1.0, far past any scheduler jitter.
 DEFAULT_RATIO_FLOOR = 0.5
 
@@ -102,14 +102,6 @@ def _group_means(benchmarks: Sequence[Mapping], key: str
         sums.setdefault(value, []).append(bench["stats"]["mean"])
     return {value: sum(means) / len(means)
             for value, means in sums.items() if means}
-
-
-def _derived_shards(benchmarks: Sequence[Mapping]) -> Dict[str, float]:
-    """4-shard speedup over 1 shard on the same host and workload."""
-    means = _group_means(benchmarks, "shards")
-    if 1 in means and 4 in means and means[4] > 0:
-        return {"shard_speedup_4v1": means[1] / means[4]}
-    return {}
 
 
 def _derived_procs(benchmarks: Sequence[Mapping]) -> Dict[str, float]:
@@ -183,11 +175,6 @@ class Suite:
 
 SUITES: Dict[str, Suite] = {
     suite.name: suite for suite in (
-        Suite(name="shards",
-              file="bench_shards.py",
-              options={"O14": (1, 4)},
-              derive=_derived_shards,
-              smoke_deselect=("test_shard_scaling_simulated",)),
         Suite(name="procs",
               file="bench_procs.py",
               options={"O16": (1, 4)},
@@ -341,7 +328,7 @@ def compare_reports(current: Mapping, baseline: Mapping,
     Derived ratios gate unconditionally — they are the machine-portable
     signal.  A smoke run compares against the baseline's
     ``smoke_derived`` ratios when it has them (shrunk workloads shift
-    the ratios systematically — 4 shards *lose* on a 20-request burst —
+    the ratios systematically — 4 workers *lose* on a 20-request burst —
     so smoke gates against smoke).  Absolute per-test means gate only
     between two full runs on an identical machine fingerprint, where
     "no slower than ``1/ratio_floor`` times the baseline" is

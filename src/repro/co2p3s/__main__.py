@@ -24,7 +24,6 @@ from repro.co2p3s.nserver import (  # noqa: F401  (registration side effect)
     ALL_FEATURES_ON,
     COPS_FTP_OPTIONS,
     COPS_HTTP_OPTIONS,
-    DEGRADATION_TOGGLE_BASE,
     NSERVER,
     POOL_TOGGLE_BASE,
 )
@@ -83,8 +82,7 @@ def cmd_generate(args) -> int:
 
 def cmd_crosscut(args) -> int:
     template = get_template(args.template)
-    extra = ((POOL_TOGGLE_BASE, DEGRADATION_TOGGLE_BASE)
-             if args.template == "n-server" else ())
+    extra = ((POOL_TOGGLE_BASE,) if args.template == "n-server" else ())
     base = ALL_FEATURES_ON if args.template == "n-server" else None
     matrix = empirical_matrix(template, base, extra_bases=extra)
     print(format_matrix(matrix, title=f"Crosscut matrix for {args.template}"))

@@ -18,9 +18,7 @@ from repro.co2p3s.nserver.options import (
     COPS_HTTP_OVERLOAD_OPTIONS,
     COPS_HTTP_RESILIENCE_OPTIONS,
     COPS_HTTP_SCHEDULING_OPTIONS,
-    COPS_HTTP_SHARDED_OPTIONS,
     COPS_HTTP_ZEROCOPY_OPTIONS,
-    DEGRADATION_TOGGLE_BASE,
     DEPLOYMENT_TOGGLE_BASE,
     NSERVER_OPTION_SPECS,
     POOL_TOGGLE_BASE,
@@ -49,9 +47,7 @@ __all__ = [
     "COPS_HTTP_OVERLOAD_OPTIONS",
     "COPS_HTTP_RESILIENCE_OPTIONS",
     "COPS_HTTP_SCHEDULING_OPTIONS",
-    "COPS_HTTP_SHARDED_OPTIONS",
     "COPS_HTTP_ZEROCOPY_OPTIONS",
-    "DEGRADATION_TOGGLE_BASE",
     "DEPLOYMENT_TOGGLE_BASE",
     "NSERVER",
     "NSERVER_MODULES",

@@ -1,8 +1,8 @@
 """Substitution context for the N-Server template.
 
 Maps the options (the paper's twelve plus the O13 fault-tolerance,
-O14 reactor-shards, O15 write-path and O17 degradation extensions) to
-the ``$parameter`` values the fragments use.
+O15 write-path, O16 deployment, O17 degradation and O18 poller
+extensions) to the ``$parameter`` values the fragments use.
 Option-disabled instrumentation lines expand to :data:`OMIT`, which the
 fragment renderer deletes — this is the crosscutting weave: a feature's
 call sites exist in the generated text only when its option is on.
@@ -31,7 +31,6 @@ def build_context(o: OptionSet) -> Dict[str, Any]:
     cache = o["O6"]
     dynamic = o["O5"] == "Dynamic"
     resilient = bool(o["O13"])
-    sharded = int(o["O14"]) > 1
     multiproc = int(o["O16"]) > 1
     zerocopy = o["O15"] == "zerocopy"
     degradation = bool(o["O17"])
@@ -78,12 +77,8 @@ def build_context(o: OptionSet) -> Dict[str, Any]:
         'are generated")')
 
     # -- processing module ----------------------------------------------------
-    # With reactor shards (O14>1) the ACCEPT route goes through the
-    # Sharding component; the lambda defers the attribute lookup, since
-    # ``reactor.sharding`` is assigned after the Reactors are built.
     ctx["accept_target"] = (
-        "(lambda event: reactor.sharding.accept(event))" if sharded
-        else "reactor.acceptor_event_handler.handle_guarded" if overload
+        "reactor.acceptor_event_handler.handle_guarded" if overload
         else "reactor.acceptor_event_handler.handle")
     ctx["completion_route_pool"] = on(
         async_io, "self.route(EventKind.COMPLETION, reactor.submit_completion)")
@@ -298,10 +293,13 @@ def build_context(o: OptionSet) -> Dict[str, Any]:
     ctx["make_poller_component"] = on(epoll, "self.poller = Poller(self)")
     ctx["socket_source_args"] = "poller=self.poller.backend" if epoll else ""
     # Early-stopped accept drains re-post the listener under the
-    # edge-triggered backend; the level-triggered shape re-reports the
-    # backlog on every poll and needs no call site at all.
-    ctx["accept_repost"] = on(
-        epoll, "self.reactor.poller.repost_accept(listen)")
+    # edge-triggered backend.  O18=select leaves the backend to the
+    # runtime (epoll on Linux), so the socket source re-posts whenever
+    # the backend it resolved needs it; a level-triggered one re-reports
+    # the backlog on every poll by itself.
+    ctx["accept_repost"] = (
+        "self.reactor.poller.repost_accept(listen)" if epoll
+        else "self.reactor.socket_source.rearm_listener(listen)")
     ctx["accept_batch_init"] = on(epoll, "taken = 0")
     ctx["accept_batch_check"] = on(
         epoll, "if taken >= self.reactor.configuration.accept_batch: "
@@ -323,11 +321,8 @@ def build_context(o: OptionSet) -> Dict[str, Any]:
     ctx["start_controller"] = on(pool and dynamic,
                                  "self.processor_controller.start()")
     ctx["start_file_io"] = on(async_io, "self.file_io.start()")
-    # Non-primary shards have no listening endpoint to report.
     ctx["log_started"] = on(
         logging,
-        'self.log.info(f"reactor shard {self.shard_id} started")'
-        if sharded else
         'self.log.info(f"server listening on port '
         '{self.server_component.port}")')
     ctx["stop_controller"] = on(pool and dynamic,
@@ -376,12 +371,12 @@ def build_context(o: OptionSet) -> Dict[str, Any]:
         profiling, "self.reactor.profiler.accept_error()")
     ctx["log_accept_error"] = on(
         logging, 'self.reactor.log.error(f"accept error: {exc!r}")')
-    # After an accept backoff the backlog is still queued: the
-    # level-triggered source reports it again, the edge-triggered one
+    # After an accept backoff the backlog is still queued: a
+    # level-triggered source reports it again, an edge-triggered one
     # only once the listener is re-posted ($accept_repost).
     ctx["accept_backoff_resume"] = (
         "the listener is re-posted" if epoll
-        else "the level-triggered source re-fires")
+        else "the listener is re-armed")
     ctx["make_resilience"] = on(resilient, "self.resilience = Resilience(self)")
     # Wheel-backed deadline arming: a watched connection costs O(1) per
     # re-arm instead of a full scan per monitor interval.
@@ -417,74 +412,26 @@ def build_context(o: OptionSet) -> Dict[str, Any]:
         'getattr(handle, "trace_id", 0) if handle is not None else 0'
         if profiling else "0")
 
-    # -- sharding module (O14) ----------------------------------------------------
-    ctx["shard_count"] = str(int(o["O14"]))
-    ctx["reactor_init_params"] = ", shard_id=0, listen=True" if sharded else ""
-    ctx["reactor_set_shard_id"] = on(sharded, "self.shard_id = shard_id")
-    ctx["reactor_server_component_args"] = ", listen=listen" if sharded else ""
-    ctx["reactor_start_params"] = ", open_listener=True" if sharded else ""
-    ctx["open_server_component"] = (
-        "if open_listener: self.server_component.open()" if sharded
-        else "self.server_component.open()")
-    ctx["server_component_init_params"] = ", listen=True" if sharded else ""
+    # -- deployment module (O16) --------------------------------------------
     # At O16>1 the server component runs inside a worker process and
     # adopts the supervisor's shared SO_REUSEPORT socket instead of
     # binding its own (a worker build run outside a supervisor still
     # binds, with SO_REUSEPORT, so the generated package stands alone).
-    listen_expr = (
+    ctx["server_component_listen_expr"] = (
         "rt.worker_listen_handle(configuration, handle_cls=Handle)"
         if multiproc else
         "rt.ListenHandle(configuration.host, configuration.port, "
         "configuration.backlog, handle_cls=Handle)")
-    ctx["server_component_listen_expr"] = (
-        f"({listen_expr} if listen else None)" if sharded else listen_expr)
-    ctx["close_idempotent_guard"] = (
-        "if self.listen is None or self.listen.closed:" if sharded
-        else "if self.listen.closed:")
-    ctx["arm_idle_timer"] = ctx["server_open_idle_timer"]
-    ctx["arm_obs_timer"] = ctx["server_open_obs_timer"]
     ctx["server_make_reactor"] = (
         "self.deployment = Deployment(configuration, hooks)" if multiproc
-        else "self.sharding = Sharding(configuration, hooks)" if sharded
         else "self.reactor = Reactor(configuration, hooks)")
-    ctx["server_bind_primary"] = on(
-        sharded and not multiproc, "self.reactor = self.sharding.primary")
     ctx["server_start_call"] = ("self.deployment.start()" if multiproc
-                                else "self.sharding.start()" if sharded
                                 else "self.reactor.start()")
     ctx["server_stop_call"] = ("self.deployment.stop()" if multiproc
-                               else "self.sharding.stop()" if sharded
                                else "self.reactor.stop()")
     ctx["server_drain_call"] = (
         "return self.deployment.drain(timeout)" if multiproc
-        else "return self.sharding.drain(timeout)" if sharded
         else "return self.reactor.drain(timeout)")
-    ctx["shard_accept_gate"] = on(
-        overload,
-        "if not any(s.overload.accepting() for s in self.shards): return")
-    ctx["shard_try_accept_expr"] = (
-        "self.primary.resilience.safe_accept(listen)" if resilient
-        else "listen.try_accept()")
-    ctx["shard_reroute_overloaded"] = on(
-        overload, "if not shard.overload.accepting(): shard = min("
-                  "(s for s in self.shards if s.overload.accepting()), "
-                  "key=lambda s: (len(s.container), s.shard_id))")
-    ctx["shard_overload_opened"] = on(
-        overload, "shard.overload.connection_opened()")
-    # The placement evidence: one flight event per placed connection,
-    # next to the accept event the listen handle recorded.  It names
-    # the trace id, so only builds with the tracing plane (O11) carry it.
-    ctx["shard_record_adopt"] = on(
-        profiling, 'listen.flight.record("adopt", f"shard={shard.shard_id} '
-                   '{handle.name}", handle.trace_id)')
-    ctx["shard_log_accept"] = on(
-        logging, 'self.primary.log.info(f"accepted {handle.name} '
-                 '-> shard {shard.shard_id}")')
-    ctx["shard_log_drain"] = on(
-        logging, 'self.primary.log.info(f"draining {len(self.shards)} '
-                 'shards (timeout={timeout}s)")')
-
-    # -- deployment module (O16) --------------------------------------------
     ctx["proc_count"] = str(int(o["O16"]))
     ctx["server_port_expr"] = (
         "self.deployment.port" if multiproc
@@ -497,11 +444,5 @@ def build_context(o: OptionSet) -> Dict[str, Any]:
         'worker processes")'
         if multiproc else
         "return self.reactor.client_component.connect(client_configuration)")
-    ctx["worker_make_server"] = (
-        "self.server = Sharding(configuration, hooks)" if sharded
-        else "self.server = Reactor(configuration, hooks)")
-    ctx["worker_port_expr"] = (
-        "self.server.primary.server_component.port" if sharded
-        else "self.server.server_component.port")
 
     return ctx

@@ -33,7 +33,6 @@ from repro.co2p3s.nserver.mod_poller import MODULE_POLLER
 from repro.co2p3s.nserver.mod_processing import MODULE_CACHE, MODULE_PROCESSING
 from repro.co2p3s.nserver.mod_reactor import MODULE_REACTOR, MODULE_SERVER
 from repro.co2p3s.nserver.mod_resilience import MODULE_RESILIENCE
-from repro.co2p3s.nserver.mod_sharding import MODULE_SHARDING
 from repro.co2p3s.nserver.options import NSERVER_OPTION_SPECS
 
 __all__ = ["NServerTemplate", "NSERVER", "NSERVER_MODULES"]
@@ -56,7 +55,6 @@ NSERVER_MODULES = (
     MODULE_DEGRADATION,
     MODULE_COMMUNICATION,
     MODULE_REACTOR,
-    MODULE_SHARDING,
     MODULE_DEPLOYMENT,
     MODULE_SERVER,
 )

@@ -1,6 +1,6 @@
 """N-Server template: the ``buffers`` module (option O15).
 
-Third structural extension, following O13/O14: when O15=zerocopy the
+Third structural extension, following O13: when O15=zerocopy the
 template generates a ``Buffers`` component that owns the reactor's
 size-classed header :class:`~repro.runtime.buffers.BufferPool` and
 vends the segmented :class:`~repro.runtime.buffers.OutBuffer` every
@@ -40,8 +40,8 @@ MODULE_BUFFERS = ModuleSpec(
         ClassSpec(
             name="Buffers",
             doc="Owns the write-path buffers: one header pool per "
-                "reactor (per shard under O14>1), and an OutBuffer "
-                "factory for accepted handles.",
+                "reactor, and an OutBuffer factory for accepted "
+                "handles.",
             exists=_zerocopy,
             exists_options=("O15",),
             fragments=[

@@ -4,7 +4,7 @@ Table 2 rows covered (all '+' entries, i.e. body-altering options):
 
 =======================  ============================
 Communicator Component   O3 O7 O8 O11 O15
-Server Component         O3 O7 O10 O11 O12 O14 O15 O16
+Server Component         O3 O7 O10 O11 O12 O15 O16
 Client Component         O3 O7 O10 O12
 Server Event Handler     O7 O10 O11
 Connector Event Handler  O3 O10 O11 O12
@@ -12,7 +12,7 @@ Acceptor Event Handler   O3 O9 O10 O11 O12 O13 O17
 Container Component      O7 O10 O11 O12
 Application Event Handler O7 O10 O11
 Client Configuration     O3 O10
-Server Configuration     O10 O11 O13 O14 O15 O16 O17
+Server Configuration     O10 O11 O13 O15 O16 O17
 =======================  ============================
 """
 
@@ -37,10 +37,6 @@ def _debug(o):
 
 def _production(o):
     return o["O10"] == "Production"
-
-
-def _sharded(o):
-    return int(o["O14"]) > 1
 
 
 def _multiproc(o):
@@ -152,7 +148,7 @@ MODULE_COMMUNICATION = ModuleSpec(
                 ),
                 Fragment(
                     '''
-                    def __init__(self, reactor, configuration$server_component_init_params):
+                    def __init__(self, reactor, configuration):
                         self.reactor = reactor
                         self.configuration = configuration
                         self.listen = $server_component_listen_expr
@@ -161,7 +157,7 @@ MODULE_COMMUNICATION = ModuleSpec(
                     def port(self):
                         return self.listen.port
                     ''',
-                    options=("O14", "O16"),
+                    options=("O16",),
                 ),
                 Fragment(
                     '''
@@ -174,23 +170,12 @@ MODULE_COMMUNICATION = ModuleSpec(
 
                     def close(self):
                         # Idempotent: shutdown paths may close twice.
-                        $close_idempotent_guard
+                        if self.listen.closed:
                             return
                         self.reactor.socket_source.deregister(self.listen)
                         self.listen.close()
                     ''',
-                    options=("O7", "O10", "O11", "O12", "O14"),
-                ),
-                Fragment(
-                    '''
-                    def arm_timers(self):
-                        """Arm the periodic timers on a reactor that never
-                        opens a listening endpoint — the Sharding component
-                        calls this for every non-primary shard (option O14)."""
-                        $arm_idle_timer
-                        $arm_obs_timer
-                    ''',
-                    guard=_sharded, options=("O7", "O11", "O14"),
+                    options=("O7", "O10", "O11", "O12"),
                 ),
                 Fragment(
                     '''
@@ -609,15 +594,6 @@ MODULE_COMMUNICATION = ModuleSpec(
                     trace_ring_capacity = 256
                     ''',
                     guard=_o("O11"), options=("O11",),
-                ),
-                Fragment(
-                    '''
-                    # Connection-placement policy of the reactor shards
-                    # (option O14>1): "round-robin", "least-connections"
-                    # or "connection-hash".
-                    shard_policy = "round-robin"
-                    ''',
-                    guard=_sharded, options=("O14",),
                 ),
                 Fragment(
                     '''

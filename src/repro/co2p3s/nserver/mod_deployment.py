@@ -1,10 +1,9 @@
 """N-Server template: the ``deployment`` module (option O16).
 
-Extends the template with a declared multi-process option, following
-the O14 sharding extension one level up: when O16>1 the template
-generates a ``Deployment`` component that runs N worker *processes*
-(each a fresh interpreter executing its own, possibly O14-sharded,
-reactor) accepting from one shared ``SO_REUSEPORT`` listening socket,
+Extends the template with a declared multi-process option: when O16>1
+the template generates a ``Deployment`` component that runs N worker
+*processes* (each a fresh interpreter executing its own reactor)
+accepting from one shared ``SO_REUSEPORT`` listening socket,
 plus the ``Worker`` adapter each child process builds.  Crash respawn,
 SIGHUP rolling restarts and the cross-process stats plane live in the
 runtime's ``ProcessSupervisor``; the generated component only carries
@@ -17,10 +16,9 @@ Table 2 extension rows:
 Deployment  exists iff O16>1; body depends on O11 (cluster-wide
             aggregated status fields) and O13 (the cross-process
             drain barrier)
-Worker      exists iff O16>1; body depends on O14 (the per-process
-            server is a single Reactor or a Sharding fan-out), O11
-            (per-worker status fields the supervisor aggregates)
-            and O13 (graceful per-worker drain)
+Worker      exists iff O16>1; body depends on O11 (per-worker status
+            fields the supervisor aggregates) and O13 (graceful
+            per-worker drain)
 ==========  ======================================================
 """
 
@@ -39,10 +37,6 @@ def _multiproc(o):
     return int(o["O16"]) > 1
 
 
-def _sharded(o):
-    return int(o["O14"]) > 1
-
-
 MODULE_DEPLOYMENT = ModuleSpec(
     name="deployment",
     doc="Multi-process deployment generated by option O16: N worker "
@@ -51,13 +45,9 @@ MODULE_DEPLOYMENT = ModuleSpec(
         "process supervisor.",
     imports=[
         Fragment("from repro import obs",
-                 guard=lambda o: bool(o["O11"]) and not _sharded(o),
-                 options=("O11", "O14")),
+                 guard=_o("O11"), options=("O11",)),
         Fragment("from repro import runtime as rt"),
-        Fragment("from $package.reactor import Reactor",
-                 guard=lambda o: not _sharded(o), options=("O14",)),
-        Fragment("from $package.sharding import Sharding",
-                 guard=_sharded, options=("O14",)),
+        Fragment("from $package.reactor import Reactor"),
     ],
     classes=[
         ClassSpec(
@@ -149,19 +139,18 @@ MODULE_DEPLOYMENT = ModuleSpec(
                     def __init__(self, hooks, configuration):
                         self.configuration = configuration
                         self.hooks = hooks
-                        $worker_make_server
+                        self.server = Reactor(configuration, hooks)
 
                     @property
                     def port(self):
-                        return $worker_port_expr
+                        return self.server.server_component.port
 
                     def start(self):
                         self.server.start()
 
                     def stop(self):
                         self.server.stop()
-                    ''',
-                    options=("O14",),
+                    '''
                 ),
                 Fragment(
                     '''
@@ -183,20 +172,7 @@ MODULE_DEPLOYMENT = ModuleSpec(
                             self.server.observability.registry,
                             uptime=self.server.observability.uptime())
                     ''',
-                    guard=lambda o: bool(o["O11"]) and not _sharded(o),
-                    options=("O11", "O14"),
-                ),
-                Fragment(
-                    '''
-                    def status_fields(self):
-                        """This worker's status fields aggregated across
-                        its reactor shards (options O11 and O14); the
-                        supervisor aggregates them across the
-                        deployment."""
-                        return self.server.status_fields()
-                    ''',
-                    guard=lambda o: bool(o["O11"]) and _sharded(o),
-                    options=("O11", "O14"),
+                    guard=_o("O11"), options=("O11",),
                 ),
             ],
         ),

@@ -14,7 +14,6 @@ Table 2 extension row:
 Observability  exists iff O11; body depends on O2 (pool probes),
                O6 (cache hit-rate probe), O9 (overload probes),
                O10 (span events mirrored into the debug tracer),
-               O14 (status report aggregated across reactor shards),
                O15 (header buffer pool hit-rate probe), O16 (status
                report aggregated across worker processes through the
                supervisor's stats socket) and O17 (shed-total,
@@ -31,14 +30,6 @@ __all__ = ["MODULE_OBSERVABILITY"]
 
 def _o(key):
     return lambda o: bool(o[key])
-
-
-def _sharded(o):
-    return int(o["O14"]) > 1
-
-
-def _single(o):
-    return int(o["O14"]) == 1
 
 
 def _multiproc(o):
@@ -126,23 +117,7 @@ MODULE_OBSERVABILITY = ModuleSpec(
                             return obs.render_status_auto(fields)
                         return obs.render_status_html(fields)
                     ''',
-                    guard=lambda o: _single(o) and not _multiproc(o),
-                    options=("O14", "O16"),
-                ),
-                Fragment(
-                    '''
-                    def status_report(self, auto=False):
-                        """mod_status-style report aggregated across the
-                        reactor shards (option O14): summed totals first,
-                        then every per-shard gauge re-labelled
-                        ``shard="i"``."""
-                        fields = self.reactor.sharding.status_fields()
-                        if auto:
-                            return obs.render_status_auto(fields)
-                        return obs.render_status_html(fields)
-                    ''',
-                    guard=lambda o: _sharded(o) and not _multiproc(o),
-                    options=("O14", "O16"),
+                    guard=lambda o: not _multiproc(o), options=("O16",),
                 ),
                 Fragment(
                     '''
@@ -161,26 +136,7 @@ MODULE_OBSERVABILITY = ModuleSpec(
                             return obs.render_status_auto(fields)
                         return obs.render_status_html(fields)
                     ''',
-                    guard=lambda o: _single(o) and _multiproc(o),
-                    options=("O14", "O16"),
-                ),
-                Fragment(
-                    '''
-                    def status_report(self, auto=False):
-                        """mod_status-style report aggregated across the
-                        worker processes (option O16), each of which
-                        aggregates its own reactor shards (option O14);
-                        outside a supervisor this worker build falls
-                        back to its shard-aggregated fields."""
-                        fields = rt.cluster_status_fields()
-                        if fields is None:
-                            fields = self.reactor.sharding.status_fields()
-                        if auto:
-                            return obs.render_status_auto(fields)
-                        return obs.render_status_html(fields)
-                    ''',
-                    guard=lambda o: _sharded(o) and _multiproc(o),
-                    options=("O14", "O16"),
+                    guard=_multiproc, options=("O16",),
                 ),
                 Fragment(
                     '''
@@ -188,21 +144,7 @@ MODULE_OBSERVABILITY = ModuleSpec(
                         """Recent finished request spans, one line per
                         trace (the ``/server-status?trace`` surface)."""
                         return obs.render_trace_report(self.exporter.records())
-                    ''',
-                    guard=_single, options=("O14",),
-                ),
-                Fragment(
                     '''
-                    def trace_report(self):
-                        """Recent finished request spans merged across
-                        the reactor shards (option O14), one line per
-                        trace (the ``/server-status?trace`` surface)."""
-                        records = []
-                        for shard in self.reactor.sharding.shards:
-                            records.extend(shard.observability.exporter.records())
-                        return obs.render_trace_report(records, sharded=True)
-                    ''',
-                    guard=_sharded, options=("O14",),
                 ),
             ],
         ),

@@ -1,6 +1,6 @@
 """N-Server template: the ``poller`` module (option O18).
 
-Fifth structural extension, following O13/O14/O15/O17: when O18=epoll
+Fifth structural extension, following O13/O15/O17: when O18=epoll
 the template generates a ``Poller`` component that pins the Reactor's
 readiness selection to the edge-triggered Linux epoll backend
 (:func:`repro.runtime.make_poller`) — O(ready) per wait instead of
@@ -45,7 +45,7 @@ MODULE_POLLER = ModuleSpec(
             name="Poller",
             doc="Owns the edge-triggered epoll backend the Reactor's "
                 "socket event source selects on (one instance per "
-                "reactor — per shard under O14>1).",
+                "reactor).",
             exists=_epoll,
             exists_options=("O18",),
             fragments=[

@@ -154,7 +154,7 @@ MODULE_PROCESSING = ModuleSpec(
                         self.route(EventKind.TIMER, reactor.server_event_handler.handle)
                         self.route(EventKind.USER, reactor.application_event_handler.handle)
                     ''',
-                    guard=_o("O2"), options=("O2", "O4", "O9", "O14"),
+                    guard=_o("O2"), options=("O2", "O4", "O9"),
                 ),
                 Fragment(
                     '''
@@ -170,7 +170,7 @@ MODULE_PROCESSING = ModuleSpec(
                         self.route(EventKind.USER, reactor.application_event_handler.handle)
                     ''',
                     guard=lambda o: not o["O2"],
-                    options=("O2", "O4", "O9", "O14"),
+                    options=("O2", "O4", "O9"),
                 ),
                 Fragment(
                     '''

@@ -3,15 +3,14 @@
 Table 2 rows covered:
 
 ========  =========================================================
-Reactor   body depends on O1 O2 O4 O5 O6 O8 O9 O10 O11 O12 O13 O14
-          O15 O17 O18 (NOT O3 — step handlers are installed by the
+Reactor   body depends on O1 O2 O4 O5 O6 O8 O9 O10 O11 O12 O13 O15
+          O17 O18 (NOT O3 — step handlers are installed by the
           handlers module's ``install_step_handlers``; NOT O7 — idle
           wiring lives in ServerComponent / ServerEventHandler /
           Container)
-Server    body depends on O3, O13 (the ``drain`` facade method), O14
-          (delegation to the Sharding component) and O16 (delegation
-          to the Deployment component, plus the ``rolling_restart``
-          facade)
+Server    body depends on O3, O13 (the ``drain`` facade method) and
+          O16 (delegation to the Deployment component, plus the
+          ``rolling_restart`` facade)
 ========  =========================================================
 """
 
@@ -40,10 +39,6 @@ def _async(o):
 
 def _sync(o):
     return o["O4"] == "Synchronous"
-
-
-def _sharded(o):
-    return int(o["O14"]) > 1
 
 
 def _multiproc(o):
@@ -102,10 +97,9 @@ MODULE_REACTOR = ModuleSpec(
                 # -- construction ------------------------------------------
                 Fragment(
                     '''
-                    def __init__(self, configuration, hooks$reactor_init_params):
+                    def __init__(self, configuration, hooks):
                         self.configuration = configuration
                         self.hooks = hooks
-                        $reactor_set_shard_id
                         self.clock = time.monotonic
                         $make_tracer
                         $make_log
@@ -130,7 +124,7 @@ MODULE_REACTOR = ModuleSpec(
                         self.application_event_handler = ApplicationEventHandler(self)
                         self.connector_event_handler = ConnectorEventHandler(self)
                         self.client_component = ClientComponent(self)
-                        self.server_component = ServerComponent(self, configuration$reactor_server_component_args)
+                        self.server_component = ServerComponent(self, configuration)
                         self.dispatcher = EventDispatcher(self, threads=$dispatcher_threads_expr)
                         $enable_dispatch_profiling
                         $enable_cache_profiling
@@ -143,8 +137,8 @@ MODULE_REACTOR = ModuleSpec(
                     # $make_degradation sits between the overload
                     # controller it upgrades and the file I/O it breaks.
                     options=("O1", "O2", "O4", "O5", "O6", "O8", "O9",
-                             "O10", "O11", "O12", "O13", "O14", "O15",
-                             "O17", "O18"),
+                             "O10", "O11", "O12", "O13", "O15", "O17",
+                             "O18"),
                 ),
                 # -- connection plumbing -------------------------------------
                 Fragment(
@@ -275,8 +269,8 @@ MODULE_REACTOR = ModuleSpec(
                 # -- lifecycle ----------------------------------------------------
                 Fragment(
                     '''
-                    def start(self$reactor_start_params):
-                        $open_server_component
+                    def start(self):
+                        self.server_component.open()
                         $start_processor
                         $start_controller
                         $start_file_io
@@ -304,7 +298,7 @@ MODULE_REACTOR = ModuleSpec(
                     # adaptive control loop stops before anything else so
                     # it never retunes a dismantling server.
                     options=("O2", "O4", "O5", "O10", "O11", "O12", "O13",
-                             "O14", "O17"),
+                             "O17"),
                 ),
                 Fragment(
                     '''
@@ -349,11 +343,7 @@ MODULE_SERVER = ModuleSpec(
     imports=[
         Fragment("from $package.communication import ServerConfiguration"),
         Fragment("from $package.reactor import Reactor",
-                 guard=lambda o: not _sharded(o) and not _multiproc(o),
-                 options=("O14", "O16")),
-        Fragment("from $package.sharding import Sharding",
-                 guard=lambda o: _sharded(o) and not _multiproc(o),
-                 options=("O14", "O16")),
+                 guard=lambda o: not _multiproc(o), options=("O16",)),
         Fragment("from $package.deployment import Deployment",
                  guard=_multiproc, options=("O16",)),
     ],
@@ -379,7 +369,6 @@ MODULE_SERVER = ModuleSpec(
                         self.configuration = configuration
                         self.hooks = hooks
                         $server_make_reactor
-                        $server_bind_primary
 
                     @property
                     def port(self):
@@ -402,7 +391,7 @@ MODULE_SERVER = ModuleSpec(
                     def __exit__(self, *exc_info):
                         self.stop()
                     ''',
-                    options=("O14", "O16"),
+                    options=("O16",),
                 ),
                 Fragment(
                     '''
@@ -410,7 +399,7 @@ MODULE_SERVER = ModuleSpec(
                         """Gracefully drain in-flight work, then stop."""
                         $server_drain_call
                     ''',
-                    guard=_o("O13"), options=("O13", "O14", "O16"),
+                    guard=_o("O13"), options=("O13", "O16"),
                 ),
                 Fragment(
                     '''

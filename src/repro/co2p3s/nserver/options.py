@@ -21,7 +21,6 @@ __all__ = [
     "COPS_HTTP_RESILIENCE_OPTIONS",
     "COPS_HTTP_SCHEDULING_OPTIONS",
     "COPS_HTTP_OVERLOAD_OPTIONS",
-    "COPS_HTTP_SHARDED_OPTIONS",
     "COPS_HTTP_ZEROCOPY_OPTIONS",
     "COPS_HTTP_DEGRADATION_OPTIONS",
     "COPS_HTTP_EPOLL_OPTIONS",
@@ -80,13 +79,6 @@ NSERVER_OPTION_SPECS = (
     OptionSpec(key="O13", name="Fault tolerance",
                describe_values="Yes/No", default=False,
                values=(True, False)),
-    # Second structural extension: multi-reactor sharding — N reactors
-    # (each with its own event sources, processors and scheduler queue)
-    # behind the primary reactor's single listening endpoint.  O14=1 is
-    # the paper's single-reactor shape and emits zero sharding code.
-    OptionSpec(key="O14", name="Reactor shards",
-               describe_values="1, 2, 4 or 8", default=1,
-               values=(1, 2, 4, 8)),
     # Third structural extension: the response write path.  "zerocopy"
     # generates a Buffers component (shared size-classed header pool)
     # plus segmented scatter-gather out-buffers per connection;
@@ -96,8 +88,8 @@ NSERVER_OPTION_SPECS = (
                describe_values="buffered/zerocopy", default="buffered",
                values=("buffered", "zerocopy")),
     # Sixth structural extension: multi-process deployment — N worker
-    # processes (each a fresh interpreter running its own, possibly
-    # O14-sharded, reactor) accepting from one shared SO_REUSEPORT
+    # processes (each a fresh interpreter running its own reactor)
+    # accepting from one shared SO_REUSEPORT
     # listening socket under a ProcessSupervisor with crash respawn
     # and SIGHUP rolling restarts.  O16=1 is the paper's
     # single-process shape and emits zero deployment code.
@@ -139,7 +131,6 @@ COPS_FTP_OPTIONS: Dict[str, object] = {
     "O11": False,
     "O12": False,
     "O13": False,
-    "O14": 1,
     "O15": "buffered",
 }
 
@@ -158,7 +149,6 @@ COPS_HTTP_OPTIONS: Dict[str, object] = {
     "O11": False,
     "O12": False,
     "O13": False,
-    "O14": 1,
     "O15": "buffered",
 }
 
@@ -178,10 +168,6 @@ COPS_HTTP_OBSERVABILITY_OPTIONS = dict(COPS_HTTP_OPTIONS, O11=True)
 #: drain, with the resilience counters on ``/server-status``.
 COPS_HTTP_RESILIENCE_OPTIONS = dict(
     COPS_HTTP_OBSERVABILITY_OPTIONS, O13=True)
-
-#: COPS-HTTP sharded across four reactors (O11+O13+O14): the Fig 3
-#: shard-count sweep shape — observable, resilient, multi-reactor.
-COPS_HTTP_SHARDED_OPTIONS = dict(COPS_HTTP_RESILIENCE_OPTIONS, O14=4)
 
 #: COPS-HTTP on the zero-copy write path (O15=zerocopy): pooled header
 #: buffers, cached bodies referenced as memoryview segments, and a
@@ -217,7 +203,6 @@ ALL_FEATURES_ON: Dict[str, object] = {
     "O11": True,
     "O12": True,
     "O13": True,
-    "O14": 2,
     "O15": "zerocopy",
     "O16": 2,
     "O17": True,
@@ -226,26 +211,14 @@ ALL_FEATURES_ON: Dict[str, object] = {
 
 #: Secondary crosscut base: with scheduling / overload / dynamic threads
 #: off, O2 (the thread pool itself) becomes legal to toggle — needed to
-#: observe the O2 column of Table 2 empirically.  O14=1 here so the
-#: single-reactor accept path is observable too (at O14>1 the ACCEPT
-#: route goes through the Sharding component for every O9 value).
+#: observe the O2 column of Table 2 empirically.
 POOL_TOGGLE_BASE: Dict[str, object] = dict(
-    ALL_FEATURES_ON, O5="Static", O8=False, O9=False, O14=1, O17=False)
+    ALL_FEATURES_ON, O5="Static", O8=False, O9=False, O17=False)
 
-#: Third crosscut base: with the degradation plane off, O9 (which
-#: O17 requires) becomes legal to toggle again from an otherwise
-#: fully-featured *sharded* build — needed to observe the O9 column
-#: of classes that only exist at O14>1 (POOL_TOGGLE_BASE is
-#: single-reactor, and from ALL_FEATURES_ON the O9 toggle is rejected
-#: because O17=Yes depends on it).
-DEGRADATION_TOGGLE_BASE: Dict[str, object] = dict(
-    ALL_FEATURES_ON, O17=False)
-
-#: Fourth crosscut base: with a single worker process (O16=1) the
-#: in-process Server facade becomes observable again — at O16>1 the
-#: Server delegates every call to the Deployment component for *every*
-#: O14 value, which would hide the Server x O14 cell from the primary
-#: base.
+#: Third crosscut base: the fully-featured build in one process
+#: (O16=1).  At O16>1 the Server delegates every call to the
+#: Deployment component; from this base the in-process facade and
+#: every option toggle around it are generated and audited too.
 DEPLOYMENT_TOGGLE_BASE: Dict[str, object] = dict(
     ALL_FEATURES_ON, O16=1)
 

@@ -48,7 +48,6 @@ TABLE2_CLASS_ORDER = [
     "Server",
     "Observability",
     "Resilience",
-    "Sharding",
     "Buffers",
     "Degradation",
     "Poller",
@@ -99,18 +98,10 @@ PAPER_TABLE2 = {
 #: carries its period, so both gain an O11 ``+``.  The O13
 #: fault-tolerance extension adds the Resilience row (exists iff O13;
 #: body depends on the pool it supervises, the counters it registers,
-#: the log it writes and, at O18=epoll, the listener re-post after an
-#: accept backoff) and '+' cells where the option weaves in:
+#: the log it writes and, per O18, how the listener is re-posted
+#: after an accept backoff) and '+' cells where the option weaves in:
 #: the accept loop, the configuration's tuning block, the Reactor's
-#: construction/lifecycle/drain and the Server's drain facade.  The
-#: O14 reactor-shards extension adds the Sharding row (exists iff
-#: O14>1; body depends on overload-aware placement, the aggregated
-#: status fields, accept/drain logging and the hardened accept /
-#: cross-shard drain barrier) and '+' cells wherever the sharded
-#: shape rewires the generated code: the Reactor's shard identity
-#: and guarded listener, the dispatcher's ACCEPT route, the Server
-#: Component's optional listen handle and timer arming, the Server
-#: facade's delegation and the configuration's placement policy.
+#: construction/lifecycle/drain and the Server's drain facade.
 #: The O15 zero-copy write path adds the Buffers row (exists iff
 #: O15=zerocopy; the body itself is option-independent) and '+'
 #: cells where the option weaves in: the Reactor builds the Buffers
@@ -123,8 +114,8 @@ PAPER_TABLE2 = {
 #: from the shared registry — and O12, the retune log argument) and
 #: '+' cells where the plane weaves in: the Reactor builds, starts
 #: and stops the component (and wraps the processor queue / breaks
-#: the file I/O through it), the accept loops (single-reactor and
-#: sharded) swap silent postponement for explicit shedding, the
+#: the file I/O through it), the accept loop swaps silent
+#: postponement for explicit shedding, the
 #: configuration carries the tuning block and the Observability
 #: wire probes shed totals, brownout level and breaker state.
 #: The O18 edge-triggered poller extension adds the Poller row
@@ -136,34 +127,29 @@ PAPER_TABLE2 = {
 #: The O16 multi-process deployment extension adds the Deployment row
 #: (exists iff O16>1; body depends on O11 — cluster-wide aggregated
 #: status fields — and O13, the cross-process drain barrier) and the
-#: Worker row (exists iff O16>1; body depends on O14 — each worker
-#: process runs a single Reactor or a Sharding fan-out — plus O11 and
-#: O13), and '+' cells where the option weaves in: the Server facade
-#: delegates to the Deployment component (and gains the
-#: rolling-restart facade), the Server Component adopts the shared
-#: SO_REUSEPORT listen socket, the configuration carries the worker
-#: deadlines and respawn budget, and the Observability status report
-#: aggregates across worker processes through the stats socket.
+#: Worker row (exists iff O16>1; body depends on O11 and O13), and
+#: '+' cells where the option weaves in: the Server facade delegates
+#: to the Deployment component (and gains the rolling-restart facade),
+#: the Server Component adopts the shared SO_REUSEPORT listen socket,
+#: the configuration carries the worker deadlines and respawn budget,
+#: and the Observability status report aggregates across worker
+#: processes through the stats socket.
 TABLE2_EXTENSIONS = {
     "Observability": {"O2": "+", "O6": "+", "O9": "+", "O10": "+",
-                      "O11": "O", "O14": "+", "O15": "+", "O16": "+",
-                      "O17": "+"},
-    "ServerComponent": {"O11": "+", "O14": "+", "O15": "+", "O16": "+"},
-    "ServerConfiguration": {"O11": "+", "O13": "+", "O14": "+", "O15": "+",
-                            "O16": "+", "O17": "+", "O18": "+"},
+                      "O11": "O", "O15": "+", "O16": "+", "O17": "+"},
+    "ServerComponent": {"O11": "+", "O15": "+", "O16": "+"},
+    "ServerConfiguration": {"O11": "+", "O13": "+", "O15": "+", "O16": "+",
+                            "O17": "+", "O18": "+"},
     "Resilience": {"O2": "+", "O11": "+", "O12": "+", "O13": "O", "O18": "+"},
-    "Reactor": {"O13": "+", "O14": "+", "O15": "+", "O17": "+", "O18": "+"},
+    "Reactor": {"O13": "+", "O15": "+", "O17": "+", "O18": "+"},
     "AcceptorEventHandler": {"O13": "+", "O17": "+", "O18": "+"},
-    "Server": {"O13": "+", "O14": "+", "O16": "+"},
-    "EventDispatcher": {"O14": "+"},
-    "Sharding": {"O9": "+", "O11": "+", "O12": "+", "O13": "+",
-                 "O14": "O", "O17": "+"},
+    "Server": {"O13": "+", "O16": "+"},
     "CommunicatorComponent": {"O15": "+"},
     "Buffers": {"O15": "O"},
     "Degradation": {"O11": "+", "O12": "+", "O17": "O"},
     "Poller": {"O18": "O"},
     "Deployment": {"O11": "+", "O13": "+", "O16": "O"},
-    "Worker": {"O11": "+", "O13": "+", "O14": "+", "O16": "O"},
+    "Worker": {"O11": "+", "O13": "+", "O16": "O"},
 }
 
 

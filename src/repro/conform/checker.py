@@ -105,7 +105,7 @@ class Corner:
     description: str
     #: template options (None = the COPS-HTTP defaults)
     options: Optional[dict] = None
-    #: extra ``build_cops_http`` keyword arguments (shards=, write_path=,
+    #: extra ``build_cops_http`` keyword arguments (procs=, write_path=,
     #: degradation=)
     build: dict = field(default_factory=dict)
     #: ServerConfiguration overrides
@@ -153,8 +153,6 @@ def corner_matrix(which: str = "smoke") -> List[Corner]:
                options=dict(COPS_HTTP_RESILIENCE_OPTIONS), model=observ),
         Corner("overload", "O9 accept-postpone overload control",
                options=dict(COPS_HTTP_OPTIONS, O9=True)),
-        Corner("sharded", "O14=4 reactor shards behind one accept plane",
-               build={"shards": 4}),
         Corner("procs", "O16=2 worker processes on one SO_REUSEPORT "
                "socket; each must be conversation-identical to the "
                "single-process build", build={"procs": 2}),
@@ -184,12 +182,12 @@ def corner_matrix(which: str = "smoke") -> List[Corner]:
     ]
     if which == "full":
         corners += [
-            Corner("sharded-zerocopy", "O14=4 + O15 combined",
-                   build={"shards": 4, "write_path": "zerocopy"},
+            Corner("procs-zerocopy", "O16=2 + O15 combined",
+                   build={"procs": 2, "write_path": "zerocopy"},
                    smoke=False),
-            Corner("degraded-sharded", "O17 across O14=2 shards",
+            Corner("degraded-procs", "O17 across O16=2 worker processes",
                    options=dict(COPS_HTTP_DEGRADATION_OPTIONS),
-                   build={"degradation": True, "shards": 2},
+                   build={"degradation": True, "procs": 2},
                    model=observ, freedoms=shed, smoke=False),
             Corner("brownout-max", "O17 brownout saturated (level 1.0)",
                    options=dict(COPS_HTTP_DEGRADATION_OPTIONS),
@@ -199,11 +197,6 @@ def corner_matrix(which: str = "smoke") -> List[Corner]:
                    freedoms=Freedoms(shed=True, brownout_level=1.0,
                                      brownout_max_response=2048),
                    brownout_level=1.0, sequential=True, smoke=False),
-            Corner("faulty-sharded", "O13 faults across O14=2 shards",
-                   options=dict(COPS_HTTP_RESILIENCE_OPTIONS),
-                   build={"shards": 2}, model=observ,
-                   freedoms=Freedoms(faults=True), fault_spec=fault_spec,
-                   smoke=False),
         ]
     return corners
 

@@ -56,7 +56,7 @@ INDEX_FILE = "index.html"
 class ModelOptions:
     """The option-matrix facts the model's behaviour depends on.
 
-    Most options (threading shape, cache policy, shards, write path)
+    Most options (threading shape, cache policy, processes, write path)
     are *transparent* — the whole point of the conformance plane is
     that they must not change wire behaviour.  Only the ones with an
     application surface appear here.

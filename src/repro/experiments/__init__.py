@@ -13,11 +13,8 @@ from repro.experiments.table4 import format_table4, run_table4
 from repro.experiments.fig3_fig4 import (
     CapacityPoint,
     format_fig3,
-    format_fig3_shards,
     format_fig4,
     run_capacity_sweep,
-    SHARD_SWEEP_BASE,
-    run_shard_sweep,
 )
 from repro.experiments.fig3_poller import (
     PollerPoint,
@@ -57,7 +54,6 @@ __all__ = [
     "format_fig3",
     "format_fig3_poller",
     "format_fig3_procs",
-    "format_fig3_shards",
     "format_fig3_zerocopy",
     "run_procs_sweep",
     "format_fig4",
@@ -69,8 +65,6 @@ __all__ = [
     "format_table4",
     "run_capacity_sweep",
     "run_fig5",
-    "SHARD_SWEEP_BASE",
-    "run_shard_sweep",
     "run_fig6",
     "run_table1",
     "run_poller_sweep",

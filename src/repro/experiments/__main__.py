@@ -19,7 +19,6 @@ from repro.experiments import (
     format_fig3,
     format_fig3_poller,
     format_fig3_procs,
-    format_fig3_shards,
     format_fig3_zerocopy,
     format_fig4,
     format_fig5,
@@ -34,7 +33,6 @@ from repro.experiments import (
     run_fig6,
     run_poller_sweep,
     run_procs_sweep,
-    run_shard_sweep,
     run_table1,
     run_table2,
     run_table3,
@@ -43,9 +41,8 @@ from repro.experiments import (
 )
 
 EXPERIMENTS = ("table1", "table2", "table3", "table4",
-               "fig3", "fig4", "fig5", "fig6", "fig3-shards",
-               "fig3-zerocopy", "fig3-poller", "fig3-procs",
-               "fig6-cliff")
+               "fig3", "fig4", "fig5", "fig6", "fig3-zerocopy",
+               "fig3-poller", "fig3-procs", "fig6-cliff")
 
 
 def run_one(name: str, quick: bool, cache: dict) -> str:
@@ -67,13 +64,6 @@ def run_one(name: str, quick: bool, cache: dict) -> str:
                 warmup=5.0 if quick else 10.0)
         sweep = cache["sweep"]
         return format_fig3(sweep) if name == "fig3" else format_fig4(sweep)
-    if name == "fig3-shards":
-        results = run_shard_sweep(
-            shard_counts=(1, 2, 4) if quick else (1, 2, 4, 8),
-            clients=256,
-            duration=10.0 if quick else 40.0,
-            warmup=3.0 if quick else 10.0)
-        return format_fig3_shards(results)
     if name == "fig3-zerocopy":
         results = run_zerocopy_sweep(
             client_counts=(1, 2) if quick else (1, 2, 4),

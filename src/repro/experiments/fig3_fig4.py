@@ -23,11 +23,9 @@ from repro.analysis import render_series
 from repro.sim.testbed import TestbedConfig, run_testbed
 
 __all__ = ["CapacityPoint", "run_capacity_sweep", "format_fig3",
-           "format_fig4", "run_shard_sweep", "format_fig3_shards",
-           "DEFAULT_CLIENT_COUNTS", "DEFAULT_SHARD_COUNTS"]
+           "format_fig4", "DEFAULT_CLIENT_COUNTS"]
 
 DEFAULT_CLIENT_COUNTS = (1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024)
-DEFAULT_SHARD_COUNTS = (1, 2, 4, 8)
 
 
 @dataclass
@@ -92,68 +90,3 @@ def format_fig4(results: Dict[str, List[CapacityPoint]]) -> str:
         "clients", xs, _series(results, "fairness"),
         title="FIG 4 — SERVICE FAIRNESS (Jain index) vs NUMBER OF WEB CLIENTS",
         fmt="{:.3f}")
-
-
-#: Host for the shard sweep: CPU-bound behind a fat link.  On the
-#: calibrated Fig 3 testbed every configuration saturates the shared
-#: ~80 Mbit/s link at 256 clients, so shard count cannot move the
-#: ceiling; this host makes throughput limited by CPU plus the
-#: per-shard readiness scan — the costs O14 actually divides.
-SHARD_SWEEP_BASE = TestbedConfig(
-    cpu_per_request=0.008, bandwidth_bps=1e9, scan_coefficient=2e-5,
-    processor_threads=8, file_io_threads=4)
-
-
-def run_shard_sweep(
-    shard_counts: Sequence[int] = DEFAULT_SHARD_COUNTS,
-    clients: int = 256,
-    duration: float = 40.0,
-    warmup: float = 10.0,
-    policy: str = "round-robin",
-    base: TestbedConfig | None = None,
-) -> Dict[int, CapacityPoint]:
-    """The O14 extension of the Fig 3 sweep: throughput of the sharded
-    N-Server versus shard count, on a fixed host and client population.
-
-    Shard count 1 runs the ordinary single-reactor "cops" model, so the
-    first point is the Fig 3 baseline; > 1 runs the :class:`~
-    repro.sim.servers.sharded.ShardedServer` with the same host budget
-    (CPUs, disk, thread counts) split across the shards.  The default
-    host is :data:`SHARD_SWEEP_BASE`; pass ``base=TestbedConfig()`` to
-    run on the link-bound Fig 3 testbed instead.
-    """
-    base = base or SHARD_SWEEP_BASE
-    results: Dict[int, CapacityPoint] = {}
-    for shards in shard_counts:
-        if shards == 1:
-            cfg = replace(base, server="cops", clients=clients,
-                          duration=duration, warmup=warmup)
-        else:
-            cfg = replace(base, server="sharded", shard_count=shards,
-                          shard_policy=policy, clients=clients,
-                          duration=duration, warmup=warmup)
-        r = run_testbed(cfg)
-        results[shards] = CapacityPoint(
-            server=f"{shards}-shard",
-            clients=clients,
-            throughput=r.throughput,
-            fairness=r.fairness,
-            response_mean=r.response_mean,
-            combined_mean=r.combined_mean,
-            syn_drops=r.syn_drops,
-            link_utilization=r.link_utilization,
-            cpu_utilization=r.cpu_utilization,
-        )
-    return results
-
-
-def format_fig3_shards(results: Dict[int, CapacityPoint]) -> str:
-    xs = sorted(results)
-    series = {
-        "COPS-HTTP": [results[s].throughput for s in xs],
-    }
-    return render_series(
-        "shards", xs, series,
-        title="FIG 3 (O14 extension) — THROUGHPUT (responses/s) vs "
-              "REACTOR SHARDS",
-        fmt="{:.1f}")

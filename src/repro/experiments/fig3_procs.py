@@ -4,10 +4,10 @@ The paper's Fig 3 measures capacity of one generated server process;
 the O16 deployment extension asks the follow-on question: what does
 regenerating the *same* template with ``procs: N`` buy on a multi-core
 host?  Python makes the regime choice stark — the GIL serialises
-CPU-bound hook work across threads inside one interpreter, so reactor
-shards (O14) and Event Processor pools cannot scale a compute-heavy
-handle hook.  Worker processes can: each is a whole interpreter with
-its own GIL, accepting on the shared ``SO_REUSEPORT`` socket.
+CPU-bound hook work across threads inside one interpreter, so Event
+Processor pools (O1/O2) cannot scale a compute-heavy handle hook.
+Worker processes can: each is a whole interpreter with its own GIL,
+accepting on the shared ``SO_REUSEPORT`` socket.
 
 The experiment generates the framework at O16 = 1, 2, 4 with a
 deliberately CPU-bound hook (iterated SHA-256 over small chunks —

@@ -19,7 +19,6 @@ from repro.co2p3s.crosscut import (
 )
 from repro.co2p3s.nserver import (
     ALL_FEATURES_ON,
-    DEGRADATION_TOGGLE_BASE,
     DEPLOYMENT_TOGGLE_BASE,
     EXPECTED_TABLE2,
     NSERVER,
@@ -50,8 +49,8 @@ def paper_matrix() -> CrosscutMatrix:
 
 def expected_matrix() -> CrosscutMatrix:
     """Paper Table 2 plus this reproduction's observability (O11),
-    resilience (O13), reactor-shards (O14), write-path (O15) and
-    degradation (O17) extensions."""
+    resilience (O13), write-path (O15), deployment (O16), degradation
+    (O17) and poller (O18) extensions."""
     return _matrix_from(EXPECTED_TABLE2,
                         [spec.key for spec in NSERVER_OPTION_SPECS])
 
@@ -76,7 +75,6 @@ class Table2Result:
 def run_table2() -> Table2Result:
     emp = empirical_matrix(NSERVER, ALL_FEATURES_ON,
                            extra_bases=(POOL_TOGGLE_BASE,
-                                        DEGRADATION_TOGGLE_BASE,
                                         DEPLOYMENT_TOGGLE_BASE))
     dec = declared_matrix(NSERVER, ALL_FEATURES_ON)
     return Table2Result(

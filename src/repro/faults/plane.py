@@ -55,23 +55,19 @@ class FaultPlane:
     def install(self, server):
         """Attach socket and disk faults to a not-yet-started server.
 
-        Understands the generated ``Server`` facade in its
-        single-reactor and O14-sharded forms.  In the sharded form only
-        the primary listens, so its listen handle gets the faulty handle
-        class (every accepted socket passes through it) and each
-        shard's own file loader gets the disk-fault hook.
+        The generated ``Server`` facade's listen handle gets the faulty
+        handle class (every accepted socket passes through it) and its
+        file loader, if any, gets the disk-fault hook.
 
         Returns the server for chaining.  Hook faults are separate —
         pass ``plane.wrap_hooks(hooks)`` when building the server.
         """
-        listen = server.reactor.server_component.listen
+        reactor = server.reactor
+        listen = reactor.server_component.listen
         listen.handle_cls = self.handle_cls(base=listen.handle_cls)
-        sharding = getattr(server, "sharding", None)
-        shards = sharding.shards if sharding is not None else [server.reactor]
-        for shard in shards:
-            file_io = getattr(shard, "file_io", None)
-            if file_io is not None:
-                file_io.fault_hook = self.file_fault_hook()
+        file_io = getattr(reactor, "file_io", None)
+        if file_io is not None:
+            file_io.fault_hook = self.file_fault_hook()
         return server
 
     # -- inspection -----------------------------------------------------------

@@ -11,7 +11,7 @@ analyses:
   :func:`~repro.lint.locks.shared` / :func:`~repro.lint.locks.access`
   annotations instrument the hot shared structures (metrics registry
   counters, buffer-pool free lists, the Event Processor worker table,
-  shard placement state, the event quarantine).  While a
+  the event quarantine).  While a
   :class:`~repro.lint.detector.RaceDetector` is installed, every annotated
   field access refines the intersection of locksets held across
   threads; an empty intersection on a shared-modified field is a

@@ -3,7 +3,7 @@
 Subcommands:
 
 * *(none)* / ``check`` — the CI gate: blocking-call lint over the
-  shipped tree, the generated-code audit sweep (all 18 options), the
+  shipped tree, the generated-code audit sweep (all 17 options), the
   Table 2 crosscut three-way check, and the docstring ratchet.  Exits
   1 when any finding survives the baseline.
 * ``blocking [PATH...]`` — the reactor lint alone, optionally over

@@ -21,9 +21,9 @@ configuration:
    match the template's declared fragment metadata and the checked-in
    :data:`~repro.co2p3s.nserver.table2.EXPECTED_TABLE2`.
 
-:func:`audit_suite` sweeps a configuration set that exercises all 18
+:func:`audit_suite` sweeps a configuration set that exercises all 17
 options: the shipped presets plus every single-option toggle from the
-four crosscut bases.
+three crosscut bases.
 """
 
 from __future__ import annotations
@@ -45,9 +45,7 @@ from repro.co2p3s.nserver.options import (
     COPS_HTTP_OPTIONS,
     COPS_HTTP_DEGRADATION_OPTIONS,
     COPS_HTTP_RESILIENCE_OPTIONS,
-    COPS_HTTP_SHARDED_OPTIONS,
     COPS_HTTP_ZEROCOPY_OPTIONS,
-    DEGRADATION_TOGGLE_BASE,
     DEPLOYMENT_TOGGLE_BASE,
     POOL_TOGGLE_BASE,
 )
@@ -320,29 +318,26 @@ def audit_config(options: Mapping[str, object], label: str,
 
 
 def suite_configs() -> List[Tuple[str, Dict[str, object]]]:
-    """(label, options) pairs exercising every one of the 18 options.
+    """(label, options) pairs exercising every one of the 17 options.
 
     The shipped presets cover the paper's configurations; on top, each
     option is toggled through each of its non-base legal values from
-    the four crosscut bases, skipping combinations the template's own
+    the three crosscut bases, skipping combinations the template's own
     constraints reject.
     """
     configs: List[Tuple[str, Dict[str, object]]] = [
         ("cops-ftp", dict(COPS_FTP_OPTIONS)),
         ("cops-http", dict(COPS_HTTP_OPTIONS)),
         ("cops-http-resilient", dict(COPS_HTTP_RESILIENCE_OPTIONS)),
-        ("cops-http-sharded", dict(COPS_HTTP_SHARDED_OPTIONS)),
         ("cops-http-zerocopy", dict(COPS_HTTP_ZEROCOPY_OPTIONS)),
         ("cops-http-degradation", dict(COPS_HTTP_DEGRADATION_OPTIONS)),
         ("all-features-on", dict(ALL_FEATURES_ON)),
         ("pool-toggle-base", dict(POOL_TOGGLE_BASE)),
-        ("degradation-toggle-base", dict(DEGRADATION_TOGGLE_BASE)),
         ("deployment-toggle-base", dict(DEPLOYMENT_TOGGLE_BASE)),
     ]
     seen = {tuple(sorted(c.items())) for _l, c in configs}
     for base_label, base in (("all-on", ALL_FEATURES_ON),
                              ("pool-base", POOL_TOGGLE_BASE),
-                             ("degradation-base", DEGRADATION_TOGGLE_BASE),
                              ("deployment-base", DEPLOYMENT_TOGGLE_BASE)):
         base_opts = NSERVER.configure(base)
         for spec in base_opts.specs:
@@ -389,7 +384,6 @@ def crosscut_findings() -> List[Finding]:
     findings: List[Finding] = []
     derived = empirical_matrix(NSERVER, ALL_FEATURES_ON,
                                extra_bases=(POOL_TOGGLE_BASE,
-                                            DEGRADATION_TOGGLE_BASE,
                                             DEPLOYMENT_TOGGLE_BASE),
                                canon=_ast_canon)
     declared = declared_matrix(NSERVER, ALL_FEATURES_ON)

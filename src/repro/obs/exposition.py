@@ -7,8 +7,8 @@ Two renderers over a :class:`~repro.obs.registry.MetricsRegistry`:
   ``_bucket{le=...}`` series).
 * :func:`status_fields` + :func:`render_status_auto` /
   :func:`render_status_html` — an Apache ``mod_status``-style report,
-  and :func:`merge_status_fields` for one report over several shards
-  or worker processes.
+  and :func:`merge_status_fields` for one report over the worker
+  processes of a deployment.
   The paper benchmarks COPS-HTTP against Apache 1.3, so the fitting
   inspection surface is Apache's: ``GET /server-status`` renders HTML
   for humans and ``GET /server-status?auto`` the ``Key: value`` lines
@@ -199,19 +199,17 @@ def _parse_field(value) -> Optional[float]:
     return number if math.isfinite(number) else None
 
 
-def merge_status_fields(sections, label: str, uptime: Optional[float] = None
+def merge_status_fields(sections, uptime: Optional[float] = None
                         ) -> List[Tuple[str, str]]:
     """One status report over N sections of :func:`status_fields` output.
 
-    ``sections`` is a sequence of ``(label_value, fields)`` pairs: the
-    shards of one process (``label="shard"``, values 0..N-1) or the
-    worker processes of a deployment (``label="worker"``, values their
-    PIDs, fields that arrived as JSON).  The report is the aggregate
-    section first — scalars summed across sections (``*rate*`` metrics
-    averaged), non-numeric values skipped, the Apache-derived fields
-    recomputed over the totals — then a ``Shards``/``Workers`` count,
-    then every section's own fields re-labelled with
-    ``label="value"``.  Histogram lines (``-count``/``-pNN``) do not
+    ``sections`` is a sequence of ``(pid, fields)`` pairs, one per
+    worker process of a deployment (fields that arrived as JSON).  The
+    report is the aggregate section first — scalars summed across
+    sections (``*rate*`` metrics averaged), non-numeric values skipped,
+    the Apache-derived fields recomputed over the totals — then a
+    ``Workers`` count, then every section's own fields re-labelled with
+    ``worker="pid"``.  Histogram lines (``-count``/``-pNN``) do not
     merge, so they appear per section only.
     """
     sums: dict = {}
@@ -232,9 +230,9 @@ def merge_status_fields(sections, label: str, uptime: Optional[float] = None
         {key: total for key, total in totals.items() if "{" not in key},
         uptime)
     merged.extend((key, _fmt(total)) for key, total in totals.items())
-    merged.append((label.capitalize() + "s", str(len(sections))))
-    for value, fields in sections:
-        tag = f'{label}="{value}"'
+    merged.append(("Workers", str(len(sections))))
+    for pid, fields in sections:
+        tag = f'worker="{pid}"'
         merged.extend((_labelled_key(key, tag), shown)
                       for key, shown in fields if key not in _DERIVED_KEYS)
     return merged

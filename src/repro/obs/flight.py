@@ -292,8 +292,8 @@ def reconstruct_path(trace_id: int,
 
     Feed it the concatenated events of every recorder that saw the
     request (or one dump of the global ring) and it returns that trace's
-    ordered path — the accept→shard→worker→write story the fault-storm
-    test asserts on.
+    ordered path — the accept→worker→write story the fault-storm test
+    asserts on.
     """
     path = [event for event in events if event.trace_id == trace_id]
     path.sort(key=lambda event: event.timestamp)

@@ -20,7 +20,7 @@ completion thread that delivers a PENDING result).
 Every span carries the connection's ``trace_id`` (allocated at accept
 by :func:`repro.obs.tracing.next_trace_id` and stamped on the socket
 handle), correlating it with the flight-recorder events of the same
-request across shards.  Finished spans are handed to the recorder's
+request.  Finished spans are handed to the recorder's
 *exporter* (:mod:`repro.obs.tracing`) when one is wired in, and the
 most recent ``(value, trace_id)`` pair per histogram series is kept as
 an *exemplar* for the Prometheus exposition.

@@ -2,7 +2,7 @@
 
 A trace id is allocated when a connection's :class:`SocketHandle` is
 created (the accept boundary) and rides the handle through the
-Communicator, shard placement, the Event Processor worker and the
+Communicator, the Event Processor worker and the
 write path.  Two consumers see it:
 
 * the **flight recorder** (:mod:`repro.obs.flight`) stamps it on every
@@ -183,12 +183,10 @@ def read_jsonl(path: str) -> List[dict]:
     return records
 
 
-def render_trace_report(records: Iterable[dict],
-                        sharded: bool = False) -> str:
+def render_trace_report(records: Iterable[dict]) -> str:
     """The ``/server-status?trace`` text: one line per span record.
 
-    Records are merged chronologically (by span start), so a sharded
-    server's report interleaves all shards into one timeline::
+    Records are ordered chronologically (by span start)::
 
         Traces: 2
         trace=0000000000000003 request 127.0.0.1:4242 total=0.000210 \
@@ -196,8 +194,6 @@ decode=0.000020 handle=0.000150 encode=0.000040
     """
     batch = sorted(records, key=lambda record: record.get("start", 0.0))
     lines = [f"Traces: {len(batch)}"]
-    if sharded:
-        lines[0] += " (all shards)"
     for record in batch:
         stages = " ".join(
             f"{stage['stage']}={stage['seconds']:.6f}"

@@ -60,10 +60,6 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, globals(), {
         "WorkerSupervisor",
     ),
     "scheduler": ("FifoEventQueue", "QuotaPriorityQueue"),
-    "sharding": (
-        "ConnectionHashPolicy", "LeastConnectionsPolicy", "RoundRobinPolicy",
-        "ShardPolicy", "make_shard_policy",
-    ),
     "timerwheel": ("TimerWheel",),
     "tracing": ("EventTracer", "ServerLog", "TraceRecord"),
 })

@@ -136,8 +136,8 @@ class Communicator:
         self.handle = handle
         self.hooks = hooks
         self.use_codec = use_codec
-        #: always-on lifecycle-event ring (per-shard when the owning
-        #: server passed its own; the process-wide recorder otherwise)
+        #: always-on lifecycle-event ring (the one the owning server
+        #: passed; the process-wide recorder otherwise)
         self.flight = flight if flight is not None else GLOBAL_FLIGHT
         #: header BufferPool of the zero-copy write path (None = the
         #: copying path; encode hooks key segment emission off this)

@@ -1,8 +1,8 @@
 """Multi-process deployment (option O16): prefork workers on one socket.
 
-Thread-based shards (O14) scale until the GIL; the deployment plane
-scales past it the way Apache's prefork MPM and nginx do — N worker
-*processes*, each running its own (possibly O14-sharded) reactor, all
+Threads (O1/O2) overlap I/O but share one GIL; the deployment plane
+scales CPU-bound work past it the way Apache's prefork MPM and nginx
+do — N worker *processes*, each running its own reactor, all
 accepting from one shared listening socket:
 
 * the :class:`ProcessSupervisor` binds a single ``SO_REUSEPORT`` listen
@@ -35,8 +35,8 @@ accepting from one shared listening socket:
   ``$REPRO_STATS_SOCKET``); a worker answering ``/server-status``
   calls :func:`cluster_status_fields`, which asks the supervisor,
   which polls every worker's O11 registry over the control channels
-  and merges them with :func:`repro.obs.exposition.merge_status_fields`
-  (label ``worker``).  Flight dumps
+  and merges them with
+  :func:`repro.obs.exposition.merge_status_fields`.  Flight dumps
   are already namespaced per PID, and trace ids carry a PID component
   (:func:`repro.obs.tracing.next_trace_id`), so evidence from
   different workers never collides.
@@ -642,7 +642,7 @@ class ProcessSupervisor:
     def aggregated_status_fields(self) -> list:
         """One merged status-field list over every worker's registry."""
         uptime = time.monotonic() - self._started_at
-        return merge_status_fields(self.collect_status_fields(), "worker",
+        return merge_status_fields(self.collect_status_fields(),
                                    uptime=uptime)
 
     def _open_stats_socket(self) -> None:
@@ -755,8 +755,7 @@ def cluster_status_fields(timeout: float = 5.0) -> Optional[list]:
                 if isinstance(entry, list) and len(entry) == 2]
     if not sections:
         return None
-    return merge_status_fields(sections, "worker",
-                               uptime=payload.get("uptime"))
+    return merge_status_fields(sections, uptime=payload.get("uptime"))
 
 
 # -- the worker factory -----------------------------------------------------

@@ -166,7 +166,6 @@ class SocketEventSource(EventSource):
     def deregister(self, handle: Handle) -> None:
         with self._lock:
             fd = handle.fileno()
-            self._handles.pop(fd, None)
             self._paused.discard(id(handle))
             if id(handle) in self._forced_ids:
                 self._forced_ids.discard(id(handle))
@@ -174,10 +173,15 @@ class SocketEventSource(EventSource):
                     self._forced.remove(handle)
                 except ValueError:  # pragma: no cover - popped concurrently
                     pass
-            try:
-                self._poller.unregister(fd)
-            except (KeyError, ValueError, OSError):
-                pass
+            # A handle whose socket closed before its teardown (a reset
+            # mid-send) may find its fd number already re-registered by
+            # a new connection: that entry is not this handle's to drop.
+            if self._handles.get(fd) is handle:
+                del self._handles[fd]
+                try:
+                    self._poller.unregister(fd)
+                except (KeyError, ValueError, OSError):
+                    pass
         release = getattr(handle, "release_read_buffer", None)
         if release is not None:
             release()
@@ -217,8 +221,9 @@ class SocketEventSource(EventSource):
         The next poll returns immediately and reports the handle ready
         (AcceptEvent for a listener, ReadableEvent otherwise) on top of
         whatever the kernel says.  Used by the generated O18
-        ``Poller.repost_accept`` when an accept drain stops before
-        EAGAIN, and safe under both backends."""
+        ``Poller.repost_accept`` and by :meth:`rearm_listener` when an
+        accept drain stops before EAGAIN, and safe under both
+        backends."""
         with self._lock:
             if handle.fileno() not in self._handles:
                 return
@@ -226,6 +231,15 @@ class SocketEventSource(EventSource):
                 self._forced_ids.add(id(handle))
                 self._forced.append(handle)
         self.wakeup()
+
+    def rearm_listener(self, listen: ListenHandle) -> None:
+        """Re-post a listener whose accept drain stopped before EAGAIN,
+        if the backend needs it.  An edge-triggered backend never
+        repeats a consumed edge, so the backlog would strand until the
+        next connection arrives; a level-triggered one reports the
+        backlog again on every poll, so this is a no-op there."""
+        if self.edge_triggered:
+            self.force_ready(listen)
 
     def _mask(self, handle: Handle) -> int:
         if isinstance(handle, ListenHandle):

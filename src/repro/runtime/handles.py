@@ -53,7 +53,7 @@ class SocketHandle(Handle):
         #: monotonic timestamp of the last I/O (idle reaping, option O7)
         self.last_activity = 0.0
         #: end-to-end trace id, stamped at the accept boundary and
-        #: carried through dispatch, shard placement and the write path
+        #: carried through dispatch, the worker and the write path
         self.trace_id = next_trace_id()
         # Cached so a fault-closed socket (fileno() == -1) can still be
         # deregistered; -1 for the fake sockets tests wire in, which
@@ -207,6 +207,8 @@ class ListenHandle(Handle):
         sock.setblocking(False)
         self.sock = sock
         self.backlog = backlog
+        #: TCP listener: accepted sockets get Nagle's algorithm turned off
+        self._tcp = sock.family in (socket.AF_INET, socket.AF_INET6)
         self.handle_cls = handle_cls or SocketHandle
         #: flight recorder receiving the accept events; recording here
         #: covers every generated AcceptorEventHandler that drains the
@@ -232,6 +234,13 @@ class ListenHandle(Handle):
             conn, _addr = self.sock.accept()
         except BlockingIOError:
             return None
+        if self._tcp:
+            # Replies are written whole, so Nagle only delays a pipelined
+            # reply behind the client's delayed ACK of the previous one.
+            try:
+                conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            except OSError:  # pragma: no cover - peer already reset (BSDs)
+                pass
         handle = self.handle_cls(conn)
         self.flight.record("accept", handle.name,
                            getattr(handle, "trace_id", 0))

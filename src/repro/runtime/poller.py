@@ -166,8 +166,8 @@ class EpollPoller(Poller):
 
     def register(self, fd: int, mask: int, data: Any) -> None:
         # Publish the lookup entry BEFORE epoll_ctl: registration often
-        # happens off the polling thread (the sharded accept plane adds
-        # fds while a shard dispatcher sits in epoll_wait), and an fd
+        # happens off the polling thread (at O1=2N one dispatcher thread
+        # adds accepted fds while another sits in epoll_wait), and an fd
         # that is ready at ADD time delivers its edge immediately.  If
         # poll() woke with that event before the entry existed it would
         # discard it as a stale fd — and an edge, once consumed, is

@@ -148,8 +148,6 @@ class CopsFtpHooks(ServerHooks):
                 daemon=True,
             ).start()
             return PENDING
-        if result.close:
-            conn.close_after_flush = True
         return result
 
     def _transfer_done(self, conn, session, ok: bool) -> None:
@@ -160,6 +158,11 @@ class CopsFtpHooks(ServerHooks):
     def encode(self, result, conn) -> bytes:
         if isinstance(result, (bytes, bytearray)):
             return bytes(result)
+        if result.close:
+            # Flagged here, as the closing reply is queued: flagged in
+            # handle, a transfer thread still flushing the previous 226
+            # would see the flag and close before the 221 went out.
+            conn.close_after_flush = True
         return result.wire
 
 

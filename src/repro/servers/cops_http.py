@@ -300,7 +300,6 @@ def build_cops_http(
     package: str = "cops_http_fw",
     host: str = "127.0.0.1",
     port: int = 0,
-    shards: int = 1,
     procs: int = 1,
     write_path: str = "buffered",
     degradation: bool = False,
@@ -309,17 +308,11 @@ def build_cops_http(
 ):
     """Generate the COPS-HTTP framework and return a started-able Server.
 
-    ``shards`` > 1 regenerates the framework with option O14 (reactor
-    shards): N reactors behind the primary's listening endpoint, each
-    with its own event sources, Event Processor pool and scheduler
-    queue.  Pass ``shard_policy=...`` as a config override to pick the
-    connection-placement policy.
-
     ``procs`` > 1 regenerates the framework with option O16 (worker
     processes): the Server becomes a process supervisor forking N
-    worker interpreters, each running its own (possibly O14-sharded)
-    reactor on a shared ``SO_REUSEPORT`` listen socket, with crash
-    respawn and zero-downtime rolling restart.  Hooks must then be
+    worker interpreters, each running its own reactor on a shared
+    ``SO_REUSEPORT`` listen socket, with crash respawn and
+    zero-downtime rolling restart.  Hooks must then be
     importable by module path — they are re-created inside each
     worker — so pass a module-level hooks class (or none).
 
@@ -341,8 +334,6 @@ def build_cops_http(
     Returns ``(server, framework_module, generation_report)``.
     """
     option_dict = dict(options or COPS_HTTP_OPTIONS)
-    if shards != 1:
-        option_dict["O14"] = shards
     if procs != 1:
         option_dict["O16"] = procs
     if write_path != "buffered":
@@ -365,7 +356,7 @@ def build_cops_http(
 
 
 def main(argv=None) -> int:
-    """``python -m repro.servers.cops_http --root DIR [--shards N]``."""
+    """``python -m repro.servers.cops_http --root DIR [--procs N]``."""
     import argparse, time
 
     parser = argparse.ArgumentParser(
@@ -376,17 +367,10 @@ def main(argv=None) -> int:
     parser.add_argument("--host", default="127.0.0.1")
     parser.add_argument("--port", type=int, default=0,
                         help="listen port (0 = ephemeral)")
-    parser.add_argument("--shards", type=int, default=1,
-                        choices=(1, 2, 4, 8),
-                        help="reactor shards (template option O14)")
     parser.add_argument("--procs", type=int, default=1,
                         choices=(1, 2, 4, 8),
                         help="worker processes (template option O16); "
                              "SIGHUP rolls them with zero downtime")
-    parser.add_argument("--policy", default="round-robin",
-                        choices=("round-robin", "least-connections",
-                                 "connection-hash"),
-                        help="shard placement policy (O14>1 builds only)")
     parser.add_argument("--observability", action="store_true",
                         help="generate with O11=Yes (/server-status)")
     parser.add_argument("--write-path", default="buffered",
@@ -400,21 +384,17 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     option_dict = dict(COPS_HTTP_OPTIONS, O11=args.observability)
-    overrides = {"shard_policy": args.policy} if args.shards != 1 else {}
     server, _fw, _report = build_cops_http(
         args.root, options=option_dict, host=args.host, port=args.port,
-        shards=args.shards, procs=args.procs,
-        write_path=args.write_path,
-        degradation=args.degradation, poller=args.poller, **overrides)
+        procs=args.procs, write_path=args.write_path,
+        degradation=args.degradation, poller=args.poller)
     server.start()
     if args.procs != 1:
         # Operator signal plane: SIGHUP = rolling restart, SIGTERM =
         # drain and stop, SIGUSR2 = flight-recorder dumps per worker.
         server.deployment.install_signals()
-    shape = (f"{args.shards} shards ({args.policy})"
-             if args.shards != 1 else "single reactor")
-    if args.procs != 1:
-        shape += f", {args.procs} worker processes"
+    shape = (f"{args.procs} worker processes" if args.procs != 1
+             else "single reactor")
     if args.write_path != "buffered":
         shape += f", {args.write_path} write path"
     if args.degradation:

@@ -11,7 +11,6 @@ from repro.sim.servers.common import (
 from repro.sim.servers.event_driven import EventDrivenServer
 from repro.sim.servers.prefork import PreforkServer
 from repro.sim.servers.seda import SedaServer
-from repro.sim.servers.sharded import SHARD_POLICIES, ShardedServer
 from repro.sim.servers.sped import MpedServer, SpedServer
 
 __all__ = [
@@ -20,10 +19,8 @@ __all__ = [
     "MpedServer",
     "PreforkServer",
     "REQUEST_BYTES",
-    "SHARD_POLICIES",
     "SedaServer",
     "ServerParams",
-    "ShardedServer",
     "SimRequest",
     "SpedServer",
 ]

@@ -40,7 +40,7 @@ class TestbedConfig:
 
     __test__ = False  # starts with "Test" but is not a pytest class
 
-    server: str = "cops"    # cops | apache | sped | mped | seda | cluster | sharded
+    server: str = "cops"    # cops | apache | sped | mped | seda | cluster
     clients: int = 64
     duration: float = 60.0          # measurement window (simulated s)
     warmup: float = 10.0
@@ -110,10 +110,6 @@ class TestbedConfig:
     # cluster model (the paper's distributed future work)
     cluster_nodes: int = 2
     cluster_policy: str = "round-robin"
-
-    # sharded model (template option O14: reactor shards on one host)
-    shard_count: int = 4
-    shard_policy: str = "round-robin"
 
 
 @dataclass
@@ -202,23 +198,6 @@ def build_server(cfg: TestbedConfig, sim: Simulator, downlink: Link,
             policy=cfg.cluster_policy,
             processor_threads=cfg.processor_threads,
             file_io_threads=cfg.file_io_threads,
-            cache_bytes=cfg.app_cache_mb * 1024 * 1024,
-            cache_policy=cfg.cache_policy,
-            scan_coefficient=cfg.scan_coefficient,
-            dispatch_latency=cfg.dispatch_latency,
-        )
-    if cfg.server == "sharded":
-        from repro.sim.servers.sharded import ShardedServer
-
-        # Same host as "cops": the thread budgets are split across the
-        # shards, so the sweep compares shapes, not added hardware.
-        shards = cfg.shard_count
-        return ShardedServer(
-            sim, downlink, disk, params,
-            shards=shards,
-            policy=cfg.shard_policy,
-            processor_threads=max(1, cfg.processor_threads // shards),
-            file_io_threads=max(1, cfg.file_io_threads // shards),
             cache_bytes=cfg.app_cache_mb * 1024 * 1024,
             cache_policy=cfg.cache_policy,
             scan_coefficient=cfg.scan_coefficient,

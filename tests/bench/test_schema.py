@@ -29,22 +29,22 @@ def make_report(**overrides):
     """A minimal schema-valid report to mutate in the negative tests."""
     report = {
         "schema_version": SCHEMA_VERSION,
-        "name": "shards",
+        "name": "procs",
         "created": 1754000000.0,
         "smoke": False,
         "machine": machine_info(),
-        "options": {"O14": [1, 4]},
+        "options": {"O16": [1, 4]},
         "benchmarks": [
-            {"test": "t[1]", "params": {"shards": 1},
-             "extra": {"shards": 1}, "samples": [2.0, 2.2],
+            {"test": "t[1]", "params": {"procs": 1},
+             "extra": {"procs": 1}, "samples": [2.0, 2.2],
              "stats": {"min": 2.0, "max": 2.2, "mean": 2.1,
                        "stddev": 0.1, "rounds": 2}},
-            {"test": "t[4]", "params": {"shards": 4},
-             "extra": {"shards": 4}, "samples": [1.0, 1.2],
+            {"test": "t[4]", "params": {"procs": 4},
+             "extra": {"procs": 4}, "samples": [1.0, 1.2],
              "stats": {"min": 1.0, "max": 1.2, "mean": 1.1,
                        "stddev": 0.1, "rounds": 2}},
         ],
-        "derived": {"shard_speedup_4v1": 2.1 / 1.1},
+        "derived": {"procs_speedup_4v1": 2.1 / 1.1},
     }
     report.update(overrides)
     return report
@@ -115,20 +115,20 @@ def test_schema_violations_name_their_path(mutate, fragment):
 
 def test_build_report_reshapes_pytest_benchmark_output():
     raw = {"benchmarks": [
-        {"name": "test_x[1]", "params": {"shards": 1},
-         "extra_info": {"shards": 1},
+        {"name": "test_x[1]", "params": {"procs": 1},
+         "extra_info": {"procs": 1},
          "stats": {"data": [2.0, 2.2], "min": 2.0, "max": 2.2,
                    "mean": 2.1, "stddev": 0.1, "rounds": 2}},
-        {"name": "test_x[4]", "params": {"shards": 4},
-         "extra_info": {"shards": 4},
+        {"name": "test_x[4]", "params": {"procs": 4},
+         "extra_info": {"procs": 4},
          "stats": {"data": [1.0, 1.2], "min": 1.0, "max": 1.2,
                    "mean": 1.05, "stddev": 0.1, "rounds": 2}},
     ]}
-    report = build_report(SUITES["shards"], raw, smoke=True)
+    report = build_report(SUITES["procs"], raw, smoke=True)
     assert validate_report(report) == []
     assert report["smoke"] is True
     assert report["benchmarks"][0]["samples"] == [2.0, 2.2]
-    assert report["derived"] == {"shard_speedup_4v1": 2.1 / 1.05}
+    assert report["derived"] == {"procs_speedup_4v1": 2.1 / 1.05}
 
 
 # -- the regression gate ---------------------------------------------------
@@ -138,11 +138,11 @@ def test_gate_passes_when_ratios_hold():
 
 
 def test_gate_trips_on_a_collapsed_ratio():
-    current = make_report(derived={"shard_speedup_4v1": 0.5})
-    baseline = make_report(derived={"shard_speedup_4v1": 2.0})
+    current = make_report(derived={"procs_speedup_4v1": 0.5})
+    baseline = make_report(derived={"procs_speedup_4v1": 2.0})
     failures = compare_reports(current, baseline, ratio_floor=0.5)
     assert len(failures) == 1
-    assert "shard_speedup_4v1" in failures[0]
+    assert "procs_speedup_4v1" in failures[0]
     # A generous floor lets the same pair through.
     assert compare_reports(current, baseline, ratio_floor=0.2) == []
 
@@ -154,14 +154,14 @@ def test_gate_flags_a_ratio_missing_from_the_current_run():
 
 
 def test_smoke_runs_gate_against_smoke_ratios():
-    baseline = make_report(derived={"shard_speedup_4v1": 2.0},
-                           smoke_derived={"shard_speedup_4v1": 0.6})
+    baseline = make_report(derived={"procs_speedup_4v1": 2.0},
+                           smoke_derived={"procs_speedup_4v1": 0.6})
     # 0.7 would fail against the full-run 2.0 but is healthy against
     # the smoke reference — smoke compares smoke.
     smoke = make_report(smoke=True,
-                        derived={"shard_speedup_4v1": 0.7})
+                        derived={"procs_speedup_4v1": 0.7})
     assert compare_reports(smoke, baseline) == []
-    full = make_report(derived={"shard_speedup_4v1": 0.7},
+    full = make_report(derived={"procs_speedup_4v1": 0.7},
                        machine={"python": "x", "platform": "y",
                                 "machine": "z", "cpus": 1})
     assert compare_reports(full, baseline) != []

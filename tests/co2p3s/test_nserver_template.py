@@ -21,9 +21,7 @@ from repro.co2p3s.nserver import (
     COPS_HTTP_OVERLOAD_OPTIONS,
     COPS_HTTP_RESILIENCE_OPTIONS,
     COPS_HTTP_SCHEDULING_OPTIONS,
-    COPS_HTTP_SHARDED_OPTIONS,
     COPS_HTTP_ZEROCOPY_OPTIONS,
-    DEGRADATION_TOGGLE_BASE,
     DEPLOYMENT_TOGGLE_BASE,
     EXPECTED_TABLE2,
     NSERVER,
@@ -38,21 +36,27 @@ from repro.co2p3s.nserver import (
 # -- Table 1: the option model -------------------------------------------------
 
 
-def test_eighteen_options():
-    # The paper's twelve plus the O13 fault-tolerance, O14
-    # reactor-shards, O15 write-path, O16 deployment, O17 degradation
-    # and O18 poller extensions.
+def test_seventeen_options():
+    # The paper's twelve plus the O13 fault-tolerance, O15 write-path,
+    # O16 deployment, O17 degradation and O18 poller extensions.  O14
+    # (reactor shards) was deleted; the later keys keep their numbers.
     specs = NSERVER.option_specs()
-    assert [s.key for s in specs] == [f"O{i}" for i in range(1, 19)]
+    assert [s.key for s in specs] == [f"O{i}" for i in range(1, 19)
+                                      if i != 14]
+
+
+def test_deleted_o14_is_an_unknown_option():
+    with pytest.raises(OptionError):
+        NSERVER.configure({"O14": 2})
 
 
 def test_paper_configurations_are_legal():
     for config in (COPS_FTP_OPTIONS, COPS_HTTP_OPTIONS,
                    COPS_HTTP_SCHEDULING_OPTIONS, COPS_HTTP_OVERLOAD_OPTIONS,
-                   COPS_HTTP_RESILIENCE_OPTIONS, COPS_HTTP_SHARDED_OPTIONS,
+                   COPS_HTTP_RESILIENCE_OPTIONS,
                    COPS_HTTP_ZEROCOPY_OPTIONS, COPS_HTTP_DEGRADATION_OPTIONS,
                    ALL_FEATURES_ON, POOL_TOGGLE_BASE,
-                   DEGRADATION_TOGGLE_BASE, DEPLOYMENT_TOGGLE_BASE):
+                   DEPLOYMENT_TOGGLE_BASE):
         opts = NSERVER.configure(config)
         NSERVER.validate(opts)
 
@@ -75,7 +79,7 @@ def test_cops_http_column_matches_table1():
 
 def test_option_table_rows_shape():
     rows = option_table_rows(COPS_FTP_OPTIONS, COPS_HTTP_OPTIONS)
-    assert len(rows) == 18
+    assert len(rows) == 17
     assert all(len(r) == 4 for r in rows)
     o6 = next(r for r in rows if r[0].startswith("O6"))
     assert o6[2] == "No" and o6[3] == "Yes: LRU"
@@ -113,13 +117,12 @@ def test_all_files_parse_for_paper_configs():
             ast.parse(text)
 
 
-def test_full_config_generates_all_35_classes():
+def test_full_config_generates_all_34_classes():
     report = render(ALL_FEATURES_ON)
     assert set(report.class_names()) == set(TABLE2_CLASS_ORDER)
-    # paper's 27 + Observability (O11) + Resilience (O13) + Sharding (O14)
-    # + Buffers (O15) + Degradation (O17) + Poller (O18)
-    # + Deployment + Worker (O16)
-    assert len(TABLE2_CLASS_ORDER) == 35
+    # paper's 27 + Observability (O11) + Resilience (O13) + Buffers (O15)
+    # + Degradation (O17) + Poller (O18) + Deployment + Worker (O16)
+    assert len(TABLE2_CLASS_ORDER) == 34
 
 
 def test_optional_classes_absent_when_options_off():
@@ -169,8 +172,6 @@ def test_no_dynamic_feature_checks_in_generated_code():
         assert "safe_accept" not in text, filename
         assert "def drain" not in text, filename
         assert "drain_timeout" not in text, filename
-        # O14=1: zero sharding code anywhere.
-        assert "shard" not in text.lower(), filename
         # O17=No: zero degradation-plane code anywhere.
         assert "degradation" not in text.lower(), filename
         assert "shedding" not in text, filename
@@ -180,7 +181,6 @@ def test_no_dynamic_feature_checks_in_generated_code():
         assert "sojourn" not in text, filename
         assert "retry_after" not in text, filename
         assert "adaptive" not in text.lower(), filename
-    assert "sharding.py" not in report.files
     assert "degradation.py" not in report.files
 
 
@@ -242,67 +242,6 @@ def test_resilience_without_pool_omits_supervision():
     assert "DeadlineMonitor" in res_text
     assert "WorkerSupervisor" not in res_text
     assert "EventQuarantine" not in res_text
-
-
-def test_sharding_code_present_when_o14_gt1():
-    report = render(COPS_HTTP_SHARDED_OPTIONS)
-    assert "sharding.py" in report.files
-    sh = report.files["sharding.py"]
-    assert "class Sharding" in sh
-    assert "for index in range(4)" in sh          # O14=4 baked in
-    assert "rt.make_shard_policy" in sh
-    assert "configuration.shard_policy" in sh
-    # O13=Yes: hardened accept and the cross-shard drain barrier.
-    assert "self.primary.resilience.safe_accept(listen)" in sh
-    assert "def drain(self" in sh
-    # O11=Yes: aggregated per-shard status fields.
-    assert "obs.merge_status_fields" in sh
-    # O9=No: no overload gating woven into the accept loop.
-    assert "overload" not in sh
-    server = report.files["server.py"]
-    assert "self.sharding = Sharding(configuration, hooks)" in server
-    assert "self.reactor = self.sharding.primary" in server
-    assert "return self.sharding.drain(timeout)" in server
-    proc = report.files["processing.py"]
-    assert "reactor.sharding.accept(event)" in proc
-    comm = report.files["communication.py"]
-    assert "def arm_timers(self)" in comm
-    assert 'shard_policy = "round-robin"' in comm
-    obs_text = report.files["observability.py"]
-    assert "self.reactor.sharding.status_fields()" in obs_text
-
-
-def test_sharding_composes_without_obs_and_resilience():
-    """O14>1 with O11=No and O13=No: the sharded accept plane is
-    generated with zero observability or fault-tolerance leakage."""
-    report = render(dict(COPS_HTTP_OPTIONS, O14=2))
-    sh = report.files["sharding.py"]
-    assert "for index in range(2)" in sh
-    assert "listen.try_accept()" in sh            # O13=No: bare accept
-    assert "observability" not in sh.lower()
-    assert "resilience" not in sh.lower()
-    assert "def drain" not in sh
-    assert "status_fields" not in sh
-    assert "from repro import obs" not in sh
-    assert "import time" not in sh
-
-
-def test_shard_placement_weaves_follow_o9_o12():
-    report = render(dict(ALL_FEATURES_ON, O14=4))
-    sh = report.files["sharding.py"]
-    # O9+O17: only shards still accepting are placement candidates, and
-    # saturation answers clients instead of silently postponing.
-    assert "if s.overload.accepting()" in sh
-    assert "shard.overload.connection_opened()" in sh
-    assert "shedding.record_rejection" in sh
-    assert "shedding.admit_client" in sh
-    # O12=Yes: accept and drain logging through the primary's log.
-    assert "self.primary.log.info" in sh
-    # O17=No keeps the base template's silent-postpone accept gate.
-    plain = render(dict(ALL_FEATURES_ON, O14=4, O17=False)).files["sharding.py"]
-    assert ("if not any(s.overload.accepting() for s in self.shards): "
-            "return" in plain)
-    assert "shedding" not in plain
 
 
 def test_zerocopy_code_present_when_o15_on():
@@ -411,10 +350,6 @@ def test_table2_extension_rows_merge():
     assert EXPECTED_TABLE2["AcceptorEventHandler"]["O13"] == "+"
     assert EXPECTED_TABLE2["Server"]["O13"] == "+"
     assert EXPECTED_TABLE2["ServerConfiguration"]["O13"] == "+"
-    assert EXPECTED_TABLE2["Sharding"]["O14"] == "O"
-    assert EXPECTED_TABLE2["Reactor"]["O14"] == "+"
-    assert EXPECTED_TABLE2["EventDispatcher"]["O14"] == "+"
-    assert EXPECTED_TABLE2["Server"]["O14"] == "+"
     assert EXPECTED_TABLE2["Buffers"]["O15"] == "O"
     assert EXPECTED_TABLE2["Reactor"]["O15"] == "+"
     assert EXPECTED_TABLE2["CommunicatorComponent"]["O15"] == "+"
@@ -428,7 +363,6 @@ def test_table2_extension_rows_merge():
     assert EXPECTED_TABLE2["AcceptorEventHandler"]["O17"] == "+"
     assert EXPECTED_TABLE2["ServerConfiguration"]["O17"] == "+"
     assert EXPECTED_TABLE2["Observability"]["O17"] == "+"
-    assert EXPECTED_TABLE2["Sharding"]["O17"] == "+"
     # Extensions only add cells, never overwrite a paper cell.
     for name, row in TABLE2_EXTENSIONS.items():
         for key in row:
@@ -508,7 +442,6 @@ def expected_matrix():
 def test_empirical_crosscut_reproduces_paper_table2():
     emp = empirical_matrix(NSERVER, ALL_FEATURES_ON,
                            extra_bases=(POOL_TOGGLE_BASE,
-                                        DEGRADATION_TOGGLE_BASE,
                                         DEPLOYMENT_TOGGLE_BASE))
     diffs = emp.differences(expected_matrix())
     assert diffs == []
@@ -525,7 +458,6 @@ def test_empirical_crosscut_reproduces_paper_table2():
 def test_declared_metadata_matches_empirical():
     emp = empirical_matrix(NSERVER, ALL_FEATURES_ON,
                            extra_bases=(POOL_TOGGLE_BASE,
-                                        DEGRADATION_TOGGLE_BASE,
                                         DEPLOYMENT_TOGGLE_BASE))
     dec = declared_matrix(NSERVER, ALL_FEATURES_ON)
     assert emp.differences(dec) == []

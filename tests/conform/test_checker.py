@@ -179,7 +179,7 @@ def test_corner_matrix_covers_required_options():
     names = {c.name for c in smoke}
     assert len(smoke) >= 8
     assert {"base", "shed", "brownout", "faulty", "degradation",
-            "sharded", "procs"} <= names
+            "procs"} <= names
     full = {c.name for c in corner_matrix("full")}
     assert names < full
     shed = next(c for c in smoke if c.name == "shed")

@@ -1,8 +1,8 @@
-"""The acceptance storm: a seeded fault against a generated sharded
-server (O11+O13+O14), then the full per-request path — accept, shard
-placement, worker dispatch, stage bracketing, the injected fault, reply
-completion — reconstructed *purely* from flight-recorder dump files plus
-the trace exporter's records, never from live server state."""
+"""The acceptance storm: a seeded fault against a generated server
+(O11+O13), then the full per-request path — accept, worker dispatch,
+stage bracketing, the injected fault, reply completion — reconstructed
+*purely* from flight-recorder dump files plus the trace exporter's
+records, never from live server state."""
 
 import os
 
@@ -16,14 +16,12 @@ from repro.runtime import ServerHooks
 
 pytestmark = [pytest.mark.faults, pytest.mark.timeout(120)]
 
-#: the seeded schedule of test_sharded_faults: handler_crash=0.3 under
-#: seed 4 crashes exactly one handle() call — request index 3, which
-#: round-robin places on shard 1
+#: the seeded schedule of test_worker_crash: handler_crash=0.3 under
+#: seed 4 crashes exactly one handle() call — request index 3
 SEED = 4
 CRASH_INDEX = 3
 REQUESTS = 12
-SHARDS = 2
-OPTIONS = {"O4": "Synchronous", "O11": True, "O13": True, "O14": SHARDS}
+OPTIONS = {"O4": "Synchronous", "O11": True, "O13": True}
 
 
 class PingHooks(ServerHooks):
@@ -69,8 +67,7 @@ def test_fault_storm_path_reconstructed_from_dumps(tmp_path, monkeypatch):
                               supervision_interval=0.02,
                               processor_threads=2)
     plane.install(server)
-    shards = server.sharding.shards
-    victim_shard = shards[CRASH_INDEX % SHARDS]
+    reactor = server.reactor
     with ServerFixture(server) as fixture:
         outcomes = [attempt(fixture) for _ in range(REQUESTS)]
         assert outcomes[CRASH_INDEX] == b""
@@ -79,9 +76,8 @@ def test_fault_storm_path_reconstructed_from_dumps(tmp_path, monkeypatch):
 
         # The worker death dumped the ring on its own — the always-on
         # story: the evidence hits disk before anyone asks.
-        wait_until(
-            lambda: victim_shard.resilience.supervisor.restarts >= 1,
-            message="supervisor never replaced the dead worker")
+        wait_until(lambda: reactor.resilience.supervisor.restarts >= 1,
+                   message="supervisor never replaced the dead worker")
         auto_dumps = [name for name in os.listdir(auto_dir)
                       if "worker-death" in name]
         assert auto_dumps, "worker death produced no flight dump"
@@ -98,8 +94,7 @@ def test_fault_storm_path_reconstructed_from_dumps(tmp_path, monkeypatch):
         # reconstruction below reads only files and the exporters'
         # record lists.
         GLOBAL_FLIGHT.snapshot("probe", directory=str(probe_dir))
-        exported = [record for shard in shards
-                    for record in shard.observability.exporter.records()]
+        exported = reactor.observability.exporter.records()
 
     events = load_events(probe_dir)
 
@@ -117,29 +112,28 @@ def test_fault_storm_path_reconstructed_from_dumps(tmp_path, monkeypatch):
     assert victim in accepts and victim not in completed
     assert len(completed) == REQUESTS - 1
 
-    # The victim's reconstructed path: accepted, placed on a shard,
-    # dispatched to a worker, through decode, into handle — where the
-    # fault fired — and never out.
+    # The victim's reconstructed path: accepted, dispatched to a
+    # worker, through decode, into handle — where the fault fired — and
+    # never out.
     path = reconstruct_path(victim, events)
     assert [e.category for e in path] == [
-        "accept", "adopt", "dispatch",
+        "accept", "dispatch",
         "stage-enter", "stage-exit",      # decode
         "stage-enter",                    # handle...
         "fault"]                          # ...which crashed the worker
-    assert path[3].detail == "decode" and path[5].detail == "handle"
-    assert path[1].detail.startswith("shard=")
+    assert path[2].detail == "decode" and path[4].detail == "handle"
 
     # A survivor's path tells the whole five-step story through to the
-    # flushed reply — on the same shard the adopt event names.
+    # flushed reply.
     survivor = sorted(completed)[0]
     path = reconstruct_path(survivor, events)
     assert [e.category for e in path] == [
-        "accept", "adopt", "dispatch",
+        "accept", "dispatch",
         "stage-enter", "stage-exit",      # decode
         "stage-enter", "stage-exit",      # handle
         "stage-enter", "stage-exit",      # encode
         "write-complete"]
-    assert [e.detail for e in path[3:9]] == [
+    assert [e.detail for e in path[2:8]] == [
         "decode", "decode", "handle", "handle", "encode", "encode"]
 
     # The exporter agrees: one finished span per accepted request, the

@@ -1,5 +1,5 @@
-"""The overload storm: a generated 2-shard server (O9+O11+O13+O14+O17)
-at its connection cap under a seeded fault schedule, hammered with more
+"""The overload storm: a generated server (O9+O11+O13+O17) at its
+connection cap under a seeded fault schedule, hammered with more
 connections than it will take.
 
 Acceptance criteria for the O17 degradation plane (the robustness
@@ -10,8 +10,8 @@ counterpart of test_fault_storm_trace's crash storm):
   ``Retry-After`` header — cheap explicit rejection, not a silent stall
   in the kernel backlog — and is counted under the reason that bound,
   the connection cap;
-* zero worker deaths: shedding happens in the accept loop, before
-  placement, so the storm never touches the shards' Event Processors;
+* zero worker deaths: shedding happens in the accept loop, before a
+  Communicator exists, so the storm never touches the Event Processors;
 * the evidence is on the record: shed decisions (with reason codes and
   trace ids) in the flight ring, and the span exporters knowing exactly
   the admitted — and none of the shed — connections.
@@ -32,13 +32,11 @@ from repro.runtime import ServerHooks
 pytestmark = [pytest.mark.faults, pytest.mark.timeout(120)]
 
 SEED = 11
-SHARDS = 2
-PER_SHARD_CAP = 2
-CAPACITY = SHARDS * PER_SHARD_CAP
+CAPACITY = 4
 STORM = 15          # rejected connections on top of a full house
 AFTERMATH = 20      # admitted requests once the storm clears
 OPTIONS = {"O4": "Synchronous", "O9": True, "O11": True, "O13": True,
-           "O14": SHARDS, "O17": True}
+           "O17": True}
 
 
 class PingHooks(ServerHooks):
@@ -86,15 +84,15 @@ def test_overload_storm_sheds_gracefully(tmp_path):
     server = generated_server(
         plane.wrap_hooks(PingHooks()), OPTIONS,
         supervision_interval=0.02, processor_threads=2,
-        max_connections=PER_SHARD_CAP,
+        max_connections=CAPACITY,
         shed_retry_after=2.0,
         # the whole storm comes from 127.0.0.1 — keep the per-client
         # limiter out of the way so the connection cap decides alone
         shed_rate=1e6, shed_burst=1e6,
     )
     plane.install(server)
-    shards = server.sharding.shards
-    degradation = server.reactor.degradation
+    reactor = server.reactor
+    degradation = reactor.degradation
 
     with ServerFixture(server) as fixture:
         # -- fill the house: CAPACITY held connections, one request each
@@ -104,9 +102,8 @@ def test_overload_storm_sheds_gracefully(tmp_path):
             sock.sendall(b"ping\n")
             assert fixture.read_line(sock) == b"PING\n"
             occupiers.append(sock)
-        wait_until(
-            lambda: all(s.overload.at_connection_limit() for s in shards),
-            message="shards never reached the connection cap")
+        wait_until(reactor.overload.at_connection_limit,
+                   message="server never reached the connection cap")
 
         # -- the storm: every connection over capacity is rejected with
         # a complete, parseable 503 and then closed by the server
@@ -127,9 +124,8 @@ def test_overload_storm_sheds_gracefully(tmp_path):
         # -- storm over: release the house and the server recovers
         for sock in occupiers:
             sock.close()
-        wait_until(
-            lambda: sum(s.overload.open_connections for s in shards) == 0,
-            message="closed connections never drained")
+        wait_until(lambda: reactor.overload.open_connections == 0,
+                   message="closed connections never drained")
 
         latencies = []
         for _ in range(AFTERMATH):
@@ -140,13 +136,11 @@ def test_overload_storm_sheds_gracefully(tmp_path):
         p99 = latencies[int(0.99 * (len(latencies) - 1))]
         assert p99 < 2.0, f"admitted p99 {p99:.3f}s not bounded"
 
-        # -- zero worker deaths: the storm never reached a shard
-        for shard in shards:
-            assert shard.resilience.supervisor.restarts == 0
+        # -- zero worker deaths: the storm never reached a worker
+        assert reactor.resilience.supervisor.restarts == 0
 
         GLOBAL_FLIGHT.snapshot("probe", directory=str(probe_dir))
-        exported = [record for shard in shards
-                    for record in shard.observability.exporter.records()]
+        exported = reactor.observability.exporter.records()
 
     # -- reconstruction from the dump alone ------------------------------
     (dump,) = os.listdir(probe_dir)

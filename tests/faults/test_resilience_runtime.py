@@ -238,6 +238,11 @@ class FlakyListen:
         self.errnos = list(errnos)
         self.calls = 0
 
+    def fileno(self):
+        # never registered: an EMFILE backoff's listener re-post
+        # finds nothing to re-arm
+        return -1
+
     def try_accept(self):
         self.calls += 1
         if self.errnos:

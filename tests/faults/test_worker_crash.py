@@ -1,7 +1,7 @@
-"""Fault storm against the generated sharded shape (O13+O14): a seeded
-WorkerCrash kills one shard's Event Processor worker mid-event; that
-shard's O13 supervisor respawns it while the other shard keeps serving
-— the blast radius of a worker death is one shard, not the server."""
+"""Fault storm against a generated single-reactor build (O11+O13): a
+seeded WorkerCrash kills one Event Processor worker mid-event; the O13
+supervisor respawns it while the rest of the pool keeps serving — a
+worker death costs the one reply it was computing, not the server."""
 
 import pytest
 
@@ -12,12 +12,10 @@ from repro.runtime import ServerHooks
 pytestmark = [pytest.mark.faults, pytest.mark.timeout(120)]
 
 #: with handler_crash=0.3, seed 4 injects exactly one crash in twelve
-#: handle() calls — at call index 3, which round-robin over two shards
-#: places on shard 1 (its second connection)
+#: handle() calls — at call index 3
 SEED = 4
 CRASH_INDEX = 3
-SHARDS = 2
-OPTIONS = {"O4": "Synchronous", "O11": True, "O13": True, "O14": SHARDS}
+OPTIONS = {"O4": "Synchronous", "O11": True, "O13": True}
 
 
 class PingHooks(ServerHooks):
@@ -39,41 +37,33 @@ def attempt(fixture, timeout=1.0) -> bytes:
         return b""
 
 
-def test_worker_crash_stays_inside_one_shard(tmp_path):
+def test_worker_crash_costs_one_reply(tmp_path):
     plane = FaultPlane(FaultSpec(handler_crash=0.3), seed=SEED)
     server = generated_server(plane.wrap_hooks(PingHooks()), OPTIONS,
                               supervision_interval=0.02,
                               processor_threads=2)
     plane.install(server)
-    shards = server.sharding.shards
-    victim = CRASH_INDEX % SHARDS
+    reactor = server.reactor
     with ServerFixture(server) as fixture:
         outcomes = [attempt(fixture) for _ in range(12)]
 
         # The seeded crash ate exactly one reply; every other request —
-        # including later ones on the crashed shard — was served.
+        # including the ones after the crash — was served.
         assert outcomes[CRASH_INDEX] == b""
         assert all(outcomes[i] == b"PING\n"
                    for i in range(12) if i != CRASH_INDEX), outcomes
         assert [a.kind for a in plane.schedule.actions("handler")
                 ].count("crash") == 1
 
-        # Round-robin spread the twelve connections evenly — the other
-        # shard was serving while the victim took the hit.
-        assert server.sharding.accepted_per_shard == [6, 6]
-
-        # The supervisor on the crashed shard — and only that shard —
-        # replaced the dead worker, restoring the pool to full strength.
-        wait_until(
-            lambda: shards[victim].resilience.supervisor.restarts >= 1,
-            message="supervisor never replaced the dead worker")
-        assert [s.resilience.supervisor.restarts for s in shards] == \
-            [int(index == victim) for index in range(SHARDS)]
-        wait_until(lambda: shards[victim].processor.thread_count == 2,
+        # The supervisor replaced the dead worker exactly once,
+        # restoring the pool to full strength.
+        wait_until(lambda: reactor.resilience.supervisor.restarts >= 1,
+                   message="supervisor never replaced the dead worker")
+        assert reactor.resilience.supervisor.restarts == 1
+        wait_until(lambda: reactor.processor.thread_count == 2,
                    message="worker pool never restored to full strength")
 
-        # Restart counters surface in the aggregated status report.
-        fields = dict(server.sharding.status_fields())
+        # The restart counter surfaces in the status report.
+        status = reactor.observability.status_report(auto=True)
+        fields = dict(line.split(": ", 1) for line in status.splitlines())
         assert float(fields["server_worker_restarts_total"]) == 1
-        assert float(fields[
-            f'server_worker_restarts_total{{shard="{victim}"}}']) == 1

@@ -130,7 +130,7 @@ def generated_framework(options: Mapping[str, object]):
     """The loaded framework package generated for ``options``.
 
     ``options`` overrides the template defaults (e.g. ``{"O4":
-    "Synchronous", "O14": 2}``).  Each distinct option set is generated
+    "Synchronous", "O13": True}``).  Each distinct option set is generated
     once per session into a temporary directory removed at exit, so
     tests that share a shape share its package.
     """
@@ -164,8 +164,8 @@ class ServerFixture:
     """Own a server's start/stop lifecycle and its client plumbing.
 
     Works with any object exposing ``start()``, ``stop()`` and ``port``
-    — in practice the generated ``Server`` facade, single-reactor or
-    O14-sharded (build one with :func:`generated_server`).  ``stop()``
+    — in practice the generated ``Server`` facade (build one with
+    :func:`generated_server`).  ``stop()``
     is exactly-once: tests that drain/stop early call
     :meth:`mark_stopped`.
     """

@@ -60,7 +60,7 @@ def test_generated_framework_generates_each_option_set_once():
     # the same option set — spelled with defaults made explicit — is
     # the same loaded package, not a regeneration
     assert generated_framework(
-        {"O3": False, "O4": "Synchronous", "O14": 1}) is first
+        {"O3": False, "O4": "Synchronous", "O13": False}) is first
     other = generated_framework({"O4": "Synchronous"})
     assert other is not first
     assert other.GENERATED_OPTIONS["O3"] is True

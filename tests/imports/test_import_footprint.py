@@ -43,14 +43,13 @@ print(json.dumps({"status": reply.split(b"\\r\\n", 1)[0].decode(),
 
 #: never needed by a default build: other applications and their
 #: protocol libraries, option-off runtime planes (O7 idle, O9 overload,
-#: O13 resilience, O14 shard placement, O16 deployment, O17
-#: degradation and its COPS-HTTP surface), the O10/O11 façades (the
+#: O13 resilience, O16 deployment, O17 degradation and its COPS-HTTP
+#: surface), the O10/O11 façades (the
 #: null objects in repro.runtime.nulls stand in for them), O11
 #: exposition/sampling, the outbound Connector (built on first
 #: connect), the race detector's findings model, the Table 2 data and
 #: the offline tooling
 NOT_LOADED = [
-    "repro.runtime.sharding",
     "repro.runtime.deployment", "repro.runtime.degradation",
     "repro.runtime.overload", "repro.runtime.resilience",
     "repro.runtime.idle", "repro.runtime.acceptor",

@@ -5,7 +5,6 @@ import pytest
 
 from repro.experiments import (
     format_fig3,
-    format_fig3_shards,
     format_fig3_zerocopy,
     format_fig4,
     format_fig5,
@@ -16,7 +15,6 @@ from repro.experiments import (
     format_table4,
     run_capacity_sweep,
     run_fig5,
-    run_shard_sweep,
     run_fig6,
     run_table1,
     run_table2,
@@ -28,22 +26,20 @@ from repro.experiments import (
 
 def test_table1_rows_and_formatting():
     rows = run_table1()
-    # The paper's 12 options plus the O13 fault-tolerance, O14
-    # reactor-shards, O15 write-path, O16 deployment, O17 degradation
-    # and O18 poller extensions.
-    assert len(rows) == 18
+    # The paper's 12 options plus the O13 fault-tolerance, O15
+    # write-path, O16 deployment, O17 degradation and O18 poller
+    # extensions (O14 was deleted; the later keys keep their numbers).
+    assert len(rows) == 17
     assert rows[12][0] == "O13: Fault tolerance"
     assert rows[12][2:] == ["No", "No"]     # both paper apps: off
-    assert rows[13][0] == "O14: Reactor shards"
-    assert rows[13][2:] == ["1", "1"]       # both paper apps: one reactor
-    assert rows[14][0] == "O15: Write path"
-    assert rows[14][2:] == ["buffered", "buffered"]  # the paper's path
-    assert rows[15][0] == "O16: Deployment (worker processes)"
-    assert rows[15][2:] == ["1", "1"]       # both paper apps: one process
-    assert rows[16][0] == "O17: Degradation policy"
-    assert rows[16][2:] == ["No", "No"]     # both paper apps: off
-    assert rows[17][0] == "O18: Poller"
-    assert rows[17][2:] == ["select", "select"]  # the paper's readiness model
+    assert rows[13][0] == "O15: Write path"
+    assert rows[13][2:] == ["buffered", "buffered"]  # the paper's path
+    assert rows[14][0] == "O16: Deployment (worker processes)"
+    assert rows[14][2:] == ["1", "1"]       # both paper apps: one process
+    assert rows[15][0] == "O17: Degradation policy"
+    assert rows[15][2:] == ["No", "No"]     # both paper apps: off
+    assert rows[16][0] == "O18: Poller"
+    assert rows[16][2:] == ["select", "select"]  # the paper's readiness model
     text = format_table1(rows)
     assert "COPS-FTP" in text and "Yes: LRU" in text
 
@@ -74,8 +70,8 @@ def test_table4_categories_and_ratio():
     assert result.total.ncss > 0
     # "only ~20% of the total code would need to be programmed".  Our
     # application facade carries a CLI flag + builder kwarg per
-    # extension option (shards, write path, procs, degradation,
-    # poller) that the paper's COPS-HTTP never had, so the measured
+    # extension option (write path, procs, degradation, poller)
+    # that the paper's COPS-HTTP never had, so the measured
     # fraction sits above the paper's 20% — but it must stay a clear
     # minority.
     assert result.application_fraction() < 1 / 3
@@ -103,16 +99,6 @@ def test_fig3_sweep_structure(small_sweep):
 def test_fig4_formatting(small_sweep):
     text = format_fig4(small_sweep)
     assert "FIG 4" in text and "Jain" in text
-
-
-def test_shard_sweep_structure():
-    results = run_shard_sweep(shard_counts=(1, 2), clients=24,
-                              duration=8.0, warmup=2.0)
-    assert sorted(results) == [1, 2]
-    assert results[1].server == "1-shard"
-    assert all(p.throughput > 0 for p in results.values())
-    text = format_fig3_shards(results)
-    assert "REACTOR SHARDS" in text and "O14 extension" in text
 
 
 def test_zerocopy_sweep_structure():

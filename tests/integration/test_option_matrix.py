@@ -33,10 +33,6 @@ MATRIX = {
     "cache_hyper_g": dict(BASE, O4="Asynchronous", O6="Hyper-G"),
     "fault_tolerance": dict(BASE, O13=True),
     "fault_tolerance_inline": dict(BASE, O2=False, O13=True),
-    # O14 corners: sharding alone (no obs, no resilience leakage to
-    # lean on), sharding with hash affinity, and everything at once.
-    "sharded_bare": dict(BASE, O14=2),
-    "sharded_hash_policy": dict(BASE, O14=4),
     # O15 corners: the zero-copy write path bare, composed with the
     # async cache it is built for, and in the kitchen sink.
     "zerocopy_bare": dict(BASE, O15="zerocopy"),
@@ -45,7 +41,7 @@ MATRIX = {
     "kitchen_sink": dict(BASE, O1="2N", O4="Asynchronous", O5="Dynamic",
                          O6="LFU", O7=True, O8=True, O9=True,
                          O10="Debug", O11=True, O12=True, O13=True,
-                         O14=2, O15="zerocopy"),
+                         O15="zerocopy"),
 }
 
 
@@ -95,8 +91,6 @@ def test_option_combination_serves_correctly(name, tmp_path):
     kwargs = {}
     if config["O8"]:
         kwargs["scheduling_quotas"] = {0: 4, 1: 2}
-    if name == "sharded_hash_policy":
-        kwargs["shard_policy"] = "connection-hash"
     configuration = fw.ServerConfiguration(**kwargs)
     server = fw.Server(hooks, configuration=configuration)
     server.start()
@@ -173,17 +167,6 @@ def test_o16_default_emits_zero_deployment_code(tmp_path):
                 f"{forbidden!r} leaked into O16=1 {name}"
 
 
-def test_o14_default_emits_zero_sharding_code(tmp_path):
-    """O14=1 builds carry no trace of sharding — not a file, not a
-    word (the generative pattern's no-dead-code property)."""
-    opts = NSERVER.configure(BASE)
-    report = NSERVER.generate(opts, str(tmp_path), package="matrix_flat_fw")
-    assert "sharding.py" not in report.files
-    for name in report.files:
-        text = (tmp_path / "matrix_flat_fw" / name).read_text()
-        assert "shard" not in text.lower(), f"sharding leaked into {name}"
-
-
 def test_o15_default_emits_zero_buffer_code(tmp_path):
     """O15=buffered builds carry no trace of the zero-copy write path —
     not a file, not a call site (the no-dead-code property again)."""
@@ -198,17 +181,3 @@ def test_o15_default_emits_zero_buffer_code(tmp_path):
                           "out_buffer"):
             assert forbidden not in text, \
                 f"{forbidden!r} leaked into O15=buffered {name}"
-
-
-def test_sharded_without_obs_or_resilience_stays_clean(tmp_path):
-    """O14>1 with O11=No and O13=No: the emitted sharding module must
-    not reach for the observability or resilience layers it composes
-    with when those options are on."""
-    opts = NSERVER.configure(dict(BASE, O14=2))
-    report = NSERVER.generate(opts, str(tmp_path), package="matrix_shard_fw")
-    assert "sharding.py" in report.files
-    sharding = (tmp_path / "matrix_shard_fw" / "sharding.py").read_text()
-    for forbidden in ("obs", "observability", "resilience", "status_fields",
-                      "drain", "safe_accept"):
-        assert forbidden not in sharding, \
-            f"{forbidden!r} leaked into O11=No/O13=No sharding code"

@@ -113,17 +113,17 @@ def test_render_status_html():
     assert "N-Server Status" in html
 
 
-# -- one report over several sections (shards / worker processes) ----------
+# -- one report over several sections (worker processes) -------------------
 
 #: two worker processes' status_fields output, as it arrives over the
-#: supervisor's stats channel (worker 7 is itself sharded)
+#: supervisor's stats channel (worker 7 reports a per-pool gauge)
 WORKER_SECTIONS = [
     (7, [("Total Accesses", "10"), ("Total kBytes", "2"),
          ("server_requests_total", "10"),
          ("server_bytes_sent_total", "2048"),
          ("server_cache_hit_rate", "0.5"),
          ('server_errors_total{kind="io"}', "1"),
-         ('server_open_connections{shard="0"}', "2"),
+         ('server_open_connections{pool="0"}', "2"),
          ("server_queue_depth", "3"),
          ("rt_seconds-count", "2"), ("rt_seconds-p50", "0.050000")]),
     (8, [("Total Accesses", "30"),
@@ -138,7 +138,7 @@ WORKER_SECTIONS = [
 
 
 def test_merge_status_fields_golden():
-    assert merge_status_fields(WORKER_SECTIONS, "worker") == [
+    assert merge_status_fields(WORKER_SECTIONS) == [
         # Apache fields recomputed from the totals, not summed
         ("Total Accesses", "40"),
         ("CacheHitRate", "0.75"),
@@ -149,7 +149,7 @@ def test_merge_status_fields_golden():
         ("server_bytes_sent_total", "6144"),
         ("server_cache_hit_rate", "0.75"),
         ('server_errors_total{kind="io"}', "5"),
-        ('server_open_connections{shard="0"}', "2"),
+        ('server_open_connections{pool="0"}', "2"),
         ("server_queue_depth", "3"),
         ("Workers", "2"),
         # each section verbatim, re-labelled, derived fields dropped
@@ -157,7 +157,7 @@ def test_merge_status_fields_golden():
         ('server_bytes_sent_total{worker="7"}', "2048"),
         ('server_cache_hit_rate{worker="7"}', "0.5"),
         ('server_errors_total{kind="io",worker="7"}', "1"),
-        ('server_open_connections{shard="0",worker="7"}', "2"),
+        ('server_open_connections{pool="0",worker="7"}', "2"),
         ('server_queue_depth{worker="7"}', "3"),
         ('rt_seconds{worker="7"}-count', "2"),
         ('rt_seconds{worker="7"}-p50', "0.050000"),
@@ -179,7 +179,7 @@ def test_merge_status_fields_golden():
            "ReqPerSec", "BytesPerSec"]),
 ])
 def test_merge_status_fields_uptime(uptime, head):
-    fields = merge_status_fields(WORKER_SECTIONS, "worker", uptime=uptime)
+    fields = merge_status_fields(WORKER_SECTIONS, uptime=uptime)
     keys = [key for key, _value in fields]
     assert keys[:len(head)] == head
     values = dict(fields)
@@ -190,12 +190,11 @@ def test_merge_status_fields_uptime(uptime, head):
         assert "ReqPerSec" not in values and "BytesPerSec" not in values
 
 
-def test_merge_status_fields_of_shard_registries():
+def test_merge_status_fields_of_worker_registries():
     fields = merge_status_fields(
-        [(index, status_fields(make_registry())) for index in range(2)],
-        "shard")
+        [(pid, status_fields(make_registry())) for pid in (101, 102)])
     values = dict(fields)
-    assert values["Shards"] == "2"
+    assert values["Workers"] == "2"
     assert values["Total Accesses"] == "20"
-    assert values['rt_seconds{shard="1"}-count'] == "2"
+    assert values['rt_seconds{worker="102"}-count'] == "2"
     assert "rt_seconds-count" not in values

@@ -133,16 +133,16 @@ def test_reconstruct_path_merges_recorders_chronologically():
     clock = iter(range(100))
     tick = lambda: float(next(clock))  # noqa: E731 - shared test clock
     accept_plane = FlightRecorder(name="accept-plane", clock=tick)
-    shard = FlightRecorder(name="shard-0", clock=tick)
+    worker = FlightRecorder(name="worker-0", clock=tick)
     accept_plane.record("accept", "peer", trace_id=9)
-    shard.record("adopt", "shard=0", trace_id=9)
-    shard.record("dispatch", "", trace_id=9)
-    shard.record("dispatch", "", trace_id=8)       # another request
-    shard.record("write-complete", "", trace_id=9)
-    merged = shard.events() + accept_plane.events()   # any order in
+    worker.record("dispatch", "", trace_id=9)
+    worker.record("dispatch", "", trace_id=8)       # another request
+    worker.record("stage-enter", "decode", trace_id=9)
+    worker.record("write-complete", "", trace_id=9)
+    merged = worker.events() + accept_plane.events()   # any order in
     path = reconstruct_path(9, merged)
     assert [e.category for e in path] == [
-        "accept", "adopt", "dispatch", "write-complete"]
+        "accept", "dispatch", "stage-enter", "write-complete"]
     assert [e.timestamp for e in path] == sorted(e.timestamp for e in path)
 
 

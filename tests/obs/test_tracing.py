@@ -112,11 +112,6 @@ def test_render_trace_report_orders_by_start_time():
     assert "handle=0.400000" in lines[1]
 
 
-def test_render_trace_report_sharded_header():
-    assert render_trace_report([], sharded=True) \
-        == "Traces: 0 (all shards)\n"
-
-
 # -- exemplars -------------------------------------------------------------
 
 def test_traced_spans_leave_exemplars_in_the_exposition():

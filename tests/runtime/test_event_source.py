@@ -192,8 +192,9 @@ def test_late_pause_resume_of_closed_handle_spares_fd_reuser(poller_backend):
     """A connection's handle releases its fd before it reads as closed,
     and the kernel may hand that fd number straight to a new connection.
     A late pause/resume of the old handle must not re-point the poller
-    entry at it, or the new connection's readiness goes to a handle no
-    Communicator owns and its request is never answered."""
+    entry at it, nor its late deregister drop the entry, or the new
+    connection's readiness goes to a handle no Communicator owns (or
+    nowhere) and its request is never answered."""
     poller = EntryRecordingPoller(poller_backend)
     src = SocketEventSource(poller=poller)
     a_sock, a_peer = socket.socketpair()
@@ -213,6 +214,7 @@ def test_late_pause_resume_of_closed_handle_spares_fd_reuser(poller_backend):
         src.pause(a)
         src.resume(a)
         src.update_interest(a)
+        src.deregister(a)
         assert poller.entries[fd] is b
         assert src._handles[fd] is b
         b_peer.sendall(b"x")

@@ -39,9 +39,8 @@ def _every_backend(poller_backend):
 
 
 def fixture(hooks, options, **config) -> ServerFixture:
-    """A generated server in the O18 shape of the backend under test:
-    only the epoll shape re-posts a listener whose backlog an overload
-    postponement left behind (the edge will not repeat)."""
+    """A generated server in the O18 shape of the backend under test, so
+    the epoll parameter also runs the generated Poller component."""
     options = dict(options, O18=os.environ["REPRO_POLLER"])
     return ServerFixture(generated_server(hooks, options, **config))
 
@@ -189,6 +188,22 @@ def test_max_connections_cap():
         s2.settimeout(3)
         assert srv.read_line(s2) == b"second\n"
         s2.close()
+
+
+def test_accepted_sockets_have_nagle_off():
+    """Replies are written whole, so the server turns Nagle's algorithm
+    off on every accepted TCP socket: a pipelined reply never waits for
+    the client's delayed ACK of the one before it."""
+    with fixture(ServerHooks(), RAW) as srv:
+        s = srv.connect(timeout=3)
+        try:
+            s.sendall(b"hello\n")
+            assert srv.read_line(s) == b"hello\n"
+            (conn,) = srv.server.reactor.container.connections()
+            assert conn.handle.sock.getsockopt(
+                socket.IPPROTO_TCP, socket.TCP_NODELAY) == 1
+        finally:
+            s.close()
 
 
 def test_idle_reaper_closes_idle_connections():

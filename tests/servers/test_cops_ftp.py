@@ -156,3 +156,20 @@ def test_roundtrip_upload_download(setup):
     assert buf.getvalue() == payload
     ftp.delete("blob")
     ftp.quit()
+
+
+def test_quit_flags_the_close_only_as_its_reply_is_queued():
+    """A transfer thread flushing the previous 226 reads the close flag;
+    set while QUIT is still being handled, it would close the control
+    connection before the 221 goes out."""
+    from types import SimpleNamespace
+
+    from repro.servers.cops_ftp import CopsFtpHooks
+
+    hooks = CopsFtpHooks()
+    conn = SimpleNamespace(context={}, close_after_flush=False)
+    hooks.on_connect(conn)
+    result = hooks.handle(b"QUIT\r\n", conn)
+    assert not conn.close_after_flush
+    assert hooks.encode(result, conn).startswith(b"221")
+    assert conn.close_after_flush
