@@ -3,17 +3,16 @@
 Not a paper figure — performance tracking for the building blocks every
 experiment leans on: cache lookups, quota-queue operations, HTTP
 parsing, codegen, the DES kernel's event rate, and the observability
-hot path (profiler counters, span recording).
+hot path (O11 registry counters, span recording).
 """
 
 import threading
-import time
 
 from repro.cache import Cache, make_policy
 from repro.co2p3s.nserver import COPS_HTTP_OPTIONS, NSERVER
 from repro.http import parse_request, split_request
-from repro.obs import MetricsRegistry, SpanRecorder
-from repro.runtime import NULL_PROFILER, Profiler, QuotaPriorityQueue
+from repro.obs import NULL_REGISTRY, MetricsRegistry, SpanRecorder
+from repro.runtime import QuotaPriorityQueue
 from repro.sim import Simulator
 from repro.workload import SpecWebFileSet
 
@@ -84,47 +83,42 @@ def test_des_kernel_event_rate(benchmark):
 
 # -- observability hot path ---------------------------------------------------
 #
-# The read/send byte-accounting calls are the hottest instrumentation
-# sites in the server.  Three variants: the inert NullProfiler (O11=No
-# floor), a single-lock profiler (the pre-registry design, kept here as
-# the "before" of the lock-contention fix), and the registry-backed
-# Profiler whose per-counter locks let concurrent updates of different
-# counters proceed without contending.
+# The read/send byte-accounting counters are the hottest instrumentation
+# sites in the server.  Three variants: the null registry's inert
+# counters (O11=No floor), single-lock counters (the pre-registry
+# design, kept here as the "before" of the lock-contention fix), and
+# registry counters whose per-metric locks let concurrent updates of
+# different counters proceed without contending.
+
+#: the counters the Communicator bumps per request
+_HOT_COUNTERS = ("server_bytes_read_total", "server_bytes_sent_total",
+                 "server_requests_total")
 
 
-class _SingleLockProfiler:
-    """The old design: every counter update serialises on one lock."""
+class _SingleLockCounter:
+    """The old design: every counter update serialises on one shared
+    lock."""
 
-    def __init__(self):
-        self._lock = threading.Lock()
-        self._bytes_read = 0
-        self._bytes_sent = 0
-        self._requests = 0
-        self.start_time = time.monotonic()
+    def __init__(self, lock):
+        self._lock = lock
+        self.value = 0
 
-    def bytes_read(self, n):
+    def inc(self, n=1):
         with self._lock:
-            self._bytes_read += n
-
-    def bytes_sent(self, n):
-        with self._lock:
-            self._bytes_sent += n
-
-    def request_handled(self):
-        with self._lock:
-            self._requests += 1
+            self.value += n
 
 
-def _hammer(profiler, threads=4, ops=5_000):
+def _hammer(counters, threads=4, ops=5_000):
     """The communicator hot path, concurrently: read, send, account."""
+    bytes_read, bytes_sent, requests = counters
     barrier = threading.Barrier(threads)
 
     def worker():
         barrier.wait()
         for _ in range(ops):
-            profiler.bytes_read(4096)
-            profiler.bytes_sent(8192)
-            profiler.request_handled()
+            bytes_read.inc(4096)
+            bytes_sent.inc(8192)
+            requests.inc()
 
     pool = [threading.Thread(target=worker) for _ in range(threads)]
     for t in pool:
@@ -134,25 +128,30 @@ def _hammer(profiler, threads=4, ops=5_000):
 
 
 def test_profiler_null_baseline(benchmark):
-    benchmark(lambda: _hammer(NULL_PROFILER))
-    assert not NULL_PROFILER.enabled
+    benchmark(lambda: _hammer(
+        [NULL_REGISTRY.counter(name) for name in _HOT_COUNTERS]))
+    assert NULL_REGISTRY.collect() == []
 
 
 def test_profiler_single_lock_before(benchmark):
     def run():
-        _hammer(_SingleLockProfiler())
+        lock = threading.Lock()
+        counters = [_SingleLockCounter(lock) for _ in _HOT_COUNTERS]
+        _hammer(counters)
+        return counters
 
-    benchmark(run)
+    counters = benchmark(run)
+    assert counters[2].value == 20_000
 
 
 def test_profiler_registry_after(benchmark):
     def run():
-        profiler = Profiler()
-        _hammer(profiler)
-        return profiler
+        registry = MetricsRegistry()
+        _hammer([registry.counter(name) for name in _HOT_COUNTERS])
+        return registry
 
-    profiler = benchmark(run)
-    assert profiler.registry.value("server_requests_total") == 20_000
+    registry = benchmark(run)
+    assert registry.value("server_requests_total") == 20_000
 
 
 def test_span_recording_rate(benchmark):

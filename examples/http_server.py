@@ -49,13 +49,16 @@ def main() -> None:
                   f"{resp.getheader('Content-Type')} ({len(body)} bytes)")
         conn.close()
 
-        profile = server.reactor.profiler.snapshot()
+        observability = server.reactor.observability
+        observability.sample()              # refresh the sampled gauges
+        value = observability.registry.value
         print("\nserver statistics (option O11 profiling):")
-        print(f"  connections accepted : {profile.connections_accepted}")
-        print(f"  requests handled     : {profile.requests_handled}")
-        print(f"  bytes read / sent    : {profile.bytes_read} / "
-              f"{profile.bytes_sent}")
-        print(f"  cache hit rate       : {profile.cache_hit_rate:.0%}")
+        print("  connections accepted : "
+              f"{value('server_connections_accepted_total'):.0f}")
+        print(f"  requests handled     : {value('server_requests_total'):.0f}")
+        print(f"  bytes read / sent    : {value('server_bytes_read_total'):.0f}"
+              f" / {value('server_bytes_sent_total'):.0f}")
+        print(f"  cache hit rate       : {value('server_cache_hit_rate'):.0%}")
     finally:
         server.stop()
     print("done.")

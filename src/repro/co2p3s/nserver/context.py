@@ -46,7 +46,7 @@ def build_context(o: OptionSet) -> Dict[str, Any]:
                         ("send_reply", "writable")):
         tag = step.replace("_", "-")
         ctx[f"trace_{step}"] = on(
-            debug, f'self.reactor.tracer.trace("{tag}", event.handle.name)')
+            debug, f'self.reactor.tracer.record("{tag}", event.handle.name)')
         ctx[f"log_{step}"] = on(
             logging, f'self.reactor.log.debug(f"{label}: {{event.handle.name}}")')
         ctx[f"count_{step}"] = on(profiling, "self.events_handled += 1")
@@ -55,7 +55,7 @@ def build_context(o: OptionSet) -> Dict[str, Any]:
 
     for step in ("decode", "encode", "compute"):
         ctx[f"trace_{step}"] = on(
-            debug, f'self.reactor.tracer.trace("{step}", conn.handle.name)')
+            debug, f'self.reactor.tracer.record("{step}", conn.handle.name)')
         ctx[f"log_{step}"] = on(
             logging, f'self.reactor.log.debug(f"{step}: {{conn.handle.name}}")')
         ctx[f"touch_{step}"] = on(idle, "conn.touch()")
@@ -130,11 +130,6 @@ def build_context(o: OptionSet) -> Dict[str, Any]:
                      'lambda: 0.0 if reactor.degradation.breaker.state '
                      '== "closed" else 1.0, '
                      'help="File-I/O circuit breaker not closed (0/1)")')
-    ctx["probe_cache_hit_rate"] = on(
-        cache is not None,
-        'sampler.add_probe("server_cache_hit_rate", '
-        'lambda: reactor.cache.stats.hit_rate, '
-        'help="File cache hit rate (0..1)")')
     ctx["probe_buffer_pool_hit_rate"] = on(
         zerocopy,
         'sampler.add_probe("server_buffer_pool_hit_rate", '
@@ -149,8 +144,6 @@ def build_context(o: OptionSet) -> Dict[str, Any]:
 
     # -- communication module -----------------------------------------------------
     ctx["use_codec"] = "True" if codec else "False"
-    ctx["communicator_profiler_arg"] = on(profiling,
-                                          "profiler=reactor.profiler,")
     ctx["communicator_spans_arg"] = on(
         profiling, "spans=reactor.observability.spans,")
     # Zero-copy write path (O15): the Communicator gets the shared
@@ -166,7 +159,7 @@ def build_context(o: OptionSet) -> Dict[str, Any]:
     ctx["server_pipeline"] = five if codec else three
 
     ctx["server_open_trace"] = on(
-        debug, 'self.reactor.tracer.trace("server", f"open port {self.port}")')
+        debug, 'self.reactor.tracer.record("server", f"open port {self.port}")')
     ctx["server_open_log"] = on(
         logging, 'self.reactor.log.info(f"listening on port {self.port}")')
     ctx["server_open_idle_timer"] = on(
@@ -179,7 +172,7 @@ def build_context(o: OptionSet) -> Dict[str, Any]:
     ctx["touch_new_communicator"] = on(idle, "conn.touch()")
 
     ctx["client_connect_trace"] = on(
-        debug, 'self.reactor.tracer.trace("connect", handle.name)')
+        debug, 'self.reactor.tracer.record("connect", handle.name)')
     ctx["client_connect_log"] = on(
         logging, 'self.reactor.log.info(f"connecting to '
                  '{client_configuration.host}:{client_configuration.port}")')
@@ -187,13 +180,13 @@ def build_context(o: OptionSet) -> Dict[str, Any]:
         idle, "handle.last_activity = self.reactor.clock()")
 
     ctx["trace_server_event"] = on(
-        debug, 'self.reactor.tracer.trace("server-event", str(event.payload))')
+        debug, 'self.reactor.tracer.record("server-event", str(event.payload))')
     ctx["count_timer_events"] = on(profiling, "self.timer_events += 1")
     ctx["idle_scan_dispatch"] = on(idle, "self._idle_scan(event)")
     ctx["obs_sample_dispatch"] = on(profiling, "self._obs_sample(event)")
 
     ctx["trace_connect_event"] = on(
-        debug, 'self.reactor.tracer.trace("connect", conn.handle.name)')
+        debug, 'self.reactor.tracer.record("connect", conn.handle.name)')
     ctx["log_connect_event"] = on(
         logging, 'self.reactor.log.info(f"connected to {conn.handle.name}")')
     ctx["count_connections_established"] = on(
@@ -205,13 +198,11 @@ def build_context(o: OptionSet) -> Dict[str, Any]:
         "conn.send_bytes(conn.hooks.client_greeting(conn))")
 
     ctx["trace_accept"] = on(
-        debug, 'self.reactor.tracer.trace("accept", handle.name)')
+        debug, 'self.reactor.tracer.record("accept", handle.name)')
     ctx["log_accept"] = on(
         logging, 'self.reactor.log.info(f"accepted {handle.name}")')
     ctx["count_connections_accepted"] = on(
-        profiling, "self.connections_accepted += 1")
-    ctx["profile_connection_accepted"] = on(
-        profiling, "self.reactor.profiler.connection_accepted()")
+        profiling, "self.reactor.observability.connections_accepted.inc()")
     ctx["send_server_greeting"] = (
         "conn.send_bytes(conn.hooks.encode("
         "conn.hooks.server_greeting(conn), conn))"
@@ -219,7 +210,7 @@ def build_context(o: OptionSet) -> Dict[str, Any]:
         "conn.send_bytes(conn.hooks.server_greeting(conn))")
 
     ctx["trace_app_event"] = on(
-        debug, 'self.reactor.tracer.trace("app-event", str(event.payload))')
+        debug, 'self.reactor.tracer.record("app-event", str(event.payload))')
     ctx["count_app_events"] = on(profiling, "self.events_handled += 1")
     ctx["touch_app_event"] = on(
         idle, "if event.handle is not None: "
@@ -228,14 +219,12 @@ def build_context(o: OptionSet) -> Dict[str, Any]:
     ctx["trace_connects"] = "True" if debug else "False"
 
     # -- reactor module ------------------------------------------------------------
-    ctx["make_tracer"] = on(debug, "self.tracer = rt.EventTracer()")
+    ctx["make_tracer"] = on(debug, "self.tracer = rt.debug_ring()")
     ctx["make_log"] = on(logging, "self.log = rt.ServerLog()")
     # The tracer is built first: the Observability span recorder mirrors
     # span events into it when the build is O10=Debug.
     ctx["make_observability"] = on(
         profiling, "self.observability = Observability(self)")
-    ctx["make_profiler"] = on(
-        profiling, "self.profiler = self.observability.profiler")
     ctx["wire_observability"] = on(profiling, "self.observability.wire()")
     ctx["make_cache"] = on(cache is not None, "self.cache = Cache(self)")
     ctx["make_buffers"] = on(zerocopy, "self.buffers = Buffers(self)")
@@ -280,11 +269,13 @@ def build_context(o: OptionSet) -> Dict[str, Any]:
         ctx["make_file_io"] = OMIT
     ctx["dispatcher_threads_expr"] = (
         "1" if o["O1"] == "1" else "2 * (os.cpu_count() or 1)")
-    ctx["enable_dispatch_profiling"] = on(
-        profiling, "self.dispatcher.enable_profiling()")
+    ctx["trace_dispatch"] = on(
+        debug, 'self.reactor.tracer.record("dispatch", type(event).__name__)')
+    ctx["count_dispatch"] = on(
+        profiling, "self.reactor.observability.events_dispatched.inc()")
     ctx["enable_cache_profiling"] = on(
         profiling and cache is not None,
-        "self.cache.enable_profiling(self.profiler)")
+        "self.cache.enable_profiling(self.observability.sampler)")
     ctx["wire_processor_error_trace"] = on(
         debug and pool,
         "self.processor.error_hook = self.processor.trace_error")
@@ -331,7 +322,7 @@ def build_context(o: OptionSet) -> Dict[str, Any]:
     ctx["stop_file_io"] = on(async_io, "self.file_io.stop()")
     ctx["final_obs_sample"] = on(
         profiling, "self.observability.sample()")
-    ctx["close_tracer"] = on(debug, "self.tracer.close()")
+    ctx["write_debug_trace"] = on(debug, "self.write_debug_trace()")
     ctx["log_stopped"] = on(logging, 'self.log.info("server stopped")')
 
     # -- resilience module (O13) --------------------------------------------------
@@ -368,7 +359,7 @@ def build_context(o: OptionSet) -> Dict[str, Any]:
         pool, "if reactor.processor.queue_length or "
               "reactor.processor.busy_count: return False")
     ctx["count_accept_errors"] = on(
-        profiling, "self.reactor.profiler.accept_error()")
+        profiling, "self.reactor.observability.accept_errors.inc()")
     ctx["log_accept_error"] = on(
         logging, 'self.reactor.log.error(f"accept error: {exc!r}")')
     # After an accept backoff the backlog is still queued: a

@@ -77,7 +77,6 @@ MODULE_COMMUNICATION = ModuleSpec(
                             use_codec=$use_codec,
                             on_teardown=reactor.teardown_communicator,
                             update_interest=reactor.sync_interest,
-                            $communicator_profiler_arg
                             $communicator_spans_arg
                             $communicator_buffer_arg
                         )
@@ -335,12 +334,6 @@ MODULE_COMMUNICATION = ModuleSpec(
                 ),
                 Fragment(
                     '''
-                    connections_accepted = 0
-                    ''',
-                    guard=_o("O11"), options=("O11",),
-                ),
-                Fragment(
-                    '''
                     def handle(self, event):
                         listen = event.handle
                         $accept_batch_init
@@ -427,7 +420,6 @@ MODULE_COMMUNICATION = ModuleSpec(
                         $trace_accept
                         $log_accept
                         $count_connections_accepted
-                        $profile_connection_accepted
                         conn = self.reactor.server_component.make_communicator(handle)
                         self.reactor.register_communicator(conn)
                         if hasattr(conn.hooks, "server_greeting"):
@@ -464,7 +456,7 @@ MODULE_COMMUNICATION = ModuleSpec(
                 Fragment(
                     '''
                     def remove(self, conn):
-                        self.reactor.tracer.trace(
+                        self.reactor.tracer.record(
                             "container", f"remove {conn.handle.name}")
                         super().remove(conn)
                     ''',
@@ -676,8 +668,9 @@ MODULE_COMMUNICATION = ModuleSpec(
                 ),
                 Fragment(
                     '''
-                    # Debug builds may stream the internal event trace to a
-                    # file for post-mortem analysis (option O10=Debug).
+                    # Debug builds write the internal event trace to this
+                    # file when they stop, for post-mortem analysis
+                    # (option O10=Debug; None keeps it in memory only).
                     debug_trace_path = None
                     ''',
                     guard=_debug, options=("O10",),

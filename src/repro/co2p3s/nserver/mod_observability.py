@@ -4,7 +4,9 @@ Extends the paper's performance-profiling option into a unified
 observability layer: when O11=Yes the template generates an
 ``Observability`` component owning a metrics registry, the request-span
 recorder, and a periodic gauge sampler, plus the two exposition
-surfaces (Prometheus text and a ``mod_status``-style report).  When
+surfaces (Prometheus text and a ``mod_status``-style report).  It
+registers the counters the generated accept loop and dispatcher bump
+directly; the span recorder registers the per-connection ones.  When
 O11=No the module is not emitted at all and no metric or span call
 site appears anywhere in the generated framework.
 
@@ -12,12 +14,12 @@ Table 2 extension row:
 
 =============  ====================================================
 Observability  exists iff O11; body depends on O2 (pool probes),
-               O6 (cache hit-rate probe), O9 (overload probes),
-               O10 (span events mirrored into the debug tracer),
-               O15 (header buffer pool hit-rate probe), O16 (status
-               report aggregated across worker processes through the
-               supervisor's stats socket) and O17 (shed-total,
-               brownout-level and breaker-state probes)
+               O9 (overload probes), O10 (span events mirrored into
+               the debug event ring), O15 (header buffer pool hit-rate
+               probe), O16 (status report aggregated across worker
+               processes through the supervisor's stats socket) and
+               O17 (shed-total, brownout-level and breaker-state
+               probes)
 =============  ====================================================
 """
 
@@ -43,14 +45,16 @@ MODULE_OBSERVABILITY = ModuleSpec(
         "the status/Prometheus exposition surfaces.",
     imports=[
         Fragment("from repro import obs"),
-        Fragment("from repro import runtime as rt"),
+        Fragment("from repro import runtime as rt",
+                 guard=_multiproc, options=("O16",)),
     ],
     classes=[
         ClassSpec(
             name="Observability",
-            doc="Owns the metrics registry shared by the profiler facade, "
-                "the span recorder and the gauge sampler; renders the "
-                "Prometheus and server-status exposition surfaces.",
+            doc="Owns the metrics registry shared by the generated "
+                "counters, the span recorder and the gauge sampler; "
+                "renders the Prometheus and server-status exposition "
+                "surfaces.",
             exists=_o("O11"),
             exists_options=("O11",),
             fragments=[
@@ -60,7 +64,9 @@ MODULE_OBSERVABILITY = ModuleSpec(
                         self.reactor = reactor
                         self.start_time = reactor.clock()
                         self.registry = obs.MetricsRegistry()
-                        self.profiler = rt.Profiler(registry=self.registry)
+                        self.connections_accepted = self.registry.counter("server_connections_accepted_total", "Connections accepted")
+                        self.events_dispatched = self.registry.counter("server_events_dispatched_total", "Events routed by dispatchers")
+                        self.accept_errors = self.registry.counter("server_accept_errors_total", "OSErrors survived by the accept loop")
                         self.exporter = obs.RingExporter(reactor.configuration.trace_ring_capacity)
                         self.spans = obs.SpanRecorder(self.registry, tracer=$spans_tracer, exporter=self.exporter)
                         self.sampler = obs.PeriodicSampler(self.registry)
@@ -83,11 +89,10 @@ MODULE_OBSERVABILITY = ModuleSpec(
                         $probe_shed_total
                         $probe_brownout_level
                         $probe_breaker_open
-                        $probe_cache_hit_rate
                         $probe_buffer_pool_hit_rate
                         $probe_read_pool_hit_rate
                     ''',
-                    options=("O2", "O6", "O9", "O15", "O17"),
+                    options=("O2", "O9", "O15", "O17"),
                 ),
                 Fragment(
                     '''

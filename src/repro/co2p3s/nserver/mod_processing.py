@@ -95,7 +95,7 @@ MODULE_PROCESSING = ModuleSpec(
                     def trace_error(self, event, exc):
                         """Debug mode: record handler failures in the
                         internal event trace."""
-                        self.reactor.tracer.trace(
+                        self.reactor.tracer.record(
                             "processor-error", f"{event!r}: {exc!r}")
                     ''',
                     guard=_debug, options=("O10",),
@@ -175,18 +175,12 @@ MODULE_PROCESSING = ModuleSpec(
                 Fragment(
                     '''
                     def dispatch(self, event):
-                        self.reactor.tracer.trace("dispatch", type(event).__name__)
+                        $trace_dispatch
+                        $count_dispatch
                         super().dispatch(event)
                     ''',
-                    guard=_debug, options=("O10",),
-                ),
-                Fragment(
-                    '''
-                    def enable_profiling(self):
-                        """Per-event dispatch counting (profiling, O11)."""
-                        self.profiler = self.reactor.profiler
-                    ''',
-                    guard=_o("O11"), options=("O11",),
+                    guard=lambda o: _debug(o) or o["O11"],
+                    options=("O10", "O11"),
                 ),
             ],
         ),
@@ -244,9 +238,10 @@ MODULE_CACHE = ModuleSpec(
                 ),
                 Fragment(
                     '''
-                    def enable_profiling(self, profiler):
-                        """Expose the hit rate through the profiler (O11)."""
-                        profiler.attach_cache(self.file_cache.stats)
+                    def enable_profiling(self, sampler):
+                        """Publish the hit rate as a sampled gauge
+                        (profiling, O11)."""
+                        sampler.add_probe("server_cache_hit_rate", lambda: self.file_cache.stats.hit_rate, help="File cache hit rate (0..1)")
                     ''',
                     guard=_o("O11"), options=("O11",),
                 ),

@@ -104,7 +104,6 @@ MODULE_REACTOR = ModuleSpec(
                         $make_tracer
                         $make_log
                         $make_observability
-                        $make_profiler
                         $make_poller_component
                         self.socket_source = rt.SocketEventSource($socket_source_args)
                         self.timer_source = rt.TimerEventSource(self.socket_source)
@@ -126,7 +125,6 @@ MODULE_REACTOR = ModuleSpec(
                         self.client_component = ClientComponent(self)
                         self.server_component = ServerComponent(self, configuration)
                         self.dispatcher = EventDispatcher(self, threads=$dispatcher_threads_expr)
-                        $enable_dispatch_profiling
                         $enable_cache_profiling
                         $wire_processor_error_trace
                         $wire_observability
@@ -290,7 +288,7 @@ MODULE_REACTOR = ModuleSpec(
                         $stop_file_io
                         self.source.close()
                         $final_obs_sample
-                        $close_tracer
+                        $write_debug_trace
                         $log_stopped
                     ''',
                     # Resilience stops before the processor so a dead
@@ -299,6 +297,19 @@ MODULE_REACTOR = ModuleSpec(
                     # it never retunes a dismantling server.
                     options=("O2", "O4", "O5", "O10", "O11", "O12", "O13",
                              "O17"),
+                ),
+                Fragment(
+                    '''
+                    def write_debug_trace(self):
+                        """Write the internal event trace to the
+                        configured file, one event per line (option
+                        O10=Debug: events are "written into a file")."""
+                        path = self.configuration.debug_trace_path
+                        if path is not None:
+                            with open(path, "w", encoding="utf-8") as sink:
+                                self.tracer.dump(sink)
+                    ''',
+                    guard=_debug, options=("O10",),
                 ),
                 Fragment(
                     '''

@@ -135,8 +135,8 @@ PAPER_TABLE2 = {
 #: and the Observability status report aggregates across worker
 #: processes through the stats socket.
 TABLE2_EXTENSIONS = {
-    "Observability": {"O2": "+", "O6": "+", "O9": "+", "O10": "+",
-                      "O11": "O", "O15": "+", "O16": "+", "O17": "+"},
+    "Observability": {"O2": "+", "O9": "+", "O10": "+", "O11": "O",
+                      "O15": "+", "O16": "+", "O17": "+"},
     "ServerComponent": {"O11": "+", "O15": "+", "O16": "+"},
     "ServerConfiguration": {"O11": "+", "O13": "+", "O15": "+", "O16": "+",
                             "O17": "+", "O18": "+"},

@@ -8,8 +8,9 @@ Four pieces, composable and individually testable:
   branch-free path;
 * :mod:`repro.obs.spans` — request-lifecycle spans bracketing the
   decode/handle/encode steps of the five-step cycle (Fig 1), recorded
-  into per-stage latency histograms and optionally mirrored into the
-  debug :class:`~repro.runtime.tracing.EventTracer`;
+  into per-stage latency histograms (and, in an O10=Debug build,
+  mirrored into the debug event ring), plus the per-connection
+  counters (bytes read/sent, requests, errors, closes);
 * :mod:`repro.obs.sampler` — periodic gauge sampling of pull-style state
   (queue depth, pool size, open connections, overload trip state, cache
   hit rate);
@@ -23,8 +24,11 @@ Four pieces, composable and individually testable:
   quarantine or ``SIGUSR2``.
 
 This package deliberately does not import :mod:`repro.runtime` — the
-runtime imports *it* (the Profiler is a façade over the registry), and
-the generated frameworks' ``Observability`` component wires the rest.
+runtime imports *it* (the Communicator records into the flight
+recorder and a span recorder),
+and the generated frameworks' ``Observability`` component wires the
+rest: generated code bumps registry counters and records into flight
+recorders directly, with no façade in between.
 """
 
 from repro import lazy_exports

@@ -2,15 +2,16 @@
 
 The unified observability layer behind the paper's option O11
 ("important statistical information of the server application can be
-automatically gathered").  The :class:`~repro.runtime.profiling.Profiler`
-is a thin façade over this registry, and the generated frameworks'
-``Observability`` component builds directly on it.
+automatically gathered").  The generated frameworks' ``Observability``
+component and the :class:`~repro.obs.spans.SpanRecorder` register their
+counters directly on it; generated code bumps them with no layer in
+between.
 
 Design points:
 
 * **Per-metric locking.**  Every counter/gauge/histogram carries its own
   lock, so two threads updating *different* metrics never contend — the
-  fix for the old single-``Profiler``-lock hot path (every byte-count
+  fix for the old single-lock profiler hot path (every byte-count
   update on the read/send path used to serialise on one lock).
 * **Labeled families.**  ``registry.counter("x_total", labels=("kind",))``
   returns a family; ``family.labels(kind="read")`` returns (and caches)

@@ -9,7 +9,13 @@ end-to-end time in ``server_request_seconds`` — which is what makes the
 differentiated-service (Fig 5) and overload (Fig 6) behaviour readable
 as latency timeseries.  The read/send socket steps are not per-request
 (a recv may carry several pipelined requests), so the Communicator
-records them directly via :meth:`SpanRecorder.observe`.
+records them directly via :meth:`SpanRecorder.bytes_read` /
+:meth:`SpanRecorder.bytes_sent`, which also count the bytes.
+
+The recorder is the Communicator's one O11 collaborator, so it also
+owns the paper's per-connection statistics ("the number of bytes read,
+the number of bytes sent", requests handled, errors and connections
+closed) as counters on the shared registry.
 
 Stages nest: beginning a stage while another is open records the inner
 one under a dotted path (``handle.cache``).  Spans are *not* re-entrant
@@ -24,6 +30,10 @@ request.  Finished spans are handed to the recorder's
 *exporter* (:mod:`repro.obs.tracing`) when one is wired in, and the
 most recent ``(value, trace_id)`` pair per histogram series is kept as
 an *exemplar* for the Prometheus exposition.
+
+In an O10=Debug build every finished span is also mirrored as one
+``span`` event into the debug ring (the ``tracer`` argument, a
+:class:`~repro.obs.flight.FlightRecorder`).
 
 When O11=No the call sites either aren't generated at all (generated
 frameworks) or hit :data:`NULL_SPANS` / :data:`NULL_SPAN` — no-op
@@ -114,7 +124,12 @@ class Span:
 
 
 class SpanRecorder:
-    """Factory for request spans; owns the latency histograms."""
+    """Factory for request spans; owns the latency histograms and the
+    per-connection counters.
+
+    ``tracer`` (optional) is the O10=Debug event ring each finished
+    span is mirrored into.
+    """
 
     enabled = True
 
@@ -132,6 +147,16 @@ class SpanRecorder:
             "server_request_stage_seconds",
             "Per-stage request latency (read/decode/handle/encode/send)",
             labels=("stage",), buckets=buckets)
+        self._bytes_read = registry.counter(
+            "server_bytes_read_total", "Bytes read from sockets")
+        self._bytes_sent = registry.counter(
+            "server_bytes_sent_total", "Bytes sent to sockets")
+        self._requests = registry.counter(
+            "server_requests_total", "Requests handled to completion")
+        self._errors = registry.counter(
+            "server_errors_total", "Pipeline/handler errors")
+        self._connections_closed = registry.counter(
+            "server_connections_closed_total", "Connections closed")
         #: (metric name, label items) -> (value, trace_id): the most
         #: recent traced observation per histogram series
         self._exemplars: Dict[Tuple[str, Tuple[Tuple[str, str], ...]],
@@ -147,6 +172,28 @@ class SpanRecorder:
         """Record a stage sample outside any span (read/send socket work,
         which is per-chunk rather than per-request)."""
         self._stages.labels(stage=stage).observe(seconds)
+
+    def bytes_read(self, n: int, seconds: float) -> None:
+        """One socket read: ``n`` bytes taking ``seconds``."""
+        self.observe("read", seconds)
+        self._bytes_read.inc(n)
+
+    def bytes_sent(self, n: int, seconds: float) -> None:
+        """One socket send: ``n`` bytes taking ``seconds``."""
+        self.observe("send", seconds)
+        self._bytes_sent.inc(n)
+
+    def request_handled(self) -> None:
+        """A reply was encoded and queued."""
+        self._requests.inc()
+
+    def error(self) -> None:
+        """A hook raised: the connection is closed."""
+        self._errors.inc()
+
+    def connection_closed(self) -> None:
+        """A connection was torn down."""
+        self._connections_closed.inc()
 
     def stage_quantiles(self, quantiles=(0.50, 0.90, 0.99)) -> dict:
         """{stage: {q: estimate}} for every stage seen so far."""
@@ -193,6 +240,6 @@ class SpanRecorder:
         if self.tracer is not None:
             parts = " ".join(f"{path}={ended - started:.6f}"
                              for path, started, ended in span.stages)
-            self.tracer.trace(
+            self.tracer.record(
                 "span", f"{span.name} {span.detail} "
                         f"total={span.duration:.6f} {parts}".rstrip())

@@ -5,8 +5,9 @@ Synthesises the four patterns from section II of the paper: Reactor
 (readiness selection + dispatch), Proactor and Asynchronous Completion
 Tokens (emulated non-blocking file I/O), and Acceptor-Connector
 (connection establishment).  Feature subsystems map to template options:
-scheduler (O8), overload (O9), profiling (O11), tracing (O10/O12),
-idle (O7).
+scheduler (O8), overload (O9), tracing (the O10=Debug event ring and
+the O12 log).  O11 profiling lives in :mod:`repro.obs`: generated code
+bumps the metrics registry and the span recorder directly.
 """
 
 from repro import lazy_exports
@@ -28,7 +29,7 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, globals(), {
     "deployment": (
         "STATS_SOCKET_ENV", "ProcessSupervisor", "adopted_listen_socket",
         "cluster_status_fields", "generated_worker", "generated_worker_args",
-        "in_worker_process", "worker_listen_handle",
+        "worker_listen_handle",
     ),
     "dispatcher": ("EventDispatcher",),
     "event_source": (
@@ -43,23 +44,18 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, globals(), {
     ),
     "file_io": ("AsyncFileIO",),
     "handles": ("FileHandle", "Handle", "ListenHandle", "SocketHandle"),
-    "idle": ("IdleConnectionReaper",),
     "overload": ("OverloadController", "Watermark"),
     "poller": (
         "EpollPoller", "Poller", "SelectPoller", "available_pollers",
         "make_poller",
     ),
-    "nulls": (
-        "NULL_LOG", "NULL_PROFILER", "NULL_TRACER", "NullLog", "NullProfiler",
-        "NullTracer",
-    ),
+    "nulls": ("NULL_LOG", "NullLog"),
     "processor": ("EventProcessor", "ProcessorController"),
-    "profiling": ("Profiler", "ServerProfile"),
     "resilience": (
         "DeadlineMonitor", "DeadlinePolicy", "EventQuarantine",
         "WorkerSupervisor",
     ),
     "scheduler": ("FifoEventQueue", "QuotaPriorityQueue"),
     "timerwheel": ("TimerWheel",),
-    "tracing": ("EventTracer", "ServerLog", "TraceRecord"),
+    "tracing": ("ServerLog", "debug_ring"),
 })

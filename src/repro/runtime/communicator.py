@@ -27,7 +27,7 @@ from typing import Any, Callable, Optional, Tuple
 from repro.obs.flight import GLOBAL as GLOBAL_FLIGHT
 from repro.runtime.events import Event
 from repro.runtime.handles import SocketHandle
-from repro.runtime.nulls import NULL_LOG, NULL_PROFILER, NULL_SPANS, NULL_TRACER
+from repro.runtime.nulls import NULL_SPANS
 
 __all__ = ["PENDING", "CLOSE", "ServerHooks", "Communicator"]
 
@@ -125,9 +125,6 @@ class Communicator:
         use_codec: bool = True,
         on_teardown: Optional[Callable[["Communicator"], None]] = None,
         update_interest: Optional[Callable[[SocketHandle], None]] = None,
-        profiler=NULL_PROFILER,
-        tracer=NULL_TRACER,
-        log=NULL_LOG,
         spans=NULL_SPANS,
         clock=time.monotonic,
         buffer_pool=None,
@@ -144,9 +141,8 @@ class Communicator:
         self.buffer_pool = buffer_pool
         self.on_teardown = on_teardown
         self.update_interest = update_interest
-        self.profiler = profiler
-        self.tracer = tracer
-        self.log = log
+        #: the O11 span recorder (request spans, socket-stage timings
+        #: and the per-connection counters); the null recorder otherwise
         self.spans = spans
         self.clock = clock
         self.in_buffer = bytearray()
@@ -203,10 +199,7 @@ class Communicator:
                 return
             now = self.clock()
             self.handle.last_activity = now
-            self.spans.observe("read", now - t0)
-            self.profiler.bytes_read(n)
-            if self.tracer.enabled:
-                self.tracer.trace("read", f"{self.handle.name} +{n}B")
+            self.spans.bytes_read(n, now - t0)
             self._pump_requests()
             if self.closed:
                 return
@@ -231,10 +224,7 @@ class Communicator:
         if sent:
             now = self.clock()
             self.handle.last_activity = now
-            self.spans.observe("send", now - t0)
-            self.profiler.bytes_sent(sent)
-            if self.tracer.enabled:
-                self.tracer.trace("send", f"{self.handle.name} -{sent}B")
+            self.spans.bytes_sent(sent, now - t0)
         if self.handle.closed:
             self.close()
             return
@@ -288,8 +278,6 @@ class Communicator:
             with span.stage("decode"):
                 request = self.step_decode(raw)
             self.flight.record("stage-exit", "decode", trace_id)
-            if self.tracer.enabled:
-                self.tracer.trace("decode", f"{self.handle.name} {len(raw)}B")
             span.stage_begin("handle")
             self.flight.record("stage-enter", "handle", trace_id)
             result = self.step_handle(request)
@@ -305,8 +293,7 @@ class Communicator:
                 # Worker-death path: the supervisor owns recovery, so the
                 # exception keeps propagating to take the worker down.
                 raise
-            self.profiler.error()
-            self.log.error(f"pipeline error on {self.handle.name}: {exc!r}")
+            self.spans.error()
             self.close()
             return
         with self._ticket_lock:
@@ -399,15 +386,14 @@ class Communicator:
             with span.stage("encode"):
                 data = self.step_encode(result)
             self.flight.record("stage-exit", "encode", trace_id)
-        except Exception as exc:  # noqa: BLE001
+        except Exception:  # noqa: BLE001 - encode errors end the connection
             span.finish()
-            self.profiler.error()
-            self.log.error(f"encode error on {self.handle.name}: {exc!r}")
+            self.spans.error()
             self.close()
             return
         span.finish()
         self.requests_completed += 1
-        self.profiler.request_handled()
+        self.spans.request_handled()
         self.send_bytes(data)
 
     # -- output ---------------------------------------------------------------
@@ -439,10 +425,7 @@ class Communicator:
         sent = self.handle.try_send()
         if sent:
             now = self.clock()
-            self.spans.observe("send", now - t0)
-            self.profiler.bytes_sent(sent)
-            if self.tracer.enabled:
-                self.tracer.trace("send", f"{self.handle.name} -{sent}B")
+            self.spans.bytes_sent(sent, now - t0)
             self.handle.last_activity = now
         if self.handle.closed:
             self.close()
@@ -488,11 +471,10 @@ class Communicator:
         if self.closed:
             return
         self.closed = True
-        self.tracer.trace("close", self.handle.name)
         try:
             self.hooks.on_close(self)
         finally:
             if self.on_teardown is not None:
                 self.on_teardown(self)
             self.handle.close()
-            self.profiler.connection_closed()
+            self.spans.connection_closed()

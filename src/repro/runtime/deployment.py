@@ -71,7 +71,6 @@ __all__ = [
     "cluster_status_fields",
     "generated_worker",
     "generated_worker_args",
-    "in_worker_process",
     "worker_listen_handle",
 ]
 
@@ -86,11 +85,6 @@ _ADOPTED_LISTEN: Optional[socket.socket] = None
 
 
 # -- worker-process runtime state ---------------------------------------------
-
-
-def in_worker_process() -> bool:
-    """True when this process is an O16 worker (it adopted a socket)."""
-    return _ADOPTED_LISTEN is not None
 
 
 def adopted_listen_socket() -> Optional[socket.socket]:

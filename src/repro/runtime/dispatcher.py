@@ -33,13 +33,11 @@ class EventDispatcher:
     """
 
     def __init__(self, source: EventSource, threads: int = 1,
-                 poll_timeout: float = 0.1,
-                 profiler=None):
+                 poll_timeout: float = 0.1):
         if threads < 1:
             raise ValueError("threads must be >= 1")
         self.source = source
         self.poll_timeout = poll_timeout
-        self.profiler = profiler
         self._routes: Dict[EventKind, Callable[[Event], None]] = {}
         self._default_route: Optional[Callable[[Event], None]] = None
         self._threads_wanted = threads
@@ -64,8 +62,6 @@ class EventDispatcher:
             self.unrouted += 1
             return
         self.dispatched += 1
-        if self.profiler is not None:
-            self.profiler.event_dispatched()
         target(event)
 
     # -- the loop --------------------------------------------------------

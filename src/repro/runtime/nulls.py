@@ -1,102 +1,22 @@
 """The disabled-observability null objects.
 
-Library code that takes a profiler (O11), tracer (O10), log (O12) or
-span recorder (O11) defaults to one of these singletons, so the
-recording call sites stay branch-free when the option is off.  They are
-standalone on purpose: a default build (O10=Production, O11=No) holds
-them without importing the real :class:`~repro.runtime.profiling.Profiler`,
-:class:`~repro.runtime.tracing.EventTracer`,
-:class:`~repro.runtime.tracing.ServerLog` or
-:class:`~repro.obs.spans.SpanRecorder` — nor the metrics registry and
-flight-recorder plumbing behind them.  Each stub mirrors the public
-surface of its real counterpart; the owning modules re-export them
-under their historical names.
+Library code that takes a log (O12) or a span recorder (O11) defaults
+to one of these singletons, so the recording call sites stay
+branch-free when the option is off.  They are standalone on purpose: a
+default build (O10=Production, O11=No) holds them without importing
+the real :class:`~repro.runtime.tracing.ServerLog` or
+:class:`~repro.obs.spans.SpanRecorder` — nor the metrics registry
+behind them.  Each stub mirrors the public surface of its real
+counterpart; the owning modules re-export them under their historical
+names.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
-__all__ = ["NullProfiler", "NullTracer", "NullLog", "NullSpan",
-           "NullSpanRecorder", "NULL_PROFILER", "NULL_TRACER", "NULL_LOG",
+__all__ = ["NullLog", "NullSpan", "NullSpanRecorder", "NULL_LOG",
            "NULL_SPAN", "NULL_SPANS"]
-
-
-class NullProfiler:
-    """No-op profiler used when O11=No: every recorder is a pass."""
-
-    __slots__ = ()
-    enabled = False
-
-    @property
-    def registry(self):
-        """The null metrics registry (loaded on first read)."""
-        from repro.obs.registry import NULL_REGISTRY
-        return NULL_REGISTRY
-
-    @property
-    def uptime(self) -> float:
-        """Always 0.0: a disabled profiler keeps no clock."""
-        return 0.0
-
-    def attach_cache(self, stats) -> None:
-        pass
-
-    def connection_accepted(self) -> None:
-        pass
-
-    def connection_closed(self) -> None:
-        pass
-
-    def bytes_read(self, n: int) -> None:
-        pass
-
-    def bytes_sent(self, n: int) -> None:
-        pass
-
-    def request_handled(self) -> None:
-        pass
-
-    def error(self) -> None:
-        pass
-
-    def event_dispatched(self, n: int = 1) -> None:
-        pass
-
-    def accept_error(self) -> None:
-        pass
-
-    def snapshot(self):
-        """An all-zero :class:`~repro.runtime.profiling.ServerProfile`."""
-        from repro.runtime.profiling import ServerProfile
-        return ServerProfile()
-
-
-class NullTracer:
-    """Production mode (O10): tracing call sites are not generated, but
-    library code that takes a tracer parameter gets this stub.  Callers
-    on a hot path test ``enabled`` before formatting a detail string."""
-
-    __slots__ = ()
-    enabled = False
-    flight = None
-
-    def trace(self, category: str, detail: str, trace_id: int = 0) -> None:
-        pass
-
-    def records(self, category: Optional[str] = None) -> list:
-        """Always empty: nothing is kept."""
-        return []
-
-    def dump(self, sink) -> int:
-        """Writes nothing; returns the record count, 0."""
-        return 0
-
-    def flush(self) -> None:
-        pass
-
-    def close(self) -> None:
-        pass
 
 
 class NullLog:
@@ -174,6 +94,21 @@ class NullSpanRecorder:
     def observe(self, stage: str, seconds: float) -> None:
         pass
 
+    def bytes_read(self, n: int, seconds: float) -> None:
+        pass
+
+    def bytes_sent(self, n: int, seconds: float) -> None:
+        pass
+
+    def request_handled(self) -> None:
+        pass
+
+    def error(self) -> None:
+        pass
+
+    def connection_closed(self) -> None:
+        pass
+
     def stage_quantiles(self, quantiles=(0.50, 0.90, 0.99)) -> dict:
         """Always empty: no samples are kept."""
         return {}
@@ -183,7 +118,5 @@ class NullSpanRecorder:
         return {}
 
 
-NULL_PROFILER = NullProfiler()
-NULL_TRACER = NullTracer()
 NULL_LOG = NullLog()
 NULL_SPANS = NullSpanRecorder()

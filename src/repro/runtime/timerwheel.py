@@ -1,9 +1,9 @@
 """Hashed timer wheel: O(1) schedule / cancel / re-arm per timer.
 
-The scan-based timer paths (``IdleConnectionReaper.scan``,
-``DeadlineMonitor.scan``, the heap inside ``TimerEventSource``) cost
-O(n) per tick in the number of watched connections, which is the wrong
-shape for thousands of mostly-idle connections.  The wheel hashes each
+A scan-based timer path (such as the generated O7
+``ContainerComponent.reap_idle``) costs O(n) per tick in the number of
+watched connections, which is the wrong shape for thousands of
+mostly-idle connections.  The wheel hashes each
 timer into one of ``slots`` buckets by its absolute tick index;
 advancing the cursor visits at most ``min(elapsed_ticks, slots)``
 buckets and touches only the entries that are actually due.

@@ -40,6 +40,20 @@ MAIL_SERVER_OPTIONS = {
 }
 
 
+def _flag_close(session: SmtpSession, conn) -> None:
+    """Close the connection once the reply being encoded is flushed,
+    if that reply ended the session.
+
+    Flagged in ``encode``, as the closing reply is queued: flagged in
+    ``handle``, a thread still flushing an earlier reply would see the
+    flag and close before the 221 went out.  Replies are encoded in
+    request order before the next command is handled, so a closed
+    session here means this reply is the closing one.
+    """
+    if session.closed:
+        conn.close_after_flush = True
+
+
 class MailServerHooks(ServerHooks):
     """The hand-written part of COPS-Mail."""
 
@@ -70,13 +84,10 @@ class MailServerHooks(ServerHooks):
         return raw
 
     def handle(self, unit: bytes, conn):
-        session = conn.context["smtp"]
-        reply = session.handle(unit)
-        if session.closed:
-            conn.close_after_flush = True
-        return reply
+        return conn.context["smtp"].handle(unit)
 
     def encode(self, result, conn) -> bytes:
+        _flag_close(conn.context["smtp"], conn)
         return result
 
 
@@ -106,12 +117,10 @@ class _PerConnectionHooks(ServerHooks):
         return raw
 
     def handle(self, unit: bytes, conn):
-        reply = self.session.handle(unit)
-        if self.session.closed:
-            conn.close_after_flush = True
-        return reply
+        return self.session.handle(unit)
 
     def encode(self, result, conn) -> bytes:
+        _flag_close(self.session, conn)
         return result
 
     def server_greeting(self, conn) -> bytes:

@@ -194,12 +194,13 @@ def test_observability_code_present_when_o11_on():
     assert "status_report" in obs_text
     # Production build: span events are not mirrored into a tracer.
     assert "tracer=None" in obs_text
-    # Cache probe present (O6=LRU), overload probe absent (O9=No).
-    assert "server_cache_hit_rate" in obs_text
+    # Overload probe absent (O9=No); the O6=LRU cache probes itself.
     assert "server_overload_tripped" not in obs_text
+    assert "server_cache_hit_rate" in report.files["cache.py"]
     reactor_text = report.files["reactor.py"]
     assert "self.observability = Observability(self)" in reactor_text
-    assert "self.profiler = self.observability.profiler" in reactor_text
+    assert ("self.cache.enable_profiling(self.observability.sampler)"
+            in reactor_text)
     assert "self.observability.wire()" in reactor_text
     comm_text = report.files["communication.py"]
     assert "spans=reactor.observability.spans" in comm_text
@@ -372,8 +373,8 @@ def test_table2_extension_rows_merge():
 def test_feature_code_present_when_enabled():
     report = render(ALL_FEATURES_ON)
     blob = "\n".join(report.files.values())
-    assert "profiler" in blob
-    assert "tracer" in blob
+    assert "observability.connections_accepted.inc()" in blob
+    assert "tracer.record(" in blob
     assert "overload" in blob
     assert "reap_idle" in blob
     assert "QuotaPriorityQueue" in blob

@@ -1,5 +1,6 @@
 """Unit tests for the resilience runtime: per-stage deadlines, worker
-supervision, poison-event quarantine, hardened accept, reaper snapshot."""
+supervision, poison-event quarantine, hardened accept, idle-reaper
+snapshot."""
 
 import errno
 import threading
@@ -8,14 +9,13 @@ import types
 
 import pytest
 
-from harness import ServerFixture, generated_server
+from harness import IdleConn, ServerFixture, generated_server, idle_container
 from repro.faults import WorkerCrash
 from repro.runtime import (
     DeadlineMonitor,
     DeadlinePolicy,
     EventProcessor,
     EventQuarantine,
-    IdleConnectionReaper,
     ServerHooks,
     UserEvent,
     WorkerSupervisor,
@@ -316,17 +316,12 @@ def test_emfile_backoff_reposts_listener_on_edge_triggered_build():
 
 
 def test_reaper_scan_survives_concurrent_watch_unwatch():
-    """The scan snapshots the registry, so watch/unwatch racing it can
-    never raise dictionary-changed-during-iteration."""
-    reaper = IdleConnectionReaper(idle_limit=0.001, on_idle=lambda h: None)
-
-    def mk(idle):
-        h = types.SimpleNamespace(closed=False, last_activity=0.0
-                                  if idle else time.monotonic() + 60)
-        return h
-
+    """reap_idle walks a snapshot of the container, so connections
+    added and removed while it runs can never raise
+    dictionary-changed-during-iteration."""
+    container = idle_container(time.monotonic)
     for _ in range(50):
-        reaper.watch(mk(idle=True))
+        IdleConn(container, last_activity=0.0)
 
     stop = threading.Event()
     errors = []
@@ -334,9 +329,9 @@ def test_reaper_scan_survives_concurrent_watch_unwatch():
     def churn():
         try:
             while not stop.is_set():
-                h = mk(idle=False)
-                reaper.watch(h)
-                reaper.unwatch(h)
+                conn = IdleConn(container,
+                                last_activity=time.monotonic() + 60)
+                container.remove(conn)
         except Exception as exc:  # noqa: BLE001
             errors.append(exc)
 
@@ -345,22 +340,20 @@ def test_reaper_scan_survives_concurrent_watch_unwatch():
     try:
         total = 0
         for _ in range(20):
-            total += reaper.scan()
+            total += container.reap_idle(0.001)
     finally:
         stop.set()
         churner.join(timeout=5)
+    assert not churner.is_alive()
     assert not errors
     assert total == 50
 
 
 def test_reaper_on_idle_can_reenter_registry():
-    """on_idle tearing a connection down calls unwatch — the scan must
-    tolerate re-entry because callbacks run outside the lock."""
-    reaper = IdleConnectionReaper(idle_limit=0.001,
-                                  on_idle=lambda h: reaper.unwatch(h))
-    handles = [types.SimpleNamespace(closed=False, last_activity=0.0)
-               for _ in range(10)]
-    for h in handles:
-        reaper.watch(h)
-    assert reaper.scan() == 10
-    assert reaper.watched_count == 0
+    """Closing a reaped connection tears it down, which removes it from
+    the container mid-scan — reap_idle must tolerate the re-entry."""
+    container = idle_container(time.monotonic)
+    for _ in range(10):
+        IdleConn(container, last_activity=0.0)
+    assert container.reap_idle(0.001) == 10
+    assert len(container) == 0

@@ -3,11 +3,12 @@
 Three small tools replace ad-hoc ``time.sleep()`` synchronization:
 
 * :class:`FakeClock` — a manually advanced monotonic clock for
-  components that accept a ``clock`` callable (e.g. the idle reaper),
-  so deadline logic is tested without real waiting;
+  components that accept a ``clock`` callable (e.g. the generated O7
+  idle reaper, see :func:`idle_container`), so deadline logic is tested
+  without real waiting;
 * :func:`wait_until` — poll a predicate with a deadline and a helpful
   failure message, the one sanctioned way to wait for cross-thread
-  state (counters, tracer records) to become visible;
+  state (counters, debug-ring events) to become visible;
 * :class:`ServerFixture` — a context manager owning a started server's
   lifecycle plus the client-side plumbing every integration test was
   re-implementing (connect, framed request/response, raw HTTP GET);
@@ -23,22 +24,25 @@ code: nothing under ``src/`` may depend on it.
 from __future__ import annotations
 
 import atexit
+import importlib
 import shutil
 import socket
 import tempfile
 import time
+from types import SimpleNamespace
 from typing import Callable, Mapping, Optional
 
-__all__ = ["FakeClock", "FakeHandle", "ServerFixture", "feed",
-           "generated_framework", "generated_server", "wait_until"]
+__all__ = ["FakeClock", "FakeHandle", "IdleConn", "ServerFixture", "feed",
+           "generated_framework", "generated_server", "idle_container",
+           "wait_until"]
 
 
 class FakeClock:
     """A monotonic clock that only moves when the test says so.
 
     Pass ``clock=fake_clock`` to a component that takes a time source
-    (e.g. :class:`repro.runtime.idle.IdleConnectionReaper`), then call
-    :meth:`advance` to step time deterministically.
+    (e.g. :func:`idle_container`), then call :meth:`advance` to step
+    time deterministically.
     """
 
     def __init__(self, start: float = 0.0):
@@ -150,6 +154,31 @@ def generated_framework(options: Mapping[str, object]):
         framework = load_generated_package(_framework_dir, package)
         _FRAMEWORKS[key] = framework
     return framework
+
+
+def idle_container(clock: Callable[[], float]):
+    """The generated O7 ``ContainerComponent`` — whose ``reap_idle`` is
+    the idle reaper — of a framework reading time from ``clock``."""
+    framework = generated_framework({"O4": "Synchronous", "O7": True})
+    communication = importlib.import_module(
+        framework.__name__ + ".communication")
+    return communication.ContainerComponent(SimpleNamespace(clock=clock))
+
+
+class IdleConn:
+    """A Communicator stand-in for the idle reaper, added to
+    ``container`` on construction; like the real teardown, ``close``
+    removes it again."""
+
+    def __init__(self, container, last_activity: float = 0.0):
+        self.handle = SimpleNamespace(last_activity=last_activity)
+        self.closed = False
+        self.container = container
+        container.add(self)
+
+    def close(self) -> None:
+        self.closed = True
+        self.container.remove(self)
 
 
 def generated_server(hooks, options: Mapping[str, object], **config):

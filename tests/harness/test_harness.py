@@ -1,18 +1,12 @@
 """The harness tested on itself: FakeClock driving real deadline logic
-(the O7 idle reaper) without any wall-clock waiting, wait_until's
-timeout/message contract, and the once-per-option-set generation cache
-behind generated_server."""
+(the generated O7 idle reaper) without any wall-clock waiting,
+wait_until's timeout/message contract, and the once-per-option-set
+generation cache behind generated_server."""
 
 import pytest
 
-from harness import FakeClock, generated_framework, wait_until
-from repro.runtime.idle import IdleConnectionReaper
-
-
-class Conn:
-    def __init__(self, last_activity=0.0):
-        self.last_activity = last_activity
-        self.closed = False
+from harness import (FakeClock, IdleConn, generated_framework,
+                     idle_container, wait_until)
 
 
 def test_fake_clock_advances_only_on_demand(fake_clock):
@@ -30,22 +24,17 @@ def test_idle_reaper_deadline_logic_under_fake_clock(fake_clock):
     """The reaper's deadline arithmetic, tested in zero real time: a
     connection idles past the limit exactly when the fake clock says
     so — no scan threads, no sleeps, no tolerance windows."""
-    reaped = []
-    reaper = IdleConnectionReaper(idle_limit=30.0, on_idle=reaped.append,
-                                  clock=fake_clock)
-    fresh, stale = Conn(last_activity=0.0), Conn(last_activity=0.0)
-    reaper.watch(fresh)
-    reaper.watch(stale)
+    container = idle_container(fake_clock)
+    fresh, stale = IdleConn(container), IdleConn(container)
 
     fake_clock.advance(29.0)
-    fresh.last_activity = fake_clock()      # fresh keeps talking
-    assert reaper.scan() == 0               # 29s idle: under the limit
+    fresh.handle.last_activity = fake_clock()   # fresh keeps talking
+    assert container.reap_idle(30.0) == 0       # 29s idle: under the limit
 
-    fake_clock.advance(1.5)                 # stale is now 30.5s idle
-    assert reaper.scan() == 1
-    assert reaped == [stale]
-    assert reaper.reaped == 1
-    assert reaper.watched_count == 1        # fresh is still watched
+    fake_clock.advance(1.5)                     # stale is now 30.5s idle
+    assert container.reap_idle(30.0) == 1
+    assert stale.closed and not fresh.closed
+    assert container.connections() == [fresh]   # fresh is still held
 
 
 def test_wait_until_returns_and_raises():

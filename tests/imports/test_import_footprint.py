@@ -42,18 +42,17 @@ print(json.dumps({"status": reply.split(b"\\r\\n", 1)[0].decode(),
 """
 
 #: never needed by a default build: other applications and their
-#: protocol libraries, option-off runtime planes (O7 idle, O9 overload,
-#: O13 resilience, O16 deployment, O17 degradation and its COPS-HTTP
-#: surface), the O10/O11 façades (the
-#: null objects in repro.runtime.nulls stand in for them), O11
-#: exposition/sampling, the outbound Connector (built on first
+#: protocol libraries, option-off runtime planes (O9 overload, O13
+#: resilience, O16 deployment, O17 degradation and its COPS-HTTP
+#: surface), the O10/O12 tracing module and the O11 span recorder and
+#: registry (the null objects in repro.runtime.nulls stand in for
+#: them), O11 exposition/sampling, the outbound Connector (built on first
 #: connect), the race detector's findings model, the Table 2 data and
 #: the offline tooling
 NOT_LOADED = [
     "repro.runtime.deployment", "repro.runtime.degradation",
     "repro.runtime.overload", "repro.runtime.resilience",
-    "repro.runtime.idle", "repro.runtime.acceptor",
-    "repro.runtime.profiling", "repro.runtime.tracing",
+    "repro.runtime.acceptor", "repro.runtime.tracing",
     "repro.obs.spans", "repro.obs.registry",
     "repro.obs.exposition", "repro.obs.sampler",
     "repro.lint.detector", "repro.lint.findings",

@@ -133,10 +133,12 @@ def test_stage_quantiles_shape(recorder):
 
 
 class FakeTracer:
+    """Stands in for the O10=Debug event ring."""
+
     def __init__(self):
         self.records = []
 
-    def trace(self, category, detail):
+    def record(self, category, detail):
         self.records.append((category, detail))
 
 

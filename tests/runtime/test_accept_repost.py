@@ -25,7 +25,7 @@ def test_select_build_on_epoll_accepts_its_postponed_backlog(monkeypatch):
         max_connections=1)
     assert server.reactor.socket_source.edge_triggered
     with ServerFixture(server) as srv:
-        profiler = server.reactor.profiler
+        registry = server.reactor.observability.registry
         s1 = srv.connect(timeout=3)
         s1.sendall(b"first\n")
         assert srv.read_line(s1) == b"first\n"
@@ -39,7 +39,8 @@ def test_select_build_on_epoll_accepts_its_postponed_backlog(monkeypatch):
         # Release the cap.  No further connection arrives, so only the
         # re-posted listener can get the waiting client accepted.
         s1.close()
-        wait_until(lambda: profiler.snapshot().connections_accepted >= 2,
+        wait_until(lambda: registry.value(
+                       "server_connections_accepted_total") >= 2,
                    message="postponed connection stranded in the backlog")
         s2.settimeout(3)
         assert srv.read_line(s2) == b"second\n"

@@ -7,7 +7,6 @@ from harness import FakeHandle, feed
 from repro.runtime import (
     CLOSE,
     Communicator,
-    EventTracer,
     PENDING,
     ServerHooks,
 )
@@ -174,32 +173,3 @@ def test_on_connect_hook_runs():
 
     conn = Communicator(FakeHandle(), H(), use_codec=False)
     assert seen == [conn]
-
-
-def test_tracer_records_pipeline_strings():
-    """An enabled tracer gets the Communicator's trace text verbatim."""
-    tracer = EventTracer()
-    conn = Communicator(FakeHandle(), ServerHooks(), use_codec=False,
-                        tracer=tracer)
-    feed(conn, b"hello\n")
-    conn.close()
-    assert [(r.category, r.detail) for r in tracer.records()] == [
-        ("decode", "fake 6B"), ("send", "fake -6B"), ("close", "fake")]
-
-
-def test_disabled_tracer_skips_detail_formatting():
-    """A disabled tracer is never handed a formatted detail string: the
-    read/send/decode sites check ``enabled`` first."""
-
-    class Disabled:
-        enabled = False
-
-        def trace(self, category, detail, trace_id=0):
-            assert category == "close", f"formatted a {category} detail"
-
-    conn = Communicator(FakeHandle(), ServerHooks(), use_codec=False,
-                        tracer=Disabled())
-    feed(conn, b"hello\n")
-    conn.send_bytes(b"more")
-    conn.close()
-    assert bytes(conn.handle.sent) == b"hello\nmore"

@@ -1,4 +1,5 @@
-"""Tests for the event model, profiler, tracer and log."""
+"""Tests for the event model, the O11 profiling counters, the O10 debug
+event ring and the O12 log."""
 
 import io
 import json
@@ -8,21 +9,19 @@ import sys
 
 import pytest
 
+from repro.obs import NULL_SPANS, parse_dump
 from repro.runtime import (
     AsynchronousCompletionToken,
     CompletionEvent,
     Event,
     EventKind,
-    EventTracer,
     FileReadEvent,
     NULL_LOG,
-    NULL_PROFILER,
-    NULL_TRACER,
-    Profiler,
     ReadableEvent,
     ServerLog,
     TimerEvent,
     UserEvent,
+    debug_ring,
 )
 
 
@@ -66,118 +65,97 @@ def test_completion_event_without_callback_is_noop():
     CompletionEvent(token=AsynchronousCompletionToken()).complete()
 
 
-# -- profiler -------------------------------------------------------------------
+# -- profiler (O11: the span recorder's counters) -----------------------------
 
 
 def test_profiler_counters():
-    p = Profiler()
-    p.connection_accepted()
-    p.connection_accepted()
-    p.connection_closed()
-    p.bytes_read(100)
-    p.bytes_sent(250)
-    p.request_handled()
-    p.error()
-    p.event_dispatched(3)
-    snap = p.snapshot()
-    assert snap.connections_accepted == 2
-    assert snap.open_connections == 1
-    assert snap.bytes_read == 100
-    assert snap.bytes_sent == 250
-    assert snap.requests_handled == 1
-    assert snap.errors == 1
-    assert snap.events_dispatched == 3
-    assert snap.uptime >= 0.0
+    """The paper's per-connection statistics are registry counters of
+    the span recorder, under the exposition names the status page and
+    the Prometheus renderer use."""
+    from repro.obs import MetricsRegistry, SpanRecorder
+
+    registry = MetricsRegistry()
+    spans = SpanRecorder(registry)
+    spans.bytes_read(100, 0.001)
+    spans.bytes_sent(250, 0.002)
+    spans.request_handled()
+    spans.error()
+    spans.connection_closed()
+    assert {name: registry.value(name) for name in (
+        "server_bytes_read_total", "server_bytes_sent_total",
+        "server_requests_total", "server_errors_total",
+        "server_connections_closed_total")} == {
+        "server_bytes_read_total": 100, "server_bytes_sent_total": 250,
+        "server_requests_total": 1, "server_errors_total": 1,
+        "server_connections_closed_total": 1}
+    # one call per socket step: the byte count and the stage timing
+    stages = registry.get("server_request_stage_seconds")
+    assert stages.labels(stage="read").count == 1
+    assert stages.labels(stage="send").count == 1
 
 
 def test_profiler_cache_hit_rate():
-    from repro.cache import Cache, LRUPolicy
+    """An O11 build's Cache publishes its hit rate as a sampled gauge."""
+    import importlib
+    from types import SimpleNamespace
 
-    c = Cache(100, LRUPolicy())
-    c.put("a", 10)
-    c.get("a")
-    c.get("b")
-    p = Profiler()
-    p.attach_cache(c.stats)
-    assert p.snapshot().cache_hit_rate == pytest.approx(0.5)
+    from harness import generated_framework
+    from repro.obs import MetricsRegistry, PeriodicSampler
+
+    fw = generated_framework({"O4": "Synchronous", "O6": "LRU", "O11": True})
+    cache_module = importlib.import_module(fw.__name__ + ".cache")
+    cache = cache_module.Cache(SimpleNamespace(
+        configuration=fw.ServerConfiguration(),
+        hooks=SimpleNamespace(cache_loader=lambda path: (10, b"x" * 10))))
+    cache.get_file("a")                     # miss, loaded
+    cache.get_file("a")                     # hit
+    registry = MetricsRegistry()
+    sampler = PeriodicSampler(registry)
+    cache.enable_profiling(sampler)
+    sampler.sample()
+    assert registry.value("server_cache_hit_rate") == pytest.approx(0.5)
 
 
 def test_null_profiler_is_inert():
-    NULL_PROFILER.connection_accepted()
-    NULL_PROFILER.bytes_read(1000)
-    snap = NULL_PROFILER.snapshot()
-    assert snap.connections_accepted == 0
-    assert not NULL_PROFILER.enabled
+    """O11=No: the Communicator's null recorder counts nothing."""
+    NULL_SPANS.bytes_read(1000, 0.1)
+    NULL_SPANS.bytes_sent(1000, 0.1)
+    NULL_SPANS.request_handled()
+    NULL_SPANS.error()
+    NULL_SPANS.connection_closed()
+    assert NULL_SPANS.stage_quantiles() == {}
+    assert not NULL_SPANS.enabled
 
 
-def test_profiler_is_a_registry_facade():
-    """The Profiler's counters live in its metrics registry, under the
-    exposition names the status page and Prometheus renderer use."""
-    p = Profiler()
-    p.request_handled()
-    p.bytes_sent(512)
-    assert p.registry.value("server_requests_total") == 1
-    assert p.registry.value("server_bytes_sent_total") == 512
-
-
-def test_profiler_accepts_external_registry():
-    from repro.obs import MetricsRegistry
-
-    reg = MetricsRegistry()
-    p = Profiler(registry=reg)
-    p.connection_accepted()
-    assert reg.value("server_connections_accepted_total") == 1
-
-
-def test_null_profiler_registry_is_null():
-    assert NULL_PROFILER.registry.collect() == []
-
-
-# -- tracer ---------------------------------------------------------------------
+# -- tracer (O10=Debug: the debug event ring) ----------------------------------
 
 
 def test_tracer_records():
-    t = EventTracer(capacity=10)
-    t.trace("read", "conn1 +10B")
-    t.trace("send", "conn1 -20B")
-    assert len(t.records()) == 2
-    assert t.records("read")[0].detail == "conn1 +10B"
+    t = debug_ring()
+    t.record("read", "conn1 +10B")
+    t.record("send", "conn1 -20B")
+    assert len(t.events()) == 2
+    assert t.events("read")[0].detail == "conn1 +10B"
+    assert t.name == "debug"
 
 
 def test_tracer_ring_bounded():
-    t = EventTracer(capacity=5)
-    for i in range(20):
-        t.trace("x", str(i))
-    recs = t.records()
-    assert len(recs) == 5
-    assert recs[0].detail == "15"
-
-
-def test_tracer_streams_to_sink():
-    sink = io.StringIO()
-    t = EventTracer(sink=sink)
-    t.trace("close", "conn9")
-    assert "[close] conn9" in sink.getvalue()
+    t = debug_ring()
+    for i in range(t.capacity + 4):
+        t.record("x", str(i))
+    events = t.events()
+    assert len(events) == t.capacity
+    assert events[0].detail == "4"
 
 
 def test_tracer_dump():
-    t = EventTracer()
-    t.trace("a", "1")
-    t.trace("b", "2")
+    t = debug_ring()
+    t.record("a", "1")
+    t.record("b", "2")
     out = io.StringIO()
     assert t.dump(out) == 2
-    assert out.getvalue().count("\n") == 2
-
-
-def test_tracer_capacity_validation():
-    with pytest.raises(ValueError):
-        EventTracer(capacity=0)
-
-
-def test_null_tracer_is_inert():
-    NULL_TRACER.trace("x", "y")
-    assert NULL_TRACER.records() == []
-    assert not NULL_TRACER.enabled
+    assert [(e.category, e.detail) for e in parse_dump(out.getvalue())] == [
+        ("a", "1"), ("b", "2")]
 
 
 class FlushCountingSink(io.StringIO):
@@ -190,40 +168,12 @@ class FlushCountingSink(io.StringIO):
         super().flush()
 
 
-def test_tracer_flush_flushes_sink():
-    sink = FlushCountingSink()
-    t = EventTracer(sink=sink)
-    t.trace("x", "1")
-    t.flush()
-    assert sink.flushes >= 1
-
-
-def test_tracer_close_flushes_and_detaches_sink():
-    sink = FlushCountingSink()
-    t = EventTracer(sink=sink)
-    t.trace("x", "1")
-    t.close()
-    assert sink.flushes >= 1
-    assert not sink.closed               # caller owns the sink
-    streamed = sink.getvalue()
-    t.trace("x", "2")                    # after close: ring only
-    assert sink.getvalue() == streamed
-    assert [r.detail for r in t.records()] == ["1", "2"]
-    t.close()                            # idempotent
-    t.flush()                            # no sink: no-op
-
-
 def test_tracer_dump_flushes_destination():
-    t = EventTracer()
-    t.trace("a", "1")
+    t = debug_ring()
+    t.record("a", "1")
     out = FlushCountingSink()
     t.dump(out)
     assert out.flushes >= 1
-
-
-def test_null_tracer_flush_close_noop():
-    NULL_TRACER.flush()
-    NULL_TRACER.close()
 
 
 # -- log --------------------------------------------------------------------------
@@ -257,8 +207,8 @@ def test_null_log_is_inert():
 
 def test_communicator_import_leaves_observability_facades_unloaded():
     """The null objects are standalone: a fresh interpreter importing
-    the Communicator loads none of the real profiler, tracer, span
-    recorder or metrics registry they stand in for."""
+    the Communicator loads none of the real log, span recorder or
+    metrics registry they stand in for."""
     src = os.path.abspath(os.path.join(os.path.dirname(__file__),
                                        os.pardir, os.pardir, "src"))
     probe = ("import json, sys, repro.runtime.communicator; "
@@ -269,6 +219,6 @@ def test_communicator_import_leaves_observability_facades_unloaded():
                          check=True)
     modules = set(json.loads(out.stdout))
     assert "repro.runtime.nulls" in modules
-    for name in ("repro.runtime.profiling", "repro.runtime.tracing",
-                 "repro.obs.spans", "repro.obs.registry"):
+    for name in ("repro.runtime.tracing", "repro.obs.spans",
+                 "repro.obs.registry"):
         assert name not in modules, name

@@ -1,16 +1,16 @@
-"""Tests for AsyncFileIO (Proactor emulation), IdleConnectionReaper and
-Container."""
+"""Tests for AsyncFileIO (Proactor emulation), the generated O7 idle
+reaper and Container."""
 
 import time
 
 import pytest
 
+from harness import IdleConn, idle_container
 from repro.cache import FileCache
 from repro.runtime import (
     AsyncFileIO,
     AsynchronousCompletionToken,
     Container,
-    IdleConnectionReaper,
 )
 
 
@@ -111,62 +111,41 @@ def test_thread_validation():
         AsyncFileIO(sink=lambda e: None, threads=0)
 
 
-# -- IdleConnectionReaper ---------------------------------------------------------
-
-
-class FakeConn:
-    def __init__(self, last_activity=0.0):
-        self.last_activity = last_activity
-        self.closed = False
+# -- idle reaper (the generated O7 ContainerComponent.reap_idle) -------------
 
 
 def test_reaper_closes_only_idle():
-    now = {"t": 100.0}
-    reaped = []
-    reaper = IdleConnectionReaper(idle_limit=10.0, on_idle=reaped.append,
-                                  clock=lambda: now["t"])
-    fresh = FakeConn(last_activity=95.0)
-    stale = FakeConn(last_activity=80.0)
-    reaper.watch(fresh)
-    reaper.watch(stale)
-    assert reaper.scan() == 1
-    assert reaped == [stale]
-    assert reaper.watched_count == 1
+    container = idle_container(lambda: 100.0)
+    fresh = IdleConn(container, last_activity=95.0)
+    stale = IdleConn(container, last_activity=80.0)
+    assert container.reap_idle(10.0) == 1
+    assert stale.closed and not fresh.closed
+    assert container.connections() == [fresh]
 
 
 def test_reaper_skips_already_closed():
-    reaped = []
-    reaper = IdleConnectionReaper(idle_limit=1.0, on_idle=reaped.append,
-                                  clock=lambda: 100.0)
-    dead = FakeConn(last_activity=0.0)
+    container = idle_container(lambda: 100.0)
+    dead = IdleConn(container, last_activity=0.0)
     dead.closed = True
-    reaper.watch(dead)
-    assert reaper.scan() == 0
-    assert reaper.watched_count == 0  # forgotten
+    assert container.reap_idle(1.0) == 0
 
 
 def test_reaper_unwatch():
-    reaper = IdleConnectionReaper(idle_limit=1.0, on_idle=lambda h: None,
-                                  clock=lambda: 100.0)
-    c = FakeConn()
-    reaper.watch(c)
-    reaper.unwatch(c)
-    assert reaper.scan() == 0
-
-
-def test_reaper_validation():
-    with pytest.raises(ValueError):
-        IdleConnectionReaper(idle_limit=0, on_idle=lambda h: None)
+    """A connection already torn down (out of the container) is never
+    reaped."""
+    container = idle_container(lambda: 100.0)
+    conn = IdleConn(container)
+    container.remove(conn)
+    assert container.reap_idle(1.0) == 0
+    assert not conn.closed
 
 
 def test_reaper_counts():
-    now = {"t": 100.0}
-    reaper = IdleConnectionReaper(idle_limit=1.0, on_idle=lambda h: None,
-                                  clock=lambda: now["t"])
+    container = idle_container(lambda: 100.0)
     for _ in range(3):
-        reaper.watch(FakeConn(last_activity=0.0))
-    reaper.scan()
-    assert reaper.reaped == 3
+        IdleConn(container, last_activity=0.0)
+    assert container.reap_idle(1.0) == 3
+    assert len(container) == 0
 
 
 # -- Container ---------------------------------------------------------------------

@@ -6,7 +6,7 @@ Each test asks for the option set that emits the feature under test
 counters, ...) and tunes it through ``ServerConfiguration`` overrides.
 
 Synchronization discipline: no ``time.sleep()`` — cross-thread state
-(profiler counters, tracer records, pending accepts) is awaited with
+(O11 counters, debug-ring events, pending accepts) is awaited with
 ``harness.wait_until`` and all lifecycles run inside
 ``harness.ServerFixture``.
 """
@@ -18,6 +18,7 @@ import threading
 import pytest
 
 from harness import ServerFixture, generated_server, wait_until
+from repro.obs import parse_dump
 from repro.runtime import (
     CLOSE,
     PENDING,
@@ -133,7 +134,8 @@ def test_hook_exception_closes_connection_not_server():
         s.close()
         # ... but the server still serves new clients.
         assert srv.request(b"alive\n") == b"alive\n"
-        assert srv.server.reactor.profiler.snapshot().errors == 1
+        registry = srv.server.reactor.observability.registry
+        assert registry.value("server_errors_total") == 1
 
 
 def test_inline_reactor_without_processor_pool():
@@ -169,7 +171,7 @@ def test_large_reply_flushes_through_writable_events():
 def test_max_connections_cap():
     with fixture(ServerHooks(), dict(RAW, O9=True, O11=True),
                  max_connections=1) as srv:
-        profiler = srv.server.reactor.profiler
+        registry = srv.server.reactor.observability.registry
         s1 = srv.connect(timeout=3)
         s1.sendall(b"first\n")
         assert srv.read_line(s1) == b"first\n"
@@ -183,7 +185,8 @@ def test_max_connections_cap():
         s1.close()
         # Once the server notices the close, the pending connection is
         # accepted — no fixed grace period, just the observable event.
-        wait_until(lambda: profiler.snapshot().connections_accepted >= 2,
+        wait_until(lambda: registry.value(
+                       "server_connections_accepted_total") >= 2,
                    message="second connection never accepted")
         s2.settimeout(3)
         assert srv.read_line(s2) == b"second\n"
@@ -219,16 +222,15 @@ def test_idle_reaper_closes_idle_connections():
 
 def test_profiling_counts_bytes():
     with fixture(ServerHooks(), dict(RAW, O11=True)) as srv:
-        snapshot = srv.server.reactor.profiler.snapshot
+        value = srv.server.reactor.observability.registry.value
         srv.request(b"12345\n")
         # The sender thread bumps bytes_sent after the flush our read
         # observed; wait for the counter, not a wall-clock guess.
-        wait_until(lambda: snapshot().bytes_sent >= 6,
-                   message="profiler never saw the sent bytes")
-        snap = snapshot()
-        assert snap.bytes_read == 6
-        assert snap.bytes_sent == 6
-        assert snap.connections_accepted == 1
+        wait_until(lambda: value("server_bytes_sent_total") >= 6,
+                   message="the registry never saw the sent bytes")
+        assert value("server_bytes_read_total") == 6
+        assert value("server_bytes_sent_total") == 6
+        assert value("server_connections_accepted_total") == 1
 
 
 def test_debug_mode_traces_events():
@@ -237,7 +239,7 @@ def test_debug_mode_traces_events():
         srv.request(b"traced\n")
 
         def categories():
-            return {r.category for r in tracer.records()}
+            return {event.category for event in tracer.events()}
 
         wait_until(lambda: {"accept", "read-request", "compute"} <= categories(),
                    message=f"tracer saw only {categories()}")
@@ -252,7 +254,8 @@ def test_debug_mode_trace_strings():
         assert srv.request(b"traced\n") == b"traced\n"
 
         def pairs():
-            return [(r.category, r.detail) for r in tracer.records()]
+            return [(event.category, event.detail)
+                    for event in tracer.events()]
 
         wait_until(lambda: any(c == "container" for c, _ in pairs()),
                    message=f"tracer saw only {pairs()}")
@@ -266,6 +269,24 @@ def test_debug_mode_trace_strings():
             ("container", f"remove {peer}")}
         assert {d for c, d in records if c == "dispatch"} <= {
             "AcceptEvent", "ReadableEvent", "WritableEvent"}
+
+
+def test_debug_mode_writes_its_trace_file_on_stop(tmp_path):
+    """O10=Debug: internal events are "written into a file" — on stop,
+    the debug ring lands at ``debug_trace_path``, one flight-dump line
+    per event."""
+    path = tmp_path / "debug.trace"
+    with fixture(ServerHooks(), dict(RAW, O10="Debug"),
+                 debug_trace_path=str(path)) as srv:
+        assert srv.request(b"traced\n") == b"traced\n"
+        port = srv.server.port
+    written = [(event.category, event.detail)
+               for event in parse_dump(path.read_text(encoding="utf-8"))]
+    assert written == [(event.category, event.detail)
+                       for event in srv.server.reactor.tracer.events()]
+    assert written[0] == ("server", f"open port {port}")
+    assert {"accept", "read-request", "compute", "container"} <= {
+        category for category, _ in written}
 
 
 def test_event_scheduling_config_builds_priority_queue():

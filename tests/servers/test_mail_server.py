@@ -111,3 +111,24 @@ def test_logging_enabled_by_o12(setup):
     # MAIL_SERVER_OPTIONS sets O12=True: the generated reactor has a log.
     assert hasattr(server.reactor, "log")
     assert server.reactor.log.lines  # accepted-connection lines
+
+
+@pytest.mark.parametrize("per_connection", [False, True],
+                         ids=["shared-hooks", "per-connection-hooks"])
+def test_quit_flags_the_close_only_as_its_reply_is_queued(per_connection):
+    """A worker thread still flushing an earlier reply reads the close
+    flag; set while QUIT is still being handled, it would close the
+    connection before the 221 goes out."""
+    from types import SimpleNamespace
+
+    from repro.servers.mail_server import (MailServerHooks,
+                                           _ConnectionBoundHooks)
+
+    conn = SimpleNamespace(context={}, close_after_flush=False)
+    hooks = (_ConnectionBoundHooks if per_connection else MailServerHooks)()
+    hooks.on_connect(conn)
+    hooks = getattr(conn, "hooks", hooks)
+    result = hooks.handle(b"QUIT\r\n", conn)
+    assert not conn.close_after_flush
+    assert hooks.encode(result, conn).startswith(b"221")
+    assert conn.close_after_flush
