@@ -66,8 +66,8 @@ SCHEMA_VERSION = 1
 
 #: default regression threshold: a derived ratio may shrink to this
 #: fraction of its committed baseline before the gate trips.  Generous
-#: on purpose — CI machines are noisy; a real regression (the zero-copy
-#: path quietly copying again, workers serialising on a new lock)
+#: on purpose — CI machines are noisy; a real regression (epoll
+#: scanning every fd again, workers serialising on a new lock)
 #: collapses the ratio toward 1.0, far past any scheduler jitter.
 DEFAULT_RATIO_FLOOR = 0.5
 
@@ -109,15 +109,6 @@ def _derived_procs(benchmarks: Sequence[Mapping]) -> Dict[str, float]:
     means = _group_means(benchmarks, "procs")
     if 1 in means and 4 in means and means[4] > 0:
         return {"procs_speedup_4v1": means[1] / means[4]}
-    return {}
-
-
-def _derived_zero_copy(benchmarks: Sequence[Mapping]) -> Dict[str, float]:
-    """Zero-copy write-path speedup over the buffered path."""
-    means = _group_means(benchmarks, "write_path")
-    if ("buffered" in means and "zerocopy" in means
-            and means["zerocopy"] > 0):
-        return {"zerocopy_speedup": means["buffered"] / means["zerocopy"]}
     return {}
 
 
@@ -180,11 +171,6 @@ SUITES: Dict[str, Suite] = {
               options={"O16": (1, 4)},
               derive=_derived_procs,
               smoke_deselect=("test_procs_scaling_cpu_bound",)),
-        Suite(name="zero_copy",
-              file="bench_zero_copy.py",
-              options={"O15": ("buffered", "zerocopy")},
-              derive=_derived_zero_copy,
-              smoke_deselect=("test_zero_copy_speedup",)),
         Suite(name="degradation",
               file="bench_degradation.py",
               options={"O17": (False, True)},

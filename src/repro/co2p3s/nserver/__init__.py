@@ -18,7 +18,6 @@ from repro.co2p3s.nserver.options import (
     COPS_HTTP_OVERLOAD_OPTIONS,
     COPS_HTTP_RESILIENCE_OPTIONS,
     COPS_HTTP_SCHEDULING_OPTIONS,
-    COPS_HTTP_ZEROCOPY_OPTIONS,
     DEPLOYMENT_TOGGLE_BASE,
     NSERVER_OPTION_SPECS,
     POOL_TOGGLE_BASE,
@@ -47,7 +46,6 @@ __all__ = [
     "COPS_HTTP_OVERLOAD_OPTIONS",
     "COPS_HTTP_RESILIENCE_OPTIONS",
     "COPS_HTTP_SCHEDULING_OPTIONS",
-    "COPS_HTTP_ZEROCOPY_OPTIONS",
     "DEPLOYMENT_TOGGLE_BASE",
     "NSERVER",
     "NSERVER_MODULES",

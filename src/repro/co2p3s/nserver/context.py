@@ -1,8 +1,8 @@
 """Substitution context for the N-Server template.
 
 Maps the options (the paper's twelve plus the O13 fault-tolerance,
-O15 write-path, O16 deployment, O17 degradation and O18 poller
-extensions) to the ``$parameter`` values the fragments use.
+O16 deployment, O17 degradation and O18 poller extensions) to the
+``$parameter`` values the fragments use.
 Option-disabled instrumentation lines expand to :data:`OMIT`, which the
 fragment renderer deletes — this is the crosscutting weave: a feature's
 call sites exist in the generated text only when its option is on.
@@ -32,7 +32,6 @@ def build_context(o: OptionSet) -> Dict[str, Any]:
     dynamic = o["O5"] == "Dynamic"
     resilient = bool(o["O13"])
     multiproc = int(o["O16"]) > 1
-    zerocopy = o["O15"] == "zerocopy"
     degradation = bool(o["O17"])
     epoll = o["O18"] == "epoll"
 
@@ -130,11 +129,6 @@ def build_context(o: OptionSet) -> Dict[str, Any]:
                      'lambda: 0.0 if reactor.degradation.breaker.state '
                      '== "closed" else 1.0, '
                      'help="File-I/O circuit breaker not closed (0/1)")')
-    ctx["probe_buffer_pool_hit_rate"] = on(
-        zerocopy,
-        'sampler.add_probe("server_buffer_pool_hit_rate", '
-        'lambda: reactor.buffers.pool.stats.hit_rate, '
-        'help="Header buffer pool hit rate (0..1)")')
     # The pooled recv_into read path exists on every backend, so its
     # gauge is unconditional in observability builds.
     ctx["probe_read_pool_hit_rate"] = (
@@ -146,12 +140,6 @@ def build_context(o: OptionSet) -> Dict[str, Any]:
     ctx["use_codec"] = "True" if codec else "False"
     ctx["communicator_spans_arg"] = on(
         profiling, "spans=reactor.observability.spans,")
-    # Zero-copy write path (O15): the Communicator gets the shared
-    # header pool, and every accepted handle a segmented out-buffer.
-    ctx["communicator_buffer_arg"] = on(
-        zerocopy, "buffer_pool=reactor.buffers.pool,")
-    ctx["zerocopy_outbuffer"] = on(
-        zerocopy, "handle.out_buffer = rt.OutBuffer()")
     five = ('("read request", "decode request", "handle request", '
             '"encode reply", "send reply")')
     three = '("read request", "handle request", "send reply")'
@@ -227,7 +215,6 @@ def build_context(o: OptionSet) -> Dict[str, Any]:
         profiling, "self.observability = Observability(self)")
     ctx["wire_observability"] = on(profiling, "self.observability.wire()")
     ctx["make_cache"] = on(cache is not None, "self.cache = Cache(self)")
-    ctx["make_buffers"] = on(zerocopy, "self.buffers = Buffers(self)")
     if pool and sched:
         queue_expr = "rt.QuotaPriorityQueue(configuration.scheduling_quotas)"
     elif pool:

@@ -22,7 +22,6 @@ from repro.co2p3s.codegen import CodeGenerator
 from repro.co2p3s.options import OptionError, OptionSet, OptionSpec
 from repro.co2p3s.template import PatternTemplate, register_template
 from repro.co2p3s.nserver.context import build_context
-from repro.co2p3s.nserver.mod_buffers import MODULE_BUFFERS
 from repro.co2p3s.nserver.mod_communication import MODULE_COMMUNICATION
 from repro.co2p3s.nserver.mod_degradation import MODULE_DEGRADATION
 from repro.co2p3s.nserver.mod_deployment import MODULE_DEPLOYMENT
@@ -48,7 +47,6 @@ NSERVER_MODULES = (
     MODULE_HANDLERS,
     MODULE_PROCESSING,
     MODULE_CACHE,
-    MODULE_BUFFERS,
     MODULE_POLLER,
     MODULE_OBSERVABILITY,
     MODULE_RESILIENCE,

@@ -3,8 +3,8 @@
 Table 2 rows covered (all '+' entries, i.e. body-altering options):
 
 =======================  ============================
-Communicator Component   O3 O7 O8 O11 O15
-Server Component         O3 O7 O10 O11 O12 O15 O16
+Communicator Component   O3 O7 O8 O11
+Server Component         O3 O7 O10 O11 O12 O16
 Client Component         O3 O7 O10 O12
 Server Event Handler     O7 O10 O11
 Connector Event Handler  O3 O10 O11 O12
@@ -12,7 +12,7 @@ Acceptor Event Handler   O3 O9 O10 O11 O12 O13 O17
 Container Component      O7 O10 O11 O12
 Application Event Handler O7 O10 O11
 Client Configuration     O3 O10
-Server Configuration     O10 O11 O13 O15 O16 O17
+Server Configuration     O10 O11 O13 O16 O17
 =======================  ============================
 """
 
@@ -41,10 +41,6 @@ def _production(o):
 
 def _multiproc(o):
     return int(o["O16"]) > 1
-
-
-def _zerocopy(o):
-    return o["O15"] == "zerocopy"
 
 
 def _epoll(o):
@@ -78,10 +74,9 @@ MODULE_COMMUNICATION = ModuleSpec(
                             on_teardown=reactor.teardown_communicator,
                             update_interest=reactor.sync_interest,
                             $communicator_spans_arg
-                            $communicator_buffer_arg
                         )
                     ''',
-                    options=("O3", "O11", "O15"),
+                    options=("O3", "O11"),
                 ),
                 Fragment(
                     '''
@@ -179,13 +174,12 @@ MODULE_COMMUNICATION = ModuleSpec(
                 Fragment(
                     '''
                     def make_communicator(self, handle):
-                        $zerocopy_outbuffer
                         conn = CommunicatorComponent(handle, self.reactor.hooks,
                                                      self.reactor)
                         $touch_new_communicator
                         return conn
                     ''',
-                    options=("O7", "O15"),
+                    options=("O7",),
                 ),
             ],
         ),
@@ -603,15 +597,6 @@ MODULE_COMMUNICATION = ModuleSpec(
                     drain_timeout = 5.0
                     ''',
                     guard=_o("O13"), options=("O13",),
-                ),
-                Fragment(
-                    '''
-                    # Zero-copy write path tuning (option O15): header
-                    # buffer pool size classes and per-class retention.
-                    buffer_size_classes = (1024, 4096, 16384, 65536)
-                    buffer_pool_limit = 64
-                    ''',
-                    guard=_zerocopy, options=("O15",),
                 ),
                 Fragment(
                     '''

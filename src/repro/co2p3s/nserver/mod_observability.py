@@ -15,8 +15,7 @@ Table 2 extension row:
 =============  ====================================================
 Observability  exists iff O11; body depends on O2 (pool probes),
                O9 (overload probes), O10 (span events mirrored into
-               the debug event ring), O15 (header buffer pool hit-rate
-               probe), O16 (status report aggregated across worker
+               the debug event ring), O16 (status report aggregated across worker
                processes through the supervisor's stats socket) and
                O17 (shed-total, brownout-level and breaker-state
                probes)
@@ -89,10 +88,9 @@ MODULE_OBSERVABILITY = ModuleSpec(
                         $probe_shed_total
                         $probe_brownout_level
                         $probe_breaker_open
-                        $probe_buffer_pool_hit_rate
                         $probe_read_pool_hit_rate
                     ''',
-                    options=("O2", "O9", "O15", "O17"),
+                    options=("O2", "O9", "O17"),
                 ),
                 Fragment(
                     '''

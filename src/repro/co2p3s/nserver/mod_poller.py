@@ -1,6 +1,6 @@
 """N-Server template: the ``poller`` module (option O18).
 
-Fifth structural extension, following O13/O15/O17: when O18=epoll
+Fifth structural extension, following O13/O17: when O18=epoll
 the template generates a ``Poller`` component that pins the Reactor's
 readiness selection to the edge-triggered Linux epoll backend
 (:func:`repro.runtime.make_poller`) — O(ready) per wait instead of

@@ -151,6 +151,7 @@ MODULE_PROCESSING = ModuleSpec(
                         self.route(EventKind.READABLE, reactor.submit_readable)
                         self.route(EventKind.WRITABLE, reactor.submit_writable)
                         $completion_route_pool
+                        self.route(EventKind.CONNECT, reactor.connector_event_handler.handle)
                         self.route(EventKind.TIMER, reactor.server_event_handler.handle)
                         self.route(EventKind.USER, reactor.application_event_handler.handle)
                     ''',
@@ -166,6 +167,7 @@ MODULE_PROCESSING = ModuleSpec(
                         self.route(EventKind.READABLE, reactor.read_request_event_handler.handle)
                         self.route(EventKind.WRITABLE, reactor.send_reply_event_handler.handle)
                         $completion_route_inline
+                        self.route(EventKind.CONNECT, reactor.connector_event_handler.handle)
                         self.route(EventKind.TIMER, reactor.server_event_handler.handle)
                         self.route(EventKind.USER, reactor.application_event_handler.handle)
                     ''',

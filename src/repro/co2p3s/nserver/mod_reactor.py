@@ -3,8 +3,8 @@
 Table 2 rows covered:
 
 ========  =========================================================
-Reactor   body depends on O1 O2 O4 O5 O6 O8 O9 O10 O11 O12 O13 O15
-          O17 O18 (NOT O3 — step handlers are installed by the
+Reactor   body depends on O1 O2 O4 O5 O6 O8 O9 O10 O11 O12 O13 O17
+          O18 (NOT O3 — step handlers are installed by the
           handlers module's ``install_step_handlers``; NOT O7 — idle
           wiring lives in ServerComponent / ServerEventHandler /
           Container)
@@ -45,10 +45,6 @@ def _multiproc(o):
     return int(o["O16"]) > 1
 
 
-def _zerocopy(o):
-    return o["O15"] == "zerocopy"
-
-
 def _epoll(o):
     return o["O18"] == "epoll"
 
@@ -76,8 +72,6 @@ MODULE_REACTOR = ModuleSpec(
                  options=("O2", "O5")),
         Fragment("from $package.cache import Cache",
                  guard=lambda o: o["O6"] is not None, options=("O6",)),
-        Fragment("from $package.buffers import Buffers",
-                 guard=_zerocopy, options=("O15",)),
         Fragment("from $package.observability import Observability",
                  guard=_o("O11"), options=("O11",)),
         Fragment("from $package.resilience import Resilience",
@@ -110,7 +104,6 @@ MODULE_REACTOR = ModuleSpec(
                         self.source = rt.QueueEventSource(self.timer_source)
                         self.container = ContainerComponent(self)
                         $make_cache
-                        $make_buffers
                         $make_processor
                         $make_controller
                         $make_overload
@@ -135,8 +128,7 @@ MODULE_REACTOR = ModuleSpec(
                     # $make_degradation sits between the overload
                     # controller it upgrades and the file I/O it breaks.
                     options=("O1", "O2", "O4", "O5", "O6", "O8", "O9",
-                             "O10", "O11", "O12", "O13", "O15", "O17",
-                             "O18"),
+                             "O10", "O11", "O12", "O13", "O17", "O18"),
                 ),
                 # -- connection plumbing -------------------------------------
                 Fragment(

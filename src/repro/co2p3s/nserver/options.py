@@ -21,7 +21,6 @@ __all__ = [
     "COPS_HTTP_RESILIENCE_OPTIONS",
     "COPS_HTTP_SCHEDULING_OPTIONS",
     "COPS_HTTP_OVERLOAD_OPTIONS",
-    "COPS_HTTP_ZEROCOPY_OPTIONS",
     "COPS_HTTP_DEGRADATION_OPTIONS",
     "COPS_HTTP_EPOLL_OPTIONS",
     "ALL_FEATURES_ON",
@@ -79,14 +78,6 @@ NSERVER_OPTION_SPECS = (
     OptionSpec(key="O13", name="Fault tolerance",
                describe_values="Yes/No", default=False,
                values=(True, False)),
-    # Third structural extension: the response write path.  "zerocopy"
-    # generates a Buffers component (shared size-classed header pool)
-    # plus segmented scatter-gather out-buffers per connection;
-    # "buffered" is the paper's copying write path and emits zero new
-    # code.
-    OptionSpec(key="O15", name="Write path",
-               describe_values="buffered/zerocopy", default="buffered",
-               values=("buffered", "zerocopy")),
     # Sixth structural extension: multi-process deployment — N worker
     # processes (each a fresh interpreter running its own reactor)
     # accepting from one shared SO_REUSEPORT
@@ -131,7 +122,6 @@ COPS_FTP_OPTIONS: Dict[str, object] = {
     "O11": False,
     "O12": False,
     "O13": False,
-    "O15": "buffered",
 }
 
 #: Table 1, COPS-HTTP column (first experiment: Figs 3/4).
@@ -149,7 +139,6 @@ COPS_HTTP_OPTIONS: Dict[str, object] = {
     "O11": False,
     "O12": False,
     "O13": False,
-    "O15": "buffered",
 }
 
 #: Second COPS-HTTP experiment (Fig 5): event scheduling on, cache off.
@@ -168,11 +157,6 @@ COPS_HTTP_OBSERVABILITY_OPTIONS = dict(COPS_HTTP_OPTIONS, O11=True)
 #: drain, with the resilience counters on ``/server-status``.
 COPS_HTTP_RESILIENCE_OPTIONS = dict(
     COPS_HTTP_OBSERVABILITY_OPTIONS, O13=True)
-
-#: COPS-HTTP on the zero-copy write path (O15=zerocopy): pooled header
-#: buffers, cached bodies referenced as memoryview segments, and a
-#: scatter-gather send loop — the bench_zero_copy comparison shape.
-COPS_HTTP_ZEROCOPY_OPTIONS = dict(COPS_HTTP_OPTIONS, O15="zerocopy")
 
 #: COPS-HTTP with the graceful-degradation plane (O9+O11+O17): overload
 #: now *answers* — 503 + Retry-After, per-client rate limits, brownout —
@@ -203,7 +187,6 @@ ALL_FEATURES_ON: Dict[str, object] = {
     "O11": True,
     "O12": True,
     "O13": True,
-    "O15": "zerocopy",
     "O16": 2,
     "O17": True,
     "O18": "epoll",

@@ -48,7 +48,6 @@ TABLE2_CLASS_ORDER = [
     "Server",
     "Observability",
     "Resilience",
-    "Buffers",
     "Degradation",
     "Poller",
     "Deployment",
@@ -102,14 +101,7 @@ PAPER_TABLE2 = {
 #: after an accept backoff) and '+' cells where the option weaves in:
 #: the accept loop, the configuration's tuning block, the Reactor's
 #: construction/lifecycle/drain and the Server's drain facade.
-#: The O15 zero-copy write path adds the Buffers row (exists iff
-#: O15=zerocopy; the body itself is option-independent) and '+'
-#: cells where the option weaves in: the Reactor builds the Buffers
-#: component, the Communicator takes the shared header pool, the
-#: Server Component swaps in segmented out-buffers, the
-#: configuration carries the pool geometry and the Observability
-#: wire probes the pool hit rate.  The O17 graceful-degradation
-#: extension adds the Degradation row (exists iff O17; body depends
+#: The O17 graceful-degradation extension adds the Degradation row (exists iff O17; body depends
 #: on O11 — the adaptive controller reads the request-latency p99
 #: from the shared registry — and O12, the retune log argument) and
 #: '+' cells where the plane weaves in: the Reactor builds, starts
@@ -136,16 +128,14 @@ PAPER_TABLE2 = {
 #: processes through the stats socket.
 TABLE2_EXTENSIONS = {
     "Observability": {"O2": "+", "O9": "+", "O10": "+", "O11": "O",
-                      "O15": "+", "O16": "+", "O17": "+"},
-    "ServerComponent": {"O11": "+", "O15": "+", "O16": "+"},
-    "ServerConfiguration": {"O11": "+", "O13": "+", "O15": "+", "O16": "+",
+                      "O16": "+", "O17": "+"},
+    "ServerComponent": {"O11": "+", "O16": "+"},
+    "ServerConfiguration": {"O11": "+", "O13": "+", "O16": "+",
                             "O17": "+", "O18": "+"},
     "Resilience": {"O2": "+", "O11": "+", "O12": "+", "O13": "O", "O18": "+"},
-    "Reactor": {"O13": "+", "O15": "+", "O17": "+", "O18": "+"},
+    "Reactor": {"O13": "+", "O17": "+", "O18": "+"},
     "AcceptorEventHandler": {"O13": "+", "O17": "+", "O18": "+"},
     "Server": {"O13": "+", "O16": "+"},
-    "CommunicatorComponent": {"O15": "+"},
-    "Buffers": {"O15": "O"},
     "Degradation": {"O11": "+", "O12": "+", "O17": "O"},
     "Poller": {"O18": "O"},
     "Deployment": {"O11": "+", "O13": "+", "O16": "O"},

@@ -156,8 +156,6 @@ def corner_matrix(which: str = "smoke") -> List[Corner]:
         Corner("procs", "O16=2 worker processes on one SO_REUSEPORT "
                "socket; each must be conversation-identical to the "
                "single-process build", build={"procs": 2}),
-        Corner("zerocopy", "O15 scatter-gather write path",
-               build={"write_path": "zerocopy"}),
         Corner("degradation", "O9+O11+O17 graceful degradation, quiet",
                options=dict(COPS_HTTP_DEGRADATION_OPTIONS),
                build={"degradation": True}, model=observ, freedoms=shed),
@@ -182,9 +180,6 @@ def corner_matrix(which: str = "smoke") -> List[Corner]:
     ]
     if which == "full":
         corners += [
-            Corner("procs-zerocopy", "O16=2 + O15 combined",
-                   build={"procs": 2, "write_path": "zerocopy"},
-                   smoke=False),
             Corner("degraded-procs", "O17 across O16=2 worker processes",
                    options=dict(COPS_HTTP_DEGRADATION_OPTIONS),
                    build={"degradation": True, "procs": 2},

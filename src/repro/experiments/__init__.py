@@ -27,11 +27,6 @@ from repro.experiments.fig3_procs import (
     format_fig3_procs,
     run_procs_sweep,
 )
-from repro.experiments.fig3_zerocopy import (
-    WritePathPoint,
-    format_fig3_zerocopy,
-    run_zerocopy_sweep,
-)
 from repro.experiments.fig5 import format_fig5, run_fig5
 from repro.experiments.fig6 import format_fig6, run_fig6
 from repro.experiments.degradation import (
@@ -54,7 +49,6 @@ __all__ = [
     "format_fig3",
     "format_fig3_poller",
     "format_fig3_procs",
-    "format_fig3_zerocopy",
     "run_procs_sweep",
     "format_fig4",
     "format_fig5",
@@ -68,9 +62,7 @@ __all__ = [
     "run_fig6",
     "run_table1",
     "run_poller_sweep",
-    "run_zerocopy_sweep",
     "PollerPoint",
-    "WritePathPoint",
     "run_table2",
     "run_table3",
     "run_table4",

@@ -19,7 +19,6 @@ from repro.experiments import (
     format_fig3,
     format_fig3_poller,
     format_fig3_procs,
-    format_fig3_zerocopy,
     format_fig4,
     format_fig5,
     format_fig6,
@@ -37,11 +36,10 @@ from repro.experiments import (
     run_table2,
     run_table3,
     run_table4,
-    run_zerocopy_sweep,
 )
 
 EXPERIMENTS = ("table1", "table2", "table3", "table4",
-               "fig3", "fig4", "fig5", "fig6", "fig3-zerocopy",
+               "fig3", "fig4", "fig5", "fig6",
                "fig3-poller", "fig3-procs", "fig6-cliff")
 
 
@@ -64,11 +62,6 @@ def run_one(name: str, quick: bool, cache: dict) -> str:
                 warmup=5.0 if quick else 10.0)
         sweep = cache["sweep"]
         return format_fig3(sweep) if name == "fig3" else format_fig4(sweep)
-    if name == "fig3-zerocopy":
-        results = run_zerocopy_sweep(
-            client_counts=(1, 2) if quick else (1, 2, 4),
-            requests=40 if quick else 120)
-        return format_fig3_zerocopy(results)
     if name == "fig3-poller":
         results = run_poller_sweep(
             idle_counts=(0, 256) if quick else (0, 512, 2048),

@@ -49,7 +49,7 @@ def paper_matrix() -> CrosscutMatrix:
 
 def expected_matrix() -> CrosscutMatrix:
     """Paper Table 2 plus this reproduction's observability (O11),
-    resilience (O13), write-path (O15), deployment (O16), degradation
+    resilience (O13), deployment (O16), degradation
     (O17) and poller (O18) extensions."""
     return _matrix_from(EXPECTED_TABLE2,
                         [spec.key for spec in NSERVER_OPTION_SPECS])

@@ -3,7 +3,8 @@
 :func:`faulty_handle_cls` builds a dynamic subclass of any
 :class:`~repro.runtime.handles.SocketHandle`-compatible base (the
 library handle or a generated framework's ``Handle``) whose
-``try_recv``/``try_send`` consult a :class:`FaultSchedule` before
+``try_recv`` and every send (the optimistic one in ``write`` as well
+as the ``try_send`` drain) consult a :class:`FaultSchedule` before
 touching the real socket:
 
 * ``eagain`` — report "would block" although the kernel had data/room
@@ -53,9 +54,7 @@ def faulty_handle_cls(schedule: FaultSchedule, base: type = SocketHandle,
                                        schedule.spec.partial_read_bytes))
             return super().try_recv(max_bytes)
 
-        def try_send(self) -> int:
-            if not self.out_buffer:
-                return 0
+        def _send(self, iov) -> int:
             kind = schedule.decide("send", self.fault_stream,
                                    trace_id=getattr(self, "trace_id", 0))
             if kind == "eagain":
@@ -64,21 +63,21 @@ def faulty_handle_cls(schedule: FaultSchedule, base: type = SocketHandle,
                 self.close()
                 return 0
             if kind == "partial":
-                return self._send_capped(schedule.spec.partial_write_bytes)
-            return super().try_send()
-
-        def _send_capped(self, cap: int) -> int:
-            chunk = bytes(self.out_buffer[:max(1, cap)])
-            try:
-                n = self.sock.send(chunk)
-            except BlockingIOError:
-                return 0
-            except (ConnectionResetError, BrokenPipeError):
-                self.close()
-                return 0
-            del self.out_buffer[:n]
-            return n
+                iov = _capped(iov, max(1, schedule.spec.partial_write_bytes))
+            return super()._send(iov)
 
     FaultySocketHandle.__name__ = f"Faulty{base.__name__}"
     FaultySocketHandle.__qualname__ = FaultySocketHandle.__name__
     return FaultySocketHandle
+
+
+def _capped(iov, cap: int) -> list:
+    """The leading ``cap`` bytes of ``iov``, as views (no copy)."""
+    out = []
+    for segment in iov:
+        if cap <= 0:
+            break
+        view = memoryview(segment)[:cap]
+        out.append(view)
+        cap -= len(view)
+    return out

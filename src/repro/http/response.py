@@ -91,21 +91,12 @@ class HttpResponse:
             wire += self.body
         return wire
 
-    def encode_segments(self, date: Optional[str] = None, pool=None):
-        """Zero-copy serialisation: the wire bytes as a list of segments
-        whose concatenation equals :meth:`encode` byte-for-byte.
-
-        The head is rendered once — into a pooled buffer when ``pool``
-        (a :class:`~repro.runtime.buffers.BufferPool`) is given — and
-        the body is referenced as a ``memoryview``, never copied.  The
-        segments are meant for ``Communicator.send_bytes``, which
-        queues them on a segmented out-buffer and releases the pooled
-        head once it drains.
-        """
-        head = self.encode_head(date)
-        if pool is not None:
-            head = pool.acquire(len(head)).write(head)
-        segments = [head]
+    def encode_segments(self, date: Optional[str] = None) -> list:
+        """The wire bytes as segments whose concatenation equals
+        :meth:`encode` byte-for-byte: the head as ``bytes``, then the
+        body as a ``memoryview`` — a cached body goes to the socket
+        without ever being copied (``Communicator.send_bytes``)."""
+        segments = [self.encode_head(date)]
         if not self.head_only and self.body:
             segments.append(memoryview(self.body))
         return segments

@@ -21,7 +21,7 @@ configuration:
    match the template's declared fragment metadata and the checked-in
    :data:`~repro.co2p3s.nserver.table2.EXPECTED_TABLE2`.
 
-:func:`audit_suite` sweeps a configuration set that exercises all 17
+:func:`audit_suite` sweeps a configuration set that exercises all 16
 options: the shipped presets plus every single-option toggle from the
 three crosscut bases.
 """
@@ -45,7 +45,6 @@ from repro.co2p3s.nserver.options import (
     COPS_HTTP_OPTIONS,
     COPS_HTTP_DEGRADATION_OPTIONS,
     COPS_HTTP_RESILIENCE_OPTIONS,
-    COPS_HTTP_ZEROCOPY_OPTIONS,
     DEPLOYMENT_TOGGLE_BASE,
     POOL_TOGGLE_BASE,
 )
@@ -318,7 +317,7 @@ def audit_config(options: Mapping[str, object], label: str,
 
 
 def suite_configs() -> List[Tuple[str, Dict[str, object]]]:
-    """(label, options) pairs exercising every one of the 17 options.
+    """(label, options) pairs exercising every template option.
 
     The shipped presets cover the paper's configurations; on top, each
     option is toggled through each of its non-base legal values from
@@ -329,7 +328,6 @@ def suite_configs() -> List[Tuple[str, Dict[str, object]]]:
         ("cops-ftp", dict(COPS_FTP_OPTIONS)),
         ("cops-http", dict(COPS_HTTP_OPTIONS)),
         ("cops-http-resilient", dict(COPS_HTTP_RESILIENCE_OPTIONS)),
-        ("cops-http-zerocopy", dict(COPS_HTTP_ZEROCOPY_OPTIONS)),
         ("cops-http-degradation", dict(COPS_HTTP_DEGRADATION_OPTIONS)),
         ("all-features-on", dict(ALL_FEATURES_ON)),
         ("pool-toggle-base", dict(POOL_TOGGLE_BASE)),

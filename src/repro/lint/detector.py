@@ -74,6 +74,11 @@ class _VarState:
     """Per-field Eraser bookkeeping."""
 
     label: str
+    #: the annotated object, held so its id cannot be reused while the
+    #: detector runs: a collected owner's id handed to a new object of
+    #: the same type would otherwise inherit the old lockset and report
+    #: a race between two objects that never shared a field
+    owner: object = None
     state: int = _VIRGIN
     first_thread: Optional[int] = None
     lockset: Optional[FrozenSet[TrackedLock]] = None
@@ -202,16 +207,16 @@ class RaceDetector:
                    label: Optional[str]) -> _VarState:
         """The per-field state record (created on first sight).
 
-        Keyed by ``(id(owner), type, field)``; the type name guards
-        against most id-reuse aliasing after garbage collection.  Must
-        be called with ``_mutex`` held.
+        Keyed by ``(id(owner), type, field)``; the record holds the
+        owner, so no id is reused while the detector runs.  Must be
+        called with ``_mutex`` held.
         """
         key = (id(owner), type(owner).__name__, field_name)
         state = self._vars.get(key)
         if state is None:
             name = (label or self._labels.get(id(owner))
                     or type(owner).__name__)
-            state = _VarState(label=name)
+            state = _VarState(label=name, owner=owner)
             self._vars[key] = state
         return state
 

@@ -1,0 +1,83 @@
+"""Out-buffer ownership lint: only ``runtime/handles.py`` mutates
+``out_buffer``.
+
+A connection's unsent reply segments are ordered, and
+``SocketHandle.write`` keeps them so by checking, sending and queuing
+under one lock.  A write that reaches around it — ``out_buffer +=``,
+``out_buffer.append(...)``, ``del out_buffer[:n]`` — can reorder
+pipelined replies or send bytes twice, so everything else goes through
+``write`` / ``try_send``.
+
+The check is syntactic: outside the owner module it flags any
+assignment, augmented assignment or ``del`` whose target is an
+``out_buffer`` attribute (or a subscript of one), and any method
+called through ``.out_buffer.``.  Reads (``len``, truth tests) pass.
+"""
+
+from __future__ import annotations
+
+import ast
+import os
+from typing import List, Optional, Sequence, Tuple
+
+from repro.lint.findings import Finding
+from repro.lint.spans import _default_paths, _python_files
+
+__all__ = ["out_buffer_findings", "out_buffer_mutations"]
+
+#: the one module allowed to mutate an out-buffer
+OWNER = os.path.join("repro", "runtime", "handles.py")
+
+
+def _is_out_buffer(node: ast.AST) -> bool:
+    if isinstance(node, ast.Subscript):
+        node = node.value
+    return isinstance(node, ast.Attribute) and node.attr == "out_buffer"
+
+
+def out_buffer_mutations(tree: ast.AST) -> List[Tuple[int, str]]:
+    """(lineno, source) for every out-buffer mutation in ``tree``."""
+    hits: List[Tuple[int, str]] = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign):
+            targets = node.targets
+        elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+            targets = [node.target]
+        elif isinstance(node, ast.Delete):
+            targets = node.targets
+        elif (isinstance(node, ast.Call)
+              and isinstance(node.func, ast.Attribute)
+              and _is_out_buffer(node.func.value)):
+            hits.append((node.lineno, ast.unparse(node.func)))
+            continue
+        else:
+            continue
+        hits.extend((node.lineno, ast.unparse(t))
+                    for t in targets if _is_out_buffer(t))
+    return sorted(hits)
+
+
+def out_buffer_findings(paths: Optional[Sequence[str]] = None
+                        ) -> List[Finding]:
+    """Scan ``paths`` (default: the shipped tree) for out-buffer
+    mutations outside :data:`OWNER`."""
+    findings: List[Finding] = []
+    root = _default_paths()[0]
+    for filename in _python_files(paths or _default_paths()):
+        rel = os.path.relpath(filename, os.path.dirname(root))
+        if rel == OWNER:
+            continue
+        try:
+            with open(filename, "r", encoding="utf-8") as fh:
+                tree = ast.parse(fh.read(), filename=filename)
+        except (OSError, SyntaxError):
+            continue
+        for lineno, target in out_buffer_mutations(tree):
+            findings.append(Finding(
+                kind="ownership",
+                ident=f"ownership:{rel}:{target}",
+                location=f"{filename}:{lineno}",
+                message=(f"{target} mutates a handle's out-buffer outside "
+                         f"{OWNER} — go through write()/try_send()"),
+            ))
+    return findings

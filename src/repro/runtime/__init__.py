@@ -14,10 +14,7 @@ from repro import lazy_exports
 
 __getattr__, __dir__, __all__ = lazy_exports(__name__, globals(), {
     "acceptor": ("Connector", "is_transient_accept_error"),
-    "buffers": (
-        "BufferPool", "BufferPoolStats", "OutBuffer", "PooledBuffer",
-        "segment_bytes",
-    ),
+    "buffers": ("BufferPool", "BufferPoolStats", "PooledBuffer"),
     "communicator": ("CLOSE", "PENDING", "Communicator", "ServerHooks"),
     "container": ("Container",),
     "degradation": (
@@ -43,7 +40,9 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, globals(), {
         "WritableEvent",
     ),
     "file_io": ("AsyncFileIO",),
-    "handles": ("FileHandle", "Handle", "ListenHandle", "SocketHandle"),
+    "handles": (
+        "FileHandle", "Handle", "ListenHandle", "OutBuffer", "SocketHandle",
+    ),
     "overload": ("OverloadController", "Watermark"),
     "poller": (
         "EpollPoller", "Poller", "SelectPoller", "available_pollers",

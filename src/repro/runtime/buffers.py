@@ -1,43 +1,22 @@
-"""Zero-copy write path: pooled header buffers and segmented output.
+"""Pooled read buffers: a size-classed pool of reusable bytearrays.
 
-The copying write path serialises every response into one fresh
-``bytes`` (header + body concatenated) and then re-copies the *entire*
-remaining output on every partial send (``bytes(out_buffer)`` before
-``socket.send``).  For large cached bodies that is the dominant
-per-request cost.  This module provides the two pieces the O15
-"zerocopy" write path replaces it with:
-
-* :class:`BufferPool` — a size-classed pool of reusable header
-  buffers.  Response heads are small and short-lived; pooling them
-  avoids a bytearray allocation per response.  Hit/miss statistics
-  surface through the O11 observability sampler.
-* :class:`OutBuffer` — a deque of ``memoryview`` segments standing in
-  for the per-connection ``bytearray`` out-buffer.  Cached file bodies
-  are referenced as views of the immutable cached ``bytes`` (no copy;
-  the view's refcount keeps the payload alive even past cache
-  eviction), and a partial send *advances an offset* instead of
-  re-slicing.  :meth:`OutBuffer.iov` exposes the segments for a
-  writev-style scatter-gather ``socket.sendmsg``.
-
-``OutBuffer`` implements the small ``bytearray`` surface the rest of
-the runtime touches (``bool``/``len``/``bytes``/``extend``/
-``buf[:n]``/``del buf[:n]``), so every existing consumer — including
-the fault-injection handles — works unchanged against either buffer.
+Every live connection reads into one buffer checked out of the event
+source's :class:`BufferPool` (``SocketHandle.try_recv``) and hands it
+back at close, so a busy server reuses a bounded set of buffers instead
+of allocating one per connection.  Hit/miss statistics surface through
+the O11 observability sampler as ``server_read_pool_hit_rate``.
 """
 
 from __future__ import annotations
 
-from collections import deque
-from itertools import islice
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 from repro.lint.locks import access, make_lock
 
-__all__ = ["BufferPool", "BufferPoolStats", "OutBuffer", "PooledBuffer",
-           "segment_bytes", "DEFAULT_SIZE_CLASSES"]
+__all__ = ["BufferPool", "BufferPoolStats", "PooledBuffer",
+           "DEFAULT_SIZE_CLASSES"]
 
-#: header buffers are small; the largest class comfortably holds any
-#: response head plus a pooled small-body tail
+#: size classes of a pool built without explicit ones
 DEFAULT_SIZE_CLASSES = (1024, 4096, 16384, 65536)
 
 
@@ -90,39 +69,21 @@ class BufferPoolStats:
 class PooledBuffer:
     """One reusable buffer checked out of a :class:`BufferPool`.
 
-    Render into it with :meth:`write`; hand :meth:`view` (or the buffer
-    itself) to an :class:`OutBuffer`, which releases it back to the
-    pool once the segment is fully drained.  The backing storage must
-    not be reused while a view of it is still queued — the pool
-    guarantees that by only re-issuing buffers after ``release``.
+    The pool only re-issues a buffer after :meth:`release`, so storage
+    still in use is never handed to a second owner.
     """
 
-    __slots__ = ("pool", "data", "used", "in_use")
+    __slots__ = ("pool", "data", "in_use")
 
     def __init__(self, pool: Optional["BufferPool"], capacity: int):
         self.pool = pool
         self.data = bytearray(capacity)
-        self.used = 0
         self.in_use = True
 
     @property
     def capacity(self) -> int:
         """The backing storage size in bytes."""
         return len(self.data)
-
-    def write(self, payload) -> "PooledBuffer":
-        """Append ``payload``; raises when it would overflow the buffer."""
-        end = self.used + len(payload)
-        if end > len(self.data):
-            raise ValueError(
-                f"write of {len(payload)}B overflows {self.capacity}B buffer")
-        self.data[self.used:end] = payload
-        self.used = end
-        return self
-
-    def view(self) -> memoryview:
-        """A memoryview over the written prefix (no copy)."""
-        return memoryview(self.data)[:self.used]
 
     def release(self) -> None:
         """Hand the buffer back to its pool, if it came from one."""
@@ -171,7 +132,6 @@ class BufferPool:
                 if free:
                     self.stats.hits += 1
                     buf = free.pop()
-                    buf.used = 0
                     buf.in_use = True
                     return buf
                 self.stats.misses += 1
@@ -203,112 +163,3 @@ class BufferPool:
         with self._lock:
             access(self, "_free", write=False)
             return sum(len(free) for free in self._free.values())
-
-
-def segment_bytes(segment) -> bytes:
-    """Copy out one segment's payload (the legacy-path fallback)."""
-    if isinstance(segment, PooledBuffer):
-        return bytes(segment.view())
-    return bytes(segment)
-
-
-class OutBuffer:
-    """Segmented per-connection output buffer (zero-copy write path).
-
-    Holds ``(memoryview, owner)`` pairs; ``owner`` is the
-    :class:`PooledBuffer` to release once its segment fully drains
-    (``None`` for segments over caller-owned immutable bytes).  A
-    partial send calls :meth:`advance`, which moves the head offset —
-    no slicing, no re-copying of the remainder.
-    """
-
-    __slots__ = ("_segments", "_length")
-
-    def __init__(self):
-        self._segments: deque = deque()
-        self._length = 0
-
-    # -- zero-copy API ---------------------------------------------------
-    def append_segment(self, segment, owner=None) -> None:
-        """Queue one segment.  Accepts a :class:`PooledBuffer` (released
-        on drain), a ``memoryview``/``bytes`` (referenced, not copied),
-        or any other bytes-like (snapshotted — mutable data must not
-        alias queued output)."""
-        if isinstance(segment, PooledBuffer):
-            owner = segment
-            view = segment.view()
-        elif isinstance(segment, memoryview):
-            view = segment
-        elif isinstance(segment, bytes):
-            view = memoryview(segment)
-        else:
-            view = memoryview(bytes(segment))
-        if len(view):
-            self._segments.append((view, owner))
-            self._length += len(view)
-        elif owner is not None:
-            owner.release()
-
-    def iov(self, max_vecs: int = 64) -> List[memoryview]:
-        """The leading segments, for scatter-gather ``sendmsg`` (capped
-        well under IOV_MAX)."""
-        return [view for view, _owner in islice(self._segments, max_vecs)]
-
-    def advance(self, n: int) -> None:
-        """Consume ``n`` sent bytes from the front, releasing pooled
-        owners whose segments fully drained."""
-        while n > 0 and self._segments:
-            view, owner = self._segments[0]
-            size = len(view)
-            if n < size:
-                self._segments[0] = (view[n:], owner)
-                self._length -= n
-                return
-            self._segments.popleft()
-            self._length -= size
-            n -= size
-            if owner is not None:
-                owner.release()
-
-    # -- bytearray-compatible surface ------------------------------------
-    def extend(self, data) -> None:
-        """bytearray-compatible append (snapshots mutable data)."""
-        self.append_segment(data)
-
-    def clear(self) -> None:
-        """Drop every segment, releasing any pooled owners."""
-        while self._segments:
-            _view, owner = self._segments.popleft()
-            if owner is not None:
-                owner.release()
-        self._length = 0
-
-    def __len__(self) -> int:
-        """Unsent bytes across all segments."""
-        return self._length
-
-    def __bool__(self) -> bool:
-        """True while any output remains queued."""
-        return self._length > 0
-
-    def __bytes__(self) -> bytes:
-        """Copy out the whole remaining output (legacy consumers)."""
-        return b"".join(bytes(view) for view, _owner in self._segments)
-
-    def __getitem__(self, index):
-        """Slice access over a copied snapshot (``buf[:n]``)."""
-        if isinstance(index, slice):
-            return bytes(self)[index]
-        raise TypeError("OutBuffer supports slice access only")
-
-    def __delitem__(self, index) -> None:
-        """``del buf[:n]``: consume ``n`` leading bytes, as after a send."""
-        if not isinstance(index, slice) or index.step not in (None, 1) \
-                or index.start not in (None, 0):
-            raise TypeError("OutBuffer supports only del buf[:n]")
-        if index.stop is None:
-            self.clear()
-        elif index.stop >= 0:
-            self.advance(min(index.stop, self._length))
-        else:
-            raise TypeError("OutBuffer does not support negative slices")

@@ -127,7 +127,6 @@ class Communicator:
         update_interest: Optional[Callable[[SocketHandle], None]] = None,
         spans=NULL_SPANS,
         clock=time.monotonic,
-        buffer_pool=None,
         flight=None,
     ):
         self.handle = handle
@@ -136,9 +135,6 @@ class Communicator:
         #: always-on lifecycle-event ring (the one the owning server
         #: passed; the process-wide recorder otherwise)
         self.flight = flight if flight is not None else GLOBAL_FLIGHT
-        #: header BufferPool of the zero-copy write path (None = the
-        #: copying path; encode hooks key segment emission off this)
-        self.buffer_pool = buffer_pool
         self.on_teardown = on_teardown
         self.update_interest = update_interest
         #: the O11 span recorder (request spans, socket-stage timings
@@ -238,13 +234,20 @@ class Communicator:
 
     # -- pipeline -----------------------------------------------------------
     def _pump_requests(self) -> None:
-        while not self.closed:
-            split = self.hooks.split_request(bytes(self.in_buffer))
-            if split is None:
-                return
-            raw, rest = split
-            self.in_buffer = bytearray(rest)
-            self._run_pipeline(raw)
+        """Run the pipeline for every complete request buffered: one
+        snapshot of the input per pump, and the unframed remainder
+        stored back once, only when a request was taken off it."""
+        data = rest = bytes(self.in_buffer)
+        try:
+            while not self.closed:
+                split = self.hooks.split_request(rest)
+                if split is None:
+                    return
+                raw, rest = split
+                self._run_pipeline(raw)
+        finally:
+            if rest is not data:
+                self.in_buffer = bytearray(rest)
 
     # -- overridable steps (generated CommunicatorComponents replace
     # these with the generated step-handler chain) ------------------------
@@ -398,31 +401,25 @@ class Communicator:
 
     # -- output ---------------------------------------------------------------
     def send_bytes(self, data, close_after: bool = False) -> None:
-        """Queue reply bytes and opportunistically flush.
+        """Send Reply: write ``data`` behind any output already queued
+        and keep write interest in step with what the kernel left.
 
-        ``data`` may also be a list/tuple of segments (the zero-copy
-        encode path): each segment is queued by reference on a
-        segmented out-buffer, or joined into one copy on the legacy
-        ``bytearray`` path.
+        ``data`` is one bytes-like or a list/tuple of segments (a
+        response head plus a ``memoryview`` of its cached body), which
+        go to the socket in order without being joined.  Empty ``data``
+        just flushes.
         """
         if self.closed:
             return
-        if data:
-            out = self.handle.out_buffer
-            if isinstance(data, (list, tuple)):
-                append = getattr(out, "append_segment", None)
-                if append is not None:
-                    for segment in data:
-                        append(segment)
-                else:
-                    from repro.runtime.buffers import segment_bytes
-                    out.extend(b"".join(segment_bytes(s) for s in data))
-            else:
-                out.extend(data)
         if close_after:
             self.close_after_flush = True
         t0 = self.clock()
-        sent = self.handle.try_send()
+        if not data:
+            sent = self.handle.try_send()
+        elif isinstance(data, (list, tuple)):
+            sent = self.handle.write(data)
+        else:
+            sent = self.handle.write((data,))
         if sent:
             now = self.clock()
             self.spans.bytes_sent(sent, now - t0)

@@ -197,12 +197,10 @@ def reject_handle(handle, payload: bytes) -> None:
     """Flush a canned rejection to a just-accepted handle and close it.
 
     The cheap write-path reject: no Communicator is ever built for the
-    victim, so the whole transaction costs one buffered send and a
-    close.  Works with both the copying and the zero-copy out-buffer.
+    victim, so the whole transaction costs one send and a close.
     """
     if payload:
-        handle.out_buffer += payload
-        handle.try_send()
+        handle.write((payload,))
     handle.close()
 
 

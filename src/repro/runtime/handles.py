@@ -11,12 +11,18 @@ from __future__ import annotations
 import os
 import socket
 import threading
-from typing import Optional
+from collections import deque
+from itertools import islice
+from typing import List, Optional
 
 from repro.obs.flight import GLOBAL as GLOBAL_FLIGHT
 from repro.obs.tracing import next_trace_id
 
-__all__ = ["Handle", "SocketHandle", "ListenHandle", "FileHandle"]
+__all__ = ["Handle", "SocketHandle", "ListenHandle", "FileHandle",
+           "OutBuffer"]
+
+#: segments per ``sendmsg`` call, well under Linux's IOV_MAX of 1024
+MAX_IOV = 64
 
 
 class Handle:
@@ -48,8 +54,9 @@ class SocketHandle(Handle):
         super().__init__(name or _peer_name(sock))
         self.sock = sock
         sock.setblocking(False)
-        #: bytes produced by the application, waiting for writability
-        self.out_buffer = bytearray()
+        #: reply segments the kernel has not taken yet (mutated only
+        #: here, under ``_send_lock``)
+        self.out_buffer = OutBuffer()
         #: monotonic timestamp of the last I/O (idle reaping, option O7)
         self.last_activity = 0.0
         #: end-to-end trace id, stamped at the accept boundary and
@@ -60,10 +67,11 @@ class SocketHandle(Handle):
         # never meet a selector.
         fileno = getattr(sock, "fileno", None)
         self._fd = fileno() if fileno is not None else -1
-        # Serialises concurrent flushers: a completion thread inside
-        # send_bytes and the dispatcher answering a WritableEvent would
-        # otherwise both snapshot out_buffer and put the same bytes on
-        # the wire twice.
+        # Serialises writers and flushers: without it two completion
+        # threads could both find out_buffer empty and race their
+        # replies onto the wire out of order, or a writer and the
+        # dispatcher answering a WritableEvent could send the same
+        # queued bytes twice.
         self._send_lock = threading.Lock()
         #: read :class:`~repro.runtime.buffers.BufferPool` — attached by
         #: the event source at registration; None reads into a private
@@ -138,35 +146,53 @@ class SocketHandle(Handle):
         if owner is not None:
             owner.release()
 
-    def try_send(self) -> int:
-        """Flush as much of ``out_buffer`` as the kernel accepts; returns
-        bytes sent.  Raises nothing: reset peers count as flushed-zero
-        with the handle closed.
+    def write(self, segments) -> int:
+        """Send ``segments`` (bytes-likes, in order) behind any output
+        already queued; returns the bytes sent now.
 
-        A segmented :class:`~repro.runtime.buffers.OutBuffer` (the O15
-        zero-copy write path) is drained with a scatter-gather
-        ``sendmsg`` over its memoryview segments; the legacy
-        ``bytearray`` path is unchanged.
+        On an empty buffer this is one optimistic ``sendmsg`` straight
+        from the caller's buffers — a cached body goes to the kernel
+        without a copy — and only the unsent tail is queued.  The
+        emptiness check, the send and the enqueue share the send lock,
+        so replies written by two threads never interleave or reorder.
         """
         with self._send_lock:
             out = self.out_buffer
-            if not out:
-                return 0
-            iov = getattr(out, "iov", None)
-            try:
-                if iov is None:
-                    n = self.sock.send(bytes(out))
-                elif hasattr(self.sock, "sendmsg"):
-                    n = self.sock.sendmsg(iov())
-                else:  # pragma: no cover - platforms without sendmsg
-                    n = self.sock.send(iov(1)[0])
-            except BlockingIOError:
-                return 0
-            except (ConnectionResetError, BrokenPipeError):
-                self.close()
-                return 0
-            del out[:n]
-            return n
+            if out:
+                out.append(segments)
+                return self._drain()
+            sent = self._send(segments[:MAX_IOV])
+            if not self._closed:
+                out.append(segments, skip=sent)
+            return sent
+
+    def try_send(self) -> int:
+        """Flush as much queued output as the kernel accepts; returns
+        bytes sent.  Raises nothing: reset peers count as flushed-zero
+        with the handle closed."""
+        with self._send_lock:
+            return self._drain()
+
+    def _drain(self) -> int:
+        out = self.out_buffer
+        if not out:
+            return 0
+        sent = self._send(out.iov())
+        out.advance(sent)
+        return sent
+
+    def _send(self, iov) -> int:
+        """One scatter-gather send of ``iov``: bytes sent, 0 when the
+        socket would block or the peer reset (which closes the handle).
+        Every send goes through here, so fault-injecting subclasses
+        override only this."""
+        try:
+            return self.sock.sendmsg(iov)
+        except BlockingIOError:
+            return 0
+        except (ConnectionResetError, BrokenPipeError):
+            self.close()
+            return 0
 
     @property
     def wants_write(self) -> bool:
@@ -180,6 +206,69 @@ class SocketHandle(Handle):
                 pass
         super().close()
         self.release_read_buffer()
+
+
+class OutBuffer:
+    """A connection's unsent reply segments, oldest first.
+
+    Each segment is a ``memoryview`` over the writer's bytes: a cached
+    file body is referenced, never copied (the view keeps the payload
+    alive even past cache eviction), and a partial send advances past
+    the sent prefix instead of re-slicing the remainder.  Only the
+    owning :class:`SocketHandle` mutates it, under its send lock.
+    """
+
+    __slots__ = ("_segments", "_length")
+
+    def __init__(self):
+        self._segments: deque = deque()
+        self._length = 0
+
+    def append(self, segments, skip: int = 0) -> None:
+        """Queue ``segments`` minus their first ``skip`` bytes (already
+        sent).  ``bytes`` and ``memoryview`` segments are referenced;
+        any other bytes-like is snapshotted, since its owner may
+        mutate it while it waits."""
+        for segment in segments:
+            size = len(segment)
+            if skip >= size:
+                skip -= size
+                continue
+            if isinstance(segment, memoryview):
+                view = segment
+            elif isinstance(segment, bytes):
+                view = memoryview(segment)
+            else:
+                view = memoryview(bytes(segment))
+            if skip:
+                view, skip = view[skip:], 0
+            self._segments.append(view)
+            self._length += len(view)
+
+    def iov(self, max_vecs: int = MAX_IOV) -> List[memoryview]:
+        """The leading segments, for one scatter-gather ``sendmsg``."""
+        return list(islice(self._segments, max_vecs))
+
+    def advance(self, n: int) -> None:
+        """Consume ``n`` sent bytes from the front."""
+        self._length -= n
+        segments = self._segments
+        while n:
+            view = segments[0]
+            size = len(view)
+            if n < size:
+                segments[0] = view[n:]
+                return
+            segments.popleft()
+            n -= size
+
+    def __len__(self) -> int:
+        """Unsent bytes across all segments."""
+        return self._length
+
+    def __bool__(self) -> bool:
+        """True while any output remains queued."""
+        return self._length > 0
 
 
 class ListenHandle(Handle):

@@ -257,15 +257,11 @@ class CopsHttpHooks(ServerHooks):
 
     # -- Encode Reply ---------------------------------------------------------
     def encode(self, result, conn):
-        """Serialise the response: segments on the zero-copy write path
-        (O15=zerocopy builds give every Communicator the shared header
-        pool), one concatenated ``bytes`` otherwise."""
+        """Serialise the response as segments: the head, then a view of
+        the (usually cached) body, which is never copied."""
         if getattr(result, "_close_after", False):
             conn.close_after_flush = True
-        pool = getattr(conn, "buffer_pool", None)
-        if pool is not None:
-            return result.encode_segments(pool=pool)
-        return result.encode()
+        return result.encode_segments()
 
     # -- event scheduling hook (Fig 5: 13 added lines in the paper) -------------
     def classify_priority(self, conn) -> int:
@@ -301,7 +297,6 @@ def build_cops_http(
     host: str = "127.0.0.1",
     port: int = 0,
     procs: int = 1,
-    write_path: str = "buffered",
     degradation: bool = False,
     poller: Optional[str] = None,
     **config_overrides,
@@ -315,10 +310,6 @@ def build_cops_http(
     zero-downtime rolling restart.  Hooks must then be
     importable by module path — they are re-created inside each
     worker — so pass a module-level hooks class (or none).
-
-    ``write_path="zerocopy"`` regenerates with option O15: pooled
-    header buffers, cached bodies as memoryview segments, and a
-    scatter-gather send loop instead of the copying write path.
 
     ``degradation=True`` regenerates with option O17: explicit
     prioritized load shedding (503 + ``Retry-After`` instead of silent
@@ -336,8 +327,6 @@ def build_cops_http(
     option_dict = dict(options or COPS_HTTP_OPTIONS)
     if procs != 1:
         option_dict["O16"] = procs
-    if write_path != "buffered":
-        option_dict["O15"] = write_path
     if degradation:
         # O17 rides on O9: the shedding policy consults the overload
         # controller, so the degradation build always has one.
@@ -373,9 +362,6 @@ def main(argv=None) -> int:
                              "SIGHUP rolls them with zero downtime")
     parser.add_argument("--observability", action="store_true",
                         help="generate with O11=Yes (/server-status)")
-    parser.add_argument("--write-path", default="buffered",
-                        choices=("buffered", "zerocopy"),
-                        help="response write path (template option O15)")
     parser.add_argument("--degradation", action="store_true",
                         help="generate with O17=Yes (graceful degradation)")
     parser.add_argument("--poller", choices=("select", "epoll"),
@@ -386,7 +372,7 @@ def main(argv=None) -> int:
     option_dict = dict(COPS_HTTP_OPTIONS, O11=args.observability)
     server, _fw, _report = build_cops_http(
         args.root, options=option_dict, host=args.host, port=args.port,
-        procs=args.procs, write_path=args.write_path,
+        procs=args.procs,
         degradation=args.degradation, poller=args.poller)
     server.start()
     if args.procs != 1:
@@ -395,8 +381,6 @@ def main(argv=None) -> int:
         server.deployment.install_signals()
     shape = (f"{args.procs} worker processes" if args.procs != 1
              else "single reactor")
-    if args.write_path != "buffered":
-        shape += f", {args.write_path} write path"
     if args.degradation:
         shape += ", graceful degradation"
     if args.poller:

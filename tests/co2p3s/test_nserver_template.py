@@ -21,7 +21,6 @@ from repro.co2p3s.nserver import (
     COPS_HTTP_OVERLOAD_OPTIONS,
     COPS_HTTP_RESILIENCE_OPTIONS,
     COPS_HTTP_SCHEDULING_OPTIONS,
-    COPS_HTTP_ZEROCOPY_OPTIONS,
     DEPLOYMENT_TOGGLE_BASE,
     EXPECTED_TABLE2,
     NSERVER,
@@ -36,13 +35,14 @@ from repro.co2p3s.nserver import (
 # -- Table 1: the option model -------------------------------------------------
 
 
-def test_seventeen_options():
-    # The paper's twelve plus the O13 fault-tolerance, O15 write-path,
-    # O16 deployment, O17 degradation and O18 poller extensions.  O14
-    # (reactor shards) was deleted; the later keys keep their numbers.
+def test_option_keys():
+    # The paper's twelve plus the O13 fault-tolerance, O16 deployment,
+    # O17 degradation and O18 poller extensions.  O14 (reactor shards)
+    # and O15 (write path) were deleted; the later keys keep their
+    # numbers.
     specs = NSERVER.option_specs()
     assert [s.key for s in specs] == [f"O{i}" for i in range(1, 19)
-                                      if i != 14]
+                                      if i not in (14, 15)]
 
 
 def test_deleted_o14_is_an_unknown_option():
@@ -50,11 +50,16 @@ def test_deleted_o14_is_an_unknown_option():
         NSERVER.configure({"O14": 2})
 
 
+def test_deleted_o15_is_an_unknown_option():
+    with pytest.raises(OptionError):
+        NSERVER.configure({"O15": "zerocopy"})
+
+
 def test_paper_configurations_are_legal():
     for config in (COPS_FTP_OPTIONS, COPS_HTTP_OPTIONS,
                    COPS_HTTP_SCHEDULING_OPTIONS, COPS_HTTP_OVERLOAD_OPTIONS,
                    COPS_HTTP_RESILIENCE_OPTIONS,
-                   COPS_HTTP_ZEROCOPY_OPTIONS, COPS_HTTP_DEGRADATION_OPTIONS,
+                   COPS_HTTP_DEGRADATION_OPTIONS,
                    ALL_FEATURES_ON, POOL_TOGGLE_BASE,
                    DEPLOYMENT_TOGGLE_BASE):
         opts = NSERVER.configure(config)
@@ -79,7 +84,7 @@ def test_cops_http_column_matches_table1():
 
 def test_option_table_rows_shape():
     rows = option_table_rows(COPS_FTP_OPTIONS, COPS_HTTP_OPTIONS)
-    assert len(rows) == 17
+    assert len(rows) == 16
     assert all(len(r) == 4 for r in rows)
     o6 = next(r for r in rows if r[0].startswith("O6"))
     assert o6[2] == "No" and o6[3] == "Yes: LRU"
@@ -117,12 +122,12 @@ def test_all_files_parse_for_paper_configs():
             ast.parse(text)
 
 
-def test_full_config_generates_all_34_classes():
+def test_full_config_generates_every_table2_class():
     report = render(ALL_FEATURES_ON)
     assert set(report.class_names()) == set(TABLE2_CLASS_ORDER)
-    # paper's 27 + Observability (O11) + Resilience (O13) + Buffers (O15)
+    # paper's 27 + Observability (O11) + Resilience (O13)
     # + Degradation (O17) + Poller (O18) + Deployment + Worker (O16)
-    assert len(TABLE2_CLASS_ORDER) == 34
+    assert len(TABLE2_CLASS_ORDER) == 33
 
 
 def test_optional_classes_absent_when_options_off():
@@ -245,34 +250,6 @@ def test_resilience_without_pool_omits_supervision():
     assert "EventQuarantine" not in res_text
 
 
-def test_zerocopy_code_present_when_o15_on():
-    report = render(COPS_HTTP_ZEROCOPY_OPTIONS)
-    assert "buffers.py" in report.files
-    buf = report.files["buffers.py"]
-    assert "class Buffers" in buf
-    assert "rt.BufferPool" in buf
-    assert "configuration.buffer_size_classes" in buf
-    assert "configuration.buffer_pool_limit" in buf
-    assert "rt.OutBuffer()" in buf
-    reactor_text = report.files["reactor.py"]
-    assert "from t.buffers import Buffers" in reactor_text
-    assert "self.buffers = Buffers(self)" in reactor_text
-    comm = report.files["communication.py"]
-    assert "buffer_pool=reactor.buffers.pool" in comm
-    assert "handle.out_buffer = rt.OutBuffer()" in comm
-    assert "buffer_size_classes = (1024, 4096, 16384, 65536)" in comm
-    assert "buffer_pool_limit = 64" in comm
-
-
-def test_zerocopy_probe_present_only_with_observability():
-    plain = render(COPS_HTTP_ZEROCOPY_OPTIONS)
-    assert "observability.py" not in plain.files
-    with_obs = render(dict(COPS_HTTP_ZEROCOPY_OPTIONS, O11=True))
-    obs_text = with_obs.files["observability.py"]
-    assert "server_buffer_pool_hit_rate" in obs_text
-    assert "reactor.buffers.pool.stats.hit_rate" in obs_text
-
-
 def test_degradation_code_present_when_o17_on():
     report = render(COPS_HTTP_DEGRADATION_OPTIONS)
     assert "degradation.py" in report.files
@@ -322,17 +299,13 @@ def test_overload_build_without_o17_keeps_silent_postpone():
     assert "degradation.py" not in report.files
 
 
-ALL_FEATURES_ON_BUFFERED = dict(ALL_FEATURES_ON, O15="buffered")
-
-
 def test_buffered_write_path_emits_zero_buffer_code():
-    """O15=buffered is the paper's copying write path: no buffers
-    module and no buffer call site anywhere in the generated text."""
-    report = render(ALL_FEATURES_ON_BUFFERED)
+    """Every build writes through the library handle's segmented
+    out-buffer: no buffers module and no buffer call site anywhere in
+    the generated text, even with every option on."""
+    report = render(ALL_FEATURES_ON)
     assert "buffers.py" not in report.files
     for filename, text in report.files.items():
-        if filename == "__init__.py":
-            continue  # GENERATED_OPTIONS records 'O15': 'buffered'
         assert "Buffers" not in text, filename
         assert "OutBuffer" not in text, filename
         assert "buffer_pool" not in text, filename
@@ -351,12 +324,8 @@ def test_table2_extension_rows_merge():
     assert EXPECTED_TABLE2["AcceptorEventHandler"]["O13"] == "+"
     assert EXPECTED_TABLE2["Server"]["O13"] == "+"
     assert EXPECTED_TABLE2["ServerConfiguration"]["O13"] == "+"
-    assert EXPECTED_TABLE2["Buffers"]["O15"] == "O"
-    assert EXPECTED_TABLE2["Reactor"]["O15"] == "+"
-    assert EXPECTED_TABLE2["CommunicatorComponent"]["O15"] == "+"
-    assert EXPECTED_TABLE2["ServerComponent"]["O15"] == "+"
-    assert EXPECTED_TABLE2["ServerConfiguration"]["O15"] == "+"
-    assert EXPECTED_TABLE2["Observability"]["O15"] == "+"
+    assert "Buffers" not in EXPECTED_TABLE2
+    assert all("O15" not in row for row in EXPECTED_TABLE2.values())
     assert EXPECTED_TABLE2["Degradation"]["O17"] == "O"
     assert EXPECTED_TABLE2["Degradation"]["O11"] == "+"
     assert EXPECTED_TABLE2["Degradation"]["O12"] == "+"

@@ -38,7 +38,7 @@ _DATE = re.compile(rb"^Date: [^\r\n]*\r\n", re.MULTILINE)
 #: smoke corners whose replies are deterministic under sequential
 #: replay (the fault corner's byte stream depends on injection timing,
 #: and the admission-stateful O17 corners on arrival spacing)
-PARITY_CORNERS = ("base", "obs", "zerocopy")
+PARITY_CORNERS = ("base", "obs")
 
 
 def _sessions():

@@ -54,18 +54,19 @@ def test_partial_write_trickles_output(pair):
     a, b = pair
     handle, _ = make_handle(
         FaultSpec(partial_write=1.0, partial_write_bytes=2), a)
-    handle.out_buffer.extend(b"abcdef")
-    assert handle.try_send() == 2
-    assert bytes(handle.out_buffer) == b"cdef"
-    assert b.recv(16) == b"ab"
+    assert handle.write([b"abc", b"def"]) == 2     # the optimistic send
+    assert b"".join(handle.out_buffer.iov()) == b"cdef"
+    assert handle.try_send() == 2                   # the drain
+    assert b"".join(handle.out_buffer.iov()) == b"ef"
+    assert b.recv(16) == b"abcd"
 
 
 def test_send_eagain_makes_no_progress(pair):
     a, b = pair
     handle, _ = make_handle(FaultSpec(send_eagain=1.0), a)
-    handle.out_buffer.extend(b"xyz")
+    assert handle.write([b"xyz"]) == 0
     assert handle.try_send() == 0
-    assert bytes(handle.out_buffer) == b"xyz"
+    assert b"".join(handle.out_buffer.iov()) == b"xyz"
 
 
 def test_clean_schedule_behaves_like_base(pair):
@@ -73,8 +74,8 @@ def test_clean_schedule_behaves_like_base(pair):
     handle, schedule = make_handle(FaultSpec(), a)
     b.sendall(b"ping")
     assert handle.try_recv() == b"ping"
-    handle.out_buffer.extend(b"pong")
-    assert handle.try_send() == 4
+    assert handle.write([b"pong"]) == 4
+    assert not handle.out_buffer
     assert b.recv(16) == b"pong"
     assert schedule.counts() == {}
 

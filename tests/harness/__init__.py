@@ -80,6 +80,11 @@ class FakeHandle:
     def try_recv(self, max_bytes=65536):
         return None
 
+    def write(self, segments):
+        for segment in segments:
+            self.out_buffer.extend(segment)
+        return self.try_send()
+
     def try_send(self):
         n = len(self.out_buffer)
         self.sent.extend(self.out_buffer)

@@ -3,8 +3,8 @@
 * a serialised request parses back with method, path, headers and body
   preserved;
 * HEAD responses suppress the body on the wire but keep Content-Length;
-* ``encode_segments()`` joined equals ``encode()`` byte-for-byte, with
-  and without a header pool;
+* ``encode_segments()`` joined equals ``encode()`` byte-for-byte, and
+  the body segment is a view of the payload, not a copy;
 * exactly one Content-Length ever goes on the wire — a handler-set
   value is respected, duplicates are collapsed (RFC 7230: a split
   response is a request-smuggling hazard).
@@ -13,7 +13,6 @@
 from hypothesis import given, settings, strategies as st
 
 from repro.http import Headers, HttpResponse, parse_request, split_request
-from repro.runtime import BufferPool, segment_bytes
 
 NAME = st.text(alphabet="abcdefghijklmnopqrstuvwxyz"
                         "ABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789-",
@@ -82,17 +81,12 @@ def test_encode_segments_equals_encode_byte_for_byte(status, body, headers,
                             body=body, head_only=head_only)
     flat = response.encode(date="D")
 
-    plain = response.encode_segments(date="D")
-    assert b"".join(segment_bytes(s) for s in plain) == flat
-
-    pool = BufferPool(classes=(4096,))
-    pooled = response.encode_segments(date="D", pool=pool)
-    assert b"".join(segment_bytes(s) for s in pooled) == flat
-    assert pool.stats.acquires == 1             # one pooled head per response
+    segments = response.encode_segments(date="D")
+    assert b"".join(segments) == flat
     # The body segment (when present) references the payload, no copy.
     if not head_only and body:
-        assert isinstance(pooled[-1], memoryview)
-        assert pooled[-1].obj is body
+        assert isinstance(segments[-1], memoryview)
+        assert segments[-1].obj is body
 
 
 @given(body=BODY, claimed=st.integers(min_value=0, max_value=999),

@@ -5,7 +5,6 @@ import pytest
 
 from repro.experiments import (
     format_fig3,
-    format_fig3_zerocopy,
     format_fig4,
     format_fig5,
     format_fig6,
@@ -20,26 +19,23 @@ from repro.experiments import (
     run_table2,
     run_table3,
     run_table4,
-    run_zerocopy_sweep,
 )
 
 
 def test_table1_rows_and_formatting():
     rows = run_table1()
-    # The paper's 12 options plus the O13 fault-tolerance, O15
-    # write-path, O16 deployment, O17 degradation and O18 poller
-    # extensions (O14 was deleted; the later keys keep their numbers).
-    assert len(rows) == 17
+    # The paper's 12 options plus the O13 fault-tolerance, O16
+    # deployment, O17 degradation and O18 poller extensions (O14 and
+    # O15 were deleted; the later keys keep their numbers).
+    assert len(rows) == 16
     assert rows[12][0] == "O13: Fault tolerance"
     assert rows[12][2:] == ["No", "No"]     # both paper apps: off
-    assert rows[13][0] == "O15: Write path"
-    assert rows[13][2:] == ["buffered", "buffered"]  # the paper's path
-    assert rows[14][0] == "O16: Deployment (worker processes)"
-    assert rows[14][2:] == ["1", "1"]       # both paper apps: one process
-    assert rows[15][0] == "O17: Degradation policy"
-    assert rows[15][2:] == ["No", "No"]     # both paper apps: off
-    assert rows[16][0] == "O18: Poller"
-    assert rows[16][2:] == ["select", "select"]  # the paper's readiness model
+    assert rows[13][0] == "O16: Deployment (worker processes)"
+    assert rows[13][2:] == ["1", "1"]       # both paper apps: one process
+    assert rows[14][0] == "O17: Degradation policy"
+    assert rows[14][2:] == ["No", "No"]     # both paper apps: off
+    assert rows[15][0] == "O18: Poller"
+    assert rows[15][2:] == ["select", "select"]  # the paper's readiness model
     text = format_table1(rows)
     assert "COPS-FTP" in text and "Yes: LRU" in text
 
@@ -99,21 +95,6 @@ def test_fig3_sweep_structure(small_sweep):
 def test_fig4_formatting(small_sweep):
     text = format_fig4(small_sweep)
     assert "FIG 4" in text and "Jain" in text
-
-
-def test_zerocopy_sweep_structure():
-    """Small real-socket sweep: both write paths serve the same sample
-    correctly (the throughput *gap* is the benchmark's job, not a shape
-    assertion — a loaded CI host would make it flaky here)."""
-    results = run_zerocopy_sweep(client_counts=(1, 2), requests=8)
-    assert set(results) == {"buffered", "zerocopy"}
-    for pts in results.values():
-        assert [p.clients for p in pts] == [1, 2]
-        assert all(p.throughput > 0 for p in pts)
-        assert all(p.megabytes_per_sec > 0 for p in pts)
-    text = format_fig3_zerocopy(results)
-    assert "O15 extension" in text and "ZERO-COPY" in text
-    assert "throughput ratio" in text
 
 
 def test_fig5_ratios_track_quotas():

@@ -33,12 +33,6 @@ def test_unknown_experiment_rejected():
         main(["fig99"])
 
 
-def test_quick_fig3_zerocopy(capsys):
-    assert main(["fig3-zerocopy", "--quick"]) == 0
-    out = capsys.readouterr().out
-    assert "O15 extension" in out and "ZERO-COPY" in out
-
-
 def test_quick_fig3_poller(capsys):
     assert main(["fig3-poller", "--quick"]) == 0
     out = capsys.readouterr().out
@@ -54,6 +48,5 @@ def test_quick_fig3_procs(capsys):
 def test_all_is_every_experiment():
     assert set(EXPERIMENTS) == {"table1", "table2", "table3", "table4",
                                 "fig3", "fig4", "fig5", "fig6",
-                                "fig3-zerocopy",
                                 "fig6-cliff", "fig3-poller",
                                 "fig3-procs"}

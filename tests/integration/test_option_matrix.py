@@ -33,15 +33,13 @@ MATRIX = {
     "cache_hyper_g": dict(BASE, O4="Asynchronous", O6="Hyper-G"),
     "fault_tolerance": dict(BASE, O13=True),
     "fault_tolerance_inline": dict(BASE, O2=False, O13=True),
-    # O15 corners: the zero-copy write path bare, composed with the
-    # async cache it is built for, and in the kitchen sink.
-    "zerocopy_bare": dict(BASE, O15="zerocopy"),
-    "zerocopy_cached": dict(BASE, O4="Asynchronous", O6="LRU",
-                            O15="zerocopy"),
+    # Every build writes replies through the handle's segmented,
+    # copy-free out-buffer: bare, and composed with the async cache.
+    "zerocopy_bare": dict(BASE),
+    "zerocopy_cached": dict(BASE, O4="Asynchronous", O6="LRU"),
     "kitchen_sink": dict(BASE, O1="2N", O4="Asynchronous", O5="Dynamic",
                          O6="LFU", O7=True, O8=True, O9=True,
-                         O10="Debug", O11=True, O12=True, O13=True,
-                         O15="zerocopy"),
+                         O10="Debug", O11=True, O12=True, O13=True),
 }
 
 
@@ -165,19 +163,3 @@ def test_o16_default_emits_zero_deployment_code(tmp_path):
                           "cluster_status", "REUSEPORT", "multi-process"):
             assert forbidden not in text, \
                 f"{forbidden!r} leaked into O16=1 {name}"
-
-
-def test_o15_default_emits_zero_buffer_code(tmp_path):
-    """O15=buffered builds carry no trace of the zero-copy write path —
-    not a file, not a call site (the no-dead-code property again)."""
-    opts = NSERVER.configure(BASE)
-    report = NSERVER.generate(opts, str(tmp_path), package="matrix_buf_fw")
-    assert "buffers.py" not in report.files
-    for name in report.files:
-        if name == "__init__.py":
-            continue  # GENERATED_OPTIONS records 'O15': 'buffered'
-        text = (tmp_path / "matrix_buf_fw" / name).read_text()
-        for forbidden in ("Buffers", "OutBuffer", "buffer_pool",
-                          "out_buffer"):
-            assert forbidden not in text, \
-                f"{forbidden!r} leaked into O15=buffered {name}"

@@ -30,7 +30,6 @@ CORNERS = (
     "cops-ftp",
     "cops-http",
     "cops-http-resilient",
-    "cops-http-zerocopy",
     "cops-http-degradation",
     "all-features-on",
     "pool-toggle-base",
@@ -45,14 +44,14 @@ def test_option_matrix_corners_audit_clean():
 
 
 def test_suite_exercises_every_option_value():
-    # all 17 options, each through its full legal value set
+    # all 16 options, each through its full legal value set
     base = NSERVER.configure(ALL_FEATURES_ON)
     seen = {spec.key: set() for spec in base.specs}
     for _label, options in suite_configs():
         resolved = NSERVER.configure(options)
         for spec in base.specs:
             seen[spec.key].add(resolved[spec.key])
-    assert len(seen) == 17
+    assert len(seen) == 16
     for spec in base.specs:
         assert seen[spec.key] == set(spec.values), spec.key
 

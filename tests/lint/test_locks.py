@@ -184,3 +184,24 @@ def test_distinct_owners_do_not_alias(fresh_detector):
     locked()
     _on_thread(locked)
     assert len(fresh_detector.findings()) == 1
+
+
+def test_collected_owner_ids_do_not_alias(fresh_detector):
+    # Short-lived owners, each consistently locked by its own lock.
+    # CPython hands a freed object's address to the next one of its
+    # size, so without the detector holding its owners a new Box would
+    # inherit the previous Box's lockset and report a race.
+    def round_trip(i):
+        box = Box()
+        lock = make_lock(f"box-{i}")
+
+        def locked():
+            with lock:
+                access(box, "field")
+
+        locked()
+        _on_thread(locked)
+
+    for i in range(20):
+        round_trip(i)
+    assert fresh_detector.findings() == []

@@ -1,11 +1,14 @@
-"""Property-based tests for the zero-copy write path (option O15).
+"""Property-based tests for the pooled buffers and the segmented
+out-buffer every SocketHandle writes through.
 
-* the pool never hands out a buffer whose storage is still checked out;
+* the read pool never hands out a buffer whose storage is still
+  checked out;
 * released buffers are reused (that is the point of pooling);
 * size-class selection and retention bounds;
 * an adversarial short-write socket drains a segmented OutBuffer to
-  exactly the concatenated payload, releasing every pooled owner;
-* the OutBuffer's bytearray-compatible surface matches a bytes model.
+  exactly the concatenated payload, whether the reply went through
+  ``write``'s optimistic send or straight onto the queue;
+* queuing with a sent prefix skipped matches a bytes model.
 """
 
 from collections import deque
@@ -13,17 +16,12 @@ from collections import deque
 from hypothesis import given, settings, strategies as st
 import pytest
 
-from repro.runtime.buffers import (
-    BufferPool,
-    OutBuffer,
-    PooledBuffer,
-    segment_bytes,
-)
-from repro.runtime.handles import SocketHandle
+from repro.runtime.buffers import BufferPool
+from repro.runtime.handles import OutBuffer, SocketHandle
 
 PAYLOAD = st.binary(max_size=300)
-#: segment kind: plain bytes, a memoryview over bytes, or a pooled head
-KIND = st.sampled_from(["bytes", "view", "pooled"])
+#: segment kind: plain bytes, a memoryview over bytes, or a bytearray
+KIND = st.sampled_from(["bytes", "view", "bytearray"])
 
 
 # -- BufferPool -----------------------------------------------------------
@@ -61,7 +59,7 @@ def test_released_buffer_is_reused():
     a.release()
     b = pool.acquire(20)
     assert b is a
-    assert b.used == 0 and b.in_use
+    assert b.in_use
     assert pool.stats.hits == 1
     assert pool.stats.hit_rate == 0.5
 
@@ -98,14 +96,6 @@ def test_per_class_retention_bound():
     assert pool.stats.discards == 3
 
 
-def test_pooled_write_overflow_raises():
-    pool = BufferPool(classes=(8,))
-    buf = pool.acquire(8)
-    buf.write(b"12345678")
-    with pytest.raises(ValueError):
-        buf.write(b"x")
-
-
 # -- OutBuffer drain under adversarial short writes -----------------------
 
 
@@ -139,112 +129,77 @@ class ShortWriteSock:
         pass
 
 
-def _build(pool, segments):
-    """Queue (kind, payload) segments on a fresh OutBuffer; returns the
-    buffer, the expected concatenation and the pooled-segment count."""
-    out = OutBuffer()
-    expected = bytearray()
-    pooled = 0
-    for kind, payload in segments:
-        if kind == "pooled":
-            out.append_segment(pool.acquire(len(payload)).write(payload))
-            pooled += 1
-        elif kind == "view":
-            out.append_segment(memoryview(payload))
-        else:
-            out.append_segment(payload)
-        expected += payload
-    return out, bytes(expected), pooled
+def _segments(segments):
+    """(kind, payload) pairs as the segment objects a writer passes,
+    plus the expected concatenation."""
+    kinds = {"bytes": bytes, "view": memoryview, "bytearray": bytearray}
+    out = [kinds[kind](payload) for kind, payload in segments]
+    return out, b"".join(payload for _kind, payload in segments)
+
+
+def _queued(out):
+    return b"".join(out.iov(max_vecs=len(out) + 1))
 
 
 @given(segments=st.lists(st.tuples(KIND, PAYLOAD), max_size=12),
-       caps=st.lists(st.integers(min_value=0, max_value=97), max_size=40))
+       caps=st.lists(st.integers(min_value=0, max_value=97), max_size=40),
+       optimistic=st.booleans())
 @settings(max_examples=100, deadline=None)
-def test_short_write_drain_reproduces_payload_exactly(segments, caps):
-    pool = BufferPool(classes=(64, 512), per_class=8)
-    out, expected, pooled = _build(pool, segments)
-    assert len(out) == len(expected)
-    assert bytes(out) == expected
-
+def test_short_write_drain_reproduces_payload_exactly(segments, caps,
+                                                      optimistic):
+    parts, expected = _segments(segments)
     handle = SocketHandle(ShortWriteSock(caps))
-    handle.out_buffer = out
+    if optimistic:
+        sent = handle.write(parts)
+    else:
+        handle.out_buffer.append(parts)
+        sent = 0
+    assert len(handle.out_buffer) == len(expected) - sent
     stalls = 0
     while handle.out_buffer and stalls < len(caps) + 1:
         if handle.try_send() == 0:
             stalls += 1  # a 0-cap call sent nothing; caps are finite
     assert bytes(handle.sock.sent) == expected
-    assert len(out) == 0 and not out
-    # Every pooled head went back to the pool exactly once.
-    assert pool.stats.releases == pooled
+    assert len(handle.out_buffer) == 0 and not handle.out_buffer
 
 
-@given(segments=st.lists(st.tuples(KIND, PAYLOAD), max_size=10))
-@settings(max_examples=60, deadline=None)
-def test_clear_releases_every_pooled_owner(segments):
-    pool = BufferPool(classes=(64, 512), per_class=8)
-    out, _expected, pooled = _build(pool, segments)
-    out.clear()
-    assert len(out) == 0
-    assert pool.stats.releases == pooled
+@given(segments=st.lists(st.tuples(KIND, PAYLOAD), max_size=8),
+       skip=st.integers(min_value=0, max_value=2500),
+       consumed=st.integers(min_value=0, max_value=2500))
+@settings(max_examples=80, deadline=None)
+def test_skip_and_advance_match_bytes_model(segments, skip, consumed):
+    parts, expected = _segments(segments)
+    skip = min(skip, len(expected))
+    out = OutBuffer()
+    out.append(parts, skip=skip)
+    model = expected[skip:]
+    assert len(out) == len(model) and bool(out) == bool(model)
+    assert _queued(out) == model
+    consumed = min(consumed, len(model))
+    out.advance(consumed)
+    assert _queued(out) == model[consumed:]
+    assert len(out) == len(model) - consumed
 
 
 def test_iov_is_capped_under_iov_max():
     out = OutBuffer()
-    for i in range(100):
-        out.append_segment(bytes([i]))
+    out.append([bytes([i]) for i in range(100)])
     assert len(out.iov()) == 64
     assert len(out.iov(max_vecs=3)) == 3
     assert len(out) == 100
 
 
-# -- bytearray-compatible surface ----------------------------------------
-
-
-@given(segments=st.lists(PAYLOAD, max_size=8),
-       cut=st.integers(min_value=0, max_value=400),
-       cap=st.integers(min_value=0, max_value=400))
-@settings(max_examples=80, deadline=None)
-def test_bytearray_surface_matches_bytes_model(segments, cut, cap):
-    out = OutBuffer()
-    model = bytearray()
-    for payload in segments:
-        out.extend(payload)
-        model.extend(payload)
-    assert bytes(out) == bytes(model)
-    assert len(out) == len(model)
-    assert bool(out) == bool(model)
-    assert out[:cap] == bytes(model[:cap])
-    del out[:cut]
-    del model[:cut]
-    assert bytes(out) == bytes(model)
-    del out[:]
-    del model[:]
-    assert bytes(out) == b"" and len(out) == 0
-
-
-def test_non_prefix_deletes_rejected():
-    out = OutBuffer()
-    out.extend(b"abcdef")
-    with pytest.raises(TypeError):
-        del out[2:4]
-    with pytest.raises(TypeError):
-        del out[:-1]
-    with pytest.raises(TypeError):
-        out[0]
-
-
-def test_segment_bytes_covers_all_kinds():
-    pool = BufferPool(classes=(64,))
-    head = pool.acquire(3).write(b"abc")
-    assert segment_bytes(head) == b"abc"
-    assert segment_bytes(memoryview(b"xyz")) == b"xyz"
-    assert segment_bytes(b"raw") == b"raw"
-    assert segment_bytes(bytearray(b"ba")) == b"ba"
-
-
 def test_mutable_segments_are_snapshotted():
     out = OutBuffer()
     data = bytearray(b"live")
-    out.append_segment(data)
+    out.append([data])
     data[:] = b"dead"
-    assert bytes(out) == b"live"
+    assert _queued(out) == b"live"
+
+
+def test_immutable_segments_are_referenced_not_copied():
+    body = b"x" * 4096
+    out = OutBuffer()
+    out.append([b"head", memoryview(body)], skip=6)
+    (view,) = out.iov()
+    assert view.obj is body and len(view) == 4094

@@ -68,7 +68,8 @@ class FakeHandle:
         self.sends = 0
         self.closed = False
 
-    def try_send(self):
+    def write(self, segments):
+        self.out_buffer += b"".join(segments)
         self.sends += 1
 
     def close(self):

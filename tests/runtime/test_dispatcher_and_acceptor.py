@@ -96,8 +96,7 @@ def test_connector_establishes_outbound():
     handle = connector.connect("127.0.0.1", port)
     try:
         server_side, _ = listener.accept()
-        handle.out_buffer.extend(b"ping")
-        handle.try_send()
+        handle.write([b"ping"])
         server_side.settimeout(2)
         assert server_side.recv(4) == b"ping"
         server_side.close()

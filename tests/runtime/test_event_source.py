@@ -81,7 +81,7 @@ def test_writable_only_when_buffered_output():
         # No output buffered: no writable events.
         events = src.poll(0.05)
         assert not any(e.kind == EventKind.WRITABLE for e in events)
-        server_side.out_buffer.extend(b"reply")
+        server_side.out_buffer.append([b"reply"])
         src.update_interest(server_side)
         found = poll_until(src, [EventKind.WRITABLE])
         assert EventKind.WRITABLE in found

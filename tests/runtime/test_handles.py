@@ -89,7 +89,7 @@ def test_try_recv_nonblocking_and_eof():
 def test_try_send_flushes_buffer():
     listen, client, server_side = make_pair()
     try:
-        server_side.out_buffer.extend(b"reply")
+        server_side.out_buffer.append([b"reply"])
         assert server_side.wants_write
         sent = server_side.try_send()
         assert sent == 5
