@@ -6,7 +6,8 @@ user-supplied *custom* policy hook (section IV of the paper).  The cache
 itself is policy-agnostic: a byte-budgeted map from keys to payloads
 that consults a :class:`ReplacementPolicy` for admission and eviction.
 
-Payloads are opaque.  The real-socket servers store file bytes; the
+Payloads are opaque.  The real-socket servers store file bodies (see
+:func:`repro.cache.file_cache.read_body`); the
 simulation testbed stores size-only placeholders so a 200 MB SpecWeb99
 file set costs no real memory.
 """
@@ -155,11 +156,16 @@ class Cache:
         if entry is None:
             self.stats.misses += 1
             return None
+        self.touch(entry)
+        return entry
+
+    def touch(self, entry: CacheEntry) -> None:
+        """Count a hit on the live ``entry`` (found with :meth:`peek`)
+        and update its recency/frequency bookkeeping."""
         self.stats.hits += 1
         entry.last_access = next(self._clock)
         entry.frequency += 1
         self.policy.on_access(entry, self)
-        return entry
 
     def put(self, key: Any, size: int, payload: Any = None) -> bool:
         """Insert (or replace) ``key``.  Returns False when the policy

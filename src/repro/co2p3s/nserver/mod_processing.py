@@ -230,9 +230,6 @@ MODULE_CACHE = ModuleSpec(
                     def get_file(self, path):
                         return self.file_cache.get_file(path)
 
-                    def contains(self, path):
-                        return self.file_cache.contains(path)
-
                     @property
                     def stats(self):
                         return self.file_cache.stats

@@ -57,10 +57,11 @@ MODULE_REACTOR = ModuleSpec(
     imports=[
         Fragment("import time"),
         Fragment("import os",
-                 guard=lambda o: o["O1"] == "2N" or (
-                     o["O4"] == "Synchronous" and o["O6"] is None),
-                 options=("O1", "O4", "O6")),
+                 guard=lambda o: o["O1"] == "2N", options=("O1",)),
         Fragment("from repro import runtime as rt"),
+        Fragment("from repro.cache.file_cache import read_body",
+                 guard=lambda o: o["O4"] == "Synchronous" and o["O6"] is None,
+                 options=("O4", "O6")),
         Fragment("from $package import handlers"),
         Fragment("from $package.communication import ("
                  "AcceptorEventHandler, ApplicationEventHandler, "
@@ -244,14 +245,7 @@ MODULE_REACTOR = ModuleSpec(
                     '''
                     def read_file_sync(self, path):
                         """Blocking, uncached file read."""
-                        root = self.configuration.document_root
-                        if root is None:
-                            raise FileNotFoundError(path)
-                        full = os.path.abspath(os.path.join(root, path.lstrip("/")))
-                        if not full.startswith(os.path.abspath(root)):
-                            raise FileNotFoundError(path)
-                        with open(full, "rb") as fh:
-                            return fh.read()
+                        return read_body(self.configuration.document_root, path)
                     ''',
                     guard=lambda o: o["O4"] == "Synchronous" and o["O6"] is None,
                     options=("O4", "O6"),

@@ -10,7 +10,12 @@ handled on the same path as socket events).
 
 When a :class:`~repro.cache.FileCache` is attached (O6), cache hits
 complete immediately — still *asynchronously* from the caller's view,
-via the sink — and misses populate the cache after the disk read.
+via the sink — and misses populate the cache after the disk read.  A
+hit is one locked lookup on the issuing thread; only a miss takes the
+pool.  Every disk read goes through
+:func:`~repro.cache.file_cache.read_body`, so a completion's payload is
+a read-only bytes-like (``bytes`` below one page, a ``memoryview`` from
+one page up).
 
 The O17 degradation plane wraps the disk path in a
 :class:`~repro.runtime.degradation.CircuitBreaker`: while the breaker
@@ -26,6 +31,7 @@ import threading
 from typing import Callable, Optional
 
 from repro.cache import FileCache
+from repro.cache.file_cache import read_body
 from repro.runtime.events import (
     AsynchronousCompletionToken,
     CompletionEvent,
@@ -94,11 +100,11 @@ class AsyncFileIO:
                   act: Optional[AsynchronousCompletionToken] = None,
                   priority: int = 0) -> None:
         """Request the full contents of ``path``; completion arrives at
-        the sink as a :class:`FileReadEvent` whose payload is the bytes
+        the sink as a :class:`FileReadEvent` whose payload is the body
         (or whose ``error`` is the raising exception)."""
         act = act or AsynchronousCompletionToken()
-        if self.cache is not None and self.cache.contains(path):
-            got = self.cache.get_file(path)
+        got = self.cache.lookup(path) if self.cache is not None else None
+        if got is not None:
             self.cache_hits += 1
             self.sink(FileReadEvent(token=act, payload=got.payload,
                                     priority=priority))
@@ -114,23 +120,12 @@ class AsyncFileIO:
             return
         self._queue.push((path, act, priority, 0))
 
-    def _load(self, path: str) -> bytes:
+    def _load(self, path: str):
         if self.fault_hook is not None:
             self.fault_hook(path)
         if self.cache is not None:
             return self.cache.get_file(path).payload
-        full = path
-        if self.root is not None:
-            import os
-
-            root = os.path.abspath(self.root)
-            full = os.path.abspath(os.path.join(root, path.lstrip("/")))
-            # Containment needs the separator: a bare prefix check lets
-            # a sibling like ``<root>-secrets`` through.
-            if full != root and not full.startswith(root + os.sep):
-                raise FileNotFoundError(path)
-        with open(full, "rb") as fh:
-            return fh.read()
+        return read_body(self.root, path)
 
     def _worker(self) -> None:
         while True:
@@ -139,36 +134,41 @@ class AsyncFileIO:
                 if self._queue.closed:
                     return
                 continue
-            path, act, priority, attempt = item
-            self.reads += 1
-            try:
-                data = self._load(path)
-            except (FileNotFoundError, IsADirectoryError,
-                    NotADirectoryError) as exc:
-                # The file is absent, not the disk unhealthy: a 404-class
-                # miss must not trip the breaker or burn retry budget —
-                # a scanner walking dead URLs would otherwise black out
-                # the whole disk plane for everyone.
-                if self.breaker is not None:
-                    self.breaker.record_success()
-                self.sink(FileReadEvent(token=act, error=exc,
-                                        priority=priority))
-            except OSError as exc:
-                if self.breaker is not None:
-                    self.breaker.record_failure()
-                if (attempt == 0
-                        and self.retry_budget is not None
-                        and (self.breaker is None or self.breaker.allow())
-                        and self.retry_budget.can_retry()):
-                    self.retries += 1
-                    self._queue.push((path, act, priority, 1))
-                    continue
-                self.sink(FileReadEvent(token=act, error=exc,
-                                        priority=priority))
-            else:
-                if self.breaker is not None:
-                    self.breaker.record_success()
-                if self.retry_budget is not None:
-                    self.retry_budget.record_request()
-                self.sink(FileReadEvent(token=act, payload=data,
-                                        priority=priority))
+            self._serve(*item)
+            # The body and token live in ``_serve``'s frame only: an idle
+            # worker must not pin its last body's pages until its next read.
+            item = None
+
+    def _serve(self, path: str, act, priority: int, attempt: int) -> None:
+        """Read one queued path and post its completion, or requeue it
+        once under the O17 retry budget."""
+        self.reads += 1
+        try:
+            data = self._load(path)
+        except (FileNotFoundError, IsADirectoryError,
+                NotADirectoryError) as exc:
+            # The file is absent, not the disk unhealthy: a 404-class
+            # miss must not trip the breaker or burn retry budget —
+            # a scanner walking dead URLs would otherwise black out
+            # the whole disk plane for everyone.
+            if self.breaker is not None:
+                self.breaker.record_success()
+            self.sink(FileReadEvent(token=act, error=exc, priority=priority))
+        except OSError as exc:
+            if self.breaker is not None:
+                self.breaker.record_failure()
+            if (attempt == 0
+                    and self.retry_budget is not None
+                    and (self.breaker is None or self.breaker.allow())
+                    and self.retry_budget.can_retry()):
+                self.retries += 1
+                self._queue.push((path, act, priority, 1))
+                return
+            self.sink(FileReadEvent(token=act, error=exc, priority=priority))
+        else:
+            if self.breaker is not None:
+                self.breaker.record_success()
+            if self.retry_budget is not None:
+                self.retry_budget.record_request()
+            self.sink(FileReadEvent(token=act, payload=data,
+                                    priority=priority))

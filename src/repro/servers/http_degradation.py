@@ -44,13 +44,13 @@ def shed_response(request, decision):
 
 def stale_payload(conn, path):
     """The cache plane's current payload for ``path`` (no loader, no
-    revalidation), or None when nothing is cached."""
-    file_io = getattr(conn.reactor, "compute_request_event_handler", None)
-    cache = getattr(file_io, "cache", None)
+    revalidation; a found entry counts as a cache hit), or None when
+    nothing is cached."""
+    cache = getattr(conn.reactor, "cache", None)
     if cache is None:
         return None
-    entry = cache.cache.get(path)
-    return entry.payload if entry is not None else None
+    got = cache.file_cache.lookup(path)
+    return got.payload if got is not None else None
 
 
 def bound_payload(payload, brownout):

@@ -11,6 +11,7 @@ Synchronization discipline: no ``time.sleep()`` — cross-thread state
 ``harness.ServerFixture``.
 """
 
+import mmap
 import os
 import socket
 import threading
@@ -299,6 +300,9 @@ def test_event_scheduling_config_builds_priority_queue():
 
 def test_file_cache_async_serving(tmp_path):
     (tmp_path / "page.html").write_bytes(b"<html>cached</html>")
+    # one page and up, the payload is a memoryview, not bytes
+    big = b"<html>" + b"x" * mmap.PAGESIZE + b"</html>"
+    (tmp_path / "big.html").write_bytes(big)
 
     class FileHooks(ServerHooks):
         def handle(self, request, conn):
@@ -306,14 +310,17 @@ def test_file_cache_async_serving(tmp_path):
                 request.strip().decode(),
                 AsynchronousCompletionToken(
                     on_complete=lambda ev: conn.complete_request(
-                        (ev.payload if ev.ok else b"ERROR") + b"\n")))
+                        (bytes(ev.payload) if ev.ok else b"ERROR")
+                        + b"\n")))
             return PENDING
 
     with fixture(FileHooks(), {"O3": False, "O6": "LRU"},
                  document_root=str(tmp_path)) as srv:
         assert srv.request(b"/page.html\n") == b"<html>cached</html>\n"
         assert srv.request(b"/page.html\n") == b"<html>cached</html>\n"
-        assert srv.server.reactor.cache.stats.hits >= 1
+        assert srv.request(b"/big.html\n") == big + b"\n"
+        assert srv.request(b"/big.html\n") == big + b"\n"
+        assert srv.server.reactor.cache.stats.hits >= 2
 
 
 def test_stop_is_idempotent():

@@ -1,9 +1,12 @@
 """The one write path, end to end over real sockets.
 
 * a cached body goes to a slow reader straight from the cache entry:
-  the queued tail is a view of the cached payload, and serving it
-  allocates less than one body (the copying path allocated two or more
-  per reply: ``head + body``, the out-buffer copy, a snapshot per send);
+  the queued tail is a view of the cached payload's mapping, and
+  serving it allocates less than one body (the copying path allocated
+  two or more per reply: ``head + body``, the out-buffer copy, a
+  snapshot per send);
+* a reply still queued when its cache entry is evicted arrives
+  byte-exact, and the body's mapping is released once it has gone;
 * replies completed by two threads on one pipelined connection arrive
   whole, exactly once and in request order through a tiny send buffer;
 * an outbound ``connect()`` is routed to the Connector Event Handler,
@@ -15,6 +18,7 @@ import socket
 import sys
 import threading
 import tracemalloc
+import weakref
 
 import pytest
 
@@ -59,14 +63,45 @@ class SmallSendBufferHooks(CopsHttpHooks):
         super().on_connect(conn)
 
 
-@pytest.fixture
-def big_file_server(tmp_path):
+def _serve_big_file(tmp_path, **config):
     body = bytes(range(256)) * (BODY // 256)
     (tmp_path / "big.bin").write_bytes(body)
     server, _fw, _report = build_cops_http(str(tmp_path),
-                                           hooks=SmallSendBufferHooks())
+                                           hooks=SmallSendBufferHooks(),
+                                           **config)
     with ServerFixture(server) as fixture:
         yield fixture, body
+
+
+@pytest.fixture
+def big_file_server(tmp_path):
+    yield from _serve_big_file(tmp_path)
+
+
+@pytest.fixture
+def one_body_cache_server(tmp_path):
+    """The same server with room for one 1 MiB body in its cache."""
+    yield from _serve_big_file(tmp_path, cache_capacity=BODY + BODY // 2)
+
+
+def _stall_slow_reader(fixture):
+    """A connection whose ``GET /big.bin`` reply stalls with its tail
+    queued (the reader is not reading), and that connection's
+    Communicator."""
+    slow = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+    slow.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+    slow.settimeout(10)
+    slow.connect(("127.0.0.1", fixture.port))
+    slow.sendall(REQUEST)
+    container = fixture.server.reactor.container
+
+    def stalled():
+        return [c for c in list(container.connections())
+                if c.handle.out_buffer]
+
+    wait_until(stalled, message="a reply tail queued behind the slow reader")
+    (conn,) = stalled()
+    return slow, conn
 
 
 def test_cached_body_is_sent_without_a_copy(big_file_server):
@@ -80,25 +115,12 @@ def test_cached_body_is_sent_without_a_copy(big_file_server):
     payload = server.reactor.cache.file_cache.get_file("/big.bin").payload
     assert payload == body
 
-    slow = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-    slow.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
-    slow.settimeout(10)
-    slow.connect(("127.0.0.1", fixture.port))
+    # The reader is not reading: the reply stalls with its tail queued,
+    # and that tail is a view of the cache entry's own mapping.
+    slow, conn = _stall_slow_reader(fixture)
     try:
-        slow.sendall(REQUEST)
-        # The reader is not reading: the reply stalls with its tail
-        # queued, and that tail is a view of the cache entry itself.
-        container = server.reactor.container
-
-        def stalled():
-            return [c for c in list(container.connections())
-                    if c.handle.out_buffer]
-
-        wait_until(stalled,
-                   message="a reply tail queued behind the slow reader")
-        (conn,) = stalled()
         first = conn.handle.out_buffer.iov(1)[0]
-        assert first.obj is payload
+        assert first.obj is payload.obj
         _read_reply(slow, buf, body)
 
         tracemalloc.start()
@@ -114,6 +136,33 @@ def test_cached_body_is_sent_without_a_copy(big_file_server):
         assert peak < BODY, f"{peak} bytes allocated serving a cached body"
     finally:
         slow.close()
+
+
+def test_queued_reply_survives_the_eviction_of_its_entry(
+        one_body_cache_server, tmp_path):
+    fixture, body = one_body_cache_server
+    file_cache = fixture.server.reactor.cache.file_cache
+    other = bytes(reversed(body))
+    (tmp_path / "other.bin").write_bytes(other)
+    buf = bytearray(BODY + 4096)
+    slow, conn = _stall_slow_reader(fixture)
+    try:
+        mapping = weakref.ref(conn.handle.out_buffer.iov(1)[0].obj)
+        conn = None
+        # Loading another 1 MiB body evicts /big.bin while its reply is
+        # still queued: the queued segments keep the mapping alive.
+        with socket.create_connection(("127.0.0.1", fixture.port),
+                                      timeout=10) as fast:
+            fast.sendall(b"GET /other.bin HTTP/1.1\r\nHost: x\r\n\r\n")
+            _read_reply(fast, buf, other)
+        assert file_cache.stats.evictions == 1
+        assert not file_cache.contains("/big.bin")
+        assert mapping() is not None
+        _read_reply(slow, buf, body)
+    finally:
+        slow.close()
+    wait_until(lambda: mapping() is None,
+               message="the evicted body's mapping released after its reply")
 
 
 class PipelinedHooks(ServerHooks):

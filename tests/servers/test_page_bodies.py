@@ -1,0 +1,130 @@
+"""Page-backed file bodies through every consumer of a docroot read.
+
+A body of at least one page is a read-only ``memoryview`` of its own
+anonymous mapping (``repro.cache.file_cache.read_body``), smaller ones
+stay ``bytes``.  Each consumer must treat both as the same bytes-like
+payload: COPS-HTTP GET and HEAD, the O17 brownout's stale and bounded
+replies, the generated synchronous read, and a generic
+``FileReadEvent`` hook (``test_server_integration``).
+"""
+
+import mmap
+import socket
+
+import pytest
+
+from harness import ServerFixture, generated_server
+from repro.runtime import BrownoutController, ServerHooks
+from repro.servers import build_cops_http
+from repro.servers.http_degradation import bound_payload
+
+PAGE = mmap.PAGESIZE
+#: exactly one page, and three pages and a bit (an unaligned tail)
+BODIES = {
+    "/page.bin": bytes(range(256)) * (PAGE // 256),
+    "/pages.bin": bytes(reversed(range(256))) * (3 * PAGE // 256) + b"tail",
+}
+
+
+@pytest.fixture
+def docroot(tmp_path):
+    for path, body in BODIES.items():
+        (tmp_path / path.lstrip("/")).write_bytes(body)
+    return tmp_path
+
+
+def exchange(port, method: str, path: str) -> tuple:
+    """One ``Connection: close`` request: (head, body) of the reply."""
+    with socket.create_connection(("127.0.0.1", port), timeout=10) as s:
+        s.sendall(f"{method} {path} HTTP/1.1\r\nHost: x\r\n"
+                  "Connection: close\r\n\r\n".encode())
+        data = b""
+        while chunk := s.recv(65536):
+            data += chunk
+    head, _, body = data.partition(b"\r\n\r\n")
+    return head, body
+
+
+def content_length(head: bytes) -> int:
+    for line in head.split(b"\r\n"):
+        name, _, value = line.partition(b":")
+        if name.lower() == b"content-length":
+            return int(value)
+    raise AssertionError(f"no Content-Length in {head!r}")
+
+
+def test_cops_http_get_and_head_serve_page_backed_bodies(docroot):
+    server, _fw, _report = build_cops_http(str(docroot))
+    with ServerFixture(server) as fixture:
+        for path, body in BODIES.items():
+            for _ in range(2):              # the load, then the hit
+                head, got = exchange(fixture.port, "GET", path)
+                assert head.startswith(b"HTTP/1.1 200 OK")
+                assert got == body and content_length(head) == len(body)
+            head, got = exchange(fixture.port, "HEAD", path)
+            assert head.startswith(b"HTTP/1.1 200 OK")
+            assert got == b"" and content_length(head) == len(body)
+            payload = server.reactor.cache.file_cache.lookup(path).payload
+            assert isinstance(payload, memoryview) and payload == body
+
+
+def test_brownout_serves_page_backed_bodies_stale_and_bounded(docroot):
+    server, _fw, _report = build_cops_http(
+        str(docroot), degradation=True, brownout_max_response=2 * PAGE)
+    body = BODIES["/pages.bin"]
+    with ServerFixture(server) as fixture:
+        brownout = server.reactor.degradation.brownout
+        assert exchange(fixture.port, "GET", "/pages.bin")[1] == body
+        # Stale: the file is gone from disk, the cached body still serves.
+        (docroot / "pages.bin").unlink()
+        brownout.set_level(0.3)
+        head, got = exchange(fixture.port, "GET", "/pages.bin")
+        assert head.startswith(b"HTTP/1.1 200 OK") and got == body
+        assert brownout.stale_served == 1
+        # Bounded: above the bound threshold the body is cut to the cap.
+        brownout.set_level(0.5)
+        head, got = exchange(fixture.port, "GET", "/pages.bin")
+        assert got == body[:2 * PAGE] and content_length(head) == 2 * PAGE
+        assert (brownout.stale_served, brownout.responses_bounded) == (2, 1)
+
+
+def test_bound_payload_cuts_a_memoryview_to_the_cap():
+    brownout = BrownoutController(bound_threshold=0.5,
+                                  max_response_bytes=PAGE)
+    brownout.set_level(0.5)
+    body = BODIES["/pages.bin"]
+    cut = bound_payload(memoryview(body).toreadonly(), brownout)
+    assert cut == body[:PAGE] and brownout.responses_bounded == 1
+    small = body[:100]
+    assert bound_payload(small, brownout) is small
+
+
+def uncached_sync_server(root):
+    """An O4=Synchronous, O6=None build: ``read_file_sync`` reads the
+    docroot directly, with no cache in between."""
+    return generated_server(ServerHooks(), {"O4": "Synchronous", "O6": None},
+                            document_root=str(root))
+
+
+def test_uncached_read_file_sync_returns_page_backed_bodies(docroot):
+    reactor = uncached_sync_server(docroot).reactor
+    for path, body in BODIES.items():
+        payload = reactor.read_file_sync(path)
+        assert isinstance(payload, memoryview) and payload.readonly
+        assert payload == body
+    (docroot / "small.txt").write_bytes(b"small")
+    assert reactor.read_file_sync("/small.txt") == b"small"
+
+
+def test_uncached_read_file_sync_stays_inside_the_docroot(tmp_path):
+    """A sibling directory that shares the docroot's name as a prefix is
+    outside it: the containment check needs the path separator."""
+    (tmp_path / "www").mkdir()
+    (tmp_path / "www" / "index.html").write_bytes(b"<html>in</html>")
+    (tmp_path / "www-secrets").mkdir()
+    (tmp_path / "www-secrets" / "key").write_bytes(b"secret")
+    reactor = uncached_sync_server(tmp_path / "www").reactor
+    assert reactor.read_file_sync("/index.html") == b"<html>in</html>"
+    for path in ("/../www-secrets/key", "/../www/../www-secrets/key"):
+        with pytest.raises(FileNotFoundError):
+            reactor.read_file_sync(path)
