@@ -25,20 +25,22 @@ class CacheEntry:
     """One cached object plus the bookkeeping every policy may need:
     ``last_access`` is the logical timestamp of the most recent access
     (a monotone counter), ``inserted_at`` that of insertion, and
-    ``frequency`` the hits since insertion (insertion itself counts as 1)."""
+    ``frequency`` the hits since insertion (insertion itself counts as 1).
+    ``fds`` is the file descriptors the payload holds open."""
 
     __slots__ = ("key", "size", "payload", "last_access", "inserted_at",
-                 "frequency")
+                 "frequency", "fds")
 
     def __init__(self, key: Any, size: int, payload: Any = None,
                  last_access: int = 0, inserted_at: int = 0,
-                 frequency: int = 1):
+                 frequency: int = 1, fds: int = 0):
         self.key = key
         self.size = size
         self.payload = payload
         self.last_access = last_access
         self.inserted_at = inserted_at
         self.frequency = frequency
+        self.fds = fds
 
 
 class CacheStats:
@@ -107,6 +109,9 @@ class ReplacementPolicy(ABC):
 class Cache:
     """Byte-budgeted object cache with pluggable replacement.
 
+    ``max_fds`` bounds the file descriptors its payloads hold (None: no
+    bound); one eviction pass makes room for both bytes and fds.
+
     >>> from repro.cache import Cache, LRUPolicy
     >>> c = Cache(capacity=100, policy=LRUPolicy())
     >>> c.put("/index.html", 60, b"...")
@@ -115,14 +120,17 @@ class Cache:
     True
     """
 
-    def __init__(self, capacity: int, policy: ReplacementPolicy):
+    def __init__(self, capacity: int, policy: ReplacementPolicy,
+                 max_fds: Optional[int] = None):
         if capacity <= 0:
             raise ValueError("cache capacity must be positive")
         self.capacity = int(capacity)
         self.policy = policy
+        self.max_fds = max_fds
         self.stats = CacheStats()
         self._entries: Dict[Any, CacheEntry] = {}
         self._used = 0
+        self._fds = 0
         self._clock = itertools.count(1)
 
     # -- introspection ---------------------------------------------------
@@ -134,6 +142,11 @@ class Cache:
     @property
     def free(self) -> int:
         return self.capacity - self._used
+
+    @property
+    def fds(self) -> int:
+        """File descriptors the cached payloads hold."""
+        return self._fds
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -167,24 +180,27 @@ class Cache:
         entry.frequency += 1
         self.policy.on_access(entry, self)
 
-    def put(self, key: Any, size: int, payload: Any = None) -> bool:
-        """Insert (or replace) ``key``.  Returns False when the policy
-        refuses admission or the object cannot fit even after evictions."""
+    def put(self, key: Any, size: int, payload: Any = None,
+            fds: int = 0) -> bool:
+        """Insert (or replace) ``key``, whose payload holds ``fds`` file
+        descriptors.  Returns False when the policy refuses admission or
+        the object cannot fit even after evictions."""
         if size < 0:
             raise ValueError("negative size")
         if key in self._entries:
             self.invalidate(key)
         now = next(self._clock)
         entry = CacheEntry(key=key, size=size, payload=payload,
-                           last_access=now, inserted_at=now)
+                           last_access=now, inserted_at=now, fds=fds)
         if not self.policy.admits(entry, self):
             self.stats.rejections += 1
             return False
-        if not self._make_room(size):
+        if not self._make_room(size, fds):
             self.stats.rejections += 1
             return False
         self._entries[key] = entry
         self._used += size
+        self._fds += fds
         self.stats.insertions += 1
         self.policy.on_insert(entry, self)
         return True
@@ -196,26 +212,37 @@ class Cache:
         if entry is None:
             return False
         self._used -= entry.size
+        self._fds -= entry.fds
         return True
 
     def clear(self) -> None:
         self._entries.clear()
         self._used = 0
+        self._fds = 0
 
     # -- internals ---------------------------------------------------------
-    def _make_room(self, needed: int) -> bool:
-        if needed > self.capacity:
+    def _fits(self, needed: int, fds: int) -> bool:
+        return self.free >= needed and (
+            self.max_fds is None or self._fds + fds <= self.max_fds)
+
+    def _make_room(self, needed: int, fds: int = 0) -> bool:
+        if needed > self.capacity or (self.max_fds is not None
+                                      and fds > self.max_fds):
             return False
-        if self.free >= needed:
+        if self._fits(needed, fds):
             return True
-        for key in list(self.policy.select_victims(self, needed - self.free)):
-            entry = self._entries.pop(key, None)
-            if entry is None:
+        victims = self.policy.select_victims(self, max(needed - self.free, 0))
+        for key in list(victims):
+            entry = self._entries.get(key)
+            if entry is None or (self.free >= needed and not entry.fds):
+                # gone, or only fds are short and this entry holds none
                 continue
+            del self._entries[key]
             self._used -= entry.size
+            self._fds -= entry.fds
             self.stats.evictions += 1
             self.stats.bytes_evicted += entry.size
             self.policy.on_evict(entry, self)
-            if self.free >= needed:
+            if self._fits(needed, fds):
                 return True
-        return self.free >= needed
+        return self._fits(needed, fds)

@@ -13,23 +13,39 @@ development effort" — the generated Read-file path goes through
 
 Every docroot read in the framework goes through :func:`read_body`: the
 cache's directory loader, the uncached asynchronous read and the
-generated synchronous read.  A body of at least one page lives in its
-own anonymous mapping rather than on the malloc heap, so an evicted
-body's pages go back to the kernel as soon as its last reference (the
-cache entry, or a reply segment still queued) drops.
+generated synchronous read.  A body of at least one page is an open
+:class:`~repro.runtime.handles.FileHandle`, not a copy: the kernel page
+cache holds its bytes once for every process, and a reply sends them
+with ``os.sendfile``.  A cache therefore holds file descriptors, and
+bounds them to a share of the soft ``RLIMIT_NOFILE`` besides its byte
+budget.
 """
 
 from __future__ import annotations
 
-import mmap
 import os
+import resource
+import threading
 from typing import Any, Callable, Optional
 
 from repro.cache.base import Cache, ReplacementPolicy
 from repro.cache.policies import make_policy
 from repro.lint.locks import access, make_lock, shared
+from repro.runtime.handles import FileHandle
 
 __all__ = ["FileCache", "FileNotCacheable", "CachedFile", "read_body"]
+
+#: bodies of at least this many bytes are sent from the page cache
+PAGE = resource.getpagesize()
+
+#: a cache holds at most 1/FD_SHARE of the soft RLIMIT_NOFILE open as
+#: file bodies; the rest stays for connections and queued replies
+FD_SHARE = 2
+
+#: bytes per read of the warming pass (one buffer per reading thread)
+WARM_CHUNK = 64 * 1024
+
+_warm = threading.local()
 
 
 def read_body(root: Optional[str], path: str):
@@ -37,10 +53,11 @@ def read_body(root: Optional[str], path: str):
 
     ``..`` traversal out of ``root`` — including into a sibling that
     merely shares its prefix, like ``<root>-secrets`` — and a missing
-    ``root`` raise ``FileNotFoundError``.  The body is read-only and
-    bytes-like: ``bytes`` below one page, a ``memoryview`` of a private
-    anonymous mapping from one page up.  Nothing closes the mapping;
-    its pages are unmapped when the last view of it is dropped.
+    ``root`` raise ``FileNotFoundError``.  The body is read-only:
+    ``bytes`` below one page, an open :class:`FileHandle` from one page
+    up.  A file body is read once through this thread's reused buffer
+    so its pages are in the page cache when a sender gets to them; that
+    copy is dropped, and the fd closes with the body's last reference.
     """
     if root is None:
         raise FileNotFoundError(path)
@@ -48,23 +65,37 @@ def read_body(root: Optional[str], path: str):
     full = os.path.abspath(os.path.join(root, path.lstrip("/")))
     if full != root and not full.startswith(root + os.sep):
         raise FileNotFoundError(path)
-    with open(full, "rb", buffering=0) as fh:
-        size = os.fstat(fh.fileno()).st_size
-        if size >= mmap.PAGESIZE:
-            try:
-                pages = mmap.mmap(-1, size, flags=mmap.MAP_PRIVATE)
-            except OSError:
-                # e.g. vm.max_map_count exhausted: the heap still works
-                return fh.read()
-            view = memoryview(pages)
-            got = 0
-            while got < size:
-                n = fh.readinto(view[got:])
-                if not n:
-                    break
-                got += n
-            return view[:got].toreadonly()
-        return fh.read()
+    body = FileHandle(full)
+    if body.size < PAGE:
+        data = bytes(body)
+        body.close()
+        return data
+    body.size = _read_through(body)
+    return body
+
+
+def _read_through(body: FileHandle) -> int:
+    """Read ``body`` once into this thread's warming buffer; returns the
+    bytes the file still had (fewer than ``body.size`` if it shrank)."""
+    buf = getattr(_warm, "buf", None)
+    if buf is None:
+        buf = _warm.buf = memoryview(bytearray(WARM_CHUNK))
+    fd, got, size = body.fileno(), 0, body.size
+    while got < size:
+        n = os.preadv(fd, [buf[:size - got]], got)
+        if not n:
+            break
+        got += n
+    return got
+
+
+def fd_budget() -> Optional[int]:
+    """The file bodies a cache may hold open: a share of the soft
+    ``RLIMIT_NOFILE`` (None when unlimited)."""
+    soft, _hard = resource.getrlimit(resource.RLIMIT_NOFILE)
+    if soft == resource.RLIM_INFINITY:
+        return None
+    return max(1, soft // FD_SHARE)
 
 
 class FileNotCacheable(Exception):
@@ -74,7 +105,7 @@ class FileNotCacheable(Exception):
 class CachedFile:
     """What ``get_file`` returns: payload plus where it came from.
 
-    A docroot payload is a read-only bytes-like object (see
+    A docroot payload is ``bytes`` or a :class:`FileHandle` (see
     :func:`read_body`); a custom loader's payload is whatever it
     returned."""
 
@@ -97,6 +128,10 @@ class FileCache:
     and statistics, and is never held across a load, so a slow disk
     read blocks no hit.  Every ``get_file`` or successful ``lookup``
     counts exactly one hit or one miss.
+
+    A :class:`FileHandle` payload holds an fd: the cache keeps at most
+    :func:`fd_budget` of them, read when the cache is built, and evicts
+    for them in the same pass as for bytes.
     """
 
     def __init__(
@@ -108,7 +143,8 @@ class FileCache:
     ):
         if isinstance(policy, str):
             policy = make_policy(policy, **policy_kwargs)
-        self.cache = Cache(capacity=capacity, policy=policy)
+        self.cache = Cache(capacity=capacity, policy=policy,
+                           max_fds=fd_budget())
         self.loader = loader
         self._lock = make_lock("FileCache")
         shared(self.cache, "_entries", label="FileCache")
@@ -155,7 +191,8 @@ class FileCache:
                               from_cache=False)
         with self._lock:
             access(self.cache, "_entries")
-            self.cache.put(path, size, payload)
+            self.cache.put(path, size, payload,
+                           fds=int(isinstance(payload, FileHandle)))
         return CachedFile(path=path, size=size, payload=payload,
                           from_cache=False)
 

@@ -10,14 +10,18 @@ role — here, a programmatic API).
 from __future__ import annotations
 
 import importlib
+import os
+import shutil
 import sys
+import weakref
 from typing import Any, Dict, Mapping, Optional, Sequence
 
 from repro.co2p3s.codegen import CodeGenerator, GenerationReport
 from repro.co2p3s.options import OptionSet, OptionSpec
 
 __all__ = ["PatternTemplate", "register_template", "get_template",
-           "available_templates", "load_generated_package"]
+           "available_templates", "load_generated_package",
+           "remove_build_on_stop"]
 
 
 class PatternTemplate:
@@ -90,3 +94,28 @@ def load_generated_package(dest: str, package: str):
             del sys.modules[mod_name]
     importlib.invalidate_caches()
     return importlib.import_module(package)
+
+
+def remove_build_on_stop(server, dest: str) -> None:
+    """Tie the build directory ``dest``, made for ``server`` alone, to
+    that server: the directory and its ``sys.path`` entry are removed
+    once ``server.stop()`` returns, or at the latest when the server is
+    collected or the interpreter exits."""
+    cleanup = weakref.finalize(server, _remove_build, dest, os.getpid())
+    stop = server.stop
+
+    def stop_then_remove_build():
+        try:
+            stop()
+        finally:
+            cleanup()
+
+    server.stop = stop_then_remove_build
+
+
+def _remove_build(dest: str, owner_pid: int) -> None:
+    if os.getpid() != owner_pid:
+        return      # a forked child: the build belongs to its parent
+    shutil.rmtree(dest, ignore_errors=True)
+    while dest in sys.path:
+        sys.path.remove(dest)

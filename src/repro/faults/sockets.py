@@ -72,12 +72,13 @@ def faulty_handle_cls(schedule: FaultSchedule, base: type = SocketHandle,
 
 
 def _capped(iov, cap: int) -> list:
-    """The leading ``cap`` bytes of ``iov``, as views (no copy)."""
+    """The leading ``cap`` bytes of ``iov``, as slices of its segments
+    (memory views or file ranges)."""
     out = []
     for segment in iov:
         if cap <= 0:
             break
-        view = memoryview(segment)[:cap]
-        out.append(view)
-        cap -= len(view)
+        part = segment[:cap]
+        out.append(part)
+        cap -= len(part)
     return out

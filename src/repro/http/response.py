@@ -88,17 +88,18 @@ class HttpResponse:
     def encode(self, date: Optional[str] = None) -> bytes:
         wire = self.encode_head(date)
         if not self.head_only:
-            wire += self.body
+            wire += bytes(self.body)
         return wire
 
     def encode_segments(self, date: Optional[str] = None) -> list:
         """The wire bytes as segments whose concatenation equals
         :meth:`encode` byte-for-byte: the head as ``bytes``, then the
-        body as a ``memoryview`` — a cached body goes to the socket
-        without ever being copied (``Communicator.send_bytes``)."""
+        body as given — a cached body (``bytes``, or a file range that
+        ``os.sendfile`` sends from the page cache) goes to the socket
+        without being copied (``Communicator.send_bytes``)."""
         segments = [self.encode_head(date)]
         if not self.head_only and self.body:
-            segments.append(memoryview(self.body))
+            segments.append(self.body)
         return segments
 
 

@@ -3,7 +3,7 @@
 Subcommands:
 
 * *(none)* / ``check`` — the CI gate: blocking-call lint over the
-  shipped tree, the span-usage and out-buffer ownership lints, the
+  shipped tree, the span-usage and write-path ownership lints, the
   generated-code audit sweep (every option), the Table 2 crosscut
   three-way check, and the docstring ratchet.  Exits
   1 when any finding survives the baseline.
@@ -35,7 +35,7 @@ from repro.lint.baseline import Baseline, find_baseline, load_baseline
 from repro.lint.blocking import lint_paths
 from repro.lint.findings import Finding, render_findings, split_suppressed
 from repro.lint.docstrings import coverage_findings
-from repro.lint.ownership import out_buffer_findings
+from repro.lint.ownership import ownership_findings
 from repro.lint.spans import span_findings
 
 #: the default docstring ratchet; raise when coverage grows
@@ -182,8 +182,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     failures += _report(span_findings(), baseline, args.verbose,
                         "span-usage lint")
     print()
-    failures += _report(out_buffer_findings(), baseline, args.verbose,
-                        "out-buffer ownership lint")
+    failures += _report(ownership_findings(), baseline, args.verbose,
+                        "write-path ownership lint")
     print()
     failures += _report(audit_suite() + crosscut_findings(), baseline,
                         args.verbose, "generated-code audit")

@@ -1,5 +1,5 @@
-"""Out-buffer ownership lint: only ``runtime/handles.py`` mutates
-``out_buffer``.
+"""Write-path ownership lint: only ``runtime/handles.py`` mutates
+``out_buffer`` or sends.
 
 A connection's unsent reply segments are ordered, and
 ``SocketHandle.write`` keeps them so by checking, sending and queuing
@@ -12,21 +12,31 @@ The check is syntactic: outside the owner module it flags any
 assignment, augmented assignment or ``del`` whose target is an
 ``out_buffer`` attribute (or a subscript of one), and any method
 called through ``.out_buffer.``.  Reads (``len``, truth tests) pass.
+
+The same module owns the one send primitive, ``SocketHandle._send``:
+``sendmsg`` for memory segments and ``os.sendfile`` for file ranges.
+A send anywhere else skips the send lock and the fault plane, so any
+call of a ``sendmsg`` or ``sendfile`` attribute outside the owner is
+flagged too.
 """
 
 from __future__ import annotations
 
 import ast
 import os
-from typing import List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 from repro.lint.findings import Finding
 from repro.lint.spans import _default_paths, _python_files
 
-__all__ = ["out_buffer_findings", "out_buffer_mutations"]
+__all__ = ["out_buffer_findings", "out_buffer_mutations",
+           "ownership_findings", "send_calls", "send_findings"]
 
-#: the one module allowed to mutate an out-buffer
+#: the one module allowed to mutate an out-buffer or to send
 OWNER = os.path.join("repro", "runtime", "handles.py")
+
+#: the send syscalls only :data:`OWNER` may make
+SEND_PRIMITIVES = ("sendmsg", "sendfile")
 
 
 def _is_out_buffer(node: ast.AST) -> bool:
@@ -57,10 +67,20 @@ def out_buffer_mutations(tree: ast.AST) -> List[Tuple[int, str]]:
     return sorted(hits)
 
 
-def out_buffer_findings(paths: Optional[Sequence[str]] = None
-                        ) -> List[Finding]:
-    """Scan ``paths`` (default: the shipped tree) for out-buffer
-    mutations outside :data:`OWNER`."""
+def send_calls(tree: ast.AST) -> List[Tuple[int, str]]:
+    """(lineno, source) for every ``sendmsg`` / ``sendfile`` call in
+    ``tree``, whatever it is called on."""
+    return sorted(
+        (node.lineno, ast.unparse(node.func)) for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr in SEND_PRIMITIVES)
+
+
+def _findings(paths: Optional[Sequence[str]], rule: Callable,
+              message: str) -> List[Finding]:
+    """``rule``'s hits in ``paths`` (default: the shipped tree) outside
+    :data:`OWNER`; ``message`` is formatted with the hit's source."""
     findings: List[Finding] = []
     root = _default_paths()[0]
     for filename in _python_files(paths or _default_paths()):
@@ -72,12 +92,32 @@ def out_buffer_findings(paths: Optional[Sequence[str]] = None
                 tree = ast.parse(fh.read(), filename=filename)
         except (OSError, SyntaxError):
             continue
-        for lineno, target in out_buffer_mutations(tree):
+        for lineno, target in rule(tree):
             findings.append(Finding(
                 kind="ownership",
                 ident=f"ownership:{rel}:{target}",
                 location=f"{filename}:{lineno}",
-                message=(f"{target} mutates a handle's out-buffer outside "
-                         f"{OWNER} — go through write()/try_send()"),
+                message=message.format(target=target),
             ))
     return findings
+
+
+def out_buffer_findings(paths: Optional[Sequence[str]] = None
+                        ) -> List[Finding]:
+    """Out-buffer mutations outside :data:`OWNER`."""
+    return _findings(paths, out_buffer_mutations,
+                     "{target} mutates a handle's out-buffer outside "
+                     f"{OWNER} — go through write()/try_send()")
+
+
+def send_findings(paths: Optional[Sequence[str]] = None) -> List[Finding]:
+    """Send-primitive calls outside :data:`OWNER`."""
+    return _findings(paths, send_calls,
+                     "{target}() sends outside " + OWNER
+                     + " — go through write()/try_send()")
+
+
+def ownership_findings(paths: Optional[Sequence[str]] = None
+                       ) -> List[Finding]:
+    """Every write-path ownership finding: the CI gate's check."""
+    return out_buffer_findings(paths) + send_findings(paths)

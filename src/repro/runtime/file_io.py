@@ -14,8 +14,11 @@ via the sink — and misses populate the cache after the disk read.  A
 hit is one locked lookup on the issuing thread; only a miss takes the
 pool.  Every disk read goes through
 :func:`~repro.cache.file_cache.read_body`, so a completion's payload is
-a read-only bytes-like (``bytes`` below one page, a ``memoryview`` from
-one page up).
+``bytes`` below one page and an open
+:class:`~repro.runtime.handles.FileHandle` from one page up.  A miss
+reads the file once on the pool, so its pages are warm in the page
+cache when the reply's ``os.sendfile`` runs on a socket thread; the
+copy that read made is not kept.
 
 The O17 degradation plane wraps the disk path in a
 :class:`~repro.runtime.degradation.CircuitBreaker`: while the breaker

@@ -3,7 +3,10 @@
 A *Handle* wraps an OS-level endpoint (socket, file) behind the small
 interface the dispatcher and event handlers need.  Table 2 lists
 ``Handle`` (whose generated body depends on O1) and ``FileHandle``
-(exists when O4=Asynchronous, body depends on O6).
+(exists when O4=Asynchronous, body depends on O6).  A
+:class:`FileHandle` range is also the body of every docroot file of at
+least one page, and :meth:`SocketHandle._send` is the one place bytes
+leave for a socket: ``sendmsg`` for memory, ``os.sendfile`` for files.
 """
 
 from __future__ import annotations
@@ -11,9 +14,10 @@ from __future__ import annotations
 import os
 import socket
 import threading
+import weakref
 from collections import deque
 from itertools import islice
-from typing import List, Optional
+from typing import Optional
 
 from repro.obs.flight import GLOBAL as GLOBAL_FLIGHT
 from repro.obs.tracing import next_trace_id
@@ -21,8 +25,12 @@ from repro.obs.tracing import next_trace_id
 __all__ = ["Handle", "SocketHandle", "ListenHandle", "FileHandle",
            "OutBuffer"]
 
-#: segments per ``sendmsg`` call, well under Linux's IOV_MAX of 1024
+#: segments per :meth:`SocketHandle._send`, well under Linux's IOV_MAX
+#: of 1024
 MAX_IOV = 64
+
+#: "more data follows" for a ``sendmsg`` ahead of a file range (Linux)
+_MSG_MORE = getattr(socket, "MSG_MORE", 0)
 
 
 class Handle:
@@ -147,16 +155,20 @@ class SocketHandle(Handle):
             owner.release()
 
     def write(self, segments) -> int:
-        """Send ``segments`` (bytes-likes, in order) behind any output
-        already queued; returns the bytes sent now.
+        """Send ``segments`` (bytes-likes and :class:`FileHandle`
+        ranges, in order) behind any output already queued; returns the
+        bytes sent now.
 
-        On an empty buffer this is one optimistic ``sendmsg`` straight
-        from the caller's buffers — a cached body goes to the kernel
+        On an empty buffer this is one optimistic :meth:`_send` straight
+        from the caller's segments — a cached body goes to the kernel
         without a copy — and only the unsent tail is queued.  The
         emptiness check, the send and the enqueue share the send lock,
         so replies written by two threads never interleave or reorder.
+        A closed handle sends nothing.
         """
         with self._send_lock:
+            if self._closed:
+                return 0
             out = self.out_buffer
             if out:
                 out.append(segments)
@@ -175,24 +187,60 @@ class SocketHandle(Handle):
 
     def _drain(self) -> int:
         out = self.out_buffer
-        if not out:
+        if not out or self._closed:
             return 0
         sent = self._send(out.iov())
         out.advance(sent)
         return sent
 
     def _send(self, iov) -> int:
-        """One scatter-gather send of ``iov``: bytes sent, 0 when the
-        socket would block or the peer reset (which closes the handle).
-        Every send goes through here, so fault-injecting subclasses
-        override only this."""
+        """Send ``iov`` in order until the kernel pushes back; returns
+        the bytes sent.  Every send goes through here, so
+        fault-injecting subclasses override only this.
+
+        Each run of memory segments goes out in one ``sendmsg``, flagged
+        ``MSG_MORE`` when a file range follows so a reply's head and the
+        start of its body share a packet.  Each :class:`FileHandle`
+        range goes out with ``os.sendfile`` from the page cache.  A
+        short send ends the loop: the socket is full.  Would-block ends
+        it too.  A reset peer closes the handle, and so does a file
+        that ends before its range does (it shrank after it was
+        opened): that reply cannot be completed, and padding it would
+        corrupt the stream.
+        """
+        sent = 0
+        start, count = 0, len(iov)
         try:
-            return self.sock.sendmsg(iov)
+            while start < count:
+                segment = iov[start]
+                if isinstance(segment, FileHandle):
+                    size = len(segment)
+                    n = os.sendfile(self.sock.fileno(), segment.fileno(),
+                                    segment.offset, size)
+                    if not n:
+                        self.close()
+                        return sent
+                    start += 1
+                else:
+                    stop = start + 1
+                    while stop < count and not isinstance(iov[stop],
+                                                          FileHandle):
+                        stop += 1
+                    if stop == count:
+                        return sent + self.sock.sendmsg(
+                            iov[start:] if start else iov)
+                    run = iov[start:stop]
+                    n = self.sock.sendmsg(run, (), _MSG_MORE)
+                    size = sum(map(len, run))
+                    start = stop
+                sent += n
+                if n < size:
+                    break
         except BlockingIOError:
-            return 0
+            pass
         except (ConnectionResetError, BrokenPipeError):
             self.close()
-            return 0
+        return sent
 
     @property
     def wants_write(self) -> bool:
@@ -211,11 +259,12 @@ class SocketHandle(Handle):
 class OutBuffer:
     """A connection's unsent reply segments, oldest first.
 
-    Each segment is a ``memoryview`` over the writer's bytes: a cached
-    file body is referenced, never copied (the view keeps the payload
-    alive even past cache eviction), and a partial send advances past
-    the sent prefix instead of re-slicing the remainder.  Only the
-    owning :class:`SocketHandle` mutates it, under its send lock.
+    Each segment is a ``memoryview`` over the writer's bytes or a
+    :class:`FileHandle` range.  A cached file body is referenced, never
+    copied: the range keeps its fd open even past cache eviction.  A
+    partial send advances past the sent prefix by slicing the front
+    segment.  Only the owning :class:`SocketHandle` mutates it, under
+    its send lock.
     """
 
     __slots__ = ("_segments", "_length")
@@ -226,15 +275,15 @@ class OutBuffer:
 
     def append(self, segments, skip: int = 0) -> None:
         """Queue ``segments`` minus their first ``skip`` bytes (already
-        sent).  ``bytes`` and ``memoryview`` segments are referenced;
-        any other bytes-like is snapshotted, since its owner may
-        mutate it while it waits."""
+        sent).  ``bytes``, ``memoryview`` and :class:`FileHandle`
+        segments are referenced; any other bytes-like is snapshotted,
+        since its owner may mutate it while it waits."""
         for segment in segments:
             size = len(segment)
             if skip >= size:
                 skip -= size
                 continue
-            if isinstance(segment, memoryview):
+            if isinstance(segment, (memoryview, FileHandle)):
                 view = segment
             elif isinstance(segment, bytes):
                 view = memoryview(segment)
@@ -245,8 +294,8 @@ class OutBuffer:
             self._segments.append(view)
             self._length += len(view)
 
-    def iov(self, max_vecs: int = MAX_IOV) -> List[memoryview]:
-        """The leading segments, for one scatter-gather ``sendmsg``."""
+    def iov(self, max_vecs: int = MAX_IOV) -> list:
+        """The leading segments, for one :meth:`SocketHandle._send`."""
         return list(islice(self._segments, max_vecs))
 
     def advance(self, n: int) -> None:
@@ -345,34 +394,89 @@ class ListenHandle(Handle):
 
 
 class FileHandle(Handle):
-    """A disk file opened for reading through the Proactor emulation.
+    """A read-only byte range of an open disk file.
 
-    File operations block, so FileHandles are only touched from the file
-    I/O thread pool (:mod:`repro.runtime.file_io`); a lock guards the
-    position against concurrent reads on the same handle.
+    Table 2's ``FileHandle`` (the Proactor file plane), and the body of
+    every docroot file of at least one page
+    (:func:`repro.cache.file_cache.read_body`).  For a reply it acts as
+    a read-only bytes-like: ``len``, slicing into a sub-range that
+    shares the fd, and ``bytes()`` / ``==`` through ``os.pread``.
+    :class:`SocketHandle` sends it with ``os.sendfile``, so its bytes go
+    from the kernel page cache to the socket without entering this
+    process.
+
+    The ``O_RDONLY | O_CLOEXEC`` fd is closed when the last range over
+    it is dropped (a cache entry, a queued reply segment), or at once by
+    :meth:`close`.  ``pread`` has no file position, so reads from many
+    threads need no lock.  The length is fixed when the file is opened:
+    an in-place edit shows through, a file that shrinks below it cuts
+    the reply short, and a rename-replace leaves this handle on the old
+    inode.
     """
 
     def __init__(self, path: str):
         super().__init__(name=path)
         self.path = path
-        self._fh = open(path, "rb")
-        self._lock = threading.Lock()
-        self.size = os.fstat(self._fh.fileno()).st_size
+        fd = os.open(path, os.O_RDONLY | os.O_CLOEXEC)
+        self._fd = fd
+        self._release = weakref.finalize(self, os.close, fd)
+        #: the handle that owns the fd (None: this one); a range keeps
+        #: it alive, and with it the fd
+        self._owner = None
+        #: where this range starts in the file
+        self.offset = 0
+        #: the range's length in bytes
+        self.size = os.fstat(fd).st_size
 
     def fileno(self) -> int:
-        return self._fh.fileno()
+        return self._fd
 
     def read_at(self, offset: int, length: int) -> bytes:
-        with self._lock:
-            self._fh.seek(offset)
-            return self._fh.read(length)
+        """Up to ``length`` bytes from ``offset`` into the range: fewer
+        at the end of the range, or where the file now ends."""
+        length = min(length, self.size - offset)
+        pos = self.offset + offset
+        chunks = []
+        while length > 0:
+            chunk = os.pread(self._fd, length, pos)
+            if not chunk:
+                break
+            chunks.append(chunk)
+            pos += len(chunk)
+            length -= len(chunk)
+        return b"".join(chunks)
 
-    def read_all(self) -> bytes:
+    def __len__(self) -> int:
+        return self.size
+
+    def __bytes__(self) -> bytes:
         return self.read_at(0, self.size)
 
+    def __getitem__(self, index: slice) -> "FileHandle":
+        """The sub-range ``index`` (a step-1 slice), sharing the fd."""
+        if not isinstance(index, slice):
+            raise TypeError("a file range is indexed by slices only")
+        start, stop, step = index.indices(self.size)
+        if step != 1:
+            raise ValueError("a file range has no strided slices")
+        part = object.__new__(type(self))
+        part.__dict__.update(self.__dict__, _owner=self._owner or self,
+                             offset=self.offset + start,
+                             size=max(stop - start, 0))
+        return part
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, FileHandle):
+            other = bytes(other)
+        elif not isinstance(other, (bytes, bytearray, memoryview)):
+            return NotImplemented
+        return len(other) == self.size and bytes(self) == other
+
+    __hash__ = None
+
     def close(self) -> None:
-        if not self._closed:
-            self._fh.close()
+        """Close the fd now, under every range that shares it."""
+        self._release()
         super().close()
 
 

@@ -22,7 +22,8 @@ import threading
 from typing import Optional
 
 from repro.co2p3s.nserver import COPS_FTP_OPTIONS, NSERVER
-from repro.co2p3s.template import load_generated_package
+from repro.co2p3s.template import (load_generated_package,
+                                    remove_build_on_stop)
 from repro.ftp import FtpSession, UserRegistry, VirtualFS
 from repro.runtime import PENDING, ServerHooks
 
@@ -181,11 +182,13 @@ def build_cops_ftp(
     Returns ``(server, framework_module, generation_report)``.
     """
     opts = NSERVER.configure(options or COPS_FTP_OPTIONS)
-    dest = dest or tempfile.mkdtemp(prefix="cops_ftp_")
-    report = NSERVER.generate(opts, dest, package=package)
-    fw = load_generated_package(dest, package)
+    build = dest or tempfile.mkdtemp(prefix="cops_ftp_")
+    report = NSERVER.generate(opts, build, package=package)
+    fw = load_generated_package(build, package)
     configuration = fw.ServerConfiguration(host=host, port=port,
                                            **config_overrides)
     server = fw.Server(CopsFtpHooks(fs=fs, users=users),
                        configuration=configuration)
+    if dest is None:
+        remove_build_on_stop(server, build)
     return server, fw, report

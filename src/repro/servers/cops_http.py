@@ -20,7 +20,8 @@ from typing import Optional
 
 from repro import http
 from repro.co2p3s.nserver import COPS_HTTP_OPTIONS, NSERVER
-from repro.co2p3s.template import load_generated_package
+from repro.co2p3s.template import (load_generated_package,
+                                    remove_build_on_stop)
 from repro.runtime import AsynchronousCompletionToken, PENDING, ServerHooks
 
 __all__ = ["CopsHttpHooks", "build_cops_http", "main"]
@@ -335,12 +336,14 @@ def build_cops_http(
     if poller is not None:
         option_dict["O18"] = poller
     opts = NSERVER.configure(option_dict)
-    dest = dest or tempfile.mkdtemp(prefix="cops_http_")
-    report = NSERVER.generate(opts, dest, package=package)
-    fw = load_generated_package(dest, package)
+    build = dest or tempfile.mkdtemp(prefix="cops_http_")
+    report = NSERVER.generate(opts, build, package=package)
+    fw = load_generated_package(build, package)
     configuration = fw.ServerConfiguration(
         host=host, port=port, document_root=document_root, **config_overrides)
     server = fw.Server(hooks or CopsHttpHooks(), configuration=configuration)
+    if dest is None:
+        remove_build_on_stop(server, build)
     return server, fw, report
 
 

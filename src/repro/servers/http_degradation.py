@@ -15,6 +15,7 @@ when one exists.
 from __future__ import annotations
 
 from repro import http
+from repro.runtime.handles import FileHandle
 
 __all__ = [
     "bound_payload",
@@ -54,13 +55,15 @@ def stale_payload(conn, path):
 
 
 def bound_payload(payload, brownout):
-    """Apply the brownout response cap to ``payload`` when one is
-    active, accounting the truncation on the controller."""
+    """Apply the brownout response cap to ``payload`` (a bytes-like or
+    a file body) when one is active, accounting the truncation on the
+    controller.  A file body is cut to a shorter range, not copied."""
     if (brownout is not None and payload
-            and isinstance(payload, (bytes, bytearray, memoryview))):
+            and isinstance(payload, (bytes, bytearray, memoryview,
+                                     FileHandle))):
         cap = brownout.response_cap()
         if cap is not None and len(payload) > cap:
-            payload = bytes(payload[:cap])
+            payload = payload[:cap]
             brownout.bounded()
     return payload
 

@@ -14,7 +14,8 @@ import tempfile
 from typing import Optional
 
 from repro.co2p3s.nserver import NSERVER
-from repro.co2p3s.template import load_generated_package
+from repro.co2p3s.template import (load_generated_package,
+                                    remove_build_on_stop)
 from repro.runtime import ServerHooks
 from repro.smtp import MailStore, SmtpSession
 
@@ -142,11 +143,13 @@ def build_mail_server(
     """
     store = store if store is not None else MailStore()
     opts = NSERVER.configure(options or MAIL_SERVER_OPTIONS)
-    dest = dest or tempfile.mkdtemp(prefix="cops_mail_")
-    NSERVER.generate(opts, dest, package=package)
-    fw = load_generated_package(dest, package)
+    build = dest or tempfile.mkdtemp(prefix="cops_mail_")
+    NSERVER.generate(opts, build, package=package)
+    fw = load_generated_package(build, package)
     configuration = fw.ServerConfiguration(host=host, port=port,
                                            **config_overrides)
     server = fw.Server(_ConnectionBoundHooks(store=store),
                        configuration=configuration)
+    if dest is None:
+        remove_build_on_stop(server, build)
     return server, store, fw

@@ -14,7 +14,8 @@ import time
 from typing import Optional
 
 from repro.co2p3s.nserver import NSERVER
-from repro.co2p3s.template import load_generated_package
+from repro.co2p3s.template import (load_generated_package,
+                                    remove_build_on_stop)
 from repro.runtime import ServerHooks
 
 __all__ = ["TimeServerHooks", "TIME_SERVER_OPTIONS", "build_time_server"]
@@ -57,10 +58,12 @@ def build_time_server(dest: Optional[str] = None,
     Returns ``(server, framework_module, generation_report)``.
     """
     opts = NSERVER.configure(TIME_SERVER_OPTIONS)
-    dest = dest or tempfile.mkdtemp(prefix="time_server_")
-    report = NSERVER.generate(opts, dest, package=package)
-    fw = load_generated_package(dest, package)
+    build = dest or tempfile.mkdtemp(prefix="time_server_")
+    report = NSERVER.generate(opts, build, package=package)
+    fw = load_generated_package(build, package)
     configuration = fw.ServerConfiguration(host=host, port=port,
                                            **config_overrides)
     server = fw.Server(TimeServerHooks(), configuration=configuration)
+    if dest is None:
+        remove_build_on_stop(server, build)
     return server, fw, report

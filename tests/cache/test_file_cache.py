@@ -1,7 +1,7 @@
 """Tests for the read-through FileCache front-end and its docroot
 reader."""
 
-import mmap
+import os
 import sys
 import threading
 import weakref
@@ -9,7 +9,8 @@ import weakref
 import pytest
 
 from repro.cache import CustomPolicy, FileCache, FileNotCacheable, file_cache
-from repro.cache.file_cache import read_body
+from repro.cache.file_cache import PAGE, read_body
+from repro.runtime.handles import FileHandle
 
 
 def counting_loader(files):
@@ -106,9 +107,7 @@ def test_eviction_through_file_cache():
     assert fc.stats.evictions >= 3
 
 
-# -- page-backed bodies -------------------------------------------------------
-
-PAGE = mmap.PAGESIZE
+# -- file bodies ---------------------------------------------------------------
 
 
 def test_read_body_rejects_a_sibling_sharing_the_root_prefix(tmp_path):
@@ -121,7 +120,7 @@ def test_read_body_rejects_a_sibling_sharing_the_root_prefix(tmp_path):
         read_body(None, "/key")
 
 
-def test_bodies_below_one_page_are_bytes_and_above_are_mappings(tmp_path):
+def test_bodies_below_one_page_are_bytes_and_above_are_file_bodies(tmp_path):
     small = bytes(range(256)) * ((PAGE - 1) // 256) + b"x" * ((PAGE - 1) % 256)
     (tmp_path / "small").write_bytes(small)
     (tmp_path / "page").write_bytes(b"p" * PAGE)
@@ -129,36 +128,65 @@ def test_bodies_below_one_page_are_bytes_and_above_are_mappings(tmp_path):
     body = read_body(str(tmp_path), "/small")
     assert type(body) is bytes and body == small
     for name in ("page", "big"):
+        expected = (tmp_path / name).read_bytes()
         body = read_body(str(tmp_path), "/" + name)
-        assert isinstance(body, memoryview) and body.readonly
-        assert isinstance(body.obj, mmap.mmap)
-        assert body == (tmp_path / name).read_bytes()
+        assert isinstance(body, FileHandle) and not body.closed
+        assert len(body) == len(expected) and body == expected
+        assert bytes(body) == expected and bytes(body[5:-3]) == expected[5:-3]
+        assert body[7:7] == b"" and body[10:20] == expected[10:20]
         with pytest.raises(TypeError):
             body[0] = 0
 
 
-def test_mapping_failure_falls_back_to_bytes(tmp_path, monkeypatch):
-    (tmp_path / "big").write_bytes(b"b" * (2 * PAGE))
+def test_a_file_body_reads_the_file_as_it_is_now(tmp_path):
+    """The body is the open file: an in-place edit shows through, a
+    rename-replace leaves it on the old inode, and a shrunk file reads
+    short (never padded)."""
+    (tmp_path / "f").write_bytes(b"a" * (2 * PAGE))
+    body = read_body(str(tmp_path), "/f")
+    with open(tmp_path / "f", "r+b") as fh:
+        fh.write(b"b" * 10)
+    assert bytes(body[:12]) == b"b" * 10 + b"aa"
+    os.truncate(tmp_path / "f", PAGE)
+    assert len(body) == 2 * PAGE and bytes(body) == b"b" * 10 + b"a" * (PAGE - 10)
+    assert body != b"b" * 10 + b"a" * (2 * PAGE - 10)
+    (tmp_path / "g").write_bytes(b"c" * (2 * PAGE))
+    os.replace(tmp_path / "g", tmp_path / "f")
+    assert bytes(body) == b"b" * 10 + b"a" * (PAGE - 10)
 
-    def no_mapping(*args, **kwargs):
-        raise OSError(12, "Cannot allocate memory")
 
-    monkeypatch.setattr(file_cache.mmap, "mmap", no_mapping)
-    body = read_body(str(tmp_path), "/big")
-    assert type(body) is bytes and body == b"b" * (2 * PAGE)
-
-
-def test_evicted_body_returns_its_mapping_once_unreferenced(tmp_path):
+def test_evicted_body_closes_its_fd_once_unreferenced(tmp_path):
     (tmp_path / "a").write_bytes(b"a" * (3 * PAGE))
     (tmp_path / "b").write_bytes(b"b" * (3 * PAGE))
     fc = FileCache.for_directory(str(tmp_path), capacity=4 * PAGE)
-    held = fc.get_file("/a").payload
-    mapping = weakref.ref(held.obj)
+    held = fc.get_file("/a").payload[PAGE:]    # a range, like a queued tail
+    fd = held.fileno()
+    owner = weakref.ref(fc.lookup("/a").payload)
     fc.get_file("/b")                       # evicts /a
     assert fc.stats.evictions == 1 and not fc.contains("/a")
-    assert mapping() is not None and held == b"a" * (3 * PAGE)
+    assert owner() is not None and held == b"a" * (2 * PAGE)
+    os.fstat(fd)                            # still open under the range
     del held                                # the last reference
-    assert mapping() is None
+    assert owner() is None
+
+
+def test_the_cache_holds_at_most_its_fd_budget(tmp_path, monkeypatch):
+    monkeypatch.setattr(file_cache.resource, "getrlimit",
+                        lambda which: (8, 1024))
+    for name in "abcdef":
+        (tmp_path / name).write_bytes(name.encode() * PAGE)
+    (tmp_path / "small").write_bytes(b"s")
+    fc = FileCache.for_directory(str(tmp_path), capacity=100 * PAGE)
+    assert fc.cache.max_fds == 8 // file_cache.FD_SHARE == 4
+    fc.get_file("/small")
+    for name in "abcdef":
+        assert fc.get_file("/" + name).payload == name.encode() * PAGE
+        assert fc.cache.fds <= 4
+    # Only file bodies were evicted, oldest first; the small body, which
+    # holds no fd, stays although it is the least recently used.
+    assert fc.stats.evictions == 2 and fc.cache.fds == 4
+    assert [fc.contains(p) for p in ("/small", "/a", "/b", "/c")] == [
+        True, False, False, True]
 
 
 def test_lookup_never_loads_and_counts_one_hit_or_nothing():

@@ -116,3 +116,80 @@ def test_fault_log_is_replayable(tmp_path):
         patterns.append((outcomes,
                          [a.kind for a in plane.schedule.actions("handler")]))
     assert patterns[0] == patterns[1]
+
+
+def _replies(data: bytes):
+    """Split a keep-alive byte stream into (status line, body) pairs;
+    a reply cut short by a close comes last with its partial body."""
+    out = []
+    while data:
+        head, sep, rest = data.partition(b"\r\n\r\n")
+        if not sep:
+            out.append((head.split(b"\r\n", 1)[0], None))
+            break
+        length = next(int(line.split(b":", 1)[1])
+                      for line in head.split(b"\r\n")
+                      if line.lower().startswith(b"content-length:"))
+        out.append((head.split(b"\r\n", 1)[0], rest[:length]))
+        data = rest[length:]
+    return out
+
+
+def test_file_body_replies_end_byte_exact_or_closed(tmp_path):
+    """EAGAIN storms, partial sends and resets hit replies whose bodies
+    go out with ``os.sendfile``: every reply arrives whole and in
+    request order, or the connection closes after a prefix of it —
+    never a duplicate, a reorder or a pad."""
+    from repro.cache.file_cache import PAGE
+
+    docroot = tmp_path / "docroot"
+    docroot.mkdir()
+    bodies = {f"/f{i}.bin": bytes([65 + i]) * (PAGE * (i + 1) + 37 * i)
+              for i in range(4)}
+    for path, body in bodies.items():
+        (docroot / path.lstrip("/")).write_bytes(body)
+    plane = FaultPlane(FaultSpec(send_eagain=0.3, partial_write=0.3,
+                                 partial_write_bytes=1500, send_reset=0.03),
+                       seed=SEED)
+    server, _fw, _report = build_cops_http(
+        str(docroot), dest=str(tmp_path / "build"),
+        package="cops_http_file_faults_fw")
+    plane.install(server)
+    order = [f"/f{i % 4}.bin" for i in (0, 1, 2, 3, 2, 1, 0, 3)]
+    request = b"".join(f"GET {p} HTTP/1.1\r\nHost: x\r\n\r\n".encode()
+                       for p in order)
+    closed = whole = 0
+    with ServerFixture(server) as fixture:
+        for _ in range(12):
+            sock = fixture.connect()
+            sock.settimeout(10)
+            sock.sendall(request)
+            data = b""
+            replies = []
+            while len(replies) < len(order) or replies[-1][1] is None \
+                    or len(replies[-1][1]) < len(bodies[order[-1]]):
+                chunk = sock.recv(1 << 16)
+                if not chunk:
+                    break
+                data += chunk
+                replies = _replies(data)
+            sock.close()
+            assert len(replies) <= len(order)
+            for i, (status, body) in enumerate(replies):
+                assert status == b"HTTP/1.1 200 OK"
+                expected = bodies[order[i]]
+                if i < len(replies) - 1:
+                    assert body == expected
+                else:
+                    assert body is None or expected.startswith(body)
+            if len(replies) == len(order) and replies[-1][1] == \
+                    bodies[order[-1]]:
+                whole += 1
+            else:
+                closed += 1
+    # Every reply write consults its stream's schedule, so each stream's
+    # first eight decisions are always drawn: the seed fixes a reset.
+    counts = plane.counts()
+    assert counts.get("eagain") and counts.get("partial")
+    assert whole, "no connection got all its replies"
+    assert closed and counts.get("reset", 0) >= closed

@@ -88,3 +88,69 @@ def test_each_handle_gets_its_own_stream(pair):
     h2 = cls(b, name="two")
     assert h1.fault_stream == "conn-0"
     assert h2.fault_stream == "conn-1"
+
+
+# -- replies whose body is a file range -----------------------------------------
+
+HEAD = b"HTTP/1.1 200 OK\r\nContent-Length: 20000\r\n\r\n"
+BODY = bytes(range(256)) * 78 + b"tail" * 8          # 20,000 bytes
+
+
+@pytest.fixture
+def file_body(tmp_path):
+    from repro.runtime import FileHandle
+
+    path = tmp_path / "body.bin"
+    path.write_bytes(BODY)
+    return FileHandle(str(path))
+
+
+def drive(handle, reader, replies, rounds=10_000):
+    """Write ``replies`` (lists of segments) through ``handle`` and
+    flush until done or closed; returns every byte the peer got."""
+    for segments in replies:
+        handle.write(segments)
+    got = bytearray()
+    reader.setblocking(False)
+    for _ in range(rounds):
+        if handle.closed or not handle.out_buffer:
+            break
+        handle.try_send()
+        try:
+            got += reader.recv(1 << 16)
+        except BlockingIOError:
+            pass
+    reader.settimeout(0.2)
+    try:
+        while chunk := reader.recv(1 << 16):
+            got += chunk
+    except (TimeoutError, socket.timeout):
+        pass
+    return bytes(got)
+
+
+@pytest.mark.parametrize("spec", [
+    FaultSpec(send_eagain=0.5),
+    FaultSpec(partial_write=1.0, partial_write_bytes=700),
+    FaultSpec(send_eagain=0.3, partial_write=0.4, partial_write_bytes=333),
+], ids=["eagain", "partial", "eagain+partial"])
+def test_file_body_replies_arrive_whole_and_in_order(pair, file_body, spec):
+    a, b = pair
+    handle, schedule = make_handle(spec, a, seed=5)
+    replies = [[HEAD + b"%d" % i, file_body] for i in range(3)]
+    got = drive(handle, b, replies)
+    assert not handle.closed and not handle.out_buffer
+    assert got == b"".join(HEAD + b"%d" % i + BODY for i in range(3))
+    assert set(schedule.counts()) & {"eagain", "partial"}
+
+
+def test_file_body_reply_reset_midstream_closes_on_a_prefix(pair, file_body):
+    a, b = pair
+    handle, schedule = make_handle(
+        FaultSpec(send_reset=0.2, partial_write=1.0,
+                  partial_write_bytes=1500), a, seed=3)
+    replies = [[HEAD + b"%d" % i, file_body] for i in range(3)]
+    got = drive(handle, b, replies)
+    assert handle.closed and schedule.counts().get("reset")
+    expected = b"".join(HEAD + b"%d" % i + BODY for i in range(3))
+    assert len(got) < len(expected) and expected.startswith(got)

@@ -1,11 +1,18 @@
-"""The out-buffer ownership lint: only ``runtime/handles.py`` may
-mutate a handle's ``out_buffer``; everything else writes through
+"""The write-path ownership lint: only ``runtime/handles.py`` may
+mutate a handle's ``out_buffer`` or call a send primitive
+(``sendmsg``, ``os.sendfile``); everything else writes through
 ``write`` / ``try_send``."""
 
 import ast
 import textwrap
 
-from repro.lint.ownership import out_buffer_findings, out_buffer_mutations
+from repro.lint.ownership import (
+    out_buffer_findings,
+    out_buffer_mutations,
+    ownership_findings,
+    send_calls,
+    send_findings,
+)
 
 
 def mutations(source):
@@ -43,3 +50,30 @@ def test_findings_skip_only_the_owner_module(tmp_path):
 
 def test_shipped_tree_is_clean():
     assert out_buffer_findings() == []
+
+
+def test_every_send_primitive_call_is_flagged():
+    hits = send_calls(ast.parse(textwrap.dedent("""
+        sock.sendmsg([head, body])
+        self.sock.sendmsg(iov, (), flags)
+        os.sendfile(out_fd, in_fd, offset, count)
+        sock.sendall(data)
+        handle.write([head, body])
+    """)))
+    assert [line for line, _target in hits] == [2, 3, 4]
+
+
+def test_a_send_outside_the_owner_fails_the_gate(tmp_path):
+    (tmp_path / "bypass.py").write_text(
+        "import os\n"
+        "def push(sock, f):\n"
+        "    os.sendfile(sock.fileno(), f.fileno(), 0, 10)\n")
+    findings = send_findings([str(tmp_path)])
+    assert [f.location.rsplit("/", 1)[1] for f in findings] == [
+        "bypass.py:3"]
+    assert "os.sendfile" in findings[0].message
+    assert ownership_findings([str(tmp_path)]) == findings
+
+
+def test_shipped_tree_sends_only_from_the_handles_module():
+    assert send_findings() == []

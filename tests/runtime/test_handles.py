@@ -1,7 +1,9 @@
 """Unit tests for socket/listen/file handles."""
 
+import gc
 import os
 import socket
+import warnings
 
 import pytest
 
@@ -128,12 +130,41 @@ def test_file_handle_reads(tmp_path):
     fh = FileHandle(str(path))
     try:
         assert fh.size == len(payload)
-        assert fh.read_all() == payload
+        assert bytes(fh) == payload
         assert fh.read_at(10, 5) == payload[10:15]
+        assert fh[100:].read_at(10, 5) == payload[110:115]
+        assert fh.read_at(len(payload) - 2, 5) == payload[-2:]
         assert fh.name == str(path)
     finally:
         fh.close()
     assert fh.closed
+    assert _fd_target(fh.fileno()) != str(path)
+
+
+def test_file_handle_fd_closes_with_its_last_range(tmp_path):
+    """No ``close()`` needed: the fd goes with the last range over it,
+    and dropping an unclosed handle warns about nothing."""
+    path = tmp_path / "blob.bin"
+    path.write_bytes(b"x" * 100)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", ResourceWarning)
+        fh = FileHandle(str(path))
+        fd = fh.fileno()
+        tail = fh[40:]
+        del fh
+        gc.collect()
+        assert tail == b"x" * 60 and _fd_target(fd) == str(path)
+        del tail
+        gc.collect()
+    assert _fd_target(fd) != str(path)
+
+
+def _fd_target(fd):
+    """What ``fd`` of this process points at now (None: not open)."""
+    try:
+        return os.readlink(f"/proc/self/fd/{fd}")
+    except OSError:
+        return None
 
 
 def test_file_handle_missing_file(tmp_path):

@@ -1,12 +1,12 @@
 """The one write path, end to end over real sockets.
 
 * a cached body goes to a slow reader straight from the cache entry:
-  the queued tail is a view of the cached payload's mapping, and
-  serving it allocates less than one body (the copying path allocated
-  two or more per reply: ``head + body``, the out-buffer copy, a
-  snapshot per send);
+  the queued tail is a range of the cached file body, sent with
+  ``os.sendfile``, and serving it allocates less than one body (the
+  copying path allocated two or more per reply: ``head + body``, the
+  out-buffer copy, a snapshot per send);
 * a reply still queued when its cache entry is evicted arrives
-  byte-exact, and the body's mapping is released once it has gone;
+  byte-exact, and the body's fd is closed once it has gone;
 * replies completed by two threads on one pipelined connection arrive
   whole, exactly once and in request order through a tiny send buffer;
 * an outbound ``connect()`` is routed to the Connector Event Handler,
@@ -23,7 +23,7 @@ import weakref
 import pytest
 
 from harness import ServerFixture, generated_framework, wait_until
-from repro.runtime import PENDING, ServerHooks
+from repro.runtime import PENDING, FileHandle, ServerHooks
 from repro.servers.cops_http import CopsHttpHooks, build_cops_http
 
 BODY = 1 << 20          # 1 MiB
@@ -116,11 +116,12 @@ def test_cached_body_is_sent_without_a_copy(big_file_server):
     assert payload == body
 
     # The reader is not reading: the reply stalls with its tail queued,
-    # and that tail is a view of the cache entry's own mapping.
+    # and that tail is a range of the cache entry's own open file.
     slow, conn = _stall_slow_reader(fixture)
     try:
         first = conn.handle.out_buffer.iov(1)[0]
-        assert first.obj is payload.obj
+        assert isinstance(first, FileHandle)
+        assert first.fileno() == payload.fileno() and first.offset > 0
         _read_reply(slow, buf, body)
 
         tracemalloc.start()
@@ -147,22 +148,22 @@ def test_queued_reply_survives_the_eviction_of_its_entry(
     buf = bytearray(BODY + 4096)
     slow, conn = _stall_slow_reader(fixture)
     try:
-        mapping = weakref.ref(conn.handle.out_buffer.iov(1)[0].obj)
+        body_file = weakref.ref(file_cache.lookup("/big.bin").payload)
         conn = None
         # Loading another 1 MiB body evicts /big.bin while its reply is
-        # still queued: the queued segments keep the mapping alive.
+        # still queued: the queued range keeps the file body open.
         with socket.create_connection(("127.0.0.1", fixture.port),
                                       timeout=10) as fast:
             fast.sendall(b"GET /other.bin HTTP/1.1\r\nHost: x\r\n\r\n")
             _read_reply(fast, buf, other)
         assert file_cache.stats.evictions == 1
         assert not file_cache.contains("/big.bin")
-        assert mapping() is not None
+        assert body_file() is not None
         _read_reply(slow, buf, body)
     finally:
         slow.close()
-    wait_until(lambda: mapping() is None,
-               message="the evicted body's mapping released after its reply")
+    wait_until(lambda: body_file() is None,
+               message="the evicted body's fd closed after its reply")
 
 
 class PipelinedHooks(ServerHooks):

@@ -1,24 +1,26 @@
-"""Page-backed file bodies through every consumer of a docroot read.
+"""File bodies through every consumer of a docroot read.
 
-A body of at least one page is a read-only ``memoryview`` of its own
-anonymous mapping (``repro.cache.file_cache.read_body``), smaller ones
-stay ``bytes``.  Each consumer must treat both as the same bytes-like
-payload: COPS-HTTP GET and HEAD, the O17 brownout's stale and bounded
-replies, the generated synchronous read, and a generic
-``FileReadEvent`` hook (``test_server_integration``).
+A body of at least one page is an open ``FileHandle`` that replies send
+with ``os.sendfile`` from the page cache
+(``repro.cache.file_cache.read_body``); smaller ones stay ``bytes``.
+Each consumer must treat both as the same payload: COPS-HTTP GET and
+HEAD, the O17 brownout's stale and bounded replies, the generated
+synchronous read, and a generic ``FileReadEvent`` hook
+(``test_server_integration``).  A file that shrinks under its cached
+body ends the reply by closing the connection.
 """
 
-import mmap
+import os
 import socket
 
 import pytest
 
 from harness import ServerFixture, generated_server
-from repro.runtime import BrownoutController, ServerHooks
+from repro.cache.file_cache import PAGE
+from repro.runtime import BrownoutController, FileHandle, ServerHooks
 from repro.servers import build_cops_http
 from repro.servers.http_degradation import bound_payload
 
-PAGE = mmap.PAGESIZE
 #: exactly one page, and three pages and a bit (an unaligned tail)
 BODIES = {
     "/page.bin": bytes(range(256)) * (PAGE // 256),
@@ -65,7 +67,7 @@ def test_cops_http_get_and_head_serve_page_backed_bodies(docroot):
             assert head.startswith(b"HTTP/1.1 200 OK")
             assert got == b"" and content_length(head) == len(body)
             payload = server.reactor.cache.file_cache.lookup(path).payload
-            assert isinstance(payload, memoryview) and payload == body
+            assert isinstance(payload, FileHandle) and payload == body
 
 
 def test_brownout_serves_page_backed_bodies_stale_and_bounded(docroot):
@@ -99,6 +101,40 @@ def test_bound_payload_cuts_a_memoryview_to_the_cap():
     assert bound_payload(small, brownout) is small
 
 
+def test_bound_payload_cuts_a_file_body_to_a_shorter_range(docroot):
+    brownout = BrownoutController(bound_threshold=0.5,
+                                  max_response_bytes=PAGE)
+    brownout.set_level(0.5)
+    body = FileHandle(str(docroot / "pages.bin"))
+    cut = bound_payload(body, brownout)
+    assert isinstance(cut, FileHandle) and cut.fileno() == body.fileno()
+    assert cut == BODIES["/pages.bin"][:PAGE]
+    assert brownout.responses_bounded == 1
+
+
+def test_a_file_cut_short_under_its_cached_body_closes_the_reply(docroot):
+    """The cached body's length was fixed when the file was opened: a
+    file truncated since cannot fill it, so the reply ends by closing
+    the connection — after the bytes the file still has, never padded,
+    and without spinning.  The server goes on serving."""
+    server, _fw, _report = build_cops_http(str(docroot))
+    body = BODIES["/pages.bin"]
+    with ServerFixture(server) as fixture:
+        assert exchange(fixture.port, "GET", "/pages.bin")[1] == body
+        os.truncate(docroot / "pages.bin", PAGE + 100)
+        cpu = os.times()
+        for _ in range(3):
+            head, got = exchange(fixture.port, "GET", "/pages.bin")
+            assert head.startswith(b"HTTP/1.1 200 OK")
+            assert content_length(head) == len(body)
+            assert got == body[:PAGE + 100]
+        spent = sum(os.times()[:2]) - sum(cpu[:2])
+        assert spent < 2.0, f"{spent:.2f} s of CPU for three short replies"
+        assert server.reactor.cache.file_cache.stats.hits == 3
+        assert exchange(fixture.port, "GET", "/page.bin")[1] == \
+            BODIES["/page.bin"]
+
+
 def uncached_sync_server(root):
     """An O4=Synchronous, O6=None build: ``read_file_sync`` reads the
     docroot directly, with no cache in between."""
@@ -110,7 +146,7 @@ def test_uncached_read_file_sync_returns_page_backed_bodies(docroot):
     reactor = uncached_sync_server(docroot).reactor
     for path, body in BODIES.items():
         payload = reactor.read_file_sync(path)
-        assert isinstance(payload, memoryview) and payload.readonly
+        assert isinstance(payload, FileHandle)
         assert payload == body
     (docroot / "small.txt").write_bytes(b"small")
     assert reactor.read_file_sync("/small.txt") == b"small"
