@@ -72,7 +72,9 @@ MODULE_COMMUNICATION = ModuleSpec(
                             hooks,
                             use_codec=$use_codec,
                             on_teardown=reactor.teardown_communicator,
-                            update_interest=reactor.sync_interest,
+                            update_interest=reactor.socket_source.update_interest,
+                            resume_read=reactor.resume_read,
+                            schedule=reactor.schedule_strand,
                             $communicator_spans_arg
                         )
                     ''',

@@ -139,11 +139,15 @@ MODULE_REACTOR = ModuleSpec(
                         self.socket_source.register(conn.handle)
                         $deadline_watch
 
-                    def sync_interest(self, handle):
-                        self.socket_source.update_interest(handle)
-                        self.socket_source.wakeup()
+                    def resume_read(self, handle):
+                        $resume_read_call
+
+                    def schedule_strand(self, handle):
+                        # Steps posted to a connection's strand run under a
+                        # Send Reply event: it drains them, then flushes.
+                        $schedule_strand_call
                     ''',
-                    options=("O13",),
+                    options=("O2", "O13"),
                 ),
                 Fragment(
                     '''
@@ -160,8 +164,9 @@ MODULE_REACTOR = ModuleSpec(
                 Fragment(
                     '''
                     def submit_readable(self, event):
-                        # One-shot read interest: no duplicate events while
-                        # queued, no two workers on one connection.
+                        # One-shot read interest: readiness does not
+                        # re-post while the event waits; the connection's
+                        # read step resumes it (resume_read).
                         self.socket_source.pause(event.handle)
                         $stamp_readable_priority
                         $submit_call
@@ -195,10 +200,7 @@ MODULE_REACTOR = ModuleSpec(
                     def process_event(self, event):
                         kind = event.kind
                         if kind == rt.EventKind.READABLE:
-                            try:
-                                self.read_request_event_handler.handle(event)
-                            finally:
-                                self.socket_source.resume(event.handle)
+                            self.read_request_event_handler.handle(event)
                         elif kind == rt.EventKind.WRITABLE:
                             self.send_reply_event_handler.handle(event)
                         else:
@@ -268,6 +270,7 @@ MODULE_REACTOR = ModuleSpec(
                         self.dispatcher.stop()
                         self.server_component.close()
                         self.container.close_all()
+                        $run_posted_teardowns
                         $stop_resilience
                         $stop_controller
                         $stop_processor

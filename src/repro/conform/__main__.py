@@ -58,7 +58,7 @@ def _apply_baseline(divergences: List[Divergence],
 
 
 def _shrink_and_describe(corner: Corner, divergence: Divergence,
-                         sessions: List[Session], workdir: str) -> str:
+                         sessions: List[Session]) -> str:
     """Shrink the failing session to a 1-minimal reproducer against a
     fresh server for the same corner (fresh package name, so the
     original's generated module is left alone)."""
@@ -68,20 +68,20 @@ def _shrink_and_describe(corner: Corner, divergence: Divergence,
         return "(session not in the replayed set; no shrink)"
     shrink_corner = dataclasses.replace(corner, name=f"{corner.name}-shrink")
     vfs = ModelVFS(DEFAULT_FILES)
-    server, _plane = _build_corner_server(
-        shrink_corner, tempfile.mkdtemp(prefix="conform_shrink_"),
-        DEFAULT_FILES)
-    server.start()
-    try:
-        def failing(candidate: Session) -> bool:
-            stream = replay_session("127.0.0.1", server.port, candidate)
-            found = check_session(candidate, stream, vfs, corner.model,
-                                  corner.freedoms, corner.name)
-            return any(d.kind == divergence.kind for d in found)
+    with tempfile.TemporaryDirectory(prefix="conform_shrink_") as workdir:
+        server, _plane = _build_corner_server(shrink_corner, workdir,
+                                              DEFAULT_FILES)
+        server.start()
+        try:
+            def failing(candidate: Session) -> bool:
+                stream = replay_session("127.0.0.1", server.port, candidate)
+                found = check_session(candidate, stream, vfs, corner.model,
+                                      corner.freedoms, corner.name)
+                return any(d.kind == divergence.kind for d in found)
 
-        minimal = shrink_session(session, failing)
-    finally:
-        server.stop()
+            minimal = shrink_session(session, failing)
+        finally:
+            server.stop()
     return minimal.describe()
 
 
@@ -168,8 +168,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         corner, divergence = first_failure
         print(f"\nshrinking {divergence.session} ({divergence.kind}) "
               f"on corner {corner.name}:")
-        print(_shrink_and_describe(corner, divergence, sessions,
-                                   tempfile.gettempdir()))
+        print(_shrink_and_describe(corner, divergence, sessions))
     return 1 if unexplained else 0
 
 

@@ -423,10 +423,15 @@ def run_corner(corner: Corner, sessions: Sequence[Session],
 
     ``poller`` pins the readiness backend (template option O18) for the
     corner's generated framework; ``None`` keeps the corner's own
-    options (and the runtime's platform pick) untouched.
+    options (and the runtime's platform pick) untouched.  Without a
+    ``workdir`` the run makes a temporary one and removes it after.
     """
     files = files if files is not None else DEFAULT_FILES
-    workdir = workdir or tempfile.mkdtemp(prefix=f"conform_{corner.name}_")
+    if workdir is None:
+        with tempfile.TemporaryDirectory(
+                prefix=f"conform_{corner.name}_") as workdir:
+            return run_corner(corner, sessions, files, workdir,
+                              concurrency, poller)
     vfs = ModelVFS(files)
     result = CornerResult(corner=corner, sessions=len(sessions))
     server, _plane = _build_corner_server(corner, workdir, files,

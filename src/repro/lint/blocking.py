@@ -71,6 +71,10 @@ BLOCKING_BUILTIN_CALLS: Set[str] = {"open", "input"}
 DEFAULT_ROOT_NAMES: Set[str] = {
     "on_readable",
     "on_writable",
+    # the steps those two hand to the connection's strand (passed, not
+    # called, so no call edge reaches them)
+    "_read_request",
+    "_send_reply",
     "route_readable",
     "route_writable",
     "dispatch",

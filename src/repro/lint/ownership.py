@@ -15,9 +15,14 @@ called through ``.out_buffer.``.  Reads (``len``, truth tests) pass.
 
 The same module owns the one send primitive, ``SocketHandle._send``:
 ``sendmsg`` for memory segments and ``os.sendfile`` for file ranges.
-A send anywhere else skips the send lock and the fault plane, so any
-call of a ``sendmsg`` or ``sendfile`` attribute outside the owner is
-flagged too.
+A send anywhere else skips the fault plane and the connection's owner,
+so any call of a ``sendmsg`` or ``sendfile`` attribute outside the
+owner is flagged too.
+
+A connection has one owner at a time, the thread running its strand,
+so outside ``runtime/communicator.py`` and the handle module any
+``write`` / ``try_send`` call on a name or attribute called ``handle``
+is flagged too, except in :data:`HANDLE_WRITERS`.
 """
 
 from __future__ import annotations
@@ -29,7 +34,8 @@ from typing import Callable, List, Optional, Sequence, Tuple
 from repro.lint.findings import Finding
 from repro.lint.spans import _default_paths, _python_files
 
-__all__ = ["out_buffer_findings", "out_buffer_mutations",
+__all__ = ["handle_write_findings", "handle_writes",
+           "out_buffer_findings", "out_buffer_mutations",
            "ownership_findings", "send_calls", "send_findings"]
 
 #: the one module allowed to mutate an out-buffer or to send
@@ -37,6 +43,16 @@ OWNER = os.path.join("repro", "runtime", "handles.py")
 
 #: the send syscalls only :data:`OWNER` may make
 SEND_PRIMITIVES = ("sendmsg", "sendfile")
+
+#: the modules that may write to a connection's handle directly
+CONNECTION_OWNERS = (OWNER, os.path.join("repro", "runtime",
+                                         "communicator.py"))
+
+#: module -> functions allowed a direct handle write: the O17 canned
+#: reject runs on the acceptor thread before any Communicator exists
+HANDLE_WRITERS = {
+    os.path.join("repro", "runtime", "degradation.py"): ("reject_handle",),
+}
 
 
 def _is_out_buffer(node: ast.AST) -> bool:
@@ -77,22 +93,42 @@ def send_calls(tree: ast.AST) -> List[Tuple[int, str]]:
         and node.func.attr in SEND_PRIMITIVES)
 
 
+def handle_writes(tree: ast.AST, allowed: Sequence[str] = ()
+                  ) -> List[Tuple[int, str]]:
+    """(lineno, source) for every ``write`` / ``try_send`` call on a
+    name or attribute called ``handle`` in ``tree``, outside the
+    functions named in ``allowed``."""
+    skip = [range(node.lineno, node.end_lineno + 1)
+            for node in ast.walk(tree)
+            if isinstance(node, ast.FunctionDef) and node.name in allowed]
+    return sorted(
+        (node.lineno, ast.unparse(node.func)) for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr in ("write", "try_send")
+        and getattr(node.func.value, "id",
+                    getattr(node.func.value, "attr", None)) == "handle"
+        and not any(node.lineno in lines for lines in skip))
+
+
 def _findings(paths: Optional[Sequence[str]], rule: Callable,
-              message: str) -> List[Finding]:
-    """``rule``'s hits in ``paths`` (default: the shipped tree) outside
-    :data:`OWNER`; ``message`` is formatted with the hit's source."""
+              message: str, owners: Sequence[str] = (OWNER,)
+              ) -> List[Finding]:
+    """``rule(tree, rel)``'s hits in ``paths`` (default: the shipped
+    tree) outside ``owners``; ``message`` is formatted with the hit's
+    source."""
     findings: List[Finding] = []
     root = _default_paths()[0]
     for filename in _python_files(paths or _default_paths()):
         rel = os.path.relpath(filename, os.path.dirname(root))
-        if rel == OWNER:
+        if rel in owners:
             continue
         try:
             with open(filename, "r", encoding="utf-8") as fh:
                 tree = ast.parse(fh.read(), filename=filename)
         except (OSError, SyntaxError):
             continue
-        for lineno, target in rule(tree):
+        for lineno, target in rule(tree, rel):
             findings.append(Finding(
                 kind="ownership",
                 ident=f"ownership:{rel}:{target}",
@@ -105,19 +141,32 @@ def _findings(paths: Optional[Sequence[str]], rule: Callable,
 def out_buffer_findings(paths: Optional[Sequence[str]] = None
                         ) -> List[Finding]:
     """Out-buffer mutations outside :data:`OWNER`."""
-    return _findings(paths, out_buffer_mutations,
+    return _findings(paths, lambda tree, rel: out_buffer_mutations(tree),
                      "{target} mutates a handle's out-buffer outside "
                      f"{OWNER} — go through write()/try_send()")
 
 
 def send_findings(paths: Optional[Sequence[str]] = None) -> List[Finding]:
     """Send-primitive calls outside :data:`OWNER`."""
-    return _findings(paths, send_calls,
+    return _findings(paths, lambda tree, rel: send_calls(tree),
                      "{target}() sends outside " + OWNER
                      + " — go through write()/try_send()")
+
+
+def handle_write_findings(paths: Optional[Sequence[str]] = None
+                          ) -> List[Finding]:
+    """Handle writes outside :data:`CONNECTION_OWNERS` and
+    :data:`HANDLE_WRITERS`."""
+    return _findings(
+        paths,
+        lambda tree, rel: handle_writes(tree, HANDLE_WRITERS.get(rel, ())),
+        "{target}() writes to a connection outside its owner — post "
+        "through Communicator.send_bytes()/complete_request()",
+        owners=CONNECTION_OWNERS)
 
 
 def ownership_findings(paths: Optional[Sequence[str]] = None
                        ) -> List[Finding]:
     """Every write-path ownership finding: the CI gate's check."""
-    return out_buffer_findings(paths) + send_findings(paths)
+    return (out_buffer_findings(paths) + send_findings(paths)
+            + handle_write_findings(paths))

@@ -22,10 +22,12 @@ from __future__ import annotations
 import threading
 import time
 from collections import deque
+from functools import partial
 from typing import Any, Callable, Optional, Tuple
 
+from repro.lint.locks import make_lock
 from repro.obs.flight import GLOBAL as GLOBAL_FLIGHT
-from repro.runtime.events import Event
+from repro.runtime.events import Event, in_completion
 from repro.runtime.handles import SocketHandle
 from repro.runtime.nulls import NULL_SPANS
 
@@ -47,16 +49,81 @@ class _Ticket:
     services (disk reads on a thread pool, cache hits completing
     inline) finish out of order."""
 
-    __slots__ = ("span", "started", "handling", "done", "result")
+    __slots__ = ("span", "started", "done", "result")
 
     def __init__(self, span, started: float = 0.0):
         self.span = span
         self.started = started
-        #: the pipeline thread is still inside the handle hook
-        self.handling = True
         #: the reply is resolved (it may still wait on older tickets)
         self.done = False
         self.result = None
+
+
+class _Strand:
+    """One connection's steps, run by one thread at a time: a FIFO of
+    steps and the thread that owns it (None while idle), under one
+    lock.  Event threads use :meth:`run`, every other thread
+    :meth:`post`."""
+
+    __slots__ = ("_lock", "_steps", "_owner", "_submit")
+
+    def __init__(self, submit: Optional[Callable[[], None]] = None):
+        self._lock = make_lock("Strand")
+        self._steps: deque = deque()
+        self._owner: Optional[int] = None
+        self._submit = submit
+
+    def held(self) -> bool:
+        """True on the thread that owns the strand."""
+        return self._owner == threading.get_ident()
+
+    def run(self, step: Callable[[], None]) -> None:
+        """Claim the idle strand and drain it, or leave ``step`` to the
+        owner — not twice in a row: one read or flush does what two
+        would."""
+        with self._lock:
+            if not self._steps or self._steps[-1] != step:
+                self._steps.append(step)
+            if self._owner is not None:
+                return
+            self._owner = threading.get_ident()
+        self._drain()
+
+    def post(self, step: Callable[[], None]) -> bool:
+        """Queue ``step``; if the strand is idle, ``submit`` one event
+        that drains it on an event thread.  With no ``submit`` (outside
+        a reactor) drain it here instead, and return False."""
+        with self._lock:
+            self._steps.append(step)
+            if self._owner is not None:
+                return True
+            if self._submit is None:
+                self._owner = threading.get_ident()
+        if self._submit is None:
+            self._drain()
+            return False
+        self._submit()
+        return True
+
+    def _drain(self) -> None:
+        """Run steps until none is left.  A step that raises — even a
+        worker-killing BaseException — releases the strand and submits
+        a fresh drain for what is still queued."""
+        try:
+            while True:
+                with self._lock:
+                    if not self._steps:
+                        self._owner = None
+                        return
+                    step = self._steps.popleft()
+                step()
+        except BaseException:
+            with self._lock:
+                self._owner = None
+                left = bool(self._steps)
+            if left and self._submit is not None:
+                self._submit()
+            raise
 
 
 class ServerHooks:
@@ -115,6 +182,13 @@ class Communicator:
     (possibly via an Event Processor).  Pipeline steps for a request are
     chained inline — the steps are CPU work; only the *Handle* step may
     detour through asynchronous services.
+
+    One thread at a time runs a connection: every step (a read, a
+    flush, a completion, the teardown) runs on its strand, so its state
+    needs no lock.  An event thread (a pool worker handling a readiness
+    event or a completion) claims the idle strand or leaves its step to
+    the owner; any other thread posts, and ``schedule`` submits an
+    event that drains the strand.
     """
 
     def __init__(
@@ -125,6 +199,8 @@ class Communicator:
         use_codec: bool = True,
         on_teardown: Optional[Callable[["Communicator"], None]] = None,
         update_interest: Optional[Callable[[SocketHandle], None]] = None,
+        resume_read: Optional[Callable[[SocketHandle], None]] = None,
+        schedule: Optional[Callable[[SocketHandle], None]] = None,
         spans=NULL_SPANS,
         clock=time.monotonic,
         flight=None,
@@ -137,19 +213,18 @@ class Communicator:
         self.flight = flight if flight is not None else GLOBAL_FLIGHT
         self.on_teardown = on_teardown
         self.update_interest = update_interest
+        #: re-arms read interest after a read (resumes a one-shot pause)
+        self.resume_read = resume_read or update_interest
         #: the O11 span recorder (request spans, socket-stage timings
         #: and the per-connection counters); the null recorder otherwise
         self.spans = spans
         self.clock = clock
         self.in_buffer = bytearray()
-        # Ticket machinery for asynchronous (PENDING) replies.  Guarded by
-        # a lock because completions arrive from service threads that may
-        # race with the pipeline thread still inside the handle hook.
-        self._ticket_lock = threading.Lock()
+        self._strand = _Strand(
+            partial(schedule, handle) if schedule is not None else None)
         self._awaiting: deque = deque()   # tickets in request order
-        self._draining = False            # a thread is flushing replies
-        self._handling_threads: dict = {}  # thread ident -> its ticket
-        self.priority = 0
+        self._hook_ticket: Optional[_Ticket] = None   # its hook is running
+        self._torn_down = False
         self.closed = False
         self.close_after_flush = False
         # Deadline stamps (read by a DeadlineMonitor; None = stage idle).
@@ -170,67 +245,67 @@ class Communicator:
 
     # -- event entry points -------------------------------------------------
     def on_readable(self, event: Event = None) -> None:
-        """Read Request step: drain the socket, then run the pipeline for
-        every complete request now buffered.
+        """Read Request step, on the connection's strand."""
+        self._strand.run(self._read_request)
+
+    def on_writable(self, event: Event = None) -> None:
+        """Send Reply step, on the strand.  It is also the event
+        ``schedule`` submits: posted steps run before it flushes."""
+        self._strand.run(self._send_reply)
+
+    def _read_request(self) -> None:
+        """Drain the socket, then run the pipeline for every complete
+        request now buffered.
 
         Drains in a loop until the socket would block: an edge-triggered
         poller backend notifies once per readiness *transition*, so a
         single read per event would strand buffered bytes forever.  The
-        drain is bounded by :attr:`READ_BATCH`; when the bound (or a
-        fault-injected EAGAIN) cuts it short, :meth:`_sync_interest`
-        re-arms interest, which under epoll re-posts the edge while data
-        is still pending — and costs nothing under the level-triggered
-        oracle, which re-reports pending data on every poll anyway.
+        drain is bounded by :attr:`READ_BATCH`; either way it ends by
+        re-arming read interest, which under epoll re-posts the edge
+        while data is still pending (after the bound, or a
+        fault-injected EAGAIN).
         """
         if self.closed:
             return
-        for _ in range(self.READ_BATCH):
-            t0 = self.clock()
-            n = self.handle.recv_into_buffer(self.in_buffer)
-            if n is None:
-                self._sync_interest()
-                break
-            if n == 0:
-                self.close()
-                return
-            now = self.clock()
-            self.handle.last_activity = now
-            self.spans.bytes_read(n, now - t0)
-            self._pump_requests()
-            if self.closed:
-                return
-        else:
-            # Bound hit with the socket possibly still readable.
-            self._sync_interest()
-        now = self.clock()
+        try:
+            for _ in range(self.READ_BATCH):
+                t0 = self.clock()
+                chunk = self.handle.try_recv()
+                if chunk is None:
+                    break
+                if not chunk:
+                    self.close()
+                    return
+                self.in_buffer += chunk
+                now = self.clock()
+                self.handle.last_activity = now
+                self.spans.bytes_read(len(chunk), now - t0)
+                self._pump_requests()
+                if self.closed:
+                    return
+        finally:
+            if not self.closed and self.resume_read is not None:
+                self.resume_read(self.handle)
         # Header deadline stamp: leftover bytes are an incomplete request.
         # The stamp survives further partial reads (a trickling peer must
         # not reset its own clock) and clears once the buffer drains.
         if not self.in_buffer:
             self.read_started = None
         elif self.read_started is None:
-            self.read_started = now
+            self.read_started = self.clock()
 
-    def on_writable(self, event: Event = None) -> None:
-        """Send Reply step: flush buffered output."""
-        if self.closed:
-            return
-        t0 = self.clock()
-        sent = self.handle.try_send()
-        if sent:
-            now = self.clock()
-            self.handle.last_activity = now
-            self.spans.bytes_sent(sent, now - t0)
-        if self.handle.closed:
-            self.close()
-            return
-        self._stamp_write(sent)
-        if sent and not self.handle.out_buffer:
-            self.flight.record("write-complete", self.handle.name,
-                               getattr(self.handle, "trace_id", 0))
-        self._sync_interest()
-        if self.close_after_flush and not self.handle.out_buffer:
-            self.close()
+    def _send_reply(self) -> None:
+        """Flush buffered output, if any."""
+        if self.handle.out_buffer:
+            self._write(b"", rearm=True)
+
+    def _enter(self, step: Callable[[], None]) -> None:
+        """Run ``step`` on the strand from an event thread handling a
+        completion (or the owner); post it from any other thread."""
+        if in_completion() or self._strand.held():
+            self._strand.run(step)
+        else:
+            self._strand.post(step)
 
     # -- pipeline -----------------------------------------------------------
     def _pump_requests(self) -> None:
@@ -272,10 +347,8 @@ class Communicator:
         span = self.spans.start("request", detail=self.handle.name,
                                 trace_id=trace_id)
         ticket = _Ticket(span, started=self.clock())
-        me = threading.get_ident()
-        with self._ticket_lock:
-            self._awaiting.append(ticket)
-            self._handling_threads[me] = ticket
+        self._awaiting.append(ticket)
+        self._hook_ticket = ticket
         try:
             self.flight.record("stage-enter", "decode", trace_id)
             with span.stage("decode"):
@@ -289,9 +362,7 @@ class Communicator:
             # BaseException (fault injection's WorkerCrash) must not leave
             # open stages dangling on a span the recorder already shared.
             span.finish()
-            with self._ticket_lock:
-                self._awaiting.clear()
-                self._handling_threads.pop(me, None)
+            self._awaiting.clear()
             if not isinstance(exc, Exception):
                 # Worker-death path: the supervisor owns recovery, so the
                 # exception keeps propagating to take the worker down.
@@ -299,30 +370,23 @@ class Communicator:
             self.spans.error()
             self.close()
             return
-        with self._ticket_lock:
-            self._handling_threads.pop(me, None)
-            ticket.handling = False
-            if result is PENDING:
-                if not ticket.done:
-                    # The reply will arrive via complete_request later.
-                    return
-                # The completion raced ahead of the PENDING return:
-                # flush it now on this thread.
-            else:
-                ticket.done = True
-                ticket.result = result
+        finally:
+            self._hook_ticket = None
+        if result is PENDING:
+            return   # complete_request resolves it, as a later step
+        ticket.done = True
+        ticket.result = result
         span.stage_end()  # the handle stage is over: the reply exists
         self.flight.record("stage-exit", "handle", trace_id)
-        self._drain()
+        self._flush_replies()
 
     def current_ticket(self) -> Optional[Any]:
-        """The order ticket of the request this thread's handle hook is
-        processing.  A hook that goes asynchronous captures it and hands
-        it back to :meth:`complete_request`, pairing the reply with the
-        right request even when pipelined completions finish out of
-        order."""
-        with self._ticket_lock:
-            return self._handling_threads.get(threading.get_ident())
+        """The order ticket of the request whose handle hook is running
+        (None outside one).  A hook that goes asynchronous captures it
+        and hands it back to :meth:`complete_request`, pairing the reply
+        with the right request even when pipelined completions finish
+        out of order."""
+        return self._hook_ticket
 
     def complete_request(self, result: Any, ticket: Any = None) -> None:
         """Called by asynchronous services to deliver a pending reply.
@@ -331,48 +395,32 @@ class Communicator:
         its request; without one the oldest unresolved request is
         assumed — only safe for protocols whose services complete in
         request order.  Either way the reply is parked on its ticket
-        and flushed strictly in request order."""
-        with self._ticket_lock:
-            if ticket is None:
-                ticket = next(
-                    (t for t in self._awaiting if not t.done), None)
-            elif ticket not in self._awaiting or ticket.done:
-                # The connection errored out (queue cleared) or this is
-                # a duplicate completion: nothing to deliver.
-                ticket = None
-            if ticket is None:
-                return
-            ticket.done = True
-            ticket.result = result
-            if ticket.handling:
-                # Raced ahead of the PENDING return — the pipeline
-                # thread closes the handle stage and flushes.
-                return
+        and flushed strictly in request order, as a strand step."""
+        self._enter(partial(self._complete, result, ticket))
+
+    def _complete(self, result: Any, ticket: Optional[_Ticket]) -> None:
+        if ticket is None:
+            ticket = next((t for t in self._awaiting if not t.done), None)
+        elif ticket.done or ticket not in self._awaiting:
+            # The connection errored out (queue cleared) or this is
+            # a duplicate completion: nothing to deliver.
+            return
+        if ticket is None:
+            return
+        ticket.done = True
+        ticket.result = result
         ticket.span.stage_end()
         self.flight.record("stage-exit", "handle",
                            getattr(self.handle, "trace_id", 0))
-        self._drain()
+        self._flush_replies()
 
-    def _drain(self) -> None:
-        """Flush resolved replies from the head of the request queue.
-
-        Only the head may flush — a resolved reply behind an
-        unresolved one waits — and only one thread flushes at a time; a
-        completion that finds a flush in progress parks its reply and
-        leaves it for that thread's next loop iteration."""
-        while True:
-            with self._ticket_lock:
-                head = self._awaiting[0] if self._awaiting else None
-                if (head is None or not head.done or head.handling
-                        or self._draining):
-                    return
-                self._draining = True
-                self._awaiting.popleft()
-            try:
-                self._deliver(head, head.result)
-            finally:
-                with self._ticket_lock:
-                    self._draining = False
+    def _flush_replies(self) -> None:
+        """Deliver resolved replies from the head of the request queue;
+        a resolved reply behind an unresolved one waits for it."""
+        awaiting = self._awaiting
+        while awaiting and awaiting[0].done:
+            head = awaiting.popleft()
+            self._deliver(head, head.result)
 
     def _deliver(self, ticket: Any, result: Any) -> None:
         trace_id = getattr(self.handle, "trace_id", 0)
@@ -397,7 +445,7 @@ class Communicator:
         span.finish()
         self.requests_completed += 1
         self.spans.request_handled()
-        self.send_bytes(data)
+        self._write(data)
 
     # -- output ---------------------------------------------------------------
     def send_bytes(self, data, close_after: bool = False) -> None:
@@ -407,32 +455,47 @@ class Communicator:
         ``data`` is one bytes-like or a list/tuple of segments (a
         response head plus a ``memoryview`` of its cached body), which
         go to the socket in order without being joined.  Empty ``data``
-        just flushes.
+        just flushes.  Off the strand's owner the write is a step.
         """
+        if self._strand.held():
+            self._write(data, close_after)
+        else:
+            self._enter(partial(self._write, data, close_after))
+
+    def _write(self, data, close_after: bool = False,
+               rearm: bool = False) -> None:
         if self.closed:
             return
         if close_after:
             self.close_after_flush = True
+        handle = self.handle
+        queued = bool(handle.out_buffer)
         t0 = self.clock()
         if not data:
-            sent = self.handle.try_send()
+            sent = handle.try_send()
         elif isinstance(data, (list, tuple)):
-            sent = self.handle.write(data)
+            sent = handle.write(data)
         else:
-            sent = self.handle.write((data,))
+            sent = handle.write((data,))
         if sent:
             now = self.clock()
+            handle.last_activity = now
             self.spans.bytes_sent(sent, now - t0)
-            self.handle.last_activity = now
-        if self.handle.closed:
+        if handle.closed:
             self.close()
             return
         self._stamp_write(sent)
-        if sent and not self.handle.out_buffer:
-            self.flight.record("write-complete", self.handle.name,
-                               getattr(self.handle, "trace_id", 0))
-        self._sync_interest()
-        if self.close_after_flush and not self.handle.out_buffer:
+        left = bool(handle.out_buffer)
+        if sent and not left:
+            self.flight.record("write-complete", handle.name,
+                               getattr(handle, "trace_id", 0))
+        # Re-sync write interest only when it flips (a tail was left, or
+        # a queued tail drained).  A flush that leaves output re-syncs
+        # too: under epoll that re-arms the edge, which a fault-capped
+        # send (no kernel push-back) would never get.
+        if left != queued or (rearm and left):
+            self._sync_interest()
+        if self.close_after_flush and not left:
             self.close()
 
     def _stamp_write(self, sent: int) -> None:
@@ -452,22 +515,34 @@ class Communicator:
     def oldest_pending_started(self) -> Optional[float]:
         """Start time of the oldest in-flight request, or None when the
         pipeline is idle (read by a DeadlineMonitor)."""
-        with self._ticket_lock:
-            return self._awaiting[0].started if self._awaiting else None
+        try:
+            return self._awaiting[0].started
+        except IndexError:
+            return None
 
     def busy(self) -> bool:
         """True while work is still owed: an in-flight request or
         unflushed reply bytes (read by the graceful-drain loop)."""
-        with self._ticket_lock:
-            if self._awaiting:
-                return True
-        return bool(self.handle.out_buffer) and not self.closed
+        return bool(self._awaiting) or (
+            bool(self.handle.out_buffer) and not self.closed)
 
     # -- teardown ----------------------------------------------------------
     def close(self) -> None:
+        """Close now on the strand's owner.  From any other thread the
+        socket is shut down at once — the peer, and an owner blocked in
+        a hook, see the close immediately — and the teardown posted."""
         if self.closed:
             return
         self.closed = True
+        if self._strand.held():
+            self._teardown()
+        elif self._strand.post(self._teardown):
+            self.handle.shutdown()
+
+    def _teardown(self) -> None:
+        if self._torn_down:   # two closing threads posted it
+            return
+        self._torn_down = True
         try:
             self.hooks.on_close(self)
         finally:

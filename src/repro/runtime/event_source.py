@@ -109,6 +109,9 @@ class SocketEventSource(EventSource):
     A self-pipe (socketpair) lets other threads interrupt a blocking
     poll — needed when an Event Processor thread queues output bytes on
     a connection and the dispatcher must start watching writability.
+    Only the level-triggered backend needs it for that: its poll(2)
+    waits on a snapshot of the fd set, while ``epoll_ctl`` reaches a
+    waiting ``epoll_wait`` directly.
 
     The source also owns the shared *read* :class:`BufferPool`: every
     registered ``SocketHandle`` gets the pool attached so
@@ -187,27 +190,30 @@ class SocketEventSource(EventSource):
             release()
 
     def update_interest(self, handle: SocketHandle) -> None:
-        """Re-arm write interest to match the handle's buffered output.
+        """Re-arm write interest to match the handle's buffered output,
+        waking the dispatcher under the level-triggered backend only.
 
         Under epoll this is also the edge re-arm: modifying interest on
         a still-ready fd re-delivers the event, so a reader that had to
         stop mid-drain gets called again."""
         self._apply_mask(handle)
+        if not self.edge_triggered:
+            self.wakeup()
 
     def pause(self, handle: SocketHandle) -> None:
         """One-shot semantics: stop watching readability until resumed.
 
         Called by the dispatcher when it hands a ReadableEvent to the
-        Event Processor, so (a) readiness does not storm duplicate
-        events while the processor catches up and (b) two processor
-        threads never run the same connection concurrently.
+        Event Processor, so readiness does not storm duplicate events
+        while the event waits in the queue.  (That two threads never
+        run one connection is the connection strand's job, not this.)
         """
         with self._lock:
             self._paused.add(id(handle))
         self._apply_mask(handle)
 
     def resume(self, handle: SocketHandle) -> None:
-        """Re-arm readability after the processor finished the event."""
+        """Re-arm readability once the connection has read."""
         with self._lock:
             self._paused.discard(id(handle))
         if handle.closed:

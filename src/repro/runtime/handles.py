@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import os
 import socket
-import threading
 import weakref
 from collections import deque
 from itertools import islice
@@ -63,7 +62,7 @@ class SocketHandle(Handle):
         self.sock = sock
         sock.setblocking(False)
         #: reply segments the kernel has not taken yet (mutated only
-        #: here, under ``_send_lock``)
+        #: here, by the thread that owns the connection)
         self.out_buffer = OutBuffer()
         #: monotonic timestamp of the last I/O (idle reaping, option O7)
         self.last_activity = 0.0
@@ -75,23 +74,12 @@ class SocketHandle(Handle):
         # never meet a selector.
         fileno = getattr(sock, "fileno", None)
         self._fd = fileno() if fileno is not None else -1
-        # Serialises writers and flushers: without it two completion
-        # threads could both find out_buffer empty and race their
-        # replies onto the wire out of order, or a writer and the
-        # dispatcher answering a WritableEvent could send the same
-        # queued bytes twice.
-        self._send_lock = threading.Lock()
         #: read :class:`~repro.runtime.buffers.BufferPool` — attached by
         #: the event source at registration; None reads into a private
         #: buffer instead (handles never registered anywhere)
         self.read_pool = None
         self._read_owner = None     # PooledBuffer checked out of read_pool
         self._read_buf: Optional[bytearray] = None
-        # Guards the recv buffer against the close path releasing it to
-        # the pool mid-read (which would let a new owner scribble over
-        # bytes still being parsed).  Reentrant: recv_into_buffer holds
-        # it across try_recv plus the copy-out.
-        self._read_lock = threading.RLock()
 
     def fileno(self) -> int:
         # Cached at creation: a fault-closed socket reports -1, and the
@@ -107,50 +95,35 @@ class SocketHandle(Handle):
         ``recv_into`` a pooled buffer replaces the old fresh-``bytes``
         per call: one buffer per live connection, checked out of the
         event source's read pool on first use and returned at close.
+        Reads and that close are steps of the same connection, run by
+        one thread at a time, so the buffer cannot change hands between
+        a read and the caller's copy.
         """
-        with self._read_lock:
-            buf = self._read_buf
-            if buf is None:
-                if self.read_pool is not None:
-                    self._read_owner = self.read_pool.acquire(max_bytes)
-                    buf = self._read_owner.data
-                else:
-                    # Full-sized even when this read is capped (fault
-                    # injection passes tiny max_bytes): the buffer is
-                    # attached for the connection's lifetime.
-                    buf = bytearray(max(max_bytes, 65536))
-                self._read_buf = buf
-            limit = min(max_bytes, len(buf))
-            try:
-                n = self.sock.recv_into(memoryview(buf)[:limit])
-            except BlockingIOError:
-                return None
-            except (ConnectionResetError, BrokenPipeError):
-                return b""
-            return memoryview(buf)[:n]
-
-    def recv_into_buffer(self, sink, max_bytes: int = 65536) -> Optional[int]:
-        """:meth:`try_recv` plus copy-out into ``sink`` under the read
-        lock, so a concurrent close cannot release the pooled buffer to
-        a new owner between the recv and the copy.  Returns the byte
-        count, 0 on EOF, None when the socket would block.  Dispatches
-        through ``try_recv`` so fault-injecting subclasses stay in the
-        loop."""
-        with self._read_lock:
-            chunk = self.try_recv(max_bytes)
-            if chunk is None:
-                return None
-            n = len(chunk)
-            if n:
-                sink.extend(chunk)
-            return n
+        buf = self._read_buf
+        if buf is None:
+            if self.read_pool is not None:
+                self._read_owner = self.read_pool.acquire(max_bytes)
+                buf = self._read_owner.data
+            else:
+                # Full-sized even when this read is capped (fault
+                # injection passes tiny max_bytes): the buffer is
+                # attached for the connection's lifetime.
+                buf = bytearray(max(max_bytes, 65536))
+            self._read_buf = buf
+        limit = min(max_bytes, len(buf))
+        try:
+            n = self.sock.recv_into(memoryview(buf)[:limit])
+        except BlockingIOError:
+            return None
+        except (ConnectionResetError, BrokenPipeError):
+            return b""
+        return memoryview(buf)[:n]
 
     def release_read_buffer(self) -> None:
         """Return the pooled read buffer (idempotent; called at close
         and on event-source deregistration)."""
-        with self._read_lock:
-            owner, self._read_owner = self._read_owner, None
-            self._read_buf = None
+        owner, self._read_owner = self._read_owner, None
+        self._read_buf = None
         if owner is not None:
             owner.release()
 
@@ -161,29 +134,28 @@ class SocketHandle(Handle):
 
         On an empty buffer this is one optimistic :meth:`_send` straight
         from the caller's segments — a cached body goes to the kernel
-        without a copy — and only the unsent tail is queued.  The
-        emptiness check, the send and the enqueue share the send lock,
-        so replies written by two threads never interleave or reorder.
-        A closed handle sends nothing.
+        without a copy — and only the unsent tail is queued.  Only the
+        thread that owns the connection writes (see
+        :class:`~repro.runtime.communicator.Communicator`), so the
+        emptiness check, the send and the enqueue need no lock to keep
+        replies whole and in order.  A closed handle sends nothing.
         """
-        with self._send_lock:
-            if self._closed:
-                return 0
-            out = self.out_buffer
-            if out:
-                out.append(segments)
-                return self._drain()
-            sent = self._send(segments[:MAX_IOV])
-            if not self._closed:
-                out.append(segments, skip=sent)
-            return sent
+        if self._closed:
+            return 0
+        out = self.out_buffer
+        if out:
+            out.append(segments)
+            return self._drain()
+        sent = self._send(segments[:MAX_IOV])
+        if not self._closed:
+            out.append(segments, skip=sent)
+        return sent
 
     def try_send(self) -> int:
         """Flush as much queued output as the kernel accepts; returns
         bytes sent.  Raises nothing: reset peers count as flushed-zero
         with the handle closed."""
-        with self._send_lock:
-            return self._drain()
+        return self._drain()
 
     def _drain(self) -> int:
         out = self.out_buffer
@@ -246,6 +218,16 @@ class SocketHandle(Handle):
     def wants_write(self) -> bool:
         return bool(self.out_buffer) and not self._closed
 
+    def shutdown(self) -> None:
+        """Shut both directions of the socket down now, from any thread:
+        the peer sees EOF at once and further sends fail.  The fd stays
+        open until :meth:`close`, so its number cannot be reused under a
+        connection still being torn down."""
+        try:
+            self.sock.shutdown(socket.SHUT_RDWR)
+        except OSError:
+            pass
+
     def close(self) -> None:
         if not self._closed:
             try:
@@ -263,8 +245,7 @@ class OutBuffer:
     :class:`FileHandle` range.  A cached file body is referenced, never
     copied: the range keeps its fd open even past cache eviction.  A
     partial send advances past the sent prefix by slicing the front
-    segment.  Only the owning :class:`SocketHandle` mutates it, under
-    its send lock.
+    segment.  Only the owning :class:`SocketHandle` mutates it.
     """
 
     __slots__ = ("_segments", "_length")

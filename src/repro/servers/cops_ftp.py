@@ -160,9 +160,6 @@ class CopsFtpHooks(ServerHooks):
         if isinstance(result, (bytes, bytearray)):
             return bytes(result)
         if result.close:
-            # Flagged here, as the closing reply is queued: flagged in
-            # handle, a transfer thread still flushing the previous 226
-            # would see the flag and close before the 221 went out.
             conn.close_after_flush = True
         return result.wire
 

@@ -8,7 +8,9 @@ bodies, fd caching, ticket-ordered completions, 404s that must not
 trip the disk breaker).
 """
 
+import os
 import socket
+import tempfile
 
 import pytest
 
@@ -19,6 +21,7 @@ from repro.conform.checker import (
     check_session,
     corner_matrix,
     replay_session,
+    run_corner,
 )
 from repro.conform.model import ModelVFS, parse_one_response
 from repro.conform.sessions import (
@@ -304,3 +307,28 @@ def test_stale_fd_registration_is_replaced_not_fatal():
         src.close()
         a.close()
         b.close()
+
+
+# ---------------------------------------------------------------------------
+# a sweep leaves no work directory behind
+
+
+def test_a_corner_run_removes_its_own_work_directory(tmp_path, monkeypatch):
+    scratch = tmp_path / "tmp"
+    scratch.mkdir()
+    monkeypatch.setenv("TMPDIR", str(scratch))
+    monkeypatch.setattr(tempfile, "tempdir", None)  # re-read TMPDIR
+    corner = next(c for c in corner_matrix("smoke") if c.name == "base")
+    session = Session(name="one", steps=[Step("send", request_bytes(
+        "GET", "/index.html", close=True))])
+    result = run_corner(corner, [session], concurrency=1)
+    assert result.clean, [d.ident for d in result.divergences]
+    assert os.listdir(scratch) == []
+
+
+def test_a_corner_run_keeps_a_callers_work_directory(tmp_path):
+    corner = next(c for c in corner_matrix("smoke") if c.name == "base")
+    session = Session(name="one", steps=[Step("send", request_bytes(
+        "GET", "/index.html", close=True))])
+    run_corner(corner, [session], workdir=str(tmp_path), concurrency=1)
+    assert os.path.isdir(tmp_path / "docroot")

@@ -1,12 +1,17 @@
 """The write-path ownership lint: only ``runtime/handles.py`` may
 mutate a handle's ``out_buffer`` or call a send primitive
 (``sendmsg``, ``os.sendfile``); everything else writes through
-``write`` / ``try_send``."""
+``write`` / ``try_send``, and only the connection's owner
+(``runtime/communicator.py``) calls those on a handle."""
 
 import ast
+import os
 import textwrap
 
 from repro.lint.ownership import (
+    HANDLE_WRITERS,
+    handle_write_findings,
+    handle_writes,
     out_buffer_findings,
     out_buffer_mutations,
     ownership_findings,
@@ -77,3 +82,36 @@ def test_a_send_outside_the_owner_fails_the_gate(tmp_path):
 
 def test_shipped_tree_sends_only_from_the_handles_module():
     assert send_findings() == []
+
+
+def test_every_handle_write_shape_is_flagged():
+    hits = handle_writes(ast.parse(textwrap.dedent("""
+        handle.write([head, body])
+        conn.handle.try_send()
+        self.handle.write((payload,))
+        conn.send_bytes(payload)
+        sink.write(line)
+        handle.close()
+    """)))
+    assert [line for line, _target in hits] == [2, 3, 4]
+
+
+def test_a_handle_write_outside_the_connection_owner_fails_the_gate(tmp_path):
+    (tmp_path / "transfer.py").write_text(
+        "def transfer_done(conn, reply):\n"
+        "    conn.handle.write((reply,))\n"
+        "def reject_handle(handle, payload):\n"
+        "    handle.write((payload,))\n")
+    findings = handle_write_findings([str(tmp_path)])
+    # reject_handle is allowed only in the degradation module
+    assert [f.location.rsplit("/", 1)[1] for f in findings] == [
+        "transfer.py:2", "transfer.py:4"]
+    assert "conn.handle.write" in findings[0].message
+    assert ownership_findings([str(tmp_path)]) == findings
+
+
+def test_the_canned_reject_is_the_one_allowed_handle_write():
+    assert HANDLE_WRITERS == {
+        os.path.join("repro", "runtime", "degradation.py"):
+            ("reject_handle",)}
+    assert handle_write_findings() == []

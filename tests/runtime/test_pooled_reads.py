@@ -5,8 +5,8 @@ it now reads into one pooled buffer per live connection.  These tests
 pin the reasons that is safe:
 
 * the returned ``memoryview`` aliases the pooled buffer — no copy on
-  the hot path — and ``recv_into_buffer`` copies out under the read
-  lock, so reassembly survives adversarial peer chunking;
+  the hot path — and a copy-out after every read keeps reassembly
+  exact under adversarial peer chunking;
 * the pool's hit/miss accounting surfaces as the O11 gauge
   ``server_read_pool_hit_rate``;
 * a fault-closed fd still leaves the poller's registration set (the
@@ -90,8 +90,8 @@ def test_release_returns_buffer_to_pool_and_is_idempotent():
                 max_size=30))
 def test_reassembly_survives_adversarial_chunking(payload, cut_sizes):
     """Aliasing/no-corruption property: the peer dribbles the payload
-    in arbitrary short writes; reading through ``recv_into_buffer``
-    (which reuses ONE buffer for every chunk) must still reassemble the
+    in arbitrary short writes; reading through ``try_recv`` (which
+    reuses ONE buffer for every chunk) and copying out must reassemble the
     exact byte sequence — copy-out has to happen before the next recv
     scribbles over the shared buffer."""
     a, b = _pair()
@@ -108,9 +108,10 @@ def test_reassembly_survives_adversarial_chunking(payload, cut_sizes):
             sent += step
             # tiny max_bytes forces many partial reads over one buffer
             while True:
-                n = handle.recv_into_buffer(sink, max_bytes=7)
-                if not n:
+                chunk = handle.try_recv(max_bytes=7)
+                if not chunk:
                     break
+                sink += chunk
         assert bytes(sink) == payload
     finally:
         handle.close()
