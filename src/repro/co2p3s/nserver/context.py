@@ -294,15 +294,6 @@ def build_context(o: OptionSet) -> Dict[str, Any]:
         sched, 'event.priority = getattr(event.handle, "write_priority", 0)')
     ctx["submit_call"] = ("self.processor.submit_scheduled(event)" if sched
                           else "self.processor.submit(event)")
-    # A pool build pauses READ while a readable event waits in the queue;
-    # the connection's read step resumes it.  Without a pool nothing
-    # paused it: the re-sync re-arms an edge-triggered poller.
-    ctx["resume_read_call"] = (
-        "self.socket_source.resume(handle)" if pool
-        else "self.socket_source.update_interest(handle)")
-    ctx["schedule_strand_call"] = (
-        "self.submit_writable(rt.WritableEvent(handle=handle))" if pool
-        else "self.source.post(rt.WritableEvent(handle=handle))")
 
     ctx["start_processor"] = on(pool, "self.processor.start()")
     ctx["start_controller"] = on(pool and dynamic,
@@ -315,10 +306,6 @@ def build_context(o: OptionSet) -> Dict[str, Any]:
     ctx["stop_controller"] = on(pool and dynamic,
                                 "self.processor_controller.stop()")
     ctx["stop_processor"] = on(pool, "self.processor.stop()")
-    # Without a pool, the teardowns close_all posted wait on the
-    # stopped dispatcher's queue: run them on this thread.
-    ctx["run_posted_teardowns"] = on(
-        not pool, "self.dispatcher.poll_once(0.0)")
     ctx["stop_file_io"] = on(async_io, "self.file_io.stop()")
     ctx["final_obs_sample"] = on(
         profiling, "self.observability.sample()")

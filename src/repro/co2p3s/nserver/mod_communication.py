@@ -73,8 +73,8 @@ MODULE_COMMUNICATION = ModuleSpec(
                             use_codec=$use_codec,
                             on_teardown=reactor.teardown_communicator,
                             update_interest=reactor.socket_source.update_interest,
-                            resume_read=reactor.resume_read,
-                            schedule=reactor.schedule_strand,
+                            resume_read=reactor.socket_source.resume,
+                            schedule=reactor.source.post,
                             $communicator_spans_arg
                         )
                     ''',

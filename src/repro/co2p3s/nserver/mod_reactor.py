@@ -138,16 +138,8 @@ MODULE_REACTOR = ModuleSpec(
                         self.container.add(conn)
                         self.socket_source.register(conn.handle)
                         $deadline_watch
-
-                    def resume_read(self, handle):
-                        $resume_read_call
-
-                    def schedule_strand(self, handle):
-                        # Steps posted to a connection's strand run under a
-                        # Send Reply event: it drains them, then flushes.
-                        $schedule_strand_call
                     ''',
-                    options=("O2", "O13"),
+                    options=("O13",),
                 ),
                 Fragment(
                     '''
@@ -166,7 +158,7 @@ MODULE_REACTOR = ModuleSpec(
                     def submit_readable(self, event):
                         # One-shot read interest: readiness does not
                         # re-post while the event waits; the connection's
-                        # read step resumes it (resume_read).
+                        # read step resumes it.
                         self.socket_source.pause(event.handle)
                         $stamp_readable_priority
                         $submit_call
@@ -270,7 +262,6 @@ MODULE_REACTOR = ModuleSpec(
                         self.dispatcher.stop()
                         self.server_component.close()
                         self.container.close_all()
-                        $run_posted_teardowns
                         $stop_resilience
                         $stop_controller
                         $stop_processor

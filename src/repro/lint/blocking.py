@@ -71,9 +71,7 @@ BLOCKING_BUILTIN_CALLS: Set[str] = {"open", "input"}
 DEFAULT_ROOT_NAMES: Set[str] = {
     "on_readable",
     "on_writable",
-    # the steps those two hand to the connection's strand (passed, not
-    # called, so no call edge reaches them)
-    "_read_request",
+    "_read_request",   # the strand steps those two pass, not call
     "_send_reply",
     "route_readable",
     "route_writable",

@@ -3,7 +3,7 @@
 
 A connection's unsent reply segments are ordered, and
 ``SocketHandle.write`` keeps them so by checking, sending and queuing
-under one lock.  A write that reaches around it — ``out_buffer +=``,
+in one call.  A write that reaches around it — ``out_buffer +=``,
 ``out_buffer.append(...)``, ``del out_buffer[:n]`` — can reorder
 pipelined replies or send bytes twice, so everything else goes through
 ``write`` / ``try_send``.
@@ -15,14 +15,14 @@ called through ``.out_buffer.``.  Reads (``len``, truth tests) pass.
 
 The same module owns the one send primitive, ``SocketHandle._send``:
 ``sendmsg`` for memory segments and ``os.sendfile`` for file ranges.
-A send anywhere else skips the fault plane and the connection's owner,
-so any call of a ``sendmsg`` or ``sendfile`` attribute outside the
-owner is flagged too.
+A send anywhere else skips the fault plane and the out-buffer, so any
+call of a ``sendmsg`` or ``sendfile`` attribute outside the owner is
+flagged too.
 
 A connection has one owner at a time, the thread running its strand,
 so outside ``runtime/communicator.py`` and the handle module any
 ``write`` / ``try_send`` call on a name or attribute called ``handle``
-is flagged too, except in :data:`HANDLE_WRITERS`.
+is flagged too, except in :data:`HANDLE_WRITER`.
 """
 
 from __future__ import annotations
@@ -48,11 +48,9 @@ SEND_PRIMITIVES = ("sendmsg", "sendfile")
 CONNECTION_OWNERS = (OWNER, os.path.join("repro", "runtime",
                                          "communicator.py"))
 
-#: module -> functions allowed a direct handle write: the O17 canned
-#: reject runs on the acceptor thread before any Communicator exists
-HANDLE_WRITERS = {
-    os.path.join("repro", "runtime", "degradation.py"): ("reject_handle",),
-}
+#: the one function elsewhere allowed a direct handle write: the O17
+#: canned reject runs on the acceptor thread before any Communicator
+HANDLE_WRITER = "reject_handle"
 
 
 def _is_out_buffer(node: ast.AST) -> bool:
@@ -83,40 +81,37 @@ def out_buffer_mutations(tree: ast.AST) -> List[Tuple[int, str]]:
     return sorted(hits)
 
 
+def _calls(tree: ast.AST, methods: Sequence[str]) -> List[Tuple[int, str]]:
+    return sorted(
+        (node.lineno, ast.unparse(node.func)) for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr in methods)
+
+
 def send_calls(tree: ast.AST) -> List[Tuple[int, str]]:
     """(lineno, source) for every ``sendmsg`` / ``sendfile`` call in
     ``tree``, whatever it is called on."""
-    return sorted(
-        (node.lineno, ast.unparse(node.func)) for node in ast.walk(tree)
-        if isinstance(node, ast.Call)
-        and isinstance(node.func, ast.Attribute)
-        and node.func.attr in SEND_PRIMITIVES)
+    return _calls(tree, SEND_PRIMITIVES)
 
 
-def handle_writes(tree: ast.AST, allowed: Sequence[str] = ()
-                  ) -> List[Tuple[int, str]]:
+def handle_writes(tree: ast.AST) -> List[Tuple[int, str]]:
     """(lineno, source) for every ``write`` / ``try_send`` call on a
-    name or attribute called ``handle`` in ``tree``, outside the
-    functions named in ``allowed``."""
-    skip = [range(node.lineno, node.end_lineno + 1)
-            for node in ast.walk(tree)
-            if isinstance(node, ast.FunctionDef) and node.name in allowed]
-    return sorted(
-        (node.lineno, ast.unparse(node.func)) for node in ast.walk(tree)
-        if isinstance(node, ast.Call)
-        and isinstance(node.func, ast.Attribute)
-        and node.func.attr in ("write", "try_send")
-        and getattr(node.func.value, "id",
-                    getattr(node.func.value, "attr", None)) == "handle"
-        and not any(node.lineno in lines for lines in skip))
+    name or attribute called ``handle`` in ``tree``, outside
+    :data:`HANDLE_WRITER`."""
+    allowed = {line for node in ast.walk(tree)
+               if isinstance(node, ast.FunctionDef)
+               and node.name == HANDLE_WRITER
+               for line in range(node.lineno, node.end_lineno + 1)}
+    return [(line, call) for line, call in _calls(tree, ("write", "try_send"))
+            if call.split(".")[-2] == "handle" and line not in allowed]
 
 
 def _findings(paths: Optional[Sequence[str]], rule: Callable,
               message: str, owners: Sequence[str] = (OWNER,)
               ) -> List[Finding]:
-    """``rule(tree, rel)``'s hits in ``paths`` (default: the shipped
-    tree) outside ``owners``; ``message`` is formatted with the hit's
-    source."""
+    """``rule``'s hits in ``paths`` (default: the shipped tree) outside
+    ``owners``; ``message`` is formatted with the hit's source."""
     findings: List[Finding] = []
     root = _default_paths()[0]
     for filename in _python_files(paths or _default_paths()):
@@ -128,7 +123,7 @@ def _findings(paths: Optional[Sequence[str]], rule: Callable,
                 tree = ast.parse(fh.read(), filename=filename)
         except (OSError, SyntaxError):
             continue
-        for lineno, target in rule(tree, rel):
+        for lineno, target in rule(tree):
             findings.append(Finding(
                 kind="ownership",
                 ident=f"ownership:{rel}:{target}",
@@ -141,28 +136,25 @@ def _findings(paths: Optional[Sequence[str]], rule: Callable,
 def out_buffer_findings(paths: Optional[Sequence[str]] = None
                         ) -> List[Finding]:
     """Out-buffer mutations outside :data:`OWNER`."""
-    return _findings(paths, lambda tree, rel: out_buffer_mutations(tree),
+    return _findings(paths, out_buffer_mutations,
                      "{target} mutates a handle's out-buffer outside "
                      f"{OWNER} — go through write()/try_send()")
 
 
 def send_findings(paths: Optional[Sequence[str]] = None) -> List[Finding]:
     """Send-primitive calls outside :data:`OWNER`."""
-    return _findings(paths, lambda tree, rel: send_calls(tree),
+    return _findings(paths, send_calls,
                      "{target}() sends outside " + OWNER
                      + " — go through write()/try_send()")
 
 
 def handle_write_findings(paths: Optional[Sequence[str]] = None
                           ) -> List[Finding]:
-    """Handle writes outside :data:`CONNECTION_OWNERS` and
-    :data:`HANDLE_WRITERS`."""
-    return _findings(
-        paths,
-        lambda tree, rel: handle_writes(tree, HANDLE_WRITERS.get(rel, ())),
-        "{target}() writes to a connection outside its owner — post "
-        "through Communicator.send_bytes()/complete_request()",
-        owners=CONNECTION_OWNERS)
+    """Handle writes outside :data:`CONNECTION_OWNERS`."""
+    return _findings(paths, handle_writes,
+                     "{target}() writes to a connection outside its owner"
+                     " — go through Communicator.send_bytes()",
+                     owners=CONNECTION_OWNERS)
 
 
 def ownership_findings(paths: Optional[Sequence[str]] = None

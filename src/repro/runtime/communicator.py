@@ -25,9 +25,8 @@ from collections import deque
 from functools import partial
 from typing import Any, Callable, Optional, Tuple
 
-from repro.lint.locks import make_lock
 from repro.obs.flight import GLOBAL as GLOBAL_FLIGHT
-from repro.runtime.events import Event, in_completion
+from repro.runtime.events import Event, WritableEvent
 from repro.runtime.handles import SocketHandle
 from repro.runtime.nulls import NULL_SPANS
 
@@ -62,16 +61,16 @@ class _Ticket:
 class _Strand:
     """One connection's steps, run by one thread at a time: a FIFO of
     steps and the thread that owns it (None while idle), under one
-    lock.  Event threads use :meth:`run`, every other thread
-    :meth:`post`."""
+    lock.  Any thread may :meth:`run` a step: it claims the idle
+    strand and drains it, or leaves the step to the owner."""
 
-    __slots__ = ("_lock", "_steps", "_owner", "_submit")
+    __slots__ = ("_lock", "_steps", "_owner", "_resubmit")
 
-    def __init__(self, submit: Optional[Callable[[], None]] = None):
-        self._lock = make_lock("Strand")
+    def __init__(self, resubmit: Optional[Callable[[], None]] = None):
+        self._lock = threading.Lock()
         self._steps: deque = deque()
         self._owner: Optional[int] = None
-        self._submit = submit
+        self._resubmit = resubmit
 
     def held(self) -> bool:
         """True on the thread that owns the strand."""
@@ -80,35 +79,15 @@ class _Strand:
     def run(self, step: Callable[[], None]) -> None:
         """Claim the idle strand and drain it, or leave ``step`` to the
         owner — not twice in a row: one read or flush does what two
-        would."""
+        would.  A step that raises — even a worker-killing
+        BaseException — releases the strand and hands what is still
+        queued to ``resubmit`` (a fresh event drains it)."""
         with self._lock:
             if not self._steps or self._steps[-1] != step:
                 self._steps.append(step)
             if self._owner is not None:
                 return
             self._owner = threading.get_ident()
-        self._drain()
-
-    def post(self, step: Callable[[], None]) -> bool:
-        """Queue ``step``; if the strand is idle, ``submit`` one event
-        that drains it on an event thread.  With no ``submit`` (outside
-        a reactor) drain it here instead, and return False."""
-        with self._lock:
-            self._steps.append(step)
-            if self._owner is not None:
-                return True
-            if self._submit is None:
-                self._owner = threading.get_ident()
-        if self._submit is None:
-            self._drain()
-            return False
-        self._submit()
-        return True
-
-    def _drain(self) -> None:
-        """Run steps until none is left.  A step that raises — even a
-        worker-killing BaseException — releases the strand and submits
-        a fresh drain for what is still queued."""
         try:
             while True:
                 with self._lock:
@@ -121,8 +100,8 @@ class _Strand:
             with self._lock:
                 self._owner = None
                 left = bool(self._steps)
-            if left and self._submit is not None:
-                self._submit()
+            if left and self._resubmit is not None:
+                self._resubmit()
             raise
 
 
@@ -185,10 +164,9 @@ class Communicator:
 
     One thread at a time runs a connection: every step (a read, a
     flush, a completion, the teardown) runs on its strand, so its state
-    needs no lock.  An event thread (a pool worker handling a readiness
-    event or a completion) claims the idle strand or leaves its step to
-    the owner; any other thread posts, and ``schedule`` submits an
-    event that drains the strand.
+    needs no lock.  Whichever thread brings a step claims the idle
+    strand or leaves the step to the owner; ``schedule`` submits an
+    event that drains what a failed step left queued.
     """
 
     def __init__(
@@ -200,7 +178,7 @@ class Communicator:
         on_teardown: Optional[Callable[["Communicator"], None]] = None,
         update_interest: Optional[Callable[[SocketHandle], None]] = None,
         resume_read: Optional[Callable[[SocketHandle], None]] = None,
-        schedule: Optional[Callable[[SocketHandle], None]] = None,
+        schedule: Optional[Callable[[Event], None]] = None,
         spans=NULL_SPANS,
         clock=time.monotonic,
         flight=None,
@@ -214,14 +192,14 @@ class Communicator:
         self.on_teardown = on_teardown
         self.update_interest = update_interest
         #: re-arms read interest after a read (resumes a one-shot pause)
-        self.resume_read = resume_read or update_interest
+        self.resume_read = resume_read
         #: the O11 span recorder (request spans, socket-stage timings
         #: and the per-connection counters); the null recorder otherwise
         self.spans = spans
         self.clock = clock
         self.in_buffer = bytearray()
-        self._strand = _Strand(
-            partial(schedule, handle) if schedule is not None else None)
+        self._strand = _Strand(schedule and (
+            lambda: schedule(WritableEvent(handle=handle))))
         self._awaiting: deque = deque()   # tickets in request order
         self._hook_ticket: Optional[_Ticket] = None   # its hook is running
         self._torn_down = False
@@ -249,8 +227,8 @@ class Communicator:
         self._strand.run(self._read_request)
 
     def on_writable(self, event: Event = None) -> None:
-        """Send Reply step, on the strand.  It is also the event
-        ``schedule`` submits: posted steps run before it flushes."""
+        """Send Reply step, on the strand (also the event ``schedule``
+        submits: queued steps run before it flushes)."""
         self._strand.run(self._send_reply)
 
     def _read_request(self) -> None:
@@ -298,14 +276,6 @@ class Communicator:
         """Flush buffered output, if any."""
         if self.handle.out_buffer:
             self._write(b"", rearm=True)
-
-    def _enter(self, step: Callable[[], None]) -> None:
-        """Run ``step`` on the strand from an event thread handling a
-        completion (or the owner); post it from any other thread."""
-        if in_completion() or self._strand.held():
-            self._strand.run(step)
-        else:
-            self._strand.post(step)
 
     # -- pipeline -----------------------------------------------------------
     def _pump_requests(self) -> None:
@@ -396,16 +366,14 @@ class Communicator:
         assumed — only safe for protocols whose services complete in
         request order.  Either way the reply is parked on its ticket
         and flushed strictly in request order, as a strand step."""
-        self._enter(partial(self._complete, result, ticket))
+        self._strand.run(partial(self._complete, result, ticket))
 
     def _complete(self, result: Any, ticket: Optional[_Ticket]) -> None:
         if ticket is None:
             ticket = next((t for t in self._awaiting if not t.done), None)
-        elif ticket.done or ticket not in self._awaiting:
+        if ticket is None or ticket.done or ticket not in self._awaiting:
             # The connection errored out (queue cleared) or this is
             # a duplicate completion: nothing to deliver.
-            return
-        if ticket is None:
             return
         ticket.done = True
         ticket.result = result
@@ -460,7 +428,7 @@ class Communicator:
         if self._strand.held():
             self._write(data, close_after)
         else:
-            self._enter(partial(self._write, data, close_after))
+            self._strand.run(partial(self._write, data, close_after))
 
     def _write(self, data, close_after: bool = False,
                rearm: bool = False) -> None:
@@ -468,27 +436,26 @@ class Communicator:
             return
         if close_after:
             self.close_after_flush = True
-        handle = self.handle
-        queued = bool(handle.out_buffer)
+        queued = bool(self.handle.out_buffer)
         t0 = self.clock()
         if not data:
-            sent = handle.try_send()
+            sent = self.handle.try_send()
         elif isinstance(data, (list, tuple)):
-            sent = handle.write(data)
+            sent = self.handle.write(data)
         else:
-            sent = handle.write((data,))
+            sent = self.handle.write((data,))
         if sent:
             now = self.clock()
-            handle.last_activity = now
             self.spans.bytes_sent(sent, now - t0)
-        if handle.closed:
+            self.handle.last_activity = now
+        if self.handle.closed:
             self.close()
             return
         self._stamp_write(sent)
-        left = bool(handle.out_buffer)
+        left = bool(self.handle.out_buffer)
         if sent and not left:
-            self.flight.record("write-complete", handle.name,
-                               getattr(handle, "trace_id", 0))
+            self.flight.record("write-complete", self.handle.name,
+                               getattr(self.handle, "trace_id", 0))
         # Re-sync write interest only when it flips (a tail was left, or
         # a queued tail drained).  A flush that leaves output re-syncs
         # too: under epoll that re-arms the edge, which a fault-capped
@@ -528,19 +495,18 @@ class Communicator:
 
     # -- teardown ----------------------------------------------------------
     def close(self) -> None:
-        """Close now on the strand's owner.  From any other thread the
-        socket is shut down at once — the peer, and an owner blocked in
-        a hook, see the close immediately — and the teardown posted."""
+        """Tear the connection down as a strand step.  Off the owner the
+        socket is shut down first: the peer, and an owner blocked in a
+        hook, see the close at once."""
         if self.closed:
             return
         self.closed = True
-        if self._strand.held():
-            self._teardown()
-        elif self._strand.post(self._teardown):
+        if not self._strand.held():
             self.handle.shutdown()
+        self._strand.run(self._teardown)
 
     def _teardown(self) -> None:
-        if self._torn_down:   # two closing threads posted it
+        if self._torn_down:   # two closing threads queued it
             return
         self._torn_down = True
         try:

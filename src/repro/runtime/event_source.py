@@ -109,9 +109,6 @@ class SocketEventSource(EventSource):
     A self-pipe (socketpair) lets other threads interrupt a blocking
     poll — needed when an Event Processor thread queues output bytes on
     a connection and the dispatcher must start watching writability.
-    Only the level-triggered backend needs it for that: its poll(2)
-    waits on a snapshot of the fd set, while ``epoll_ctl`` reaches a
-    waiting ``epoll_wait`` directly.
 
     The source also owns the shared *read* :class:`BufferPool`: every
     registered ``SocketHandle`` gets the pool attached so
@@ -190,8 +187,9 @@ class SocketEventSource(EventSource):
             release()
 
     def update_interest(self, handle: SocketHandle) -> None:
-        """Re-arm write interest to match the handle's buffered output,
-        waking the dispatcher under the level-triggered backend only.
+        """Re-arm write interest to match the handle's buffered output.
+        Only a level-triggered backend's poll(2), which waits on a
+        snapshot of the fd set, needs the dispatcher woken for it.
 
         Under epoll this is also the edge re-arm: modifying interest on
         a still-ready fd re-delivers the event, so a reader that had to
@@ -205,8 +203,7 @@ class SocketEventSource(EventSource):
 
         Called by the dispatcher when it hands a ReadableEvent to the
         Event Processor, so readiness does not storm duplicate events
-        while the event waits in the queue.  (That two threads never
-        run one connection is the connection strand's job, not this.)
+        while the event waits in the queue.
         """
         with self._lock:
             self._paused.add(id(handle))

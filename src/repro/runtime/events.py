@@ -18,7 +18,6 @@ which is what Table 2's ``Event x O8 = +`` records).
 from __future__ import annotations
 
 import itertools
-import threading
 from enum import Enum, auto
 from typing import Any, Callable, Optional
 
@@ -36,17 +35,9 @@ __all__ = [
     "FileReadEvent",
     "ShutdownEvent",
     "AsynchronousCompletionToken",
-    "in_completion",
 ]
 
 _event_ids = itertools.count(1)
-_completing = threading.local()   # .active: complete() runs on this thread
-
-
-def in_completion() -> bool:
-    """True while this thread runs :meth:`CompletionEvent.complete`: it
-    is the event thread handling that completion."""
-    return getattr(_completing, "active", False)
 
 
 class EventKind(Enum):
@@ -169,14 +160,9 @@ class CompletionEvent(Event):
         return self.error is None
 
     def complete(self) -> None:
-        """Invoke the token's completion callback, if any, with
-        :func:`in_completion` true for its duration."""
+        """Invoke the token's completion callback, if any."""
         if self.token.on_complete is not None:
-            _completing.active = True
-            try:
-                self.token.on_complete(self)
-            finally:
-                _completing.active = False
+            self.token.on_complete(self)
 
 
 class FileOpenEvent(CompletionEvent):

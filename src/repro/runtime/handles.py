@@ -145,7 +145,7 @@ class SocketHandle(Handle):
         out = self.out_buffer
         if out:
             out.append(segments)
-            return self._drain()
+            return self.try_send()
         sent = self._send(segments[:MAX_IOV])
         if not self._closed:
             out.append(segments, skip=sent)
@@ -155,9 +155,6 @@ class SocketHandle(Handle):
         """Flush as much queued output as the kernel accepts; returns
         bytes sent.  Raises nothing: reset peers count as flushed-zero
         with the handle closed."""
-        return self._drain()
-
-    def _drain(self) -> int:
         out = self.out_buffer
         if not out or self._closed:
             return 0

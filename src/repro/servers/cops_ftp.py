@@ -137,10 +137,6 @@ class CopsFtpHooks(ServerHooks):
                 from repro.ftp.replies import reply
 
                 return reply(425)
-            # Send the 150 intermediate reply *before* the transfer thread
-            # can race in with the 226 completion; the closing reply then
-            # arrives through the framework's pending-completion path so
-            # control-connection replies stay ordered.
             conn.send_bytes(self.encode(result, conn))
             threading.Thread(
                 target=channel.run_transfer,

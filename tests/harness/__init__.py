@@ -98,6 +98,9 @@ class FakeHandle:
     def fileno(self):
         return -1
 
+    def shutdown(self):
+        pass
+
     def close(self):
         self.closed = True
 

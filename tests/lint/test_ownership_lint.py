@@ -5,11 +5,10 @@ mutate a handle's ``out_buffer`` or call a send primitive
 (``runtime/communicator.py``) calls those on a handle."""
 
 import ast
-import os
 import textwrap
 
 from repro.lint.ownership import (
-    HANDLE_WRITERS,
+    HANDLE_WRITER,
     handle_write_findings,
     handle_writes,
     out_buffer_findings,
@@ -103,15 +102,12 @@ def test_a_handle_write_outside_the_connection_owner_fails_the_gate(tmp_path):
         "def reject_handle(handle, payload):\n"
         "    handle.write((payload,))\n")
     findings = handle_write_findings([str(tmp_path)])
-    # reject_handle is allowed only in the degradation module
     assert [f.location.rsplit("/", 1)[1] for f in findings] == [
-        "transfer.py:2", "transfer.py:4"]
+        "transfer.py:2"]
     assert "conn.handle.write" in findings[0].message
     assert ownership_findings([str(tmp_path)]) == findings
 
 
 def test_the_canned_reject_is_the_one_allowed_handle_write():
-    assert HANDLE_WRITERS == {
-        os.path.join("repro", "runtime", "degradation.py"):
-            ("reject_handle",)}
+    assert HANDLE_WRITER == "reject_handle"
     assert handle_write_findings() == []

@@ -36,6 +36,9 @@ class MemoryHandle:
     def fileno(self):
         return -1
 
+    def shutdown(self):
+        pass
+
     def close(self):
         self.closed = True
 

@@ -9,7 +9,9 @@ interleaving is fixed by events, not by timing:
 * a worker-killing ``WorkerCrash`` releases the strand and hands the
   steps still queued to a fresh drain event;
 * a close from another thread gives the peer EOF at once, while the
-  owner is still blocked, and the owner finishes the teardown.
+  owner is still blocked, and the owner finishes the teardown;
+* a step from a thread that is no event thread (a queue worker
+  shedding a stale event) claims the idle strand and runs at once.
 """
 
 import socket
@@ -25,7 +27,10 @@ from repro.runtime import (
     PENDING,
     ServerHooks,
     SocketHandle,
+    WritableEvent,
 )
+from repro.runtime.degradation import SojournQueue, rejection_response
+from repro.runtime.scheduler import FifoEventQueue
 
 WAIT = 10.0
 
@@ -136,8 +141,9 @@ def test_a_worker_crash_releases_the_strand_and_resubmits_the_rest(peer):
     hooks.release.set()
     owner.join(WAIT)
     assert len(died) == 1                  # the worker died ...
-    assert scheduled == [conn.handle]      # ... handing the rest on
-    conn.on_writable()                     # the drain event, elsewhere
+    [event] = scheduled                    # ... handing the rest on
+    assert isinstance(event, WritableEvent) and event.handle is conn.handle
+    conn.on_writable(event)                # the drain event, elsewhere
     assert b.recv(64) == b"late\n"
     assert not conn.closed
 
@@ -161,3 +167,29 @@ def test_a_close_from_another_thread_reaches_the_peer_at_once(peer):
     owner.join(WAIT)
     assert hooks.closed_on == [owner.ident]
     assert conn.handle.closed
+
+
+def test_a_sojourn_drop_rejects_at_once_without_requeueing(peer):
+    a, b = peer
+    scheduled = []
+    conn = Communicator(SocketHandle(a, name="strand"), ServerHooks(),
+                        use_codec=False, schedule=scheduled.append)
+    reject = rejection_response(retry_after=1.0, reason="queue-deadline")
+    now = [0.0]
+    queue = SojournQueue(
+        FifoEventQueue(), deadline=0.5, interval=0.0,
+        on_drop=lambda event, sojourn: conn.send_bytes(reject,
+                                                       close_after=True),
+        clock=lambda: now[0])
+    queue.push(WritableEvent(handle=conn.handle))
+    queue.push(WritableEvent(handle=conn.handle))
+    now[0] = 10.0
+    assert queue.try_pop() is not None     # CoDel grace: served late
+    # The worker popping the second stale event drops it: the 503 and
+    # the close reach the peer before the pop returns, with nothing
+    # queued again.
+    assert queue.try_pop() is None
+    assert queue.dropped == 1 and len(queue) == 0 and scheduled == []
+    assert b.recv(len(reject) + 1) == reject
+    assert b.recv(64) == b""
+    assert conn.closed and conn.handle.closed
