@@ -1,14 +1,14 @@
-"""O18 bench: select vs epoll under a mostly-idle connection swarm.
+"""Poller bench: select vs epoll under a mostly-idle connection swarm.
 
 The level-triggered ``select`` oracle pays O(registered fds) in the
 kernel on every dispatcher wake-up; edge-triggered ``epoll`` pays
 O(ready).  With a couple thousand parked connections and a small
 active core hammering small files, the backend is the only thing that
-differs between the two generated servers (same template, option O18
-flipped), so the throughput gap is attributable to the readiness
-machinery alone.  This bench measures it end to end through real
-sockets (the BENCH_poller.json artifact CI gates on) and asserts the
-ratio the issue requires.
+differs between the two generated servers (same template and options,
+backend pinned through ``REPRO_POLLER``), so the throughput gap is
+attributable to the readiness machinery alone.  This bench measures it
+end to end through real sockets (the BENCH_poller.json artifact CI
+gates on) and asserts epoll >= 1.3x select at the largest swarm.
 """
 
 import os
@@ -41,7 +41,7 @@ def start_server(docroot, builddir, poller):
     with _pinned_backend(poller):
         server, _fw, _report = build_cops_http(
             str(docroot), dest=str(builddir),
-            package=f"bench_poller_{poller}_fw", poller=poller)
+            package=f"bench_poller_{poller}_fw")
         server.start()
     return server
 

@@ -178,6 +178,10 @@ SUITES: Dict[str, Suite] = {
               smoke_deselect=("test_watermark_hill_climb",)),
         Suite(name="poller",
               file="bench_poller.py",
+              # The backends are pinned through REPRO_POLLER; "O18"
+              # is the label the committed BENCH_poller.json records
+              # for that axis (the retired option key that once
+              # selected it), kept until the baseline is re-recorded.
               options={"O18": ("select", "epoll")},
               derive=_derived_poller,
               smoke_deselect=("test_epoll_speedup_under_idle_swarm",)),

@@ -13,7 +13,6 @@ from repro.co2p3s.nserver.options import (
     COPS_FTP_OPTIONS,
     COPS_HTTP_OPTIONS,
     COPS_HTTP_DEGRADATION_OPTIONS,
-    COPS_HTTP_EPOLL_OPTIONS,
     COPS_HTTP_OBSERVABILITY_OPTIONS,
     COPS_HTTP_OVERLOAD_OPTIONS,
     COPS_HTTP_RESILIENCE_OPTIONS,
@@ -41,7 +40,6 @@ __all__ = [
     "COPS_FTP_OPTIONS",
     "COPS_HTTP_OPTIONS",
     "COPS_HTTP_DEGRADATION_OPTIONS",
-    "COPS_HTTP_EPOLL_OPTIONS",
     "COPS_HTTP_OBSERVABILITY_OPTIONS",
     "COPS_HTTP_OVERLOAD_OPTIONS",
     "COPS_HTTP_RESILIENCE_OPTIONS",

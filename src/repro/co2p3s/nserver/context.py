@@ -1,7 +1,7 @@
 """Substitution context for the N-Server template.
 
 Maps the options (the paper's twelve plus the O13 fault-tolerance,
-O16 deployment, O17 degradation and O18 poller extensions) to the
+O16 deployment and O17 degradation extensions) to the
 ``$parameter`` values the fragments use.
 Option-disabled instrumentation lines expand to :data:`OMIT`, which the
 fragment renderer deletes — this is the crosscutting weave: a feature's
@@ -33,7 +33,6 @@ def build_context(o: OptionSet) -> Dict[str, Any]:
     resilient = bool(o["O13"])
     multiproc = int(o["O16"]) > 1
     degradation = bool(o["O17"])
-    epoll = o["O18"] == "epoll"
 
     def on(flag: bool, line: str) -> str:
         return line if flag else OMIT
@@ -129,12 +128,6 @@ def build_context(o: OptionSet) -> Dict[str, Any]:
                      'lambda: 0.0 if reactor.degradation.breaker.state '
                      '== "closed" else 1.0, '
                      'help="File-I/O circuit breaker not closed (0/1)")')
-    # The pooled recv_into read path exists on every backend, so its
-    # gauge is unconditional in observability builds.
-    ctx["probe_read_pool_hit_rate"] = (
-        'sampler.add_probe("server_read_pool_hit_rate", '
-        'lambda: reactor.socket_source.read_pool.stats.hit_rate, '
-        'help="Pooled read buffer hit rate (0..1)")')
 
     # -- communication module -----------------------------------------------------
     ctx["use_codec"] = "True" if codec else "False"
@@ -267,23 +260,6 @@ def build_context(o: OptionSet) -> Dict[str, Any]:
         debug and pool,
         "self.processor.error_hook = self.processor.trace_error")
 
-    # -- poller module (O18) ------------------------------------------------
-    ctx["make_poller_component"] = on(epoll, "self.poller = Poller(self)")
-    ctx["socket_source_args"] = "poller=self.poller.backend" if epoll else ""
-    # Early-stopped accept drains re-post the listener under the
-    # edge-triggered backend.  O18=select leaves the backend to the
-    # runtime (epoll on Linux), so the socket source re-posts whenever
-    # the backend it resolved needs it; a level-triggered one re-reports
-    # the backlog on every poll by itself.
-    ctx["accept_repost"] = (
-        "self.reactor.poller.repost_accept(listen)" if epoll
-        else "self.reactor.socket_source.rearm_listener(listen)")
-    ctx["accept_batch_init"] = on(epoll, "taken = 0")
-    ctx["accept_batch_check"] = on(
-        epoll, "if taken >= self.reactor.configuration.accept_batch: "
-               "return self.reactor.poller.repost_accept(listen)")
-    ctx["accept_batch_count"] = on(epoll, "taken += 1")
-
     ctx["teardown_overload"] = on(overload, "self.overload.connection_closed()")
     ctx["teardown_log"] = on(
         logging, 'self.log.debug(f"teardown {conn.handle.name}")')
@@ -349,12 +325,6 @@ def build_context(o: OptionSet) -> Dict[str, Any]:
         profiling, "self.reactor.observability.accept_errors.inc()")
     ctx["log_accept_error"] = on(
         logging, 'self.reactor.log.error(f"accept error: {exc!r}")')
-    # After an accept backoff the backlog is still queued: a
-    # level-triggered source reports it again, an edge-triggered one
-    # only once the listener is re-posted ($accept_repost).
-    ctx["accept_backoff_resume"] = (
-        "the listener is re-posted" if epoll
-        else "the listener is re-armed")
     ctx["make_resilience"] = on(resilient, "self.resilience = Resilience(self)")
     # Wheel-backed deadline arming: a watched connection costs O(1) per
     # re-arm instead of a full scan per monitor interval.

@@ -28,7 +28,6 @@ from repro.co2p3s.nserver.mod_deployment import MODULE_DEPLOYMENT
 from repro.co2p3s.nserver.mod_events import MODULE_EVENTS, MODULE_HANDLES
 from repro.co2p3s.nserver.mod_handlers import MODULE_HANDLERS
 from repro.co2p3s.nserver.mod_observability import MODULE_OBSERVABILITY
-from repro.co2p3s.nserver.mod_poller import MODULE_POLLER
 from repro.co2p3s.nserver.mod_processing import MODULE_CACHE, MODULE_PROCESSING
 from repro.co2p3s.nserver.mod_reactor import MODULE_REACTOR, MODULE_SERVER
 from repro.co2p3s.nserver.mod_resilience import MODULE_RESILIENCE
@@ -47,7 +46,6 @@ NSERVER_MODULES = (
     MODULE_HANDLERS,
     MODULE_PROCESSING,
     MODULE_CACHE,
-    MODULE_POLLER,
     MODULE_OBSERVABILITY,
     MODULE_RESILIENCE,
     MODULE_DEGRADATION,

@@ -43,10 +43,6 @@ def _multiproc(o):
     return int(o["O16"]) > 1
 
 
-def _epoll(o):
-    return o["O18"] == "epoll"
-
-
 MODULE_COMMUNICATION = ModuleSpec(
     name="communication",
     doc="Connection-level components generated by the N-Server template "
@@ -332,16 +328,13 @@ MODULE_COMMUNICATION = ModuleSpec(
                     '''
                     def handle(self, event):
                         listen = event.handle
-                        $accept_batch_init
                         while True:
-                            $accept_batch_check
                             handle = $try_accept_expr
                             if handle is None:
                                 return
-                            $accept_batch_count
                             self._establish(handle)
                     ''',
-                    options=("O13", "O18"),
+                    options=("O13",),
                 ),
                 Fragment(
                     '''
@@ -351,21 +344,18 @@ MODULE_COMMUNICATION = ModuleSpec(
                         connections stay in the kernel backlog until the
                         queue drains below the low watermark."""
                         listen = event.handle
-                        $accept_batch_init
                         while True:
                             if not self.reactor.overload.accepting():
-                                $accept_repost
+                                self.reactor.socket_source.rearm_listener(listen)
                                 return
-                            $accept_batch_check
                             handle = $try_accept_expr
                             if handle is None:
                                 return
-                            $accept_batch_count
                             self.reactor.overload.connection_opened()
                             self._establish(handle)
                     ''',
                     guard=lambda o: o["O9"] and not o["O17"],
-                    options=("O9", "O13", "O17", "O18"),
+                    options=("O9", "O13", "O17"),
                 ),
                 Fragment(
                     '''
@@ -377,17 +367,14 @@ MODULE_COMMUNICATION = ModuleSpec(
                         rate limit before a Communicator is built."""
                         listen = event.handle
                         shedding = self.reactor.degradation.shedding
-                        $accept_batch_init
                         while True:
                             decision = shedding.admit_accept()
                             if decision.action == "postpone":
-                                $accept_repost
+                                self.reactor.socket_source.rearm_listener(listen)
                                 return
-                            $accept_batch_check
                             handle = $try_accept_expr
                             if handle is None:
                                 return
-                            $accept_batch_count
                             if not decision.admitted:
                                 shedding.record_rejection(
                                     decision, f"client={handle.name}",
@@ -408,7 +395,7 @@ MODULE_COMMUNICATION = ModuleSpec(
                         close — no Communicator, no handler, no disk."""
                         rt.reject_handle(handle, self.reactor.degradation.reject_payload)
                     ''',
-                    guard=_o("O17"), options=("O11", "O13", "O17", "O18"),
+                    guard=_o("O17"), options=("O11", "O13", "O17"),
                 ),
                 Fragment(
                     '''
@@ -599,15 +586,6 @@ MODULE_COMMUNICATION = ModuleSpec(
                     drain_timeout = 5.0
                     ''',
                     guard=_o("O13"), options=("O13",),
-                ),
-                Fragment(
-                    '''
-                    # Edge-triggered poller tuning (option O18=epoll):
-                    # cap on accepts drained per readiness event before
-                    # the listener is re-posted and the loop yields.
-                    accept_batch = 64
-                    ''',
-                    guard=_epoll, options=("O18",),
                 ),
                 Fragment(
                     '''

@@ -88,7 +88,6 @@ MODULE_OBSERVABILITY = ModuleSpec(
                         $probe_shed_total
                         $probe_brownout_level
                         $probe_breaker_open
-                        $probe_read_pool_hit_rate
                     ''',
                     options=("O2", "O9", "O17"),
                 ),

@@ -4,7 +4,7 @@ Table 2 rows covered:
 
 ========  =========================================================
 Reactor   body depends on O1 O2 O4 O5 O6 O8 O9 O10 O11 O12 O13 O17
-          O18 (NOT O3 — step handlers are installed by the
+          (NOT O3 — step handlers are installed by the
           handlers module's ``install_step_handlers``; NOT O7 — idle
           wiring lives in ServerComponent / ServerEventHandler /
           Container)
@@ -45,10 +45,6 @@ def _multiproc(o):
     return int(o["O16"]) > 1
 
 
-def _epoll(o):
-    return o["O18"] == "epoll"
-
-
 MODULE_REACTOR = ModuleSpec(
     name="reactor",
     doc="Central wiring of the generated framework: the extended Reactor "
@@ -79,8 +75,6 @@ MODULE_REACTOR = ModuleSpec(
                  guard=_o("O13"), options=("O13",)),
         Fragment("from $package.degradation import Degradation",
                  guard=_o("O17"), options=("O17",)),
-        Fragment("from $package.poller import Poller",
-                 guard=_epoll, options=("O18",)),
     ],
     classes=[
         ClassSpec(
@@ -99,8 +93,7 @@ MODULE_REACTOR = ModuleSpec(
                         $make_tracer
                         $make_log
                         $make_observability
-                        $make_poller_component
-                        self.socket_source = rt.SocketEventSource($socket_source_args)
+                        self.socket_source = rt.SocketEventSource()
                         self.timer_source = rt.TimerEventSource(self.socket_source)
                         self.source = rt.QueueEventSource(self.timer_source)
                         self.container = ContainerComponent(self)
@@ -129,7 +122,7 @@ MODULE_REACTOR = ModuleSpec(
                     # $make_degradation sits between the overload
                     # controller it upgrades and the file I/O it breaks.
                     options=("O1", "O2", "O4", "O5", "O6", "O8", "O9",
-                             "O10", "O11", "O12", "O13", "O17", "O18"),
+                             "O10", "O11", "O12", "O13", "O17"),
                 ),
                 # -- connection plumbing -------------------------------------
                 Fragment(

@@ -13,9 +13,8 @@ Table 2 extension row:
 ==========  =====================================================
 Resilience  exists iff O13; body depends on O2 (supervisor and
             quarantine guard the Event Processor pool), O11
-            (counters registered on the shared obs registry), O12
-            (monitor logging) and O18 (the backed-off accept re-posts
-            its listener)
+            (counters registered on the shared obs registry) and O12
+            (monitor logging)
 ==========  =====================================================
 """
 
@@ -85,7 +84,7 @@ MODULE_RESILIENCE = ModuleSpec(
                         connection, interrupted call) retries at once;
                         resource exhaustion (EMFILE and friends) backs off
                         and sheds — the kernel backlog keeps connections
-                        queued and $accept_backoff_resume."""
+                        queued and the listener is re-armed."""
                         while True:
                             try:
                                 return listen.try_accept()
@@ -96,10 +95,10 @@ MODULE_RESILIENCE = ModuleSpec(
                                 if rt.is_transient_accept_error(exc):
                                     continue
                                 time.sleep(self.reactor.configuration.accept_backoff)
-                                $accept_repost
+                                self.reactor.socket_source.rearm_listener(listen)
                                 return None
                     ''',
-                    options=("O11", "O12", "O18"),
+                    options=("O11", "O12"),
                 ),
                 Fragment(
                     '''

@@ -22,7 +22,6 @@ __all__ = [
     "COPS_HTTP_SCHEDULING_OPTIONS",
     "COPS_HTTP_OVERLOAD_OPTIONS",
     "COPS_HTTP_DEGRADATION_OPTIONS",
-    "COPS_HTTP_EPOLL_OPTIONS",
     "ALL_FEATURES_ON",
     "POOL_TOGGLE_BASE",
     "DEGRADATION_TOGGLE_BASE",
@@ -96,15 +95,6 @@ NSERVER_OPTION_SPECS = (
     OptionSpec(key="O17", name="Degradation policy",
                describe_values="Yes/No", default=False,
                values=(True, False)),
-    # Fifth structural extension: the readiness-selection backend.
-    # "epoll" generates a Poller component pinning the edge-triggered
-    # Linux backend, plus batched-accept bounds and listener re-posting
-    # on every early-stopped drain (an edge, once consumed, is never
-    # re-delivered).  "select" is the paper's portable scan-based shape
-    # and emits zero poller code.
-    OptionSpec(key="O18", name="Poller",
-               describe_values="select/epoll", default="select",
-               values=("select", "epoll")),
 )
 
 #: Table 1, COPS-FTP column.
@@ -165,12 +155,6 @@ COPS_HTTP_RESILIENCE_OPTIONS = dict(
 COPS_HTTP_DEGRADATION_OPTIONS = dict(
     COPS_HTTP_OBSERVABILITY_OPTIONS, O9=True, O17=True)
 
-#: COPS-HTTP on the edge-triggered poller (O18=epoll): a generated
-#: Poller component pins the O(ready) epoll backend, bounds the accept
-#: drain per readiness event and re-posts early-stopped listeners —
-#: the fig3-poller throughput-comparison shape.
-COPS_HTTP_EPOLL_OPTIONS = dict(COPS_HTTP_OPTIONS, O18="epoll")
-
 #: Everything enabled — the base point for the Table 2 crosscut analysis
 #: (all optional classes exist, so existence toggles are observable).
 ALL_FEATURES_ON: Dict[str, object] = {
@@ -189,7 +173,6 @@ ALL_FEATURES_ON: Dict[str, object] = {
     "O13": True,
     "O16": 2,
     "O17": True,
-    "O18": "epoll",
 }
 
 #: Secondary crosscut base: with scheduling / overload / dynamic threads

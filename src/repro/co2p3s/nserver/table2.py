@@ -49,7 +49,6 @@ TABLE2_CLASS_ORDER = [
     "Observability",
     "Resilience",
     "Degradation",
-    "Poller",
     "Deployment",
     "Worker",
 ]
@@ -96,9 +95,8 @@ PAPER_TABLE2 = {
 #: Component arms the sampling timer and the Server Configuration
 #: carries its period, so both gain an O11 ``+``.  The O13
 #: fault-tolerance extension adds the Resilience row (exists iff O13;
-#: body depends on the pool it supervises, the counters it registers,
-#: the log it writes and, per O18, how the listener is re-posted
-#: after an accept backoff) and '+' cells where the option weaves in:
+#: body depends on the pool it supervises, the counters it registers
+#: and the log it writes) and '+' cells where the option weaves in:
 #: the accept loop, the configuration's tuning block, the Reactor's
 #: construction/lifecycle/drain and the Server's drain facade.
 #: The O17 graceful-degradation extension adds the Degradation row (exists iff O17; body depends
@@ -110,12 +108,6 @@ PAPER_TABLE2 = {
 #: postponement for explicit shedding, the
 #: configuration carries the tuning block and the Observability
 #: wire probes shed totals, brownout level and breaker state.
-#: The O18 edge-triggered poller extension adds the Poller row
-#: (exists iff O18=epoll; the body itself is option-independent) and
-#: '+' cells where the backend weaves in: the Reactor builds the
-#: component and hands its backend to the socket event source, the
-#: accept loops bound their drain and re-post early-stopped
-#: listeners, and the configuration carries the batch knob.
 #: The O16 multi-process deployment extension adds the Deployment row
 #: (exists iff O16>1; body depends on O11 — cluster-wide aggregated
 #: status fields — and O13, the cross-process drain barrier) and the
@@ -131,13 +123,12 @@ TABLE2_EXTENSIONS = {
                       "O16": "+", "O17": "+"},
     "ServerComponent": {"O11": "+", "O16": "+"},
     "ServerConfiguration": {"O11": "+", "O13": "+", "O16": "+",
-                            "O17": "+", "O18": "+"},
-    "Resilience": {"O2": "+", "O11": "+", "O12": "+", "O13": "O", "O18": "+"},
-    "Reactor": {"O13": "+", "O17": "+", "O18": "+"},
-    "AcceptorEventHandler": {"O13": "+", "O17": "+", "O18": "+"},
+                            "O17": "+"},
+    "Resilience": {"O2": "+", "O11": "+", "O12": "+", "O13": "O"},
+    "Reactor": {"O13": "+", "O17": "+"},
+    "AcceptorEventHandler": {"O13": "+", "O17": "+"},
     "Server": {"O13": "+", "O16": "+"},
     "Degradation": {"O11": "+", "O12": "+", "O17": "O"},
-    "Poller": {"O18": "O"},
     "Deployment": {"O11": "+", "O13": "+", "O16": "O"},
     "Worker": {"O11": "+", "O13": "+", "O16": "O"},
 }

@@ -109,19 +109,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                         help="skip shrinking the first unexplained failure")
     parser.add_argument("--verbose", "-v", action="store_true",
                         help="list suppressed divergences and corner detail")
-    parser.add_argument("--poller", default=None,
-                        choices=("select", "epoll"),
-                        help="pin the readiness backend (template option "
-                             "O18) for every corner; default: each "
-                             "corner's own options")
     args = parser.parse_args(argv)
-
-    if args.poller is not None:
-        # Pin the runtime default too: an O18=select build emits no
-        # backend choice at all and would otherwise take the platform
-        # pick, defeating a --poller select oracle run on Linux.
-        import os
-        os.environ["REPRO_POLLER"] = args.poller
 
     baseline = _resolve_baseline(args)
     corners = corner_matrix(args.corners)
@@ -134,14 +122,13 @@ def main(argv: Optional[List[str]] = None) -> int:
     sessions = directed_sessions(DEFAULT_PATHS) + generate_sessions(
         args.seed, DEFAULT_PATHS, count)
 
-    backend = f", {args.poller} poller" if args.poller else ""
     print(f"conformance sweep: {len(corners)} corner(s), "
-          f"{len(sessions)} session(s), seed {args.seed}{backend}")
+          f"{len(sessions)} session(s), seed {args.seed}")
     unexplained: List[Divergence] = []
     explained = 0
     first_failure = None
     for corner in corners:
-        result = run_corner(corner, sessions, poller=args.poller)
+        result = run_corner(corner, sessions)
         _apply_baseline(result.divergences, baseline)
         live = [d for d in result.divergences if d.suppressed is None]
         quiet = [d for d in result.divergences if d.suppressed is not None]

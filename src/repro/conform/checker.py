@@ -380,8 +380,7 @@ class CornerResult:
 
 
 def _build_corner_server(corner: Corner, workdir: str,
-                         files: Dict[str, bytes],
-                         poller: Optional[str] = None):
+                         files: Dict[str, bytes]):
     from repro.servers.cops_http import build_cops_http
 
     docroot = os.path.join(workdir, "docroot")
@@ -394,7 +393,7 @@ def _build_corner_server(corner: Corner, workdir: str,
              if corner.fault_spec is not None else None)
     server, fw, _report = build_cops_http(
         docroot, options=corner.options, dest=dest, package=package,
-        poller=poller, **corner.build, **corner.config)
+        **corner.build, **corner.config)
     if plane is not None:
         plane.install(server)
     if corner.brownout_level is not None:
@@ -416,26 +415,23 @@ def _probe_alive(host: str, port: int) -> bool:
 def run_corner(corner: Corner, sessions: Sequence[Session],
                files: Optional[Dict[str, bytes]] = None,
                workdir: Optional[str] = None,
-               concurrency: int = 4,
-               poller: Optional[str] = None) -> CornerResult:
+               concurrency: int = 4) -> CornerResult:
     """Replay ``sessions`` against a freshly generated server for
     ``corner`` and judge every stream against the model.
 
-    ``poller`` pins the readiness backend (template option O18) for the
-    corner's generated framework; ``None`` keeps the corner's own
-    options (and the runtime's platform pick) untouched.  Without a
-    ``workdir`` the run makes a temporary one and removes it after.
+    The readiness backend is the runtime's pick (``REPRO_POLLER``, else
+    the platform default).  Without a ``workdir`` the run makes a
+    temporary one and removes it after.
     """
     files = files if files is not None else DEFAULT_FILES
     if workdir is None:
         with tempfile.TemporaryDirectory(
                 prefix=f"conform_{corner.name}_") as workdir:
             return run_corner(corner, sessions, files, workdir,
-                              concurrency, poller)
+                              concurrency)
     vfs = ModelVFS(files)
     result = CornerResult(corner=corner, sessions=len(sessions))
-    server, _plane = _build_corner_server(corner, workdir, files,
-                                          poller=poller)
+    server, _plane = _build_corner_server(corner, workdir, files)
     server.start()
     try:
         host, port = "127.0.0.1", server.port

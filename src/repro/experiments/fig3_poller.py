@@ -1,18 +1,18 @@
-"""Fig 3 (O18 extension): select vs epoll under mostly-idle connections.
+"""Fig 3 (poller extension): select vs epoll under mostly-idle connections.
 
 The paper's Fig 3 regime — thousands of open, mostly-idle HTTP
 connections with a small active core — is exactly where the readiness
 backend's complexity class shows: the level-triggered ``select``
 oracle pays O(registered fds) in the kernel on *every* dispatcher
 wake-up, while edge-triggered ``epoll`` pays O(ready).  This
-experiment generates COPS-HTTP twice with only option O18 flipped,
-parks an idle connection swarm on each server, and measures the
-throughput of a small set of keep-alive clients hammering small files
-(read-side bound: bodies are tiny, so per-wakeup poll cost dominates).
+experiment generates COPS-HTTP twice, pins a different backend for
+each through ``REPRO_POLLER``, parks an idle connection swarm on each
+server, and measures the throughput of a small set of keep-alive
+clients hammering small files (read-side bound: bodies are tiny, so
+per-wakeup poll cost dominates).
 
 The measured gap is attributable to the backend alone — same template,
-same workload, one option changed — which is the generative-pattern
-methodology's point, and the repository gates on it
+same options, same workload — and the repository gates on it
 (``BENCH_poller.json``: epoll >= 1.3x select at the largest swarm).
 """
 
@@ -148,9 +148,9 @@ def _drive(port: int, paths: Sequence[str], clients: int):
 
 @contextmanager
 def _pinned_backend(name: str):
-    """Pin ``REPRO_POLLER`` for a server's whole lifecycle: an
-    O18=select build emits no backend choice and would otherwise take
-    the platform pick."""
+    """Pin ``REPRO_POLLER`` for a server's whole lifecycle: a generated
+    build emits no backend choice and would otherwise take the platform
+    pick."""
     previous = os.environ.get("REPRO_POLLER")
     os.environ["REPRO_POLLER"] = name
     try:
@@ -169,8 +169,8 @@ def run_poller_sweep(
     seed: int = 7,
     pollers: Optional[Sequence[str]] = None,
 ) -> Dict[str, List[PollerPoint]]:
-    """Measure responses/s for O18=select and O18=epoll at each idle
-    swarm size, same documents and request sample throughout."""
+    """Measure responses/s on the select and epoll backends at each
+    idle swarm size, same documents and request sample throughout."""
     from repro.servers.cops_http import build_cops_http
 
     pollers = tuple(pollers) if pollers is not None else available_pollers()
@@ -185,7 +185,7 @@ def run_poller_sweep(
             with _pinned_backend(poller):
                 server, _fw, _report = build_cops_http(
                     str(docroot), dest=str(workdir / poller),
-                    package=f"fig3_poller_{poller}_fw", poller=poller)
+                    package=f"fig3_poller_{poller}_fw")
                 server.start()
                 points: List[PollerPoint] = []
                 try:
@@ -212,13 +212,13 @@ def run_poller_sweep(
 
 
 def format_fig3_poller(results: Dict[str, List[PollerPoint]]) -> str:
-    names = {"select": "Select (oracle)", "epoll": "Epoll (O18)"}
+    names = {"select": "Select (oracle)", "epoll": "Epoll"}
     xs = [p.idle_connections for p in next(iter(results.values()))]
     series = {names.get(p, p): [pt.throughput for pt in pts]
               for p, pts in results.items()}
     out = render_series(
         "idle conns", xs, series,
-        title="FIG 3 (O18 extension) — THROUGHPUT (responses/s) UNDER "
+        title="FIG 3 (poller extension) — THROUGHPUT (responses/s) UNDER "
               "MOSTLY-IDLE CONNECTION SWARMS: SELECT vs EPOLL",
         fmt="{:.1f}")
     if {"select", "epoll"} <= results.keys():

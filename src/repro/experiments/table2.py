@@ -49,8 +49,8 @@ def paper_matrix() -> CrosscutMatrix:
 
 def expected_matrix() -> CrosscutMatrix:
     """Paper Table 2 plus this reproduction's observability (O11),
-    resilience (O13), deployment (O16), degradation
-    (O17) and poller (O18) extensions."""
+    resilience (O13), deployment (O16) and degradation (O17)
+    extensions."""
     return _matrix_from(EXPECTED_TABLE2,
                         [spec.key for spec in NSERVER_OPTION_SPECS])
 

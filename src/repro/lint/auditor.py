@@ -138,17 +138,6 @@ _O17_FORBIDDEN = re.compile(
     r"|AdaptiveController|\badaptive_|hill_climb",
     re.IGNORECASE)
 
-#: edge-triggered poller vocabulary that must not survive into an
-#: O18=select build: the backend factory, the Poller component, batch
-#: bounds and listener re-posting all belong to the poller tentpole,
-#: whose generated call sites exist only when O18=epoll.  (The plain
-#: word "poll" would false-positive on ordinary Reactor prose, hence
-#: the targeted forms.)
-_O18_FORBIDDEN = re.compile(
-    r"\bepoll|EPOLLET|edge.?triggered|make_poller|\bPoller\b"
-    r"|repost_accept|force_ready|accept_batch|TimerWheel|timer.?wheel",
-    re.IGNORECASE)
-
 #: multi-process deployment vocabulary that must not survive into an
 #: O16=1 build: the process supervisor, worker-socket adoption, rolling
 #: restarts, the respawn budget and the cross-process stats plane all
@@ -176,8 +165,6 @@ _PURITY = (
      "deployment plane"),
     ("O17", "No", lambda value: not value, _O17_FORBIDDEN,
      "degradation plane"),
-    ("O18", "select", lambda value: value == "select", _O18_FORBIDDEN,
-     "epoll backend"),
 )
 
 

@@ -80,12 +80,10 @@ DEFAULT_ROOT_NAMES: Set[str] = {
     "_distribute",
     "_process_event",
     "_submit",
-    # O18: the edge-triggered accept plane runs these inline on the
-    # loop — a batch-bounded drain re-posts its listener through the
-    # event source's synthetic-ready queue.
+    # an accept loop that stops draining early re-posts its listener
+    # inline on the loop, through the event source's synthetic-ready
+    # queue
     "force_ready",
-    "repost_accept",
-    "_repost",
 }
 
 #: fully qualified roots that need their class context to be meaningful

@@ -14,7 +14,6 @@ from repro import lazy_exports
 
 __getattr__, __dir__, __all__ = lazy_exports(__name__, globals(), {
     "acceptor": ("Connector", "is_transient_accept_error"),
-    "buffers": ("BufferPool", "BufferPoolStats", "PooledBuffer"),
     "communicator": ("CLOSE", "PENDING", "Communicator", "ServerHooks"),
     "container": ("Container",),
     "degradation": (

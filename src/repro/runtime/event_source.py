@@ -23,7 +23,6 @@ import time
 from collections import deque
 from typing import Callable, List, Optional
 
-from repro.runtime.buffers import BufferPool
 from repro.runtime.events import (
     AcceptEvent,
     Event,
@@ -44,11 +43,6 @@ __all__ = [
     "QueueEventSource",
 ]
 
-#: one shared read buffer per live connection; the free-list bound only
-#: caps how many *idle* buffers the pool retains between connections
-READ_BUFFER_SIZE = 65536
-READ_POOL_RETAIN = 256
-
 
 class EventSource:
     """Interface: poll for ready events, manage handle registration."""
@@ -64,10 +58,10 @@ class EventSource:
 
     def force_ready(self, handle: Handle) -> None:
         """Ask for one synthetic readiness event for ``handle`` on the
-        next poll (no-op default).  The batched-accept path uses this to
-        re-post a listen socket it stopped draining early — essential
-        under edge-triggered backends, where the kernel will not repeat
-        the notification."""
+        next poll (no-op default).  An accept loop that stops draining
+        early re-posts its listen socket this way — essential under
+        edge-triggered backends, where the kernel will not repeat the
+        notification."""
 
     def wakeup(self) -> None:
         """Interrupt a blocking poll from another thread (no-op default)."""
@@ -109,14 +103,9 @@ class SocketEventSource(EventSource):
     A self-pipe (socketpair) lets other threads interrupt a blocking
     poll — needed when an Event Processor thread queues output bytes on
     a connection and the dispatcher must start watching writability.
-
-    The source also owns the shared *read* :class:`BufferPool`: every
-    registered ``SocketHandle`` gets the pool attached so
-    ``try_recv`` can check a reusable ``recv_into`` buffer out of it
-    instead of allocating fresh ``bytes`` per call.
     """
 
-    def __init__(self, poller=None, read_pool: Optional[BufferPool] = None):
+    def __init__(self, poller=None):
         self._poller: Poller = (poller if isinstance(poller, Poller)
                                 else make_poller(poller))
         # RLock: poll and mask updates may nest through callbacks.
@@ -125,8 +114,6 @@ class SocketEventSource(EventSource):
         self._paused: set = set()
         self._forced: deque = deque()   # handles owed a synthetic event
         self._forced_ids: set = set()
-        self.read_pool = read_pool if read_pool is not None else BufferPool(
-            classes=(READ_BUFFER_SIZE,), per_class=READ_POOL_RETAIN)
         import socket as _socket
 
         self._wake_recv, self._wake_send = _socket.socketpair()
@@ -159,8 +146,6 @@ class SocketEventSource(EventSource):
                 except (KeyError, ValueError, OSError):
                     pass
             self._handles[fd] = handle
-            if isinstance(handle, SocketHandle):
-                handle.read_pool = self.read_pool
             self._poller.register(fd, self._mask(handle), handle)
 
     def deregister(self, handle: Handle) -> None:
@@ -182,9 +167,6 @@ class SocketEventSource(EventSource):
                     self._poller.unregister(fd)
                 except (KeyError, ValueError, OSError):
                     pass
-        release = getattr(handle, "release_read_buffer", None)
-        if release is not None:
-            release()
 
     def update_interest(self, handle: SocketHandle) -> None:
         """Re-arm write interest to match the handle's buffered output.
@@ -223,9 +205,8 @@ class SocketEventSource(EventSource):
 
         The next poll returns immediately and reports the handle ready
         (AcceptEvent for a listener, ReadableEvent otherwise) on top of
-        whatever the kernel says.  Used by the generated O18
-        ``Poller.repost_accept`` and by :meth:`rearm_listener` when an
-        accept drain stops before EAGAIN, and safe under both
+        whatever the kernel says.  Used by :meth:`rearm_listener` when
+        an accept drain stops before EAGAIN, and safe under both
         backends."""
         with self._lock:
             if handle.fileno() not in self._handles:

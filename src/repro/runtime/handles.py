@@ -74,11 +74,6 @@ class SocketHandle(Handle):
         # never meet a selector.
         fileno = getattr(sock, "fileno", None)
         self._fd = fileno() if fileno is not None else -1
-        #: read :class:`~repro.runtime.buffers.BufferPool` — attached by
-        #: the event source at registration; None reads into a private
-        #: buffer instead (handles never registered anywhere)
-        self.read_pool = None
-        self._read_owner = None     # PooledBuffer checked out of read_pool
         self._read_buf: Optional[bytearray] = None
 
     def fileno(self) -> int:
@@ -92,24 +87,18 @@ class SocketHandle(Handle):
         the connection's reusable read buffer — copy before the next
         call), b'' on orderly EOF, None when the socket would block.
 
-        ``recv_into`` a pooled buffer replaces the old fresh-``bytes``
-        per call: one buffer per live connection, checked out of the
-        event source's read pool on first use and returned at close.
-        Reads and that close are steps of the same connection, run by
-        one thread at a time, so the buffer cannot change hands between
-        a read and the caller's copy.
+        ``recv_into`` one private buffer per connection, allocated on
+        first use and dropped at close, instead of a fresh ``bytes``
+        per call.  Reads and that close are steps of the same
+        connection, run by one thread at a time, so the buffer is not
+        dropped between a read and the caller's copy.
         """
         buf = self._read_buf
         if buf is None:
-            if self.read_pool is not None:
-                self._read_owner = self.read_pool.acquire(max_bytes)
-                buf = self._read_owner.data
-            else:
-                # Full-sized even when this read is capped (fault
-                # injection passes tiny max_bytes): the buffer is
-                # attached for the connection's lifetime.
-                buf = bytearray(max(max_bytes, 65536))
-            self._read_buf = buf
+            # Full-sized even when this read is capped (fault injection
+            # passes tiny max_bytes): the buffer is kept for the
+            # connection's lifetime.
+            buf = self._read_buf = bytearray(max(max_bytes, 65536))
         limit = min(max_bytes, len(buf))
         try:
             n = self.sock.recv_into(memoryview(buf)[:limit])
@@ -118,14 +107,6 @@ class SocketHandle(Handle):
         except (ConnectionResetError, BrokenPipeError):
             return b""
         return memoryview(buf)[:n]
-
-    def release_read_buffer(self) -> None:
-        """Return the pooled read buffer (idempotent; called at close
-        and on event-source deregistration)."""
-        owner, self._read_owner = self._read_owner, None
-        self._read_buf = None
-        if owner is not None:
-            owner.release()
 
     def write(self, segments) -> int:
         """Send ``segments`` (bytes-likes and :class:`FileHandle`
@@ -232,7 +213,7 @@ class SocketHandle(Handle):
             except OSError:  # pragma: no cover - platform dependent
                 pass
         super().close()
-        self.release_read_buffer()
+        self._read_buf = None
 
 
 class OutBuffer:

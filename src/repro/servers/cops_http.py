@@ -299,7 +299,6 @@ def build_cops_http(
     port: int = 0,
     procs: int = 1,
     degradation: bool = False,
-    poller: Optional[str] = None,
     **config_overrides,
 ):
     """Generate the COPS-HTTP framework and return a started-able Server.
@@ -317,12 +316,6 @@ def build_cops_http(
     postpone), per-client rate limiting, brownout, and a circuit-broken
     file I/O plane.
 
-    ``poller="epoll"`` regenerates with option O18: the edge-triggered
-    ``select.epoll`` readiness backend with batched accepts;
-    ``poller="select"`` pins the portable level-triggered oracle.
-    ``None`` leaves O18 at whatever ``options`` says (the runtime then
-    picks the platform default, overridable via ``REPRO_POLLER``).
-
     Returns ``(server, framework_module, generation_report)``.
     """
     option_dict = dict(options or COPS_HTTP_OPTIONS)
@@ -333,8 +326,6 @@ def build_cops_http(
         # controller, so the degradation build always has one.
         option_dict["O9"] = True
         option_dict["O17"] = True
-    if poller is not None:
-        option_dict["O18"] = poller
     opts = NSERVER.configure(option_dict)
     build = dest or tempfile.mkdtemp(prefix="cops_http_")
     report = NSERVER.generate(opts, build, package=package)
@@ -367,16 +358,13 @@ def main(argv=None) -> int:
                         help="generate with O11=Yes (/server-status)")
     parser.add_argument("--degradation", action="store_true",
                         help="generate with O17=Yes (graceful degradation)")
-    parser.add_argument("--poller", choices=("select", "epoll"),
-                        help="readiness backend (template option O18; "
-                             "default: platform pick)")
     args = parser.parse_args(argv)
 
     option_dict = dict(COPS_HTTP_OPTIONS, O11=args.observability)
     server, _fw, _report = build_cops_http(
         args.root, options=option_dict, host=args.host, port=args.port,
         procs=args.procs,
-        degradation=args.degradation, poller=args.poller)
+        degradation=args.degradation)
     server.start()
     if args.procs != 1:
         # Operator signal plane: SIGHUP = rolling restart, SIGTERM =
@@ -386,8 +374,6 @@ def main(argv=None) -> int:
              else "single reactor")
     if args.degradation:
         shape += ", graceful degradation"
-    if args.poller:
-        shape += f", {args.poller} poller"
     print(f"COPS-HTTP serving {args.root} on "
           f"{args.host}:{server.port} — {shape}", flush=True)
     try:

@@ -36,18 +36,19 @@ from repro.co2p3s.nserver import (
 
 
 def test_option_keys():
-    # The paper's twelve plus the O13 fault-tolerance, O16 deployment,
-    # O17 degradation and O18 poller extensions.  O14 (reactor shards)
-    # and O15 (write path) were deleted; the later keys keep their
-    # numbers.
+    # The paper's twelve plus the O13 fault-tolerance, O16 deployment
+    # and O17 degradation extensions.  O14 (reactor shards) and O15
+    # (write path) were deleted; the later keys keep their numbers.
     specs = NSERVER.option_specs()
-    assert [s.key for s in specs] == [f"O{i}" for i in range(1, 19)
+    assert [s.key for s in specs] == [f"O{i}" for i in range(1, 18)
                                       if i not in (14, 15)]
 
 
-def test_deleted_o14_is_an_unknown_option():
+@pytest.mark.parametrize("setting", [{"O14": 2}, {"O18": "epoll"}],
+                         ids=["O14", "O18"])
+def test_deleted_option_is_an_unknown_option(setting):
     with pytest.raises(OptionError):
-        NSERVER.configure({"O14": 2})
+        NSERVER.configure(setting)
 
 
 def test_deleted_o15_is_an_unknown_option():
@@ -84,7 +85,7 @@ def test_cops_http_column_matches_table1():
 
 def test_option_table_rows_shape():
     rows = option_table_rows(COPS_FTP_OPTIONS, COPS_HTTP_OPTIONS)
-    assert len(rows) == 16
+    assert len(rows) == 15
     assert all(len(r) == 4 for r in rows)
     o6 = next(r for r in rows if r[0].startswith("O6"))
     assert o6[2] == "No" and o6[3] == "Yes: LRU"
@@ -126,8 +127,8 @@ def test_full_config_generates_every_table2_class():
     report = render(ALL_FEATURES_ON)
     assert set(report.class_names()) == set(TABLE2_CLASS_ORDER)
     # paper's 27 + Observability (O11) + Resilience (O13)
-    # + Degradation (O17) + Poller (O18) + Deployment + Worker (O16)
-    assert len(TABLE2_CLASS_ORDER) == 33
+    # + Degradation (O17) + Deployment + Worker (O16)
+    assert len(TABLE2_CLASS_ORDER) == 32
 
 
 def test_optional_classes_absent_when_options_off():

@@ -1,10 +1,10 @@
-"""Backend-parity plane: select (oracle) vs epoll (O18 fast path).
+"""Backend-parity plane: select (oracle) vs epoll (the fast path).
 
-The edge-triggered epoll backend, the batched accept drain and the
-pooled read path must be *behaviourally invisible*: a generated server
-built on either backend, fed the identical seeded session set, must
-produce byte-identical response streams and the identical divergence
-set under the conformance model.  The portable ``select`` backend is
+The edge-triggered epoll backend and its listener re-posts must be
+*behaviourally invisible*: a generated server built on either backend,
+fed the identical seeded session set, must produce byte-identical
+response streams and the identical divergence set under the
+conformance model.  The portable ``select`` backend is
 the oracle — it is the paper-shaped O(n)-scan reactor the model was
 validated against.
 
@@ -55,7 +55,7 @@ def _replay(corner, backend, sessions, tmp_path, monkeypatch):
     and run on ``backend``; return (streams, divergence idents)."""
     monkeypatch.setenv("REPRO_POLLER", backend)
     server, _plane = _build_corner_server(
-        corner, str(tmp_path / backend), DEFAULT_FILES, poller=backend)
+        corner, str(tmp_path / backend), DEFAULT_FILES)
     server.start()
     try:
         streams = [replay_session("127.0.0.1", server.port, s)

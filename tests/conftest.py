@@ -42,7 +42,7 @@ def _poller_params():
 
 @pytest.fixture(params=_poller_params())
 def poller_backend(request, monkeypatch):
-    """Parametrize a test over both readiness backends (O18 plane).
+    """Parametrize a test over both readiness backends.
 
     Sets ``REPRO_POLLER`` so every ``SocketEventSource`` built while the
     test runs — including ones inside generated frameworks — picks the

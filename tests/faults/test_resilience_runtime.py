@@ -250,11 +250,12 @@ class FlakyListen:
         return None
 
 
-def resilient_server(**options):
+def resilient_server():
     """A generated O13 echo server (no codec steps, synchronous
     completions) whose accept backoff is short enough for a test."""
-    options = dict({"O3": False, "O4": "Synchronous", "O13": True}, **options)
-    return generated_server(ServerHooks(), options, accept_backoff=0.01)
+    return generated_server(
+        ServerHooks(), {"O3": False, "O4": "Synchronous", "O13": True},
+        accept_backoff=0.01)
 
 
 def test_transient_accept_error_classification():
@@ -266,7 +267,7 @@ def test_transient_accept_error_classification():
 
 
 def test_acceptor_survives_econnaborted_and_keeps_draining():
-    with ServerFixture(resilient_server(O18="select")) as srv:
+    with ServerFixture(resilient_server()) as srv:
         resilience = srv.server.reactor.resilience
         listen = FlakyListen([errno.ECONNABORTED, errno.ECONNABORTED])
         assert resilience.safe_accept(listen) is None   # must not raise
@@ -275,7 +276,7 @@ def test_acceptor_survives_econnaborted_and_keeps_draining():
 
 
 def test_acceptor_backs_off_on_emfile():
-    with ServerFixture(resilient_server(O18="select")) as srv:
+    with ServerFixture(resilient_server()) as srv:
         resilience = srv.server.reactor.resilience
         listen = FlakyListen([errno.EMFILE])
         assert resilience.safe_accept(listen) is None
@@ -287,11 +288,14 @@ def test_acceptor_backs_off_on_emfile():
 
 @pytest.mark.skipif("epoll" not in available_pollers(),
                     reason="epoll poller unavailable on this platform")
-def test_emfile_backoff_reposts_listener_on_edge_triggered_build():
-    """Under O18=epoll the accept edge is consumed by the failed
+def test_emfile_backoff_reposts_listener_on_edge_triggered_build(
+        monkeypatch):
+    """On the epoll backend the accept edge is consumed by the failed
     accept(); without a re-post the queued client would wait for some
     *other* connection to arrive."""
-    with ServerFixture(resilient_server(O18="epoll")) as srv:
+    monkeypatch.setenv("REPRO_POLLER", "epoll")
+    with ServerFixture(resilient_server()) as srv:
+        assert srv.server.reactor.socket_source.edge_triggered
         listen = srv.server.reactor.server_component.listen
         accept = listen.try_accept
         failures = [errno.EMFILE]

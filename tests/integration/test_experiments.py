@@ -25,17 +25,15 @@ from repro.experiments import (
 def test_table1_rows_and_formatting():
     rows = run_table1()
     # The paper's 12 options plus the O13 fault-tolerance, O16
-    # deployment, O17 degradation and O18 poller extensions (O14 and
-    # O15 were deleted; the later keys keep their numbers).
-    assert len(rows) == 16
+    # deployment and O17 degradation extensions (O14 and O15 were
+    # deleted; the later keys keep their numbers).
+    assert len(rows) == 15
     assert rows[12][0] == "O13: Fault tolerance"
     assert rows[12][2:] == ["No", "No"]     # both paper apps: off
     assert rows[13][0] == "O16: Deployment (worker processes)"
     assert rows[13][2:] == ["1", "1"]       # both paper apps: one process
     assert rows[14][0] == "O17: Degradation policy"
     assert rows[14][2:] == ["No", "No"]     # both paper apps: off
-    assert rows[15][0] == "O18: Poller"
-    assert rows[15][2:] == ["select", "select"]  # the paper's readiness model
     text = format_table1(rows)
     assert "COPS-FTP" in text and "Yes: LRU" in text
 

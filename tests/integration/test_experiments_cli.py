@@ -36,7 +36,7 @@ def test_unknown_experiment_rejected():
 def test_quick_fig3_poller(capsys):
     assert main(["fig3-poller", "--quick"]) == 0
     out = capsys.readouterr().out
-    assert "O18 extension" in out and "SELECT vs EPOLL" in out
+    assert "poller extension" in out and "SELECT vs EPOLL" in out
 
 
 def test_quick_fig3_procs(capsys):

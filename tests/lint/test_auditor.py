@@ -44,14 +44,14 @@ def test_option_matrix_corners_audit_clean():
 
 
 def test_suite_exercises_every_option_value():
-    # all 16 options, each through its full legal value set
+    # all 15 options, each through its full legal value set
     base = NSERVER.configure(ALL_FEATURES_ON)
     seen = {spec.key: set() for spec in base.specs}
     for _label, options in suite_configs():
         resolved = NSERVER.configure(options)
         for spec in base.specs:
             seen[spec.key].add(resolved[spec.key])
-    assert len(seen) == 16
+    assert len(seen) == 15
     for spec in base.specs:
         assert seen[spec.key] == set(spec.values), spec.key
 
@@ -197,7 +197,6 @@ PURITY_CASES = {
     "O11": (False, True, "x = handle.trace_id\n"),
     "O16": (1, 2, "x = rt.ProcessSupervisor\n"),
     "O17": (False, True, "x = self.shedding.brownout\n"),
-    "O18": ("select", "epoll", "x = self.reactor.poller.repost_accept\n"),
 }
 
 

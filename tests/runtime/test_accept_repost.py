@@ -1,8 +1,8 @@
-"""An O18=select build leaves the readiness backend to the runtime,
-which picks edge-triggered epoll on Linux.  When such a build stops an
-accept drain early (here: O9 overload postponement), it must re-post
-its listener: the consumed edge never repeats, so without the re-post
-the waiting client strands until some *other* connection arrives."""
+"""On the edge-triggered epoll backend an accept loop that stops its
+drain early (O9 overload postponement, or O17 with
+``shed_on_overload="postpone"``) must re-post its listener: the
+consumed edge never repeats, so without the re-post the waiting client
+strands until some *other* connection arrives."""
 
 import socket
 
@@ -15,14 +15,18 @@ pytestmark = pytest.mark.skipif(
     "epoll" not in available_pollers(),
     reason="epoll poller unavailable on this platform")
 
+ECHO = {"O3": False, "O4": "Synchronous", "O9": True, "O11": True}
 
-def test_select_build_on_epoll_accepts_its_postponed_backlog(monkeypatch):
+
+@pytest.mark.parametrize("options, config", [
+    ({}, {}),
+    ({"O17": True}, {"shed_on_overload": "postpone"}),
+], ids=["O9", "O17"])
+def test_epoll_build_accepts_its_postponed_backlog(monkeypatch, options,
+                                                   config):
     monkeypatch.setenv("REPRO_POLLER", "epoll")
     server = generated_server(
-        ServerHooks(),
-        {"O3": False, "O4": "Synchronous", "O9": True, "O11": True,
-         "O18": "select"},
-        max_connections=1)
+        ServerHooks(), dict(ECHO, **options), max_connections=1, **config)
     assert server.reactor.socket_source.edge_triggered
     with ServerFixture(server) as srv:
         registry = server.reactor.observability.registry

@@ -1,10 +1,6 @@
-"""Property-based tests for the pooled buffers and the segmented
-out-buffer every SocketHandle writes through.
+"""Property-based tests for the segmented out-buffer every SocketHandle
+writes through.
 
-* the read pool never hands out a buffer whose storage is still
-  checked out;
-* released buffers are reused (that is the point of pooling);
-* size-class selection and retention bounds;
 * an adversarial short-write socket drains a segmented OutBuffer to
   exactly the concatenated payload, whether the reply went through
   ``write``'s optimistic send or straight onto the queue;
@@ -14,86 +10,12 @@ out-buffer every SocketHandle writes through.
 from collections import deque
 
 from hypothesis import given, settings, strategies as st
-import pytest
 
-from repro.runtime.buffers import BufferPool
 from repro.runtime.handles import OutBuffer, SocketHandle
 
 PAYLOAD = st.binary(max_size=300)
 #: segment kind: plain bytes, a memoryview over bytes, or a bytearray
 KIND = st.sampled_from(["bytes", "view", "bytearray"])
-
-
-# -- BufferPool -----------------------------------------------------------
-
-
-@given(ops=st.lists(
-    st.tuples(st.sampled_from(["acquire", "release"]),
-              st.integers(min_value=0, max_value=70000),
-              st.integers(min_value=0, max_value=9)),
-    max_size=120))
-@settings(max_examples=80, deadline=None)
-def test_pool_never_hands_out_checked_out_storage(ops):
-    pool = BufferPool(classes=(64, 256, 1024), per_class=3)
-    held = []
-    for op, size, pick in ops:
-        if op == "acquire":
-            buf = pool.acquire(size)
-            assert buf.in_use
-            assert buf.capacity >= size
-            assert all(buf is not other for other in held)
-            assert all(buf.data is not other.data for other in held)
-            held.append(buf)
-        elif held:
-            buf = held.pop(pick % len(held))
-            buf.release()
-            assert not buf.in_use
-    assert pool.stats.acquires == pool.stats.hits + pool.stats.misses
-    assert pool.stats.releases <= pool.stats.acquires
-
-
-def test_released_buffer_is_reused():
-    pool = BufferPool(classes=(64,), per_class=4)
-    a = pool.acquire(10)
-    assert pool.stats.misses == 1
-    a.release()
-    b = pool.acquire(20)
-    assert b is a
-    assert b.in_use
-    assert pool.stats.hits == 1
-    assert pool.stats.hit_rate == 0.5
-
-
-def test_size_class_selection_and_oversize():
-    pool = BufferPool(classes=(64, 256), per_class=2)
-    assert pool.acquire(1).capacity == 64
-    assert pool.acquire(64).capacity == 64
-    assert pool.acquire(65).capacity == 256
-    oversize = pool.acquire(1000)
-    assert oversize.capacity == 1000  # exact-size one-shot
-    oversize.release()
-    assert pool.stats.discards == 1   # no class retains it
-    assert pool.free_count() == 0
-
-
-def test_release_errors():
-    pool = BufferPool(classes=(64,))
-    other = BufferPool(classes=(64,))
-    buf = pool.acquire(8)
-    buf.release()
-    with pytest.raises(ValueError):
-        buf.release()
-    with pytest.raises(ValueError):
-        other.release(pool.acquire(8))
-
-
-def test_per_class_retention_bound():
-    pool = BufferPool(classes=(64,), per_class=2)
-    bufs = [pool.acquire(8) for _ in range(5)]
-    for buf in bufs:
-        buf.release()
-    assert pool.free_count() == 2
-    assert pool.stats.discards == 3
 
 
 # -- OutBuffer drain under adversarial short writes -----------------------

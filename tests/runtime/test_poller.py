@@ -1,4 +1,4 @@
-"""Unit tests for the pluggable readiness backends (O18 plane).
+"""Unit tests for the pluggable readiness backends.
 
 Everything in the first section runs against *both* backends through
 the shared interface; the second section pins epoll-only semantics the

@@ -12,7 +12,6 @@ Synchronization discipline: no ``time.sleep()`` — cross-thread state
 """
 
 import mmap
-import os
 import socket
 import threading
 
@@ -37,13 +36,11 @@ RAW = dict(SYNC, O3=False)
 @pytest.fixture(autouse=True)
 def _every_backend(poller_backend):
     """Run the whole integration suite once per readiness backend
-    (select is the oracle; epoll is the O18 fast path)."""
+    (select is the oracle; epoll is the fast path)."""
 
 
 def fixture(hooks, options, **config) -> ServerFixture:
-    """A generated server in the O18 shape of the backend under test, so
-    the epoll parameter also runs the generated Poller component."""
-    options = dict(options, O18=os.environ["REPRO_POLLER"])
+    """A generated server on the backend under test."""
     return ServerFixture(generated_server(hooks, options, **config))
 
 

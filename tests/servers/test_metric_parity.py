@@ -28,7 +28,6 @@ FAMILIES = {
     "server_pool_busy",
     "server_pool_threads",
     "server_queue_depth",
-    "server_read_pool_hit_rate",
     "server_request_seconds",
     "server_request_stage_seconds",
     "server_requests_total",
