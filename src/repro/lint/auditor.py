@@ -152,6 +152,20 @@ _O16_FORBIDDEN = re.compile(
     r"|\bdeployment\b|stats.?socket|REUSEPORT",
     re.IGNORECASE)
 
+#: fault-tolerance vocabulary that must not survive into an O13=No
+#: build: the safe accept, deadline monitor, worker supervisor, event
+#: quarantine and the timeouts and backoff they enforce all belong to
+#: the resilience plane, whose generated call sites exist only when O13
+#: is on.  (Bare ``drain``, ``supervisor`` and ``deadline`` would
+#: false-positive on O16>1's graceful drain and process supervisor and
+#: on O17's sojourn deadline, hence the targeted forms.)
+_O13_FORBIDDEN = re.compile(
+    r"resilien|safe_accept|DeadlineMonitor|DeadlinePolicy"
+    r"|WorkerSupervisor|quarantin|quiescent|header_timeout"
+    r"|request_timeout|write_timeout|accept_backoff|max_event_retries"
+    r"|supervision_interval|deadline_interval",
+    re.IGNORECASE)
+
 
 #: one row per option with a residue vocabulary: (option key, the off
 #: setting as messages name it, "is off" predicate, forbidden
@@ -161,6 +175,8 @@ _O16_FORBIDDEN = re.compile(
 #: means no scan.
 _PURITY = (
     ("O11", "No", lambda value: not value, _O11_FORBIDDEN, "observability"),
+    ("O13", "No", lambda value: not value, _O13_FORBIDDEN,
+     "fault-tolerance plane"),
     ("O16", "1", lambda value: int(value) == 1, _O16_FORBIDDEN,
      "deployment plane"),
     ("O17", "No", lambda value: not value, _O17_FORBIDDEN,

@@ -4,16 +4,12 @@ Stands in for the paper's physical testbed (Sun E420R servers, Ultra 10
 clients, switched Ethernet): simulated hosts with CPUs and context-switch
 costs, disks with an OS buffer cache, a shared-bandwidth link, TCP
 connection establishment with SYN drops and exponential backoff, and
-client workload processes.  Server *architecture models* (event-driven
-N-Server, Apache-style prefork, SPED, MPED, SEDA) live in
-``repro.sim.servers``.
+client workload processes.  The two server *architecture models* the
+figures compare (the event-driven N-Server and the Apache-style prefork
+baseline) live in ``repro.sim.servers``.
 """
 
 from repro.sim.core import (
-    AllOf,
-    AnyOf,
-    Interrupt,
-    PriorityResource,
     Process,
     Resource,
     SimEvent,
@@ -24,10 +20,6 @@ from repro.sim.core import (
 )
 
 __all__ = [
-    "AllOf",
-    "AnyOf",
-    "Interrupt",
-    "PriorityResource",
     "Process",
     "Resource",
     "SimEvent",

@@ -17,18 +17,14 @@ import heapq
 import itertools
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Callable, Generator, Iterable, Optional
+from typing import Any, Callable, Generator, Optional
 
 __all__ = [
     "Simulator",
     "SimEvent",
     "Timeout",
     "Process",
-    "Interrupt",
-    "AllOf",
-    "AnyOf",
     "Resource",
-    "PriorityResource",
     "Store",
     "SimulationError",
 ]
@@ -38,31 +34,19 @@ class SimulationError(RuntimeError):
     """Raised for kernel misuse (yielding a triggered event twice, ...)."""
 
 
-class Interrupt(Exception):
-    """Thrown into a process that is interrupted while waiting.
-
-    ``cause`` carries an arbitrary payload supplied by the interrupter.
-    """
-
-    def __init__(self, cause: Any = None):
-        super().__init__(cause)
-        self.cause = cause
-
-
 class SimEvent:
     """A one-shot occurrence processes can wait on.
 
-    Life cycle: *pending* -> ``succeed``/``fail`` -> callbacks run at the
+    Life cycle: *pending* -> ``succeed`` -> callbacks run at the
     scheduled time.  Multiple processes may wait on the same event.
     """
 
-    __slots__ = ("sim", "callbacks", "_value", "_ok", "_triggered", "_scheduled")
+    __slots__ = ("sim", "callbacks", "_value", "_triggered", "_scheduled")
 
     def __init__(self, sim: "Simulator"):
         self.sim = sim
         self.callbacks: list[Callable[[SimEvent], None]] = []
         self._value: Any = None
-        self._ok = True
         self._triggered = False
         self._scheduled = False
 
@@ -72,10 +56,6 @@ class SimEvent:
         return self._triggered
 
     @property
-    def ok(self) -> bool:
-        return self._ok
-
-    @property
     def value(self) -> Any:
         if not self._triggered:
             raise SimulationError("value read before event triggered")
@@ -83,24 +63,13 @@ class SimEvent:
 
     # -- triggering ----------------------------------------------------
     def succeed(self, value: Any = None, delay: float = 0.0) -> "SimEvent":
-        """Mark the event successful; callbacks run after ``delay``."""
-        self._trigger(value, ok=True, delay=delay)
-        return self
-
-    def fail(self, exc: BaseException, delay: float = 0.0) -> "SimEvent":
-        """Mark the event failed; waiting processes see ``exc`` raised."""
-        if not isinstance(exc, BaseException):
-            raise TypeError("fail() needs an exception instance")
-        self._trigger(exc, ok=False, delay=delay)
-        return self
-
-    def _trigger(self, value: Any, ok: bool, delay: float) -> None:
+        """Mark the event triggered; callbacks run after ``delay``."""
         if self._triggered:
             raise SimulationError("event triggered twice")
         self._triggered = True
-        self._ok = ok
         self._value = value
         self.sim._schedule(self, delay)
+        return self
 
 
 class Timeout(SimEvent):
@@ -120,131 +89,36 @@ class Timeout(SimEvent):
 class Process(SimEvent):
     """A running generator; itself an event that fires when it returns."""
 
-    __slots__ = ("generator", "name", "_waiting_on", "_resume")
+    __slots__ = ("generator", "name")
 
     def __init__(self, sim: "Simulator", generator: Generator, name: str = ""):
         super().__init__(sim)
         self.generator = generator
         self.name = name or getattr(generator, "__name__", "process")
-        self._waiting_on: Optional[SimEvent] = None
         # Bootstrap: run the first step at the current time.
         boot = SimEvent(sim)
         boot.callbacks.append(self._step)
         boot.succeed()
 
-    @property
-    def is_alive(self) -> bool:
-        return not self._triggered
-
-    def interrupt(self, cause: Any = None) -> None:
-        """Throw :class:`Interrupt` into the process at the current time."""
-        if not self.is_alive:
-            return
-        wake = SimEvent(self.sim)
-        wake.callbacks.append(self._step)
-        wake.fail(Interrupt(cause))
-
     def _step(self, trigger: SimEvent) -> None:
-        waited = self._waiting_on
-        if waited is not None and trigger is not waited and waited.triggered is False:
-            # An interrupt arrived while waiting on another event: detach
-            # so the stale wakeup is ignored when that event fires.
-            try:
-                waited.callbacks.remove(self._step)
-            except ValueError:
-                pass
-        elif waited is not None and trigger is not waited:
-            # The waited event fired in the same instant as the interrupt;
-            # it will call back later but we are no longer waiting on it.
-            try:
-                waited.callbacks.remove(self._step)
-            except ValueError:
-                pass
-        self._waiting_on = None
         try:
-            if trigger.ok:
-                target = self.generator.send(trigger.value)
-            else:
-                target = self.generator.throw(trigger._value)
+            target = self.generator.send(trigger.value)
         except StopIteration as stop:
-            if not self._triggered:
-                self.succeed(stop.value)
-            return
-        except Interrupt as exc:
-            if not self._triggered:
-                self.fail(exc)
+            self.succeed(stop.value)
             return
         if not isinstance(target, SimEvent):
             raise SimulationError(
                 f"process {self.name!r} yielded {target!r}, not a SimEvent"
             )
-        self._waiting_on = target
         if target.triggered and target._scheduled is False:
             # Event already processed: resume immediately at current time.
             resume = SimEvent(self.sim)
             resume.callbacks.append(self._step)
             resume._triggered = True
-            resume._ok = target._ok
             resume._value = target._value
             self.sim._schedule(resume, 0.0)
         else:
             target.callbacks.append(self._step)
-
-
-class AllOf(SimEvent):
-    """Fires when every child event has fired; value is the list of values."""
-
-    __slots__ = ("_pending", "_children")
-
-    def __init__(self, sim: "Simulator", events: Iterable[SimEvent]):
-        super().__init__(sim)
-        self._children = list(events)
-        self._pending = len(self._children)
-        if self._pending == 0:
-            self.succeed([])
-            return
-        for ev in self._children:
-            if ev.triggered and not ev._scheduled:
-                self._on_child(ev)
-            else:
-                ev.callbacks.append(self._on_child)
-
-    def _on_child(self, ev: SimEvent) -> None:
-        if self._triggered:
-            return
-        if not ev.ok:
-            self.fail(ev._value if isinstance(ev._value, BaseException)
-                      else SimulationError("child event failed"))
-            return
-        self._pending -= 1
-        if self._pending == 0:
-            self.succeed([c._value for c in self._children])
-
-
-class AnyOf(SimEvent):
-    """Fires as soon as any child event fires; value is ``(event, value)``."""
-
-    __slots__ = ("_children",)
-
-    def __init__(self, sim: "Simulator", events: Iterable[SimEvent]):
-        super().__init__(sim)
-        self._children = list(events)
-        if not self._children:
-            raise SimulationError("AnyOf needs at least one event")
-        for ev in self._children:
-            if ev.triggered and not ev._scheduled:
-                self._on_child(ev)
-                break
-            ev.callbacks.append(self._on_child)
-
-    def _on_child(self, ev: SimEvent) -> None:
-        if self._triggered:
-            return
-        if ev.ok:
-            self.succeed((ev, ev._value))
-        else:
-            self.fail(ev._value if isinstance(ev._value, BaseException)
-                      else SimulationError("child event failed"))
 
 
 @dataclass(order=True)
@@ -282,32 +156,12 @@ class Simulator:
     def process(self, generator: Generator, name: str = "") -> Process:
         return Process(self, generator, name)
 
-    def all_of(self, events: Iterable[SimEvent]) -> AllOf:
-        return AllOf(self, events)
-
-    def any_of(self, events: Iterable[SimEvent]) -> AnyOf:
-        return AnyOf(self, events)
-
     # -- scheduling ----------------------------------------------------
     def _schedule(self, event: SimEvent, delay: float = 0.0) -> None:
         if delay < 0:
             raise SimulationError(f"negative delay {delay!r}")
         event._scheduled = True
         heapq.heappush(self._heap, _HeapItem(self._now + delay, next(self._seq), event))
-
-    def call_at(self, when: float, fn: Callable[[], None]) -> SimEvent:
-        """Run a bare callback at absolute time ``when``."""
-        if when < self._now:
-            raise SimulationError(f"call_at({when}) is in the past (now={self._now})")
-        ev = Timeout(self, when - self._now)
-        ev.callbacks.append(lambda _ev: fn())
-        return ev
-
-    def call_in(self, delay: float, fn: Callable[[], None]) -> SimEvent:
-        """Run a bare callback after ``delay``."""
-        ev = Timeout(self, delay)
-        ev.callbacks.append(lambda _ev: fn())
-        return ev
 
     # -- running -------------------------------------------------------
     def step(self) -> None:
@@ -336,44 +190,12 @@ class Simulator:
         if until is not None:
             self._now = max(self._now, until)
 
-    def run_until_event(self, event: SimEvent, limit: Optional[float] = None) -> Any:
-        """Run until ``event`` triggers; returns its value (raises if failed)."""
-        while not (event.triggered and not event._scheduled):
-            if not self._heap:
-                raise SimulationError("event loop drained before target event fired")
-            if limit is not None and self._heap[0].time > limit:
-                raise SimulationError(f"time limit {limit} hit before event fired")
-            self.step()
-        if not event.ok:
-            value = event._value
-            raise value if isinstance(value, BaseException) else SimulationError(str(value))
-        return event._value
-
-
-class _Request(SimEvent):
-    """A pending claim on a :class:`Resource` slot."""
-
-    __slots__ = ("resource", "priority", "order")
-
-    def __init__(self, resource: "Resource", priority: float):
-        super().__init__(resource.sim)
-        self.resource = resource
-        self.priority = priority
-        self.order = next(resource._order)
-
-    def __enter__(self) -> "_Request":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.resource.release(self)
-
 
 class Resource:
     """A counted FIFO resource (CPU cores, disk arms, worker slots).
 
-    Processes ``yield res.request()`` to acquire a slot and must call
-    ``res.release(req)`` (or use the request as a context manager
-    together with ``release``) when done.
+    A process acquires a slot by yielding the event ``res.request()``
+    returns, and passes that event to ``res.release`` when done.
     """
 
     def __init__(self, sim: Simulator, capacity: int = 1):
@@ -381,9 +203,8 @@ class Resource:
             raise SimulationError("capacity must be >= 1")
         self.sim = sim
         self.capacity = capacity
-        self._order = itertools.count()
-        self._users: set[_Request] = set()
-        self._queue: list[tuple[float, int, _Request]] = []
+        self._users: set[SimEvent] = set()
+        self._queue: deque[SimEvent] = deque()
 
     # -- introspection ---------------------------------------------------
     @property
@@ -396,40 +217,31 @@ class Resource:
         return len(self._queue)
 
     # -- protocol ---------------------------------------------------------
-    def request(self, priority: float = 0.0) -> _Request:
-        req = _Request(self, priority)
+    def request(self) -> SimEvent:
+        req = SimEvent(self.sim)
         if len(self._users) < self.capacity and not self._queue:
             self._users.add(req)
             req.succeed(req)
         else:
-            heapq.heappush(self._queue, (priority, req.order, req))
+            self._queue.append(req)
         return req
 
-    def release(self, req: _Request) -> None:
+    def release(self, req: SimEvent) -> None:
         if req in self._users:
             self._users.discard(req)
         elif req.triggered:
             raise SimulationError("releasing a request that was never granted")
         else:
             # Cancel a queued request.
-            self._queue = [q for q in self._queue if q[2] is not req]
-            heapq.heapify(self._queue)
+            self._queue.remove(req)
             return
         self._grant_next()
 
     def _grant_next(self) -> None:
         while self._queue and len(self._users) < self.capacity:
-            _, _, nxt = heapq.heappop(self._queue)
+            nxt = self._queue.popleft()
             self._users.add(nxt)
             nxt.succeed(nxt)
-
-
-class PriorityResource(Resource):
-    """Alias kept for call-site clarity: priorities order the wait queue."""
-
-
-class _Get(SimEvent):
-    __slots__ = ()
 
 
 class Store:
@@ -443,18 +255,14 @@ class Store:
         self.sim = sim
         self.capacity = capacity
         self.items: deque = deque()
-        self._getters: deque[_Get] = deque()
+        self._getters: deque[SimEvent] = deque()
 
     def __len__(self) -> int:
         return len(self.items)
 
-    @property
-    def is_full(self) -> bool:
-        return self.capacity is not None and len(self.items) >= self.capacity
-
     def try_put(self, item: Any) -> bool:
         """Non-blocking put; False when a bounded store is full."""
-        if self.is_full:
+        if self.capacity is not None and len(self.items) >= self.capacity:
             return False
         if self._getters:
             getter = self._getters.popleft()
@@ -468,15 +276,9 @@ class Store:
             raise SimulationError("Store full; use try_put for bounded stores")
 
     def get(self) -> SimEvent:
-        ev = _Get(self.sim)
+        ev = SimEvent(self.sim)
         if self.items:
             ev.succeed(self.items.popleft())
         else:
             self._getters.append(ev)
         return ev
-
-    def cancel_get(self, ev: SimEvent) -> None:
-        try:
-            self._getters.remove(ev)  # type: ignore[arg-type]
-        except ValueError:
-            pass

@@ -67,7 +67,3 @@ class Disk:
         finally:
             self._arm.release(req)
         self.physical_reads += 1
-
-    @property
-    def queue_length(self) -> int:
-        return self._arm.queue_length

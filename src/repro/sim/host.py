@@ -38,14 +38,6 @@ class CpuPool:
         finally:
             self._res.release(req)
 
-    @property
-    def queue_length(self) -> int:
-        return self._res.queue_length
-
-    @property
-    def running(self) -> int:
-        return self._res.count
-
     def utilization(self, elapsed: float) -> float:
         if elapsed <= 0:
             return 0.0

@@ -56,10 +56,6 @@ class Link:
         if self.latency:
             yield self.sim.timeout(self.latency)
 
-    @property
-    def queue_length(self) -> int:
-        return self._res.queue_length
-
     def utilization(self, elapsed: float) -> float:
         """Fraction of ``elapsed`` spent serialising, reconstructed from
         the bytes carried (close enough for reporting)."""

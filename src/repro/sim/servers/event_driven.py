@@ -53,6 +53,18 @@ class EventDrivenServer(BaseSimServer):
 
     name = "cops-http"
 
+    #: CPU seconds to turn a file-I/O completion into a send
+    COMPLETION_CPU = 0.0005
+    #: how often a postponed acceptor re-checks the watermarks
+    OVERLOAD_CHECK = 0.005
+    #: time between consecutive accepts: the acceptor shares the
+    #: dispatcher with event processing, so accepts are paced — which
+    #: is what lets the watermark trip before a backlog flood gets in
+    ACCEPT_LATENCY = 0.001
+    #: CPU seconds and wire bytes of the canned O17 503 reply
+    REJECT_CPU = 0.0002
+    REJECT_BYTES = 512
+
     def __init__(
         self,
         sim,
@@ -66,22 +78,17 @@ class EventDrivenServer(BaseSimServer):
         cache_policy: Optional[str] = "LRU",
         scan_coefficient: float = 2.0e-6,
         dispatch_latency: float = 0.002,
-        completion_cpu: float = 0.0005,
         scheduling_quotas: Optional[Dict[int, int]] = None,
         priority_of_class: Optional[Dict[str, int]] = None,
         overload: bool = False,
         overload_high: int = 20,
         overload_low: int = 5,
-        overload_check: float = 0.005,
-        accept_latency: float = 0.001,
         degradation: bool = False,
         shed_rate: float = 5.0,
         shed_burst: float = 10.0,
         shed_retry_after: float = 1.0,
         sojourn_deadline: Optional[float] = 0.4,
         sojourn_interval: float = 0.1,
-        reject_cpu: float = 0.0002,
-        reject_bytes: int = 512,
         adaptive: bool = False,
         adaptive_target_p99: float = 0.25,
         adaptive_interval: float = 1.0,
@@ -90,7 +97,6 @@ class EventDrivenServer(BaseSimServer):
         self.processor_threads = processor_threads
         self.scan_coefficient = scan_coefficient
         self.dispatch_latency = dispatch_latency
-        self.completion_cpu = completion_cpu
         self.priority_of_class = priority_of_class or {}
         # Real O8 machinery: quota priority queue when scheduling is on.
         if scheduling_quotas:
@@ -105,7 +111,6 @@ class EventDrivenServer(BaseSimServer):
                                policy=make_policy(cache_policy))
         # Real O9 machinery: watermark overload control on the queue.
         self.overload: Optional[OverloadController] = None
-        self.overload_check = overload_check
         if overload:
             self.overload = OverloadController()
             self.overload.watch(
@@ -114,8 +119,6 @@ class EventDrivenServer(BaseSimServer):
         # Real O17 machinery: the degradation plane, on the sim clock.
         self.shedding: Optional[SheddingPolicy] = None
         self.adaptive: Optional[AdaptiveController] = None
-        self.reject_cpu = reject_cpu
-        self.reject_bytes = reject_bytes
         self.rejected_connections = 0
         self.rejected_requests = 0
         self._latency_window: List[float] = []
@@ -146,10 +149,6 @@ class EventDrivenServer(BaseSimServer):
                     target_p99=adaptive_target_p99,
                     interval=adaptive_interval)
         self._file_io = Resource(sim, capacity=file_io_threads)
-        #: time between consecutive accepts: the acceptor shares the
-        #: dispatcher with event processing, so accepts are paced — which
-        #: is what lets the watermark trip before a backlog flood gets in
-        self.accept_latency = accept_latency
 
     # -- lifecycle -------------------------------------------------------
     def start(self) -> None:
@@ -167,7 +166,7 @@ class EventDrivenServer(BaseSimServer):
                 # watermark: connections stay in the kernel backlog and
                 # excess SYNs get dropped (the Fig 6 mechanism).
                 while not self.overload.accepting():
-                    yield self.sim.timeout(self.overload_check)
+                    yield self.sim.timeout(self.OVERLOAD_CHECK)
             conn = yield self.listen.accept()
             if self.shedding is not None and not self._admit(conn):
                 # Rejects keep draining the backlog at full speed: the
@@ -179,8 +178,7 @@ class EventDrivenServer(BaseSimServer):
             conn.accepted.succeed(self.sim.now)
             self.open_connections += 1
             self.sim.process(self._connection_pump(conn))
-            if self.accept_latency:
-                yield self.sim.timeout(self.accept_latency)
+            yield self.sim.timeout(self.ACCEPT_LATENCY)
 
     # -- degradation plane (O17) -----------------------------------------
     def _admit(self, conn) -> bool:
@@ -204,8 +202,8 @@ class EventDrivenServer(BaseSimServer):
         self.rejected_connections += 1
         conn.rejected = True
         conn.retry_after = decision.retry_after
-        yield from self.cpu.consume(self.reject_cpu)
-        yield from self.link.transfer(self.reject_bytes)
+        yield from self.cpu.consume(self.REJECT_CPU)
+        yield from self.link.transfer(self.REJECT_BYTES)
         conn.accepted.succeed(self.sim.now)
         conn.close()
 
@@ -223,8 +221,8 @@ class EventDrivenServer(BaseSimServer):
         self.rejected_requests += 1
         request.rejected = True
         request.retry_after = self.shedding.retry_after
-        yield from self.cpu.consume(self.reject_cpu)
-        yield from self.link.transfer(self.reject_bytes)
+        yield from self.cpu.consume(self.REJECT_CPU)
+        yield from self.link.transfer(self.REJECT_BYTES)
         request.done.succeed(self.sim.now)
 
     @property
@@ -313,7 +311,7 @@ class EventDrivenServer(BaseSimServer):
         self._enqueue("completion", request, request.conn.priority)
 
     def _handle_completion(self, request: SimRequest):
-        yield from self.cpu.consume(self.completion_cpu + self._scan_cpu())
+        yield from self.cpu.consume(self.COMPLETION_CPU + self._scan_cpu())
         self.sim.process(self._respond(request))
         yield self.sim.timeout(0)
 

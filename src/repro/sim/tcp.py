@@ -90,10 +90,6 @@ class ListenQueue:
         """Server side: event yielding the next queued connection."""
         return self.queue.get()
 
-    @property
-    def depth(self) -> int:
-        return len(self.queue)
-
 
 def connect(sim: Simulator, listen: ListenQueue, client_id: int,
             priority: int = 0, content_class: str = "default",

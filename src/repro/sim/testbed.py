@@ -17,14 +17,7 @@ from repro.sim.core import Simulator
 from repro.sim.disk import Disk, OsBufferCache
 from repro.sim.link import Link
 from repro.sim.metrics import ExperimentMetrics
-from repro.sim.servers import (
-    EventDrivenServer,
-    MpedServer,
-    PreforkServer,
-    SedaServer,
-    ServerParams,
-    SpedServer,
-)
+from repro.sim.servers import EventDrivenServer, PreforkServer, ServerParams
 from repro.workload import SpecWebFileSet
 
 __all__ = ["TestbedConfig", "TestbedResult", "run_testbed"]
@@ -40,7 +33,7 @@ class TestbedConfig:
 
     __test__ = False  # starts with "Test" but is not a pytest class
 
-    server: str = "cops"    # cops | apache | sped | mped | seda | cluster
+    server: str = "cops"    # cops | apache
     clients: int = 64
     duration: float = 60.0          # measurement window (simulated s)
     warmup: float = 10.0
@@ -103,13 +96,6 @@ class TestbedConfig:
     #: client-experienced deadline a response must meet to count toward
     #: :attr:`TestbedResult.goodput`
     goodput_deadline: float = 0.5
-
-    # seda model
-    seda_threads_per_stage: int = 4
-
-    # cluster model (the paper's distributed future work)
-    cluster_nodes: int = 2
-    cluster_policy: str = "round-robin"
 
 
 @dataclass
@@ -180,33 +166,6 @@ def build_server(cfg: TestbedConfig, sim: Simulator, downlink: Link,
             adaptive_target_p99=cfg.adaptive_target_p99,
             adaptive_interval=cfg.adaptive_interval,
         )
-    if cfg.server == "sped":
-        return SpedServer(sim, downlink, disk, params,
-                          cache_bytes=cfg.app_cache_mb * 1024 * 1024,
-                          scan_coefficient=cfg.scan_coefficient)
-    if cfg.server == "mped":
-        return MpedServer(sim, downlink, disk, params,
-                          cache_bytes=cfg.app_cache_mb * 1024 * 1024,
-                          scan_coefficient=cfg.scan_coefficient,
-                          helpers=cfg.file_io_threads * 2)
-    if cfg.server == "cluster":
-        from repro.sim.servers.cluster import ClusterServer
-
-        return ClusterServer(
-            sim, downlink, disk, params,
-            nodes=cfg.cluster_nodes,
-            policy=cfg.cluster_policy,
-            processor_threads=cfg.processor_threads,
-            file_io_threads=cfg.file_io_threads,
-            cache_bytes=cfg.app_cache_mb * 1024 * 1024,
-            cache_policy=cfg.cache_policy,
-            scan_coefficient=cfg.scan_coefficient,
-            dispatch_latency=cfg.dispatch_latency,
-        )
-    if cfg.server == "seda":
-        return SedaServer(sim, downlink, disk, params,
-                          threads_per_stage=cfg.seda_threads_per_stage,
-                          cache_bytes=cfg.app_cache_mb * 1024 * 1024)
     raise ValueError(f"unknown server model {cfg.server!r}")
 
 

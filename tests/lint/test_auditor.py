@@ -195,6 +195,7 @@ def test_o16_multiproc_build_is_not_purity_scanned():
 #: per purity-table row: (off value, on value, a residue line)
 PURITY_CASES = {
     "O11": (False, True, "x = handle.trace_id\n"),
+    "O13": (False, True, "x = rt.WorkerSupervisor\n"),
     "O16": (1, 2, "x = rt.ProcessSupervisor\n"),
     "O17": (False, True, "x = self.shedding.brownout\n"),
 }

@@ -2,13 +2,7 @@
 
 import pytest
 
-from repro.sim import (
-    Interrupt,
-    Resource,
-    SimulationError,
-    Simulator,
-    Store,
-)
+from repro.sim import Resource, SimulationError, Simulator, Store
 
 
 def test_clock_starts_at_zero():
@@ -69,7 +63,7 @@ def test_process_return_value():
 
     p = sim.process(proc())
     sim.run()
-    assert p.triggered and p.ok and p.value == 42
+    assert p.triggered and p.value == 42
 
 
 def test_process_is_waitable():
@@ -121,29 +115,23 @@ def test_event_succeed_wakes_waiter():
     assert got == [(7.0, "go")]
 
 
-def test_event_fail_raises_in_waiter():
-    sim = Simulator()
-    ev = sim.event()
-    caught = []
-
-    def waiter():
-        try:
-            yield ev
-        except ValueError as exc:
-            caught.append(str(exc))
-
-    sim.process(waiter())
-    sim.call_in(1.0, lambda: ev.fail(ValueError("boom")))
-    sim.run()
-    assert caught == ["boom"]
-
-
 def test_event_triggered_twice_raises():
     sim = Simulator()
     ev = sim.event()
     ev.succeed()
     with pytest.raises(SimulationError):
         ev.succeed()
+
+
+def test_yielding_a_non_event_raises():
+    sim = Simulator()
+
+    def proc():
+        yield 5.0
+
+    sim.process(proc())
+    with pytest.raises(SimulationError, match="not a SimEvent"):
+        sim.run()
 
 
 def test_yield_already_fired_event_resumes_immediately():
@@ -162,116 +150,18 @@ def test_yield_already_fired_event_resumes_immediately():
     assert got == [(5.0, "early")]
 
 
-def test_interrupt_wakes_waiting_process():
-    sim = Simulator()
-    trace = []
-
-    def sleeper():
-        try:
-            yield sim.timeout(100.0)
-            trace.append("slept")
-        except Interrupt as exc:
-            trace.append(("interrupted", sim.now, exc.cause))
-
-    p = sim.process(sleeper())
-    sim.call_in(3.0, lambda: p.interrupt("wake up"))
-    sim.run()
-    assert trace == [("interrupted", 3.0, "wake up")]
-
-
-def test_interrupt_dead_process_is_noop():
-    sim = Simulator()
-
-    def quick():
-        yield sim.timeout(1.0)
-
-    p = sim.process(quick())
-    sim.run()
-    p.interrupt()  # must not raise
-    sim.run()
-
-
-def test_uncaught_interrupt_fails_process():
-    sim = Simulator()
-
-    def sleeper():
-        yield sim.timeout(100.0)
-
-    p = sim.process(sleeper())
-    sim.call_in(1.0, lambda: p.interrupt())
-    sim.run()
-    assert p.triggered and not p.ok
-
-
-def test_all_of_waits_for_every_event():
-    sim = Simulator()
-    got = []
-
-    def proc():
-        values = yield sim.all_of([sim.timeout(1.0, "a"), sim.timeout(5.0, "b")])
-        got.append((sim.now, values))
-
-    sim.process(proc())
-    sim.run()
-    assert got == [(5.0, ["a", "b"])]
-
-
-def test_any_of_fires_on_first():
-    sim = Simulator()
-    got = []
-
-    def proc():
-        ev, value = yield sim.any_of([sim.timeout(9.0, "slow"), sim.timeout(2.0, "fast")])
-        got.append((sim.now, value))
-
-    sim.process(proc())
-    sim.run()
-    assert got == [(2.0, "fast")]
-
-
-def test_call_at_and_call_in():
-    sim = Simulator()
-    trace = []
-    sim.call_at(4.0, lambda: trace.append(("at", sim.now)))
-    sim.call_in(2.0, lambda: trace.append(("in", sim.now)))
-    sim.run()
-    assert trace == [("in", 2.0), ("at", 4.0)]
-
-
-def test_call_at_in_past_raises():
-    sim = Simulator()
-    sim.timeout(10.0)
-    sim.run()
-    with pytest.raises(SimulationError):
-        sim.call_at(5.0, lambda: None)
-
-
 def test_fifo_event_ordering_at_same_instant():
     sim = Simulator()
     trace = []
+
+    def proc(i):
+        yield sim.timeout(1.0)
+        trace.append(i)
+
     for i in range(5):
-        sim.call_in(1.0, lambda i=i: trace.append(i))
+        sim.process(proc(i))
     sim.run()
     assert trace == [0, 1, 2, 3, 4]
-
-
-def test_run_until_event_returns_value():
-    sim = Simulator()
-
-    def proc():
-        yield sim.timeout(2.0)
-        return "finished"
-
-    p = sim.process(proc())
-    assert sim.run_until_event(p) == "finished"
-    assert sim.now == 2.0
-
-
-def test_run_until_event_drained_raises():
-    sim = Simulator()
-    ev = sim.event()  # nothing will ever trigger it
-    with pytest.raises(SimulationError):
-        sim.run_until_event(ev)
 
 
 # ---------------------------------------------------------------------------
@@ -322,7 +212,7 @@ def test_resource_capacity_two_runs_pair_concurrently():
     assert ends == [5.0, 5.0, 10.0, 10.0]
 
 
-def test_resource_priority_orders_queue():
+def test_resource_grants_queued_requests_in_fifo_order():
     sim = Simulator()
     res = Resource(sim, capacity=1)
     order = []
@@ -333,18 +223,19 @@ def test_resource_priority_orders_queue():
         yield sim.timeout(1.0)
         res.release(req)
 
-    def claimant(name, prio):
-        yield sim.timeout(0.1)
-        req = res.request(priority=prio)
+    def claimant(name, arrival):
+        yield sim.timeout(arrival)
+        req = res.request()
         yield req
         order.append(name)
         res.release(req)
 
     sim.process(holder())
-    sim.process(claimant("low", 10))
-    sim.process(claimant("high", 1))
+    sim.process(claimant("third", 0.3))
+    sim.process(claimant("first", 0.1))
+    sim.process(claimant("second", 0.2))
     sim.run()
-    assert order == ["high", "low"]
+    assert order == ["first", "second", "third"]
 
 
 def test_resource_queue_length_and_count():
@@ -406,8 +297,12 @@ def test_store_get_blocks_until_put():
         v = yield store.get()
         got.append((sim.now, v))
 
+    def producer():
+        yield sim.timeout(6.0)
+        store.put("late")
+
     sim.process(consumer())
-    sim.call_in(6.0, lambda: store.put("late"))
+    sim.process(producer())
     sim.run()
     assert got == [(6.0, "late")]
 
@@ -435,7 +330,7 @@ def test_bounded_store_try_put():
     assert store.try_put(1)
     assert store.try_put(2)
     assert not store.try_put(3)
-    assert store.is_full
+    assert len(store) == 2
 
 
 def test_bounded_store_put_raises_when_full():

@@ -203,7 +203,7 @@ def test_syn_dropped_when_backlog_full_then_backoff():
 
     sim.process(late_server())
     p = sim.process(client())
-    sim.run_until_event(p)
+    sim.run()
     wait, attempts = p.value
     assert attempts == 2
     assert wait >= 3.0
