@@ -119,10 +119,6 @@ def build_context(o: OptionSet) -> Dict[str, Any]:
                      'lambda: reactor.degradation.shedding.shed_total, '
                      'help="Connections and requests shed by the '
                      'degradation policy")')
-    ctx["probe_brownout_level"] = on(
-        degradation, 'sampler.add_probe("server_brownout_level", '
-                     'lambda: reactor.degradation.brownout.level, '
-                     'help="Brownout degradation level (0..1)")')
     ctx["probe_breaker_open"] = on(
         degradation, 'sampler.add_probe("server_breaker_open", '
                      'lambda: 0.0 if reactor.degradation.breaker.state '
@@ -214,11 +210,6 @@ def build_context(o: OptionSet) -> Dict[str, Any]:
         queue_expr = "rt.FifoEventQueue()"
     else:
         queue_expr = None
-    if queue_expr is not None and degradation:
-        # O17: the CoDel sojourn wrapper goes around whatever queue the
-        # other options chose (the Degradation component attaches the
-        # drop handler once it is built).
-        queue_expr = f"Degradation.wrap_queue(configuration, {queue_expr})"
     if queue_expr is not None:
         ctx["make_processor"] = (
             f"self.processor = EventProcessor(self, {queue_expr}, "
@@ -343,22 +334,10 @@ def build_context(o: OptionSet) -> Dict[str, Any]:
     # -- degradation module (O17) -------------------------------------------------
     ctx["make_degradation"] = on(
         degradation, "self.degradation = Degradation(self)")
-    ctx["start_degradation"] = on(degradation, "self.degradation.start()")
-    ctx["stop_degradation"] = on(degradation, "self.degradation.stop()")
-    # The adaptive controller reads the request p99 from the shared obs
-    # registry (O11) and logs its retunes (O12); without those options
-    # the constructor defaults (no probe, null log) apply.
-    ctx["adaptive_probe_arg"] = on(
-        profiling, "latency_probe=lambda: reactor.observability.registry"
-                   '.histogram("server_request_seconds").quantile(0.99),')
-    ctx["adaptive_log_arg"] = on(logging, "log=reactor.log,")
     # Shed records carry the request trace id only when the tracing
     # plane exists (O11) — an O11=No build must not mention trace ids.
     ctx["accept_trace_id"] = (
         'getattr(handle, "trace_id", 0)' if profiling else "0")
-    ctx["sojourn_trace_id"] = (
-        'getattr(handle, "trace_id", 0) if handle is not None else 0'
-        if profiling else "0")
 
     # -- deployment module (O16) --------------------------------------------
     # At O16>1 the server component runs inside a worker process and

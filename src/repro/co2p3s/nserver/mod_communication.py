@@ -66,7 +66,6 @@ MODULE_COMMUNICATION = ModuleSpec(
                         super().__init__(
                             handle,
                             hooks,
-                            use_codec=$use_codec,
                             on_teardown=reactor.teardown_communicator,
                             update_interest=reactor.socket_source.update_interest,
                             resume_read=reactor.socket_source.resume,
@@ -74,7 +73,7 @@ MODULE_COMMUNICATION = ModuleSpec(
                             $communicator_spans_arg
                         )
                     ''',
-                    options=("O3", "O11"),
+                    options=("O11",),
                 ),
                 Fragment(
                     '''
@@ -591,29 +590,17 @@ MODULE_COMMUNICATION = ModuleSpec(
                     '''
                     # Degradation-plane tuning (option O17): per-client
                     # token-bucket rate, overload response (reject vs the
-                    # O9-style postpone), request-class priorities, CoDel
-                    # sojourn deadline on the processor queue, circuit
-                    # breaker and retry-budget knobs, brownout thresholds
-                    # and the AIMD adaptive watermark controller.
+                    # O9-style postpone), and the file-I/O circuit
+                    # breaker and retry-budget knobs.
                     shed_rate = 100.0
                     shed_burst = 20.0
                     shed_max_clients = 1024
                     shed_retry_after = 1.0
                     shed_on_overload = "reject"
-                    shed_classes = {}
-                    shed_priority_floor = 1
-                    sojourn_deadline = None
-                    sojourn_interval = 0.1
                     breaker_failures = 5
                     breaker_recovery = 5.0
                     breaker_probes = 1
                     retry_budget_ratio = 0.1
-                    brownout_stale_threshold = 0.25
-                    brownout_bound_threshold = 0.5
-                    brownout_max_response = 65536
-                    adaptive_control = False
-                    adaptive_target_p99 = 0.25
-                    adaptive_interval = 1.0
                     ''',
                     guard=_o("O17"), options=("O17",),
                 ),

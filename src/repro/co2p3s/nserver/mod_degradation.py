@@ -2,21 +2,18 @@
 
 Extends the template with a declared graceful-degradation option,
 following the O13 resilience extension: when O17=Yes the template
-generates a ``Degradation`` component owning the shedding policy (the
-explicit, prioritized replacement for O9's silent accept/postpone
-latch), the per-client rate limiter, the brownout controller, the
-file-I/O circuit breaker with its retry budget, and the AIMD adaptive
-watermark controller.  When O17=No the module is not emitted and no
-degradation call site appears anywhere in the generated framework —
-the ``audit:o17-purity`` check enforces this down to the vocabulary
-level.
+generates a ``Degradation`` component holding the shedding policy (the
+explicit replacement for O9's silent accept/postpone latch), the
+per-client rate limiter, and the file-I/O circuit breaker with its
+retry budget.  The component is a plain holder: it starts no thread.
+When O17=No the module is not emitted and no degradation call site
+appears anywhere in the generated framework — the ``audit:o17-purity``
+check enforces this down to the vocabulary level.
 
 Table 2 extension row:
 
 ===========  =====================================================
-Degradation  exists iff O17; body depends on O11 (the adaptive
-             controller reads the request-latency p99 from the
-             shared obs registry) and O12 (adaptive retune logging)
+Degradation  exists iff O17; its body depends on no other option
 ===========  =====================================================
 """
 
@@ -34,46 +31,23 @@ def _o(key):
 MODULE_DEGRADATION = ModuleSpec(
     name="degradation",
     doc="Graceful-degradation plane generated by option O17: explicit "
-        "prioritized load shedding with per-client rate limiting, cheap "
-        "503 + Retry-After rejection, CoDel sojourn-deadline drops, "
-        "brownout, a circuit-broken file-I/O plane and AIMD watermark "
-        "control.",
+        "load shedding with per-client rate limiting, cheap 503 + "
+        "Retry-After rejection and a circuit-broken file-I/O plane.",
     imports=[
         Fragment("from repro import runtime as rt"),
     ],
     classes=[
         ClassSpec(
             name="Degradation",
-            doc="Owns the degradation runtime for the generated server: "
-                "shedding policy, rate limiter, brownout, breaker, retry "
-                "budget and the adaptive controller, assembled from the "
-                "configuration's tuning values.",
+            doc="Holds the degradation runtime for the generated server: "
+                "shedding policy, rate limiter, breaker and retry budget, "
+                "assembled from the configuration's tuning values.",
             exists=_o("O17"),
             exists_options=("O17",),
             fragments=[
                 Fragment(
                     '''
-                    @staticmethod
-                    def wrap_queue(configuration, queue):
-                        """Wrap the Event Processor queue with CoDel-style
-                        sojourn-deadline dropping.  Only READABLE events are
-                        sheddable: completions carry replies already owed
-                        and retire pills are control flow.  A None deadline
-                        leaves the queue untouched (shedding happens at the
-                        accept edge only)."""
-                        if configuration.sojourn_deadline is None:
-                            return queue
-                        return rt.SojournQueue(
-                            queue,
-                            deadline=configuration.sojourn_deadline,
-                            interval=configuration.sojourn_interval,
-                            droppable=lambda event: event.kind == rt.EventKind.READABLE)
-                    '''
-                ),
-                Fragment(
-                    '''
                     def __init__(self, reactor):
-                        self.reactor = reactor
                         configuration = reactor.configuration
                         self.reject_payload = rt.rejection_response(
                             configuration.shed_retry_after)
@@ -83,15 +57,9 @@ MODULE_DEGRADATION = ModuleSpec(
                                 rate=configuration.shed_rate,
                                 burst=configuration.shed_burst,
                                 max_clients=configuration.shed_max_clients),
-                            classes=dict(configuration.shed_classes),
-                            priority_floor=configuration.shed_priority_floor,
                             retry_after=configuration.shed_retry_after,
                             reject_payload=self.reject_payload,
                             on_overload=configuration.shed_on_overload)
-                        self.brownout = rt.BrownoutController(
-                            stale_threshold=configuration.brownout_stale_threshold,
-                            bound_threshold=configuration.brownout_bound_threshold,
-                            max_response_bytes=configuration.brownout_max_response)
                         self.breaker = rt.CircuitBreaker(
                             name="file-io",
                             failure_threshold=configuration.breaker_failures,
@@ -99,64 +67,15 @@ MODULE_DEGRADATION = ModuleSpec(
                             probe_quota=configuration.breaker_probes)
                         self.retry_budget = rt.RetryBudget(
                             ratio=configuration.retry_budget_ratio)
-                        queue = reactor.processor.queue
-                        if isinstance(queue, rt.SojournQueue):
-                            queue.on_drop = self._on_sojourn_drop
-                        self.adaptive = rt.AdaptiveController(
-                            overload=reactor.overload,
-                            brownout=self.brownout,
-                            target_p99=configuration.adaptive_target_p99,
-                            interval=configuration.adaptive_interval,
-                            $adaptive_probe_arg
-                            $adaptive_log_arg
-                        )
-                    ''',
-                    options=("O11", "O12"),
-                ),
-                Fragment(
                     '''
-                    def start(self):
-                        """Spawn the AIMD control loop when the configuration
-                        enables live adaptation (the watermarks can also be
-                        retuned offline via ``rt.hill_climb``)."""
-                        if self.reactor.configuration.adaptive_control:
-                            self.adaptive.start()
-
-                    def stop(self):
-                        self.adaptive.stop()
-                    '''
-                ),
-                Fragment(
-                    '''
-                    def _on_sojourn_drop(self, event, sojourn):
-                        """A queued event blew its sojourn deadline: instead
-                        of serving it uselessly late, 503 the victim
-                        connection and close.  Runs on the Event Processor
-                        worker that popped the stale item."""
-                        handle = getattr(event, "handle", None)
-                        self.shedding.record_rejection(
-                            rt.ShedDecision("reject", "queue-deadline",
-                                            self.shedding.retry_after),
-                            f"sojourn={sojourn:.3f}s",
-                            $sojourn_trace_id)
-                        conn = self.reactor.container.lookup(handle) if handle is not None else None
-                        if conn is None:
-                            return
-                        conn.send_bytes(self.reject_payload, close_after=True)
-                    ''',
-                    options=("O11",),
                 ),
                 Fragment(
                     '''
                     def status(self):
                         """Snapshot of the whole plane (the application's
                         status surfaces render this)."""
-                        status = {"shed": self.shedding.status(),
-                                  "brownout": self.brownout.status(),
-                                  "breaker": self.breaker.status()}
-                        if self.reactor.configuration.adaptive_control:
-                            status["adaptive"] = self.adaptive.status()
-                        return status
+                        return {"shed": self.shedding.status(),
+                                "breaker": self.breaker.status()}
                     '''
                 ),
             ],

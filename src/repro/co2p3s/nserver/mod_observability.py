@@ -17,8 +17,7 @@ Observability  exists iff O11; body depends on O2 (pool probes),
                O9 (overload probes), O10 (span events mirrored into
                the debug event ring), O16 (status report aggregated across worker
                processes through the supervisor's stats socket) and
-               O17 (shed-total, brownout-level and breaker-state
-               probes)
+               O17 (shed-total and breaker-state probes)
 =============  ====================================================
 """
 
@@ -86,7 +85,6 @@ MODULE_OBSERVABILITY = ModuleSpec(
                         $probe_overload_tripped
                         $probe_postponed_accepts
                         $probe_shed_total
-                        $probe_brownout_level
                         $probe_breaker_open
                     ''',
                     options=("O2", "O9", "O17"),

@@ -246,12 +246,10 @@ MODULE_REACTOR = ModuleSpec(
                         $start_controller
                         $start_file_io
                         $start_resilience
-                        $start_degradation
                         self.dispatcher.start()
                         $log_started
 
                     def stop(self):
-                        $stop_degradation
                         self.dispatcher.stop()
                         self.server_component.close()
                         self.container.close_all()
@@ -265,11 +263,8 @@ MODULE_REACTOR = ModuleSpec(
                         $log_stopped
                     ''',
                     # Resilience stops before the processor so a dead
-                    # worker is not respawned into a stopping pool; the
-                    # adaptive control loop stops before anything else so
-                    # it never retunes a dismantling server.
-                    options=("O2", "O4", "O5", "O10", "O11", "O12", "O13",
-                             "O17"),
+                    # worker is not respawned into a stopping pool.
+                    options=("O2", "O4", "O5", "O10", "O11", "O12", "O13"),
                 ),
                 Fragment(
                     '''

@@ -88,10 +88,10 @@ NSERVER_OPTION_SPECS = (
                values=(1, 2, 4, 8)),
     # Fourth structural extension: the graceful-degradation plane.
     # O17=Yes upgrades O9's silent accept/postpone latch to explicit
-    # prioritized decisions — per-client rate limiting, cheap 503 +
-    # Retry-After rejection, CoDel sojourn drops, brownout, a
-    # circuit-broken file I/O plane and (optionally) AIMD watermark
-    # control.  O17=No is the paper's shape and emits zero new code.
+    # decisions — per-client rate limiting and cheap 503 + Retry-After
+    # rejection — and puts a circuit breaker with a retry budget
+    # around file I/O.  O17=No is the paper's shape and emits zero new
+    # code.
     OptionSpec(key="O17", name="Degradation policy",
                describe_values="Yes/No", default=False,
                values=(True, False)),
@@ -149,8 +149,8 @@ COPS_HTTP_RESILIENCE_OPTIONS = dict(
     COPS_HTTP_OBSERVABILITY_OPTIONS, O13=True)
 
 #: COPS-HTTP with the graceful-degradation plane (O9+O11+O17): overload
-#: now *answers* — 503 + Retry-After, per-client rate limits, brownout —
-#: instead of silently postponing, with the whole plane observable on
+#: now *answers* — 503 + Retry-After, per-client rate limits — instead
+#: of silently postponing, with the whole plane observable on
 #: ``/server-status?auto``.  The graceful-vs-cliff experiment shape.
 COPS_HTTP_DEGRADATION_OPTIONS = dict(
     COPS_HTTP_OBSERVABILITY_OPTIONS, O9=True, O17=True)

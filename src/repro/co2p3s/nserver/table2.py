@@ -99,15 +99,13 @@ PAPER_TABLE2 = {
 #: and the log it writes) and '+' cells where the option weaves in:
 #: the accept loop, the configuration's tuning block, the Reactor's
 #: construction/lifecycle/drain and the Server's drain facade.
-#: The O17 graceful-degradation extension adds the Degradation row (exists iff O17; body depends
-#: on O11 — the adaptive controller reads the request-latency p99
-#: from the shared registry — and O12, the retune log argument) and
-#: '+' cells where the plane weaves in: the Reactor builds, starts
-#: and stops the component (and wraps the processor queue / breaks
-#: the file I/O through it), the accept loop swaps silent
-#: postponement for explicit shedding, the
-#: configuration carries the tuning block and the Observability
-#: wire probes shed totals, brownout level and breaker state.
+#: The O17 graceful-degradation extension adds the Degradation row
+#: (exists iff O17; its body depends on no other option) and '+' cells
+#: where the plane weaves in: the Reactor builds the component (and
+#: breaks the file I/O through it), the accept loop swaps silent
+#: postponement for explicit shedding, the configuration carries the
+#: tuning block and the Observability wire probes shed totals and
+#: breaker state.
 #: The O16 multi-process deployment extension adds the Deployment row
 #: (exists iff O16>1; body depends on O11 — cluster-wide aggregated
 #: status fields — and O13, the cross-process drain barrier) and the
@@ -128,7 +126,7 @@ TABLE2_EXTENSIONS = {
     "Reactor": {"O13": "+", "O17": "+"},
     "AcceptorEventHandler": {"O13": "+", "O17": "+"},
     "Server": {"O13": "+", "O16": "+"},
-    "Degradation": {"O11": "+", "O12": "+", "O17": "O"},
+    "Degradation": {"O17": "O"},
     "Deployment": {"O11": "+", "O13": "+", "O16": "O"},
     "Worker": {"O11": "+", "O13": "+", "O16": "O"},
 }

@@ -12,11 +12,10 @@ seeded, fault-injected client sessions
 
 The model is deliberately *loose* where the spec is loose: tolerated
 freedoms (header order, Date/Server values, 503 + ``Retry-After`` under
-shed, truncated-but-consistent bodies under brownout, cut-short streams
-under injected faults) are explicit equivalence rules, not byte
-equality.  Divergences carry stable idents and can be justified in
-``conform-baseline.toml`` — the same suppress-with-reason workflow as
-the lint plane.  ``python -m repro.conform`` runs the sweep.
+shed, cut-short streams under injected faults) are explicit equivalence
+rules, not byte equality.  Divergences carry stable idents and can be
+justified in ``conform-baseline.toml`` — the same suppress-with-reason
+workflow as the lint plane.  ``python -m repro.conform`` runs the sweep.
 """
 
 from repro.conform.model import (

@@ -115,8 +115,6 @@ class Corner:
     #: install a fault plane with this spec before start (O13 corners)
     fault_spec: Optional[FaultSpec] = None
     fault_seed: int = 7
-    #: set the O17 brownout to this level once the server is built
-    brownout_level: Optional[float] = None
     #: serialise session replay (admission-stateful corners)
     sequential: bool = False
     smoke: bool = True
@@ -165,15 +163,6 @@ def corner_matrix(which: str = "smoke") -> List[Corner]:
                build={"degradation": True},
                config={"shed_rate": 0.001, "shed_burst": 1.0},
                model=observ, freedoms=shed, sequential=True),
-        Corner("brownout", "O17 brownout at level 0.6: stale serving on, "
-               "response cap engaged",
-               options=dict(COPS_HTTP_DEGRADATION_OPTIONS),
-               build={"degradation": True},
-               config={"brownout_max_response": 2048},
-               model=observ,
-               freedoms=Freedoms(shed=True, brownout_level=0.6,
-                                 brownout_max_response=2048),
-               brownout_level=0.6, sequential=True),
         Corner("faulty", "O13 under a seeded socket+disk fault schedule",
                options=dict(COPS_HTTP_RESILIENCE_OPTIONS), model=observ,
                freedoms=Freedoms(faults=True), fault_spec=fault_spec),
@@ -184,14 +173,6 @@ def corner_matrix(which: str = "smoke") -> List[Corner]:
                    options=dict(COPS_HTTP_DEGRADATION_OPTIONS),
                    build={"degradation": True, "procs": 2},
                    model=observ, freedoms=shed, smoke=False),
-            Corner("brownout-max", "O17 brownout saturated (level 1.0)",
-                   options=dict(COPS_HTTP_DEGRADATION_OPTIONS),
-                   build={"degradation": True},
-                   config={"brownout_max_response": 2048},
-                   model=observ,
-                   freedoms=Freedoms(shed=True, brownout_level=1.0,
-                                     brownout_max_response=2048),
-                   brownout_level=1.0, sequential=True, smoke=False),
         ]
     return corners
 
@@ -396,8 +377,6 @@ def _build_corner_server(corner: Corner, workdir: str,
         **corner.build, **corner.config)
     if plane is not None:
         plane.install(server)
-    if corner.brownout_level is not None:
-        server.reactor.degradation.brownout.set_level(corner.brownout_level)
     return server, plane
 
 

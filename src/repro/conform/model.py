@@ -14,8 +14,6 @@ behaviour is intentionally loose, the looseness is part of the model:
 * under the ``shed`` freedom (an O17 build), any exchange may instead
   be answered with a well-formed 503 carrying ``Retry-After >= 1`` and
   ``Connection: close`` — after which the connection is done;
-* under an active brownout response cap, a 200 body may be the exact
-  cap-length prefix of the file (``Content-Length`` must agree);
 * under the ``faults`` freedom (an O13 run with a fault plane
   installed), a response stream may be cut short at any point — the
   checker validates the parseable prefix and tolerates the rest.
@@ -72,23 +70,8 @@ class Freedoms:
 
     #: O17 build: 503 + Retry-After may replace any exchange
     shed: bool = False
-    #: O17 brownout level (0 disables both stale serving and the cap)
-    brownout_level: float = 0.0
-    brownout_bound_threshold: float = 0.5
-    brownout_max_response: int = 65536
     #: a fault plane is injecting: streams may be cut short anywhere
     faults: bool = False
-
-    def response_cap(self) -> Optional[int]:
-        """The brownout response-size cap, mirroring
-        :class:`repro.runtime.degradation.BrownoutController`."""
-        level = min(max(self.brownout_level, 0.0), 1.0)
-        bound = self.brownout_bound_threshold
-        if level < bound:
-            return None
-        frac = 1.0 if bound >= 1.0 else (level - bound) / (1.0 - bound)
-        return max(int(self.brownout_max_response * (1.0 - 0.75 * frac)),
-                   1024)
 
 
 class ModelVFS:
@@ -149,19 +132,10 @@ class Expectation:
     status: int
     closes: bool
     head_only: bool = False
-    #: exact body bytes (pre-cap) for content responses; None = unchecked
+    #: exact body bytes for content responses; None = unchecked
     body: Optional[bytes] = None
     require_content_type: bool = False
     freedoms: Freedoms = field(default_factory=Freedoms)
-
-    def _allowed_lengths(self) -> Optional[List[int]]:
-        if self.body is None:
-            return None
-        allowed = [len(self.body)]
-        cap = self.freedoms.response_cap()
-        if cap is not None and len(self.body) > cap:
-            allowed.append(cap)
-        return allowed
 
     def check(self, resp: "ParsedResponse") -> Verdict:
         """Judge ``resp``; header order, Date and Server never matter
@@ -188,27 +162,28 @@ class Expectation:
         if self.require_content_type and resp.header("Content-Type") is None:
             return Verdict("mismatch", "200 without Content-Type", True,
                            kind="content-type")
-        allowed = self._allowed_lengths()
-        if allowed is not None:
+        if self.body is not None:
+            length = len(self.body)
             declared = resp.header("Content-Length")
             if declared is None or not declared.isdigit():
                 return Verdict("mismatch",
                                f"unusable Content-Length {declared!r}", True,
                                kind="content-length")
-            if int(declared) not in allowed:
+            if int(declared) != length:
                 return Verdict(
                     "mismatch",
-                    f"Content-Length {declared} not in allowed {allowed}",
+                    f"Content-Length {declared}, model expects {length}",
                     True, kind="content-length")
-            if not self.head_only and self.body is not None:
+            if not self.head_only:
                 if resp.body != self.body[:len(resp.body)]:
                     return Verdict("mismatch",
                                    "body differs from modelled payload",
                                    True, kind="body")
-                if len(resp.body) not in allowed:
+                if len(resp.body) != length:
                     return Verdict(
                         "mismatch",
-                        f"body length {len(resp.body)} not in {allowed}",
+                        f"body length {len(resp.body)}, model expects "
+                        f"{length}",
                         True, kind="body-length")
         if resp.closes and not self.closes:
             return Verdict("mismatch",

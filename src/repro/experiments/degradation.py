@@ -21,9 +21,8 @@ Three variants tell the story:
   sojourn drops bound in-queue waiting.  Admitted clients stay inside
   the deadline, so goodput holds near its peak at any overload.
 
-``tune_watermark`` is the offline counterpart of the live AIMD
-controller: coordinate hill-climbing of the overload high watermark
-against the simulated testbed's goodput.
+``tune_watermark`` tunes the overload high watermark offline: coordinate
+hill-climbing against the simulated testbed's goodput.
 """
 
 from __future__ import annotations
@@ -164,10 +163,9 @@ def tune_watermark(
 ) -> Tuple[int, float]:
     """Hill-climb the overload high watermark against sim goodput.
 
-    The offline half of the adaptive-control story: the same knob the
-    live :class:`repro.runtime.AdaptiveController` retunes by AIMD is
-    searched here against the deterministic testbed, returning
-    ``(best_high, best_goodput)``."""
+    Each probe runs the ``degradation`` variant on the deterministic
+    testbed with the low watermark at a quarter of the high one;
+    returns ``(best_high, best_goodput)``."""
 
     def evaluate(high: int) -> float:
         return run_testbed(_cliff_config(

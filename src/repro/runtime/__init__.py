@@ -17,10 +17,9 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, globals(), {
     "communicator": ("CLOSE", "PENDING", "Communicator", "ServerHooks"),
     "container": ("Container",),
     "degradation": (
-        "AdaptiveController", "BrownoutController", "CircuitBreaker",
-        "CircuitOpenError", "ClientRateLimiter", "RetryBudget", "ShedDecision",
-        "SheddingPolicy", "SojournQueue", "TokenBucket", "hill_climb",
-        "reject_handle", "rejection_response",
+        "CircuitBreaker", "CircuitOpenError", "ClientRateLimiter",
+        "RetryBudget", "ShedDecision", "SheddingPolicy", "SojournQueue",
+        "TokenBucket", "hill_climb", "reject_handle", "rejection_response",
     ),
     "deployment": (
         "STATS_SOCKET_ENV", "ProcessSupervisor", "adopted_listen_socket",
@@ -35,8 +34,7 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, globals(), {
     "events": (
         "AcceptEvent", "AsynchronousCompletionToken", "CompletionEvent",
         "ConnectEvent", "Event", "EventKind", "FileOpenEvent", "FileReadEvent",
-        "ReadableEvent", "ShutdownEvent", "TimerEvent", "UserEvent",
-        "WritableEvent",
+        "ReadableEvent", "TimerEvent", "UserEvent", "WritableEvent",
     ),
     "file_io": ("AsyncFileIO",),
     "handles": (

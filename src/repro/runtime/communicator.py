@@ -174,7 +174,6 @@ class Communicator:
         handle: SocketHandle,
         hooks: ServerHooks,
         *,
-        use_codec: bool = True,
         on_teardown: Optional[Callable[["Communicator"], None]] = None,
         update_interest: Optional[Callable[[SocketHandle], None]] = None,
         resume_read: Optional[Callable[[SocketHandle], None]] = None,
@@ -185,7 +184,6 @@ class Communicator:
     ):
         self.handle = handle
         self.hooks = hooks
-        self.use_codec = use_codec
         #: always-on lifecycle-event ring (the one the owning server
         #: passed; the process-wide recorder otherwise)
         self.flight = flight if flight is not None else GLOBAL_FLIGHT
@@ -297,16 +295,16 @@ class Communicator:
     # -- overridable steps (generated CommunicatorComponents replace
     # these with the generated step-handler chain) ------------------------
     def step_decode(self, raw: bytes):
-        """Decode Request step (identity when the codec is disabled)."""
-        return self.hooks.decode(raw, self) if self.use_codec else raw
+        """Decode Request step."""
+        return self.hooks.decode(raw, self)
 
     def step_handle(self, request):
         """Handle Request step."""
         return self.hooks.handle(request, self)
 
     def step_encode(self, result):
-        """Encode Reply step (identity when the codec is disabled)."""
-        return self.hooks.encode(result, self) if self.use_codec else result
+        """Encode Reply step."""
+        return self.hooks.encode(result, self)
 
     def _run_pipeline(self, raw: bytes) -> None:
         trace_id = getattr(self.handle, "trace_id", 0)

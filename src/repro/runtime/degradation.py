@@ -3,7 +3,7 @@
 The paper's O9 overload control is a binary accept/postpone latch over
 static watermarks (Fig 6: high=20 / low=5): under a sustained storm the
 server silently strands clients in the kernel backlog.  This module
-replaces the silent postpone with *explicit, prioritized decisions*:
+replaces the silent postpone with *explicit decisions*:
 
 * :class:`TokenBucket` / :class:`ClientRateLimiter` — per-client rate
   limiting so one aggressive client cannot starve the rest;
@@ -11,17 +11,14 @@ replaces the silent postpone with *explicit, prioritized decisions*:
   :class:`ShedDecision` with a machine-readable reason code that lands
   in the flight recorder (so ``reconstruct_path`` can explain why a
   connection never got a span);
-* :class:`SojournQueue` — CoDel-style sojourn-deadline drops on the
-  Event Processor queue: work that has already waited past its deadline
-  is dropped at pop time instead of being served uselessly late;
+* :class:`SojournQueue` — CoDel-style sojourn-deadline drops on an
+  event queue: work that has already waited past its deadline is
+  dropped at pop time instead of being served uselessly late (the sim
+  testbed's event-driven server runs it);
 * :class:`CircuitBreaker` / :class:`RetryBudget` — closed → open →
   half-open protection around file I/O and cache backends;
-* :class:`BrownoutController` — graded partial degradation (serve-stale
-  from the cache plane, bounded-size responses) for COPS-HTTP;
-* :class:`AdaptiveController` — AIMD retuning of the O9 watermarks and
-  the brownout level from the O11 p99 latency signal, runnable live (a
-  background thread) or offline (:func:`hill_climb` over the sim
-  testbed).
+* :func:`hill_climb` — an offline search over one integer knob (the
+  sim testbed tunes the O9 high watermark with it).
 
 Everything here is plain-clock-injectable so the simulation testbed can
 drive the *same* classes the live server runs — the Fig 6-style
@@ -30,7 +27,6 @@ drive the *same* classes the live server runs — the Fig 6-style
 
 from __future__ import annotations
 
-import threading
 import time
 from collections import OrderedDict
 from dataclasses import dataclass
@@ -48,8 +44,6 @@ __all__ = [
     "CircuitBreaker",
     "CircuitOpenError",
     "RetryBudget",
-    "BrownoutController",
-    "AdaptiveController",
     "hill_climb",
     "reject_handle",
     "rejection_response",
@@ -61,7 +55,6 @@ REASON_RATE_LIMIT = "rate-limit"
 REASON_OVERLOAD = "overload"
 REASON_MAX_CONNECTIONS = "max-connections"
 REASON_QUEUE_DEADLINE = "queue-deadline"
-REASON_PRIORITY = "priority"
 REASON_BREAKER = "breaker"
 
 
@@ -205,28 +198,22 @@ def reject_handle(handle, payload: bytes) -> None:
 
 
 class SheddingPolicy:
-    """Explicit, prioritized load shedding.
+    """Explicit load shedding at the accept edge.
 
-    Composes three signals into per-connection and per-request
-    decisions:
+    Composes two signals into per-connection decisions:
 
     * the O9 :class:`~repro.runtime.overload.OverloadController` (queue
       watermarks + connection cap) — but instead of silently postponing,
       overload now *rejects*: the client gets a cheap canned response
       (HTTP 503 with ``Retry-After``) and an explanation lands in the
       flight recorder;
-    * a :class:`ClientRateLimiter`, so shedding is fair across clients;
-    * request-class priorities (``classes`` maps class name → priority,
-      higher = more important): under pressure, classes below
-      ``priority_floor`` shed first — expensive work is the first to go.
+    * a :class:`ClientRateLimiter`, so shedding is fair across clients.
     """
 
     def __init__(
         self,
         overload=None,
         limiter: Optional[ClientRateLimiter] = None,
-        classes: Optional[Dict[str, int]] = None,
-        priority_floor: int = 1,
         retry_after: float = 1.0,
         reject_payload: bytes = b"",
         on_overload: str = "reject",
@@ -236,10 +223,6 @@ class SheddingPolicy:
             raise ValueError("on_overload must be 'reject' or 'postpone'")
         self.overload = overload
         self.limiter = limiter
-        #: request-class priorities; unknown classes get the floor value
-        #: (never shed by the priority rule alone)
-        self.classes = dict(classes or {})
-        self.priority_floor = priority_floor
         self.retry_after = retry_after
         #: preformatted rejection bytes (a canned 503 for HTTP); empty
         #: means reject-by-close for protocols without an error shape
@@ -299,23 +282,6 @@ class SheddingPolicy:
         self._shed(REASON_RATE_LIMIT, f"client={client}", trace_id)
         return decision
 
-    def admit_request(self, request_class: str = "",
-                      trace_id: int = 0) -> ShedDecision:
-        """Per-request gate: under pressure, low-priority classes shed.
-
-        Pressure means the overload controller has a tripped watermark;
-        while it lasts, request classes whose priority is below
-        ``priority_floor`` are rejected with :data:`REASON_PRIORITY`.
-        """
-        if self.overload is None or not self.overload.overloaded_queues():
-            return _ADMIT
-        priority = self.classes.get(request_class, self.priority_floor)
-        if priority >= self.priority_floor:
-            return _ADMIT
-        decision = ShedDecision("reject", REASON_PRIORITY, self.retry_after)
-        self._shed(REASON_PRIORITY, f"class={request_class}", trace_id)
-        return decision
-
     def record_rejection(self, decision: ShedDecision, detail: str = "",
                          trace_id: int = 0) -> None:
         """Account a rejection decided by :meth:`admit_accept` (the
@@ -327,7 +293,6 @@ class SheddingPolicy:
         status = {
             "shed_total": self.shed_total,
             "shed_by_reason": self.shed_by_reason(),
-            "priority_floor": self.priority_floor,
             "on_overload": self.on_overload,
         }
         if self.limiter is not None:
@@ -347,9 +312,9 @@ class SojournQueue:
     deadline for a full ``interval`` (so transient bursts pass
     unharmed), and stop the moment a fresh item is seen.
 
-    ``on_drop(item, sojourn)`` receives each dropped item — the server
-    wires this to a handler that 503s and closes the victim connection
-    instead of silently losing it.  ``droppable(item)`` decides which
+    ``on_drop(item, sojourn)`` receives each dropped item — the sim's
+    event-driven server wires this to a handler that 503s the victim
+    request instead of silently losing it.  ``droppable(item)`` decides which
     items the control law may touch at all: control messages (worker
     retire pills, completions carrying owed replies) must pass through
     however stale — only fresh request work is sheddable.
@@ -617,233 +582,6 @@ class RetryBudget:
         with self._lock:
             access(self, "_tokens", write=False)
             return self._tokens
-
-
-class BrownoutController:
-    """Graded partial degradation (brownout) for content servers.
-
-    ``level`` runs 0.0 (full service) … 1.0 (maximum degradation) and is
-    driven by the :class:`AdaptiveController` (or directly by a load
-    signal).  Two degradations switch on as the level rises:
-
-    * ``serve_stale`` (level ≥ ``stale_threshold``) — answer from the
-      cache plane without touching the disk, even for entries the cache
-      would otherwise revalidate or a failing loader would miss;
-    * response bounding (level ≥ ``bound_threshold``) — large response
-      bodies are truncated to :meth:`response_cap` bytes, shrinking
-      further as the level rises.
-    """
-
-    def __init__(self, stale_threshold: float = 0.25,
-                 bound_threshold: float = 0.5,
-                 max_response_bytes: int = 64 * 1024):
-        self.stale_threshold = stale_threshold
-        self.bound_threshold = bound_threshold
-        self.max_response_bytes = max_response_bytes
-        self._lock = make_lock("BrownoutController")
-        self._level = 0.0
-        self.stale_served = 0
-        self.responses_bounded = 0
-        shared(self, "_level", "stale_served", "responses_bounded",
-               label="brownout level and accounting")
-
-    @property
-    def level(self) -> float:
-        """Current degradation level, 0.0 … 1.0."""
-        with self._lock:
-            access(self, "_level", write=False)
-            return self._level
-
-    def set_level(self, level: float) -> None:
-        """Clamp and set the degradation level."""
-        with self._lock:
-            access(self, "_level")
-            self._level = min(1.0, max(0.0, level))
-
-    def raise_level(self, step: float) -> None:
-        """Degrade further by ``step`` (clamped at 1.0)."""
-        with self._lock:
-            access(self, "_level")
-            self._level = min(1.0, self._level + step)
-
-    def lower_level(self, step: float) -> None:
-        """Recover by ``step`` (clamped at 0.0)."""
-        with self._lock:
-            access(self, "_level")
-            self._level = max(0.0, self._level - step)
-
-    @property
-    def serve_stale(self) -> bool:
-        """Should the server answer from cache without touching disk?"""
-        return self.level >= self.stale_threshold
-
-    def response_cap(self) -> Optional[int]:
-        """Maximum response-body bytes right now; None = unbounded.
-
-        Above ``bound_threshold`` the cap shrinks linearly from
-        ``max_response_bytes`` down to a quarter of it at level 1.0.
-        """
-        level = self.level
-        if level < self.bound_threshold:
-            return None
-        span = 1.0 - self.bound_threshold
-        frac = (level - self.bound_threshold) / span if span else 1.0
-        return max(int(self.max_response_bytes * (1.0 - 0.75 * frac)), 1024)
-
-    def served_stale(self) -> None:
-        """Account one response answered stale-from-cache."""
-        with self._lock:
-            access(self, "stale_served")
-            self.stale_served += 1
-
-    def bounded(self) -> None:
-        """Account one response body truncated by the cap."""
-        with self._lock:
-            access(self, "responses_bounded")
-            self.responses_bounded += 1
-
-    def status(self) -> dict:
-        """Snapshot for ``/server-status?auto``."""
-        return {
-            "level": round(self.level, 4),
-            "serve_stale": self.serve_stale,
-            "response_cap": self.response_cap(),
-            "stale_served": self.stale_served,
-            "responses_bounded": self.responses_bounded,
-        }
-
-
-class AdaptiveController:
-    """AIMD retuning of overload watermarks and the brownout level.
-
-    Every ``interval`` seconds :meth:`step` reads the O11 p99 latency
-    (``latency_probe()`` → seconds or None while idle) and applies the
-    classic additive-increase / multiplicative-decrease rule:
-
-    * p99 **over** ``target_p99`` — congested: multiplicatively shrink
-      the watched queue's high watermark (shed earlier) and raise the
-      brownout level one step;
-    * p99 **under** target — healthy: additively grow the watermark
-      back toward ``max_high`` and lower the brownout level.
-
-    The low watermark follows the high one at the configured ratio so
-    the O9 hysteresis band keeps its shape.  The controller can run live
-    (:meth:`start` spawns the control-loop thread) or be stepped by
-    hand — the sim testbed and the tests do the latter.
-    """
-
-    def __init__(
-        self,
-        overload,
-        queue_name: str = "reactive",
-        latency_probe: Optional[Callable[[], Optional[float]]] = None,
-        brownout: Optional[BrownoutController] = None,
-        target_p99: float = 0.25,
-        interval: float = 1.0,
-        min_high: int = 4,
-        max_high: int = 256,
-        increase: int = 2,
-        decrease: float = 0.5,
-        low_ratio: float = 0.25,
-        brownout_step: float = 0.1,
-        log=None,
-    ):
-        from repro.runtime.nulls import NULL_LOG
-
-        if not 0.0 < decrease < 1.0:
-            raise ValueError("decrease must be in (0, 1)")
-        self.overload = overload
-        self.queue_name = queue_name
-        self.latency_probe = latency_probe or (lambda: None)
-        self.brownout = brownout
-        self.target_p99 = target_p99
-        self.interval = interval
-        self.min_high = min_high
-        self.max_high = max_high
-        self.increase = increase
-        self.decrease = decrease
-        self.low_ratio = low_ratio
-        self.brownout_step = brownout_step
-        self.log = log if log is not None else NULL_LOG
-        self._lock = make_lock("AdaptiveController")
-        self._thread: Optional[threading.Thread] = None
-        self._stop = threading.Event()
-        self.adjustments = 0
-        self.last_p99: Optional[float] = None
-        shared(self, "adjustments", "last_p99",
-               label="adaptive-controller accounting")
-
-    # -- one AIMD step ----------------------------------------------------
-    def step(self) -> Optional[Tuple[int, int]]:
-        """Apply one control decision; returns the (high, low) applied,
-        or None when there was no latency signal to act on."""
-        p99 = self.latency_probe()
-        with self._lock:
-            access(self, "last_p99")
-            self.last_p99 = p99
-        if p99 is None:
-            return None
-        mark = self.overload.watermark(self.queue_name)
-        if mark is None:
-            return None
-        if p99 > self.target_p99:
-            high = max(self.min_high, int(mark.high * self.decrease))
-            if self.brownout is not None:
-                self.brownout.raise_level(self.brownout_step)
-        else:
-            high = min(self.max_high, mark.high + self.increase)
-            if self.brownout is not None:
-                self.brownout.lower_level(self.brownout_step)
-        low = max(1, min(high - 1, int(high * self.low_ratio)))
-        if (high, low) != (mark.high, mark.low):
-            self.overload.retune(self.queue_name, high=high, low=low)
-            with self._lock:
-                access(self, "adjustments")
-                self.adjustments += 1
-            self.log.info(
-                f"adaptive: p99={p99:.3f}s target={self.target_p99:.3f}s "
-                f"-> watermark high={high} low={low}")
-        return high, low
-
-    # -- live control loop ------------------------------------------------
-    def _loop(self) -> None:
-        """Background control loop (live mode)."""
-        while not self._stop.wait(self.interval):
-            try:
-                self.step()
-            except Exception:  # noqa: BLE001 - controller must not die
-                pass
-
-    def start(self) -> None:
-        """Spawn the live control-loop thread (idempotent)."""
-        with self._lock:
-            access(self, "_thread")
-            if self._thread is not None:
-                return
-            self._stop.clear()
-            self._thread = threading.Thread(
-                target=self._loop, daemon=True, name="adaptive-controller")
-            self._thread.start()
-
-    def stop(self) -> None:
-        """Stop the control loop (idempotent)."""
-        with self._lock:
-            access(self, "_thread")
-            thread, self._thread = self._thread, None
-        if thread is not None:
-            self._stop.set()
-            thread.join(timeout=2.0)
-
-    def status(self) -> dict:
-        """Snapshot for ``/server-status?auto``."""
-        mark = self.overload.watermark(self.queue_name)
-        return {
-            "target_p99": self.target_p99,
-            "last_p99": self.last_p99,
-            "adjustments": self.adjustments,
-            "high": mark.high if mark else None,
-            "low": mark.low if mark else None,
-        }
 
 
 def hill_climb(evaluate: Callable[[int], float], initial: int,

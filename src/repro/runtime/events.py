@@ -33,7 +33,6 @@ __all__ = [
     "CompletionEvent",
     "FileOpenEvent",
     "FileReadEvent",
-    "ShutdownEvent",
     "AsynchronousCompletionToken",
 ]
 
@@ -50,7 +49,6 @@ class EventKind(Enum):
     TIMER = auto()         # a timer fired
     USER = auto()          # application-defined event
     COMPLETION = auto()    # an asynchronous operation completed
-    SHUTDOWN = auto()      # server is stopping
 
 
 class AsynchronousCompletionToken:
@@ -131,12 +129,6 @@ class UserEvent(Event):
     kind = EventKind.USER
     __slots__ = ()
 
-
-class ShutdownEvent(Event):
-    """The server is stopping."""
-
-    kind = EventKind.SHUTDOWN
-    __slots__ = ()
 
 
 class CompletionEvent(Event):

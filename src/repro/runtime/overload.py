@@ -16,10 +16,8 @@ Acceptor asks :meth:`accepting` before taking new connections.
 
 All mutable state lives behind one tracked lock: ``accepting()`` runs on
 the dispatcher thread, ``connection_opened``/``connection_closed`` on
-acceptor and teardown paths, ``status()`` on the O11 sampler thread, and
-the O17 :class:`~repro.runtime.degradation.AdaptiveController` retunes
-watermarks from its own control loop — the lockset annotations let the
-race detector prove they never collide.
+acceptor and teardown paths and ``status()`` on the O11 sampler thread —
+the lockset annotations let the race detector prove they never collide.
 """
 
 from __future__ import annotations
@@ -67,8 +65,7 @@ class OverloadController:
         #: accounting for the experiment harness
         self.postponed_accepts = 0
         shared(self, "_tripped", "open_connections", "postponed_accepts",
-               label="overload admission state (dispatcher vs sampler "
-                     "vs adaptive controller)")
+               label="overload admission state (dispatcher vs sampler)")
 
     def watch(self, name: str, probe: Callable[[], int], mark: Watermark) -> None:
         """Register a queue to watch.  ``probe()`` must return its length."""
@@ -85,25 +82,6 @@ class OverloadController:
             self._marks.pop(name, None)
             access(self, "_tripped")
             self._tripped.pop(name, None)
-
-    # -- watermark access (the O17 adaptive controller's surface) --------
-    def watermark(self, name: str) -> Optional[Watermark]:
-        """The current hysteresis pair for one watched queue."""
-        with self._lock:
-            return self._marks.get(name)
-
-    def retune(self, name: str, high: int, low: int) -> None:
-        """Replace a queue's watermarks in place (validated).
-
-        The tripped latch is preserved: hysteresis keeps working across
-        a retune, so the adaptive controller cannot cause flapping by
-        merely moving the band.
-        """
-        mark = Watermark(high=high, low=low)  # validates
-        with self._lock:
-            if name not in self._marks:
-                raise KeyError(f"no watched queue named {name!r}")
-            self._marks[name] = mark
 
     # -- connection accounting (mechanism 1) -----------------------------
     def connection_opened(self) -> None:

@@ -27,21 +27,6 @@ from repro.runtime import AsynchronousCompletionToken, PENDING, ServerHooks
 __all__ = ["CopsHttpHooks", "build_cops_http", "main"]
 
 
-def degradation_plane(conn):
-    """The O17 degradation plane: the ``Degradation`` component a
-    generated build hangs off the connection's reactor.  None when the
-    build has no plane (O17=No leaves no call site behind) — and then
-    the O17 application surface, :mod:`repro.servers.http_degradation`,
-    is never imported."""
-    return getattr(getattr(conn, "reactor", None), "degradation", None)
-
-
-def _o17():
-    """The O17 application surface, imported on the O17 path only."""
-    from repro.servers import http_degradation
-    return http_degradation
-
-
 class _Garbage(bytes):
     """Unframeable input passed through to the Decode step, carrying
     the framing error so its status survives the trip — an oversized
@@ -110,32 +95,6 @@ class CopsHttpHooks(ServerHooks):
         keep_alive = request.keep_alive
         version = request.version
 
-        # O17: per-request priority shedding — under a tripped
-        # watermark, classes below the policy floor answer 503 without
-        # ever touching the file I/O plane.
-        plane = degradation_plane(conn)
-        if plane is not None:
-            o17 = _o17()
-            shedding = getattr(plane, "shedding", None)
-            if shedding is not None:
-                decision = shedding.admit_request(
-                    self.classify_request(request),
-                    getattr(conn.handle, "trace_id", 0))
-                if not decision.admitted:
-                    return o17.shed_response(request, decision)
-
-            # O17 brownout: above the stale threshold, answer from
-            # whatever the cache plane already holds — no disk, no
-            # revalidation.
-            brownout = getattr(plane, "brownout", None)
-            if brownout is not None and brownout.serve_stale:
-                stale = o17.stale_payload(conn, path)
-                if stale is not None:
-                    brownout.served_stale()
-                    return self._file_response(
-                        path, stale, head_only, keep_alive, version,
-                        brownout=brownout)
-
         # The order ticket pairs the disk completion with *this* request:
         # pipelined reads finish out of order (worker threads, inline
         # cache hits) and the reply must not attach to whichever request
@@ -149,22 +108,8 @@ class CopsHttpHooks(ServerHooks):
             path, act, priority=conn.priority)
         return PENDING
 
-    def classify_request(self, request) -> str:
-        """O17 request class, priority-ordered: ``status`` (operator
-        traffic) > ``page`` (HTML) > ``asset`` (everything else, the
-        bulk bytes that shed first under pressure)."""
-        if request.path == self.status_path:
-            return "status"
-        if request.path.endswith("/") or request.path.endswith(".html"):
-            return "page"
-        return "asset"
-
-    def _file_response(self, path, payload, head_only, keep_alive, version,
-                       brownout=None):
-        """Build the 200 for a served file, applying the brownout
-        response cap when one is active."""
-        if brownout is not None:
-            payload = _o17().bound_payload(payload, brownout)
+    def _file_response(self, path, payload, head_only, keep_alive, version):
+        """Build the 200 for a served file."""
         headers = http.Headers([
             ("Content-Type", http.guess_type(path)),
         ])
@@ -183,18 +128,6 @@ class CopsHttpHooks(ServerHooks):
     def _file_ready(self, conn, event) -> None:
         path, head_only, keep_alive, version, ticket = event.token.context
         if not event.ok:
-            # O17: a failing disk (or an open breaker) can still be
-            # browned out — answer stale from the cache plane rather
-            # than 404ing content we have in memory.
-            brownout = getattr(degradation_plane(conn), "brownout", None)
-            if brownout is not None and brownout.serve_stale:
-                stale = _o17().stale_payload(conn, path)
-                if stale is not None:
-                    brownout.served_stale()
-                    conn.complete_request(self._file_response(
-                        path, stale, head_only, keep_alive, version,
-                        brownout=brownout), ticket)
-                    return
             response = http.error_response(404, version=version,
                                            close=not keep_alive,
                                            head_only=head_only)
@@ -203,8 +136,7 @@ class CopsHttpHooks(ServerHooks):
             response._close_after = not keep_alive
         else:
             response = self._file_response(
-                path, event.payload, head_only, keep_alive, version,
-                brownout=getattr(degradation_plane(conn), "brownout", None))
+                path, event.payload, head_only, keep_alive, version)
         conn.complete_request(response, ticket)
 
     def _server_status(self, request, conn):
@@ -232,9 +164,13 @@ class CopsHttpHooks(ServerHooks):
             content_type = ("text/plain; charset=utf-8" if auto
                             else "text/html; charset=utf-8")
             if auto:
-                plane = degradation_plane(conn)
+                # An O17 build hangs its degradation plane off the
+                # reactor; only then is its application surface imported.
+                plane = getattr(conn.reactor, "degradation", None)
                 if plane is not None:
-                    body += _o17().degradation_report(plane)
+                    from repro.servers.http_degradation import (
+                        degradation_report)
+                    body += degradation_report(plane)
         headers = http.Headers([("Content-Type", content_type)])
         if not keep_alive:
             headers.set("Connection", "close")
@@ -311,10 +247,9 @@ def build_cops_http(
     importable by module path — they are re-created inside each
     worker — so pass a module-level hooks class (or none).
 
-    ``degradation=True`` regenerates with option O17: explicit
-    prioritized load shedding (503 + ``Retry-After`` instead of silent
-    postpone), per-client rate limiting, brownout, and a circuit-broken
-    file I/O plane.
+    ``degradation=True`` regenerates with option O17: explicit load
+    shedding (503 + ``Retry-After`` instead of silent postpone),
+    per-client rate limiting and a circuit-broken file I/O plane.
 
     Returns ``(server, framework_module, generation_report)``.
     """

@@ -61,7 +61,6 @@ class BaseSimServer:
         self.cpu = CpuPool(sim, cpus=self.params.cpus)
         self.listen = ListenQueue(sim, backlog=self.params.backlog)
         self.open_connections = 0
-        self.requests_served = 0
 
     def start(self) -> None:
         """Spawn the server's processes; override."""
@@ -71,5 +70,4 @@ class BaseSimServer:
     def _respond(self, request: SimRequest):
         """Ship the response over the link and complete the request."""
         yield from self.link.transfer(request.size)
-        self.requests_served += 1
         request.done.succeed(self.sim.now)

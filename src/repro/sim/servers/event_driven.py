@@ -17,9 +17,8 @@ Crucially this model runs the *real* feature implementations:
 * graceful degradation is the real O17 plane on the simulated clock —
   :class:`repro.runtime.SheddingPolicy` (with its per-client
   :class:`repro.runtime.ClientRateLimiter` token buckets) decides the
-  accept edge, a :class:`repro.runtime.SojournQueue` drops stale queued
-  requests CoDel-style, and the :class:`repro.runtime.AdaptiveController`
-  retunes the watermarks by AIMD on the observed p99.
+  accept edge and a :class:`repro.runtime.SojournQueue` drops stale
+  queued requests CoDel-style.
 
 Event-driven overhead is modelled as per-event readiness-scan CPU that
 grows with open connections (select/poll walks every handle) plus a
@@ -28,11 +27,10 @@ small dispatch latency (poll batching).
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 from repro.cache import Cache, make_policy
 from repro.runtime import (
-    AdaptiveController,
     ClientRateLimiter,
     FifoEventQueue,
     OverloadController,
@@ -76,8 +74,8 @@ class EventDrivenServer(BaseSimServer):
         file_io_threads: int = 2,
         cache_bytes: int = 20 * 1024 * 1024,
         cache_policy: Optional[str] = "LRU",
-        scan_coefficient: float = 2.0e-6,
-        dispatch_latency: float = 0.002,
+        scan_coefficient: float,
+        dispatch_latency: float,
         scheduling_quotas: Optional[Dict[int, int]] = None,
         priority_of_class: Optional[Dict[str, int]] = None,
         overload: bool = False,
@@ -89,9 +87,6 @@ class EventDrivenServer(BaseSimServer):
         shed_retry_after: float = 1.0,
         sojourn_deadline: Optional[float] = 0.4,
         sojourn_interval: float = 0.1,
-        adaptive: bool = False,
-        adaptive_target_p99: float = 0.25,
-        adaptive_interval: float = 1.0,
     ):
         super().__init__(sim, link, disk, params)
         self.processor_threads = processor_threads
@@ -118,10 +113,8 @@ class EventDrivenServer(BaseSimServer):
                 mark=Watermark(high=overload_high, low=overload_low))
         # Real O17 machinery: the degradation plane, on the sim clock.
         self.shedding: Optional[SheddingPolicy] = None
-        self.adaptive: Optional[AdaptiveController] = None
         self.rejected_connections = 0
         self.rejected_requests = 0
-        self._latency_window: List[float] = []
         if degradation:
             if self.overload is None:
                 raise ValueError(
@@ -142,12 +135,6 @@ class EventDrivenServer(BaseSimServer):
                     on_drop=self._on_sojourn_drop,
                     droppable=lambda item: item[0] == "request",
                     clock=lambda: sim.now)
-            if adaptive:
-                self.adaptive = AdaptiveController(
-                    overload=self.overload,
-                    latency_probe=self._latency_p99,
-                    target_p99=adaptive_target_p99,
-                    interval=adaptive_interval)
         self._file_io = Resource(sim, capacity=file_io_threads)
 
     # -- lifecycle -------------------------------------------------------
@@ -155,8 +142,6 @@ class EventDrivenServer(BaseSimServer):
         self.sim.process(self._acceptor(), name="acceptor")
         for i in range(self.processor_threads):
             self.sim.process(self._processor_worker(), name=f"reactive-{i}")
-        if self.adaptive is not None:
-            self.sim.process(self._adaptive_loop(), name="adaptive")
 
     # -- acceptor ----------------------------------------------------------
     def _acceptor(self):
@@ -230,22 +215,6 @@ class EventDrivenServer(BaseSimServer):
         """Every explicit shed decision (accept-edge and sojourn)."""
         return self.shedding.shed_total if self.shedding is not None else 0
 
-    def _latency_p99(self) -> Optional[float]:
-        """p99 of the responses completed since the last adaptive step
-        (the sim-time stand-in for the O11 latency probe)."""
-        window, self._latency_window = self._latency_window, []
-        if not window:
-            return None
-        window.sort()
-        return window[min(len(window) - 1, int(0.99 * len(window)))]
-
-    def _adaptive_loop(self):
-        """Step the real AIMD controller on the simulated clock (its
-        live mode spawns a thread; the sim steps it by hand)."""
-        while True:
-            yield self.sim.timeout(self.adaptive.interval)
-            self.adaptive.step()
-
     def _connection_pump(self, conn):
         """Per-connection arrival path: request bytes became readable;
         the dispatcher queues a reactive event."""
@@ -314,8 +283,3 @@ class EventDrivenServer(BaseSimServer):
         yield from self.cpu.consume(self.COMPLETION_CPU + self._scan_cpu())
         self.sim.process(self._respond(request))
         yield self.sim.timeout(0)
-
-    def _respond(self, request: SimRequest):
-        yield from super()._respond(request)
-        if self.adaptive is not None:
-            self._latency_window.append(self.sim.now - request.created_at)

@@ -24,17 +24,20 @@ class PreforkServer(BaseSimServer):
 
     name = "apache-prefork"
 
+    #: in-service worker processes that schedule essentially for free;
+    #: each one beyond this adds ``sched_latency`` of run-queue wait
+    SCHED_FREE_PROCESSES = 16
+
     def __init__(self, sim, link, disk, params: ServerParams | None = None,
                  workers: int = 150, overhead_coefficient: float = 0.002,
-                 sched_latency: float = 0.0005, sched_free_processes: int = 16):
+                 sched_latency: float = 0.0005):
         super().__init__(sim, link, disk, params)
         self.workers = workers
         self.overhead_coefficient = overhead_coefficient
         #: run-queue delay each CPU burst suffers per schedulable process
-        #: beyond ``sched_free_processes`` (time-slicing wait, not CPU work;
-        #: small process counts schedule essentially for free)
+        #: beyond :attr:`SCHED_FREE_PROCESSES` (time-slicing wait, not CPU
+        #: work)
         self.sched_latency = sched_latency
-        self.sched_free_processes = sched_free_processes
         self.active_workers = 0
 
     def start(self) -> None:
@@ -58,7 +61,7 @@ class PreforkServer(BaseSimServer):
                 self.open_connections -= 1
 
     def _serve(self, request: SimRequest):
-        sched_excess = max(0, self.active_workers - self.sched_free_processes)
+        sched_excess = max(0, self.active_workers - self.SCHED_FREE_PROCESSES)
         if sched_excess:
             # Scheduling wait: with many runnable processes the worker
             # queues for a time slice before (and between) bursts.

@@ -90,9 +90,6 @@ class TestbedConfig:
     shed_retry_after: float = 1.0
     sojourn_deadline: Optional[float] = 0.4
     sojourn_interval: float = 0.1
-    adaptive: bool = False          # AIMD watermark retuning on the sim clock
-    adaptive_target_p99: float = 0.25
-    adaptive_interval: float = 1.0
     #: client-experienced deadline a response must meet to count toward
     #: :attr:`TestbedResult.goodput`
     goodput_deadline: float = 0.5
@@ -119,7 +116,6 @@ class TestbedResult:
     shed_total: int
     rejected_connections: int
     rejected_requests: int
-    adaptive_adjustments: int
     cache_hit_rate: Optional[float]
     os_buffer_hit_rate: float
     syn_drops: int
@@ -162,9 +158,6 @@ def build_server(cfg: TestbedConfig, sim: Simulator, downlink: Link,
             shed_retry_after=cfg.shed_retry_after,
             sojourn_deadline=cfg.sojourn_deadline,
             sojourn_interval=cfg.sojourn_interval,
-            adaptive=cfg.adaptive,
-            adaptive_target_p99=cfg.adaptive_target_p99,
-            adaptive_interval=cfg.adaptive_interval,
         )
     raise ValueError(f"unknown server model {cfg.server!r}")
 
@@ -226,9 +219,6 @@ def run_testbed(cfg: TestbedConfig) -> TestbedResult:
         shed_total=getattr(server, "shed_total", 0),
         rejected_connections=getattr(server, "rejected_connections", 0),
         rejected_requests=getattr(server, "rejected_requests", 0),
-        adaptive_adjustments=(
-            server.adaptive.adjustments
-            if getattr(server, "adaptive", None) is not None else 0),
         cache_hit_rate=(cache_stats.stats.hit_rate
                         if cache_stats is not None else None),
         os_buffer_hit_rate=os_buffer.stats.hit_rate,

@@ -258,22 +258,15 @@ def test_degradation_code_present_when_o17_on():
     assert "class Degradation" in deg
     assert "rt.SheddingPolicy" in deg
     assert "rt.ClientRateLimiter" in deg
-    assert "rt.BrownoutController" in deg
     assert "rt.CircuitBreaker" in deg
     assert "rt.RetryBudget" in deg
-    assert "rt.AdaptiveController" in deg
-    assert "rt.SojournQueue" in deg
-    # O11=Yes: the adaptive controller reads the request p99 from the
-    # shared registry; O12=No: the retune log argument is omitted.
-    assert "server_request_seconds" in deg
-    assert "log=reactor.log" not in deg
+    # A plain holder: nothing to start or stop, no thread.
+    assert "def start" not in deg and "threading" not in deg
     reactor_text = report.files["reactor.py"]
     assert "self.degradation = Degradation(self)" in reactor_text
-    assert "Degradation.wrap_queue(configuration," in reactor_text
     assert "breaker=self.degradation.breaker" in reactor_text
     assert "retry_budget=self.degradation.retry_budget" in reactor_text
-    assert "self.degradation.start()" in reactor_text
-    assert "self.degradation.stop()" in reactor_text
+    assert "self.degradation.start()" not in reactor_text
     comm = report.files["communication.py"]
     # The O17 accept loop replaces the O9 silent-postpone loop: explicit
     # decisions, cheap rejection, per-client rate limit.
@@ -282,12 +275,49 @@ def test_degradation_code_present_when_o17_on():
     assert "def _reject(self, handle)" in comm
     assert "self.reactor.overload.accepting()" not in comm
     assert "shed_rate = 100.0" in comm
-    assert "sojourn_deadline = None" in comm
-    assert "adaptive_control = False" in comm
     obs_text = report.files["observability.py"]
     assert "server_shed_total" in obs_text
-    assert "server_brownout_level" in obs_text
     assert "server_breaker_open" in obs_text
+
+
+#: the O17 tuning fields deleted with the mechanisms they tuned: the
+#: live AIMD controller, the brownout it drove, request-class shedding
+#: and the CoDel wrapper around the processor queue
+DELETED_O17_SETTINGS = (
+    "adaptive_control", "adaptive_target_p99", "adaptive_interval",
+    "brownout_stale_threshold", "brownout_bound_threshold",
+    "brownout_max_response", "shed_classes", "shed_priority_floor",
+    "sojourn_deadline", "sojourn_interval",
+)
+#: the O17 tuning fields that remain: token bucket, accept-edge
+#: reject/postpone, file-I/O breaker and retry budget
+O17_SETTINGS = (
+    "shed_rate", "shed_burst", "shed_max_clients", "shed_retry_after",
+    "shed_on_overload", "breaker_failures", "breaker_recovery",
+    "breaker_probes", "retry_budget_ratio",
+)
+
+
+def test_o17_build_keeps_only_the_mechanisms_it_engages(tmp_path):
+    """An O17 build has no setting, class or call site for the inert
+    mechanisms: their settings are unknown and the package never names
+    them."""
+    from repro.co2p3s.template import load_generated_package
+
+    opts = NSERVER.configure(COPS_HTTP_DEGRADATION_OPTIONS)
+    report = NSERVER.generate(opts, str(tmp_path), package="o17_lean_fw")
+    for filename, text in report.files.items():
+        for name in ("AdaptiveController", "BrownoutController",
+                     "wrap_queue", "admit_request", "SojournQueue"):
+            assert name not in text, (filename, name)
+    fw = load_generated_package(str(tmp_path), "o17_lean_fw")
+    for name in DELETED_O17_SETTINGS:
+        with pytest.raises(TypeError, match="unknown setting"):
+            fw.ServerConfiguration(**{name: 1})
+    configuration = fw.ServerConfiguration(
+        **{name: getattr(fw.ServerConfiguration, name)
+           for name in O17_SETTINGS})
+    assert configuration.shed_rate == 100.0
 
 
 def test_overload_build_without_o17_keeps_silent_postpone():
@@ -327,9 +357,7 @@ def test_table2_extension_rows_merge():
     assert EXPECTED_TABLE2["ServerConfiguration"]["O13"] == "+"
     assert "Buffers" not in EXPECTED_TABLE2
     assert all("O15" not in row for row in EXPECTED_TABLE2.values())
-    assert EXPECTED_TABLE2["Degradation"]["O17"] == "O"
-    assert EXPECTED_TABLE2["Degradation"]["O11"] == "+"
-    assert EXPECTED_TABLE2["Degradation"]["O12"] == "+"
+    assert EXPECTED_TABLE2["Degradation"] == {"O17": "O"}
     assert EXPECTED_TABLE2["Reactor"]["O17"] == "+"
     assert EXPECTED_TABLE2["AcceptorEventHandler"]["O17"] == "+"
     assert EXPECTED_TABLE2["ServerConfiguration"]["O17"] == "+"

@@ -177,9 +177,9 @@ def test_shrink_keeps_interacting_pair():
 def test_corner_matrix_covers_required_options():
     smoke = corner_matrix("smoke")
     names = {c.name for c in smoke}
-    assert len(smoke) >= 8
-    assert {"base", "shed", "brownout", "faulty", "degradation",
-            "procs"} <= names
+    assert len(smoke) == 8
+    assert {"base", "obs", "resilience", "overload", "procs",
+            "degradation", "shed", "faulty"} == names
     full = {c.name for c in corner_matrix("full")}
     assert names < full
     shed = next(c for c in smoke if c.name == "shed")

@@ -174,21 +174,21 @@ def test_model_responses_satisfy_own_rules(data):
         assert verdict.outcome == "ok", (expectation.label, verdict.reason)
 
 
-def test_brownout_cap_allows_truncation_but_not_other_lengths():
-    freedoms = Freedoms(brownout_level=0.6, brownout_max_response=2048)
-    cap = freedoms.response_cap()
-    assert cap is not None and 1024 <= cap < 2048
+def test_a_200_body_must_be_the_whole_file():
+    """A consistent prefix of the file (Content-Length agreeing with
+    the bytes sent) is still a mismatch: no freedom shortens a body."""
     body = b"B" * 6000
     vfs = ModelVFS({"/big.bin": body})
     (expectation,) = expected_exchanges(
         request_bytes("GET", "/big.bin", close=True), vfs,
-        ModelOptions(), freedoms)
-    for length, ok in [(6000, True), (cap, True), (cap - 1, False)]:
+        ModelOptions(), Freedoms(shed=True))
+    for length, kind in [(6000, "ok"), (2048, "content-length"),
+                         (5999, "content-length")]:
         wire = (b"HTTP/1.1 200 OK\r\nContent-Type: x/y\r\n"
                 b"Content-Length: " + str(length).encode() +
                 b"\r\nConnection: close\r\n\r\n" + body[:length])
         resp, _ = parse_one_response(wire)
-        assert (expectation.check(resp).outcome == "ok") is ok
+        assert expectation.check(resp).kind == kind
 
 
 @given(st.lists(st.sampled_from(["..", "sub", "index.html", "", "."]),

@@ -196,7 +196,7 @@ def test_out_of_order_completions_deliver_in_request_order():
             tickets.append(conn.current_ticket())
             return PENDING
 
-    conn = Communicator(FakeHandle(), H(), use_codec=False)
+    conn = Communicator(FakeHandle(), H())
     feed(conn, b"one\ntwo\nthree\n")
     assert len(tickets) == 3 and None not in tickets
     t1, t2, t3 = tickets
@@ -216,7 +216,7 @@ def test_completing_a_ticket_twice_is_ignored():
             tickets.append(conn.current_ticket())
             return PENDING
 
-    conn = Communicator(FakeHandle(), H(), use_codec=False)
+    conn = Communicator(FakeHandle(), H())
     feed(conn, b"a\n")
     conn.complete_request(b"first\n", ticket=tickets[0])
     conn.complete_request(b"second\n", ticket=tickets[0])
@@ -224,7 +224,7 @@ def test_completing_a_ticket_twice_is_ignored():
 
 
 def test_current_ticket_is_none_outside_a_handler():
-    conn = Communicator(FakeHandle(), ServerHooks(), use_codec=False)
+    conn = Communicator(FakeHandle(), ServerHooks())
     assert conn.current_ticket() is None
 
 

@@ -74,7 +74,7 @@ def chunked_stream(draw):
 @settings(max_examples=150, deadline=None)
 def test_chunking_does_not_change_replies(data):
     lines, chunks = data
-    conn = Communicator(MemoryHandle(), ReverseHooks(), use_codec=True)
+    conn = Communicator(MemoryHandle(), ReverseHooks())
     for chunk in chunks:
         conn.in_buffer.extend(chunk)
         conn._pump_requests()
@@ -89,11 +89,11 @@ def test_byte_at_a_time_equivalent_to_bulk(data):
     lines, _ = data
     stream = b"".join(line + b"\n" for line in lines)
 
-    bulk = Communicator(MemoryHandle(), ReverseHooks(), use_codec=True)
+    bulk = Communicator(MemoryHandle(), ReverseHooks())
     bulk.in_buffer.extend(stream)
     bulk._pump_requests()
 
-    dribble = Communicator(MemoryHandle(), ReverseHooks(), use_codec=True)
+    dribble = Communicator(MemoryHandle(), ReverseHooks())
     for i in range(len(stream)):
         dribble.in_buffer.extend(stream[i:i + 1])
         dribble._pump_requests()

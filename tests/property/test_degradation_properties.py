@@ -5,8 +5,7 @@ Invariants:
 * token-bucket conformance: over any timing of requests, the number of
   allows never exceeds burst + rate * elapsed (the bucket's contract);
 * watermark hysteresis never flaps: the controller's accept/postpone
-  answer always matches a reference two-state latch, including across
-  adaptive retunes (which must preserve the latched state);
+  answer always matches a reference two-state latch;
 * a half-open circuit breaker admits *exactly* its probe quota, closes
   only when every probe succeeds, and re-opens with a fresh recovery
   timer on any probe failure.
@@ -65,12 +64,10 @@ MARKS = st.tuples(st.integers(min_value=0, max_value=20),
     lambda pair: (pair[0], pair[0] + pair[1]))  # (low, high), low < high
 
 
-@given(initial=MARKS, lengths=LENGTHS,
-       retunes=st.lists(MARKS, max_size=10), data=st.data())
+@given(initial=MARKS, lengths=LENGTHS)
 @settings(max_examples=100, deadline=None)
-def test_hysteresis_matches_reference_latch(initial, lengths, retunes, data):
-    """accepting() is exactly the two-state hysteresis latch, and a
-    retune mid-stream moves the band without resetting the latch."""
+def test_hysteresis_matches_reference_latch(initial, lengths):
+    """accepting() is exactly the two-state hysteresis latch."""
     low, high = initial
     queue_length = {"n": 0}
     controller = OverloadController()
@@ -78,11 +75,7 @@ def test_hysteresis_matches_reference_latch(initial, lengths, retunes, data):
                      Watermark(high=high, low=low))
 
     tripped = False  # the reference model's latch
-    pending = list(retunes)
     for length in lengths:
-        if pending and data.draw(st.booleans(), label="retune now?"):
-            low, high = pending.pop(0)
-            controller.retune("q", high=high, low=low)
         queue_length["n"] = length
         accepted = controller.accepting()
         # reference: trip on length > high, clear on length < low,

@@ -13,21 +13,21 @@ from repro.runtime import (
 
 
 def test_sync_pipeline_echo():
-    conn = Communicator(FakeHandle(), ServerHooks(), use_codec=False)
+    conn = Communicator(FakeHandle(), ServerHooks())
     feed(conn, b"hello\n")
     assert bytes(conn.handle.sent) == b"hello\n"
     assert conn.requests_completed == 1
 
 
 def test_multiple_framed_requests_in_one_chunk():
-    conn = Communicator(FakeHandle(), ServerHooks(), use_codec=False)
+    conn = Communicator(FakeHandle(), ServerHooks())
     feed(conn, b"a\nb\nc\n")
     assert bytes(conn.handle.sent) == b"a\nb\nc\n"
     assert conn.requests_completed == 3
 
 
 def test_partial_frame_waits():
-    conn = Communicator(FakeHandle(), ServerHooks(), use_codec=False)
+    conn = Communicator(FakeHandle(), ServerHooks())
     feed(conn, b"incompl")
     assert conn.requests_completed == 0
     feed(conn, b"ete\n")
@@ -39,7 +39,7 @@ def test_close_sentinel():
         def handle(self, request, conn):
             return CLOSE
 
-    conn = Communicator(FakeHandle(), H(), use_codec=False)
+    conn = Communicator(FakeHandle(), H())
     feed(conn, b"bye\n")
     assert conn.closed
     assert conn.handle.sent == bytearray()
@@ -51,7 +51,7 @@ def test_hook_exception_closes_connection():
             raise RuntimeError("boom")
 
     closed = []
-    conn = Communicator(FakeHandle(), H(), use_codec=False,
+    conn = Communicator(FakeHandle(), H(),
                         on_teardown=closed.append)
     feed(conn, b"x\n")
     assert conn.closed and closed == [conn]
@@ -63,7 +63,7 @@ def test_pending_then_complete():
             conn.context["pending_req"] = request
             return PENDING
 
-    conn = Communicator(FakeHandle(), H(), use_codec=False)
+    conn = Communicator(FakeHandle(), H())
     feed(conn, b"later\n")
     assert conn.handle.sent == bytearray()
     conn.complete_request(b"RESULT\n")
@@ -85,14 +85,14 @@ def test_completion_racing_ahead_of_pending_return():
             t.join()   # guaranteed: completion arrives before PENDING
             return PENDING
 
-    conn = Communicator(FakeHandle(), H(), use_codec=False)
+    conn = Communicator(FakeHandle(), H())
     feed(conn, b"race\n")
     assert bytes(conn.handle.sent) == b"EARLY\n"
     assert conn.requests_completed == 1
 
 
 def test_spurious_completion_ignored():
-    conn = Communicator(FakeHandle(), ServerHooks(), use_codec=False)
+    conn = Communicator(FakeHandle(), ServerHooks())
     conn.complete_request(b"nobody asked\n")
     assert conn.handle.sent == bytearray()
 
@@ -102,7 +102,7 @@ def test_pending_fifo_order():
         def handle(self, request, conn):
             return PENDING
 
-    conn = Communicator(FakeHandle(), H(), use_codec=False)
+    conn = Communicator(FakeHandle(), H())
     feed(conn, b"one\ntwo\n")
     conn.complete_request(b"1\n")
     conn.complete_request(b"2\n")
@@ -120,7 +120,7 @@ def test_codec_steps_applied():
         def encode(self, result, conn):
             return result.encode() + b"\n"
 
-    conn = Communicator(FakeHandle(), H(), use_codec=True)
+    conn = Communicator(FakeHandle(), H())
     feed(conn, b"abc\n")
     assert bytes(conn.handle.sent) == b"cba\n"
 
@@ -130,7 +130,7 @@ def test_encode_exception_closes():
         def encode(self, result, conn):
             raise ValueError("bad encode")
 
-    conn = Communicator(FakeHandle(), H(), use_codec=True)
+    conn = Communicator(FakeHandle(), H())
     feed(conn, b"x\n")
     assert conn.closed
 
@@ -142,14 +142,14 @@ def test_close_idempotent_and_on_close_called_once():
         def on_close(self, conn):
             calls.append(1)
 
-    conn = Communicator(FakeHandle(), H(), use_codec=False)
+    conn = Communicator(FakeHandle(), H())
     conn.close()
     conn.close()
     assert calls == [1]
 
 
 def test_send_bytes_close_after_flush():
-    conn = Communicator(FakeHandle(), ServerHooks(), use_codec=False)
+    conn = Communicator(FakeHandle(), ServerHooks())
     conn.send_bytes(b"goodbye", close_after=True)
     assert conn.closed
     assert bytes(conn.handle.sent) == b"goodbye"
@@ -160,7 +160,7 @@ def test_classify_priority_applied_at_connect():
         def classify_priority(self, conn):
             return 7
 
-    conn = Communicator(FakeHandle(), H(), use_codec=False)
+    conn = Communicator(FakeHandle(), H())
     assert conn.priority == 7
 
 
@@ -171,5 +171,5 @@ def test_on_connect_hook_runs():
         def on_connect(self, conn):
             seen.append(conn)
 
-    conn = Communicator(FakeHandle(), H(), use_codec=False)
+    conn = Communicator(FakeHandle(), H())
     assert seen == [conn]

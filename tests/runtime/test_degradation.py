@@ -12,10 +12,7 @@ from repro.obs.flight import FlightRecorder
 from repro.runtime.degradation import (
     REASON_MAX_CONNECTIONS,
     REASON_OVERLOAD,
-    REASON_PRIORITY,
     REASON_RATE_LIMIT,
-    AdaptiveController,
-    BrownoutController,
     CircuitBreaker,
     CircuitOpenError,
     ClientRateLimiter,
@@ -129,7 +126,6 @@ def test_shedding_admits_when_unconstrained():
     policy = SheddingPolicy(flight=FlightRecorder(capacity=16))
     assert policy.admit_accept().admitted
     assert policy.admit_client("anyone").admitted
-    assert policy.admit_request("anything").admitted
     assert policy.shed_total == 0
 
 
@@ -185,25 +181,6 @@ def test_shedding_rate_limit_gate():
     assert decision.reason == REASON_RATE_LIMIT
     assert policy.shed_by_reason() == {REASON_RATE_LIMIT: 1}
     assert policy.admit_client("5.6.7.8").admitted  # fairness
-
-
-def test_shedding_priority_classes_only_under_pressure():
-    flight = FlightRecorder(capacity=16)
-    controller, length = _tripped_overload()
-    policy = SheddingPolicy(
-        overload=controller,
-        classes={"bulk": 0, "interactive": 5},
-        priority_floor=1,
-        flight=flight)
-    # pressure on: low-priority classes shed, the rest pass
-    assert not policy.admit_request("bulk").admitted
-    assert policy.admit_request("interactive").admitted
-    assert policy.admit_request("unknown-class").admitted  # floor default
-    assert policy.shed_by_reason() == {REASON_PRIORITY: 1}
-    # pressure off: everything passes again
-    length["n"] = 0
-    assert controller.accepting()        # clears the latch
-    assert policy.admit_request("bulk").admitted
 
 
 def test_shedding_status_snapshot():
@@ -347,83 +324,7 @@ def test_retry_budget_validates_ratio():
         RetryBudget(ratio=1.5)
 
 
-# -- brownout -------------------------------------------------------------
-
-def test_brownout_levels_and_thresholds():
-    brownout = BrownoutController(stale_threshold=0.25, bound_threshold=0.5,
-                                  max_response_bytes=1 << 20)
-    assert not brownout.serve_stale and brownout.response_cap() is None
-    brownout.raise_level(0.3)
-    assert brownout.serve_stale and brownout.response_cap() is None
-    brownout.set_level(0.5)
-    assert brownout.response_cap() == 1 << 20    # cap engages at threshold
-    brownout.set_level(1.0)
-    assert brownout.response_cap() == (1 << 20) // 4   # quarter at max
-    brownout.lower_level(2.0)
-    assert brownout.level == 0.0         # clamped
-    brownout.raise_level(9.0)
-    assert brownout.level == 1.0         # clamped
-    brownout.served_stale()
-    brownout.bounded()
-    status = brownout.status()
-    assert status["stale_served"] == 1 and status["responses_bounded"] == 1
-
-
-# -- adaptive control -----------------------------------------------------
-
-def _adaptive(latency, brownout=None, **kwargs):
-    controller = OverloadController()
-    controller.watch("reactive", lambda: 0, Watermark(high=20, low=5))
-    adaptive = AdaptiveController(
-        controller, latency_probe=lambda: latency["p99"],
-        brownout=brownout, target_p99=0.25, **kwargs)
-    return controller, adaptive
-
-
-def test_adaptive_aimd_decrease_on_congestion():
-    latency = {"p99": 1.0}
-    brownout = BrownoutController()
-    controller, adaptive = _adaptive(latency, brownout=brownout)
-    assert adaptive.step() == (10, 2)    # 20 * 0.5, low = high // 4 (ish)
-    assert controller.watermark("reactive").high == 10
-    assert brownout.level > 0.0
-    # keeps halving down to the floor, never below
-    for _ in range(10):
-        adaptive.step()
-    assert controller.watermark("reactive").high == adaptive.min_high
-
-
-def test_adaptive_aimd_additive_recovery():
-    latency = {"p99": 0.01}
-    brownout = BrownoutController()
-    brownout.set_level(0.5)
-    controller, adaptive = _adaptive(latency, brownout=brownout)
-    assert adaptive.step() == (22, 5)    # 20 + 2 additive
-    assert brownout.level < 0.5
-    latency["p99"] = None                # idle: no signal, no change
-    assert adaptive.step() is None
-    assert controller.watermark("reactive").high == 22
-    assert adaptive.status()["adjustments"] == 1
-    assert adaptive.status()["last_p99"] is None
-
-
-def test_adaptive_preserves_hysteresis_latch_across_retune():
-    length = {"n": 100}
-    controller = OverloadController()
-    controller.watch("reactive", lambda: length["n"],
-                     Watermark(high=20, low=5))
-    assert not controller.accepting()    # latch trips
-    adaptive = AdaptiveController(controller,
-                                  latency_probe=lambda: 1.0,
-                                  target_p99=0.25)
-    adaptive.step()                      # shrinks the band
-    assert controller.overloaded_queues() == ["reactive"]  # still latched
-
-
-def test_adaptive_validates_decrease():
-    with pytest.raises(ValueError):
-        AdaptiveController(OverloadController(), decrease=1.0)
-
+# -- offline watermark search ---------------------------------------------
 
 def test_hill_climb_finds_concave_peak():
     evaluations = []

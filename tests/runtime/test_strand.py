@@ -129,7 +129,7 @@ def test_a_worker_crash_releases_the_strand_and_resubmits_the_rest(peer):
     hooks = CrashingHooks()
     scheduled = []
     conn = Communicator(SocketHandle(a, name="strand"), hooks,
-                        use_codec=False, schedule=scheduled.append)
+                        schedule=scheduled.append)
     b.sendall(b"boom\n")
     died = []
     owner = _owner(conn, died)
@@ -153,7 +153,7 @@ def test_a_close_from_another_thread_reaches_the_peer_at_once(peer):
     hooks = BlockingHooks()
     scheduled = []
     conn = Communicator(SocketHandle(a, name="strand"), hooks,
-                        use_codec=False, schedule=scheduled.append)
+                        schedule=scheduled.append)
     b.sendall(b"hang\n")
     owner = _owner(conn)
     assert hooks.in_hook.wait(WAIT)
@@ -173,7 +173,7 @@ def test_a_sojourn_drop_rejects_at_once_without_requeueing(peer):
     a, b = peer
     scheduled = []
     conn = Communicator(SocketHandle(a, name="strand"), ServerHooks(),
-                        use_codec=False, schedule=scheduled.append)
+                        schedule=scheduled.append)
     reject = rejection_response(retry_after=1.0, reason="queue-deadline")
     now = [0.0]
     queue = SojournQueue(

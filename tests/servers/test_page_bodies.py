@@ -4,8 +4,8 @@ A body of at least one page is an open ``FileHandle`` that replies send
 with ``os.sendfile`` from the page cache
 (``repro.cache.file_cache.read_body``); smaller ones stay ``bytes``.
 Each consumer must treat both as the same payload: COPS-HTTP GET and
-HEAD, the O17 brownout's stale and bounded replies, the generated
-synchronous read, and a generic ``FileReadEvent`` hook
+HEAD, the generated synchronous read, and a generic ``FileReadEvent``
+hook
 (``test_server_integration``).  A file that shrinks under its cached
 body ends the reply by closing the connection.
 """
@@ -17,9 +17,8 @@ import pytest
 
 from harness import ServerFixture, generated_server
 from repro.cache.file_cache import PAGE
-from repro.runtime import BrownoutController, FileHandle, ServerHooks
+from repro.runtime import FileHandle, ServerHooks
 from repro.servers import build_cops_http
-from repro.servers.http_degradation import bound_payload
 
 #: exactly one page, and three pages and a bit (an unaligned tail)
 BODIES = {
@@ -68,48 +67,6 @@ def test_cops_http_get_and_head_serve_page_backed_bodies(docroot):
             assert got == b"" and content_length(head) == len(body)
             payload = server.reactor.cache.file_cache.lookup(path).payload
             assert isinstance(payload, FileHandle) and payload == body
-
-
-def test_brownout_serves_page_backed_bodies_stale_and_bounded(docroot):
-    server, _fw, _report = build_cops_http(
-        str(docroot), degradation=True, brownout_max_response=2 * PAGE)
-    body = BODIES["/pages.bin"]
-    with ServerFixture(server) as fixture:
-        brownout = server.reactor.degradation.brownout
-        assert exchange(fixture.port, "GET", "/pages.bin")[1] == body
-        # Stale: the file is gone from disk, the cached body still serves.
-        (docroot / "pages.bin").unlink()
-        brownout.set_level(0.3)
-        head, got = exchange(fixture.port, "GET", "/pages.bin")
-        assert head.startswith(b"HTTP/1.1 200 OK") and got == body
-        assert brownout.stale_served == 1
-        # Bounded: above the bound threshold the body is cut to the cap.
-        brownout.set_level(0.5)
-        head, got = exchange(fixture.port, "GET", "/pages.bin")
-        assert got == body[:2 * PAGE] and content_length(head) == 2 * PAGE
-        assert (brownout.stale_served, brownout.responses_bounded) == (2, 1)
-
-
-def test_bound_payload_cuts_a_memoryview_to_the_cap():
-    brownout = BrownoutController(bound_threshold=0.5,
-                                  max_response_bytes=PAGE)
-    brownout.set_level(0.5)
-    body = BODIES["/pages.bin"]
-    cut = bound_payload(memoryview(body).toreadonly(), brownout)
-    assert cut == body[:PAGE] and brownout.responses_bounded == 1
-    small = body[:100]
-    assert bound_payload(small, brownout) is small
-
-
-def test_bound_payload_cuts_a_file_body_to_a_shorter_range(docroot):
-    brownout = BrownoutController(bound_threshold=0.5,
-                                  max_response_bytes=PAGE)
-    brownout.set_level(0.5)
-    body = FileHandle(str(docroot / "pages.bin"))
-    cut = bound_payload(body, brownout)
-    assert isinstance(cut, FileHandle) and cut.fileno() == body.fileno()
-    assert cut == BODIES["/pages.bin"][:PAGE]
-    assert brownout.responses_bounded == 1
 
 
 def test_a_file_cut_short_under_its_cached_body_closes_the_reply(docroot):

@@ -10,7 +10,10 @@ import socket
 
 import pytest
 
-from repro.co2p3s.nserver import COPS_HTTP_OBSERVABILITY_OPTIONS
+from repro.co2p3s.nserver import (
+    COPS_HTTP_DEGRADATION_OPTIONS,
+    COPS_HTTP_OBSERVABILITY_OPTIONS,
+)
 from repro.servers import build_cops_http
 
 
@@ -198,3 +201,21 @@ def test_plain_build_answers_404(plain_server):
     resp = http_get(plain_server.port,
                     b"GET /index.html HTTP/1.1\r\nHost: x\r\n\r\n")
     assert b"front page" in resp
+
+
+def test_degradation_build_appends_the_plane_lines(site, tmp_path):
+    """An O17 build's ``?auto`` ends with the degradation plane's own
+    lines: shed counts and the file-I/O breaker's state."""
+    server, fw, report = build_cops_http(
+        str(site), options=COPS_HTTP_DEGRADATION_OPTIONS,
+        dest=str(tmp_path), package="o17_status_fw")
+    server.start()
+    try:
+        resp = http_get(server.port,
+                        b"GET /server-status?auto HTTP/1.1\r\nHost: x\r\n\r\n")
+    finally:
+        server.stop()
+    fields = fields_of(resp.partition(b"\r\n\r\n")[2])
+    assert fields["ShedTotal"] == "0"
+    assert fields["BreakerState"] == "closed"
+    assert fields["BreakerTrips"] == "0"

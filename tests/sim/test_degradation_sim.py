@@ -1,7 +1,7 @@
 """Simulation-level tests for the O17 degradation plane.
 
 The sim's event-driven server runs the *real* runtime classes
-(SheddingPolicy, SojournQueue, AdaptiveController) on the simulated
+(SheddingPolicy, ClientRateLimiter, SojournQueue) on the simulated
 clock — these tests drive small deterministic overload scenarios and
 check the explicit-rejection plumbing end to end: server decisions,
 client-visible markers, and testbed accounting.
@@ -61,17 +61,6 @@ def test_explicit_rejection_beats_silent_postpone():
     assert shedding.throughput > 0.8 * postponing.throughput
     # the postpone build waits in the kernel backlog instead
     assert postponing.connect_wait_mean > shedding.connect_wait_mean
-
-
-def test_adaptive_controller_retunes_on_sim_clock():
-    result = run_testbed(_overload_config(
-        adaptive=True, adaptive_interval=0.5, adaptive_target_p99=0.1))
-    assert result.adaptive_adjustments > 0
-
-
-def test_without_adaptive_no_adjustments():
-    result = run_testbed(_overload_config())
-    assert result.adaptive_adjustments == 0
 
 
 def test_light_load_sheds_nothing():
