@@ -45,6 +45,7 @@ import json
 import math
 import os
 import platform
+import statistics
 import sys
 import tempfile
 import time
@@ -60,6 +61,7 @@ __all__ = [
     "build_report",
     "compare_reports",
     "run_suite",
+    "run_smoke",
 ]
 
 SCHEMA_VERSION = 1
@@ -403,3 +405,20 @@ def run_suite(suite: Suite, smoke: bool = False,
         except OSError:
             pass
     return 0, build_report(suite, raw, smoke=smoke)
+
+
+def run_smoke(suite: Suite, rounds: int = 5,
+              verbose: bool = False) -> Tuple[int, Optional[Dict]]:
+    """``rounds`` smoke runs: (exit code, the last report with each
+    derived ratio the median over the rounds; a gap reads as missing)."""
+    reports = []
+    for _ in range(rounds):
+        code, report = run_suite(suite, smoke=True, verbose=verbose)
+        if code != 0 or report is None:
+            return code, None
+        reports.append(report)
+    report["derived"] = {
+        key: statistics.median(r["derived"][key] for r in reports)
+        for key in report["derived"]
+        if all(key in r["derived"] for r in reports)}
+    return 0, report

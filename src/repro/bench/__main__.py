@@ -6,9 +6,9 @@ a run regresses against the committed baseline:
 
 * ``--smoke`` — shrunk workloads (the CI gate): the bench files see
   ``REPRO_BENCH_SMOKE=1`` and cut their client/request counts, long
-  companion simulations are deselected, and only the machine-portable
-  derived ratios are gated (absolute seconds from a smoke run mean
-  nothing against a full baseline);
+  companion simulations are deselected, and only the median of five
+  runs of each machine-portable derived ratio is gated (absolute
+  seconds from a smoke run mean nothing against a full baseline);
 * ``--threshold`` — the fraction of the baseline a derived ratio may
   shrink to before the gate trips (default 0.5);
 * ``--no-write`` — gate only, leaving the committed baselines alone
@@ -33,6 +33,7 @@ from repro.bench import (
     SUITES,
     _repo_root,
     compare_reports,
+    run_smoke,
     run_suite,
     validate_report,
 )
@@ -49,7 +50,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                         choices=sorted(SUITES),
                         help="suite to run (repeatable; default: all)")
     parser.add_argument("--smoke", action="store_true",
-                        help="shrunk workloads; gate derived ratios only")
+                        help="shrunk workloads; gate median ratios only")
     parser.add_argument("--threshold", type=float,
                         default=DEFAULT_RATIO_FLOOR,
                         help="regression floor as a fraction of the "
@@ -86,8 +87,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         mode = "smoke" if args.smoke else "full"
         print(f"[bench] {name}: running benchmarks/{suite.file} ({mode})",
               flush=True)
-        code, report = run_suite(suite, smoke=args.smoke,
-                                 verbose=args.verbose)
+        code, report = (run_smoke(suite, verbose=args.verbose) if args.smoke
+                        else run_suite(suite, verbose=args.verbose))
         if code != 0 or report is None:
             print(f"[bench] {name}: pytest failed (exit {code})")
             failures += 1
@@ -134,8 +135,8 @@ def main(argv: Optional[List[str]] = None) -> int:
                 # comparable (smoke-vs-smoke) reference.
                 print(f"[bench] {name}: capturing smoke-mode ratios "
                       f"for the baseline", flush=True)
-                smoke_code, smoke_report = run_suite(
-                    suite, smoke=True, verbose=args.verbose)
+                smoke_code, smoke_report = run_smoke(
+                    suite, verbose=args.verbose)
                 if smoke_code == 0 and smoke_report is not None:
                     report["smoke_derived"] = smoke_report["derived"]
             with open(out_path, "w", encoding="utf-8") as fh:

@@ -83,7 +83,7 @@ DEFAULT_ROOT_NAMES: Set[str] = {
     # an accept loop that stops draining early re-posts its listener
     # inline on the loop, through the event source's synthetic-ready
     # queue
-    "force_ready",
+    "rearm_listener",
 }
 
 #: fully qualified roots that need their class context to be meaningful

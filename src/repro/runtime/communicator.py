@@ -237,8 +237,8 @@ class Communicator:
         poller backend notifies once per readiness *transition*, so a
         single read per event would strand buffered bytes forever.  The
         drain is bounded by :attr:`READ_BATCH`; either way it ends by
-        re-arming read interest, which under epoll re-posts the edge
-        while data is still pending (after the bound, or a
+        resuming read interest, the one re-arm of the one-shot fd, which
+        re-posts it while data is still pending (after the bound, or a
         fault-injected EAGAIN).
         """
         if self.closed:
@@ -271,9 +271,9 @@ class Communicator:
             self.read_started = self.clock()
 
     def _send_reply(self) -> None:
-        """Flush buffered output, if any."""
-        if self.handle.out_buffer:
-            self._write(b"", rearm=True)
+        """Flush buffered output, if any, and re-sync interest: the
+        one-shot delivery of this event disarmed reads too."""
+        self._write(b"", rearm=True)
 
     # -- pipeline -----------------------------------------------------------
     def _pump_requests(self) -> None:
@@ -411,6 +411,8 @@ class Communicator:
         span.finish()
         self.requests_completed += 1
         self.spans.request_handled()
+        # On the record before the send that can make it visible.
+        self.flight.record("reply", self.handle.name, trace_id)
         self._write(data)
 
     # -- output ---------------------------------------------------------------
@@ -454,12 +456,13 @@ class Communicator:
         if sent and not left:
             self.flight.record("write-complete", self.handle.name,
                                getattr(self.handle, "trace_id", 0))
-        # Re-sync write interest only when it flips (a tail was left, or
-        # a queued tail drained).  A flush that leaves output re-syncs
-        # too: under epoll that re-arms the edge, which a fault-capped
-        # send (no kernel push-back) would never get.
-        if left != queued or (rearm and left):
-            self._sync_interest()
+        # Re-sync interest when write interest flips (a tail was left,
+        # or a queued tail drained) and after every WritableEvent
+        # (``rearm``): that re-arms the one-shot fd, and re-posts the edge
+        # a fault-capped send (no kernel push-back) never gets.
+        if ((left != queued or rearm) and not self.closed
+                and self.update_interest is not None):
+            self.update_interest(self.handle)
         if self.close_after_flush and not left:
             self.close()
 
@@ -471,10 +474,6 @@ class Communicator:
             self.write_blocked_since = None
         elif sent or self.write_blocked_since is None:
             self.write_blocked_since = self.clock()
-
-    def _sync_interest(self) -> None:
-        if self.update_interest is not None and not self.closed:
-            self.update_interest(self.handle)
 
     # -- resilience probes ---------------------------------------------------
     def oldest_pending_started(self) -> Optional[float]:

@@ -18,6 +18,7 @@ argument the paper makes.
 
 from __future__ import annotations
 
+import socket
 import threading
 import time
 from collections import deque
@@ -31,7 +32,7 @@ from repro.runtime.events import (
     WritableEvent,
 )
 from repro.runtime.handles import Handle, ListenHandle, SocketHandle
-from repro.runtime.poller import READ, WRITE, Poller, make_poller
+from repro.runtime.poller import ONESHOT, READ, WRITE, Poller, make_poller
 from repro.runtime.timerwheel import TimerWheel
 
 __all__ = [
@@ -55,13 +56,6 @@ class EventSource:
 
     def deregister(self, handle: Handle) -> None:
         raise NotImplementedError
-
-    def force_ready(self, handle: Handle) -> None:
-        """Ask for one synthetic readiness event for ``handle`` on the
-        next poll (no-op default).  An accept loop that stops draining
-        early re-posts its listen socket this way — essential under
-        edge-triggered backends, where the kernel will not repeat the
-        notification."""
 
     def wakeup(self) -> None:
         """Interrupt a blocking poll from another thread (no-op default)."""
@@ -89,20 +83,26 @@ class SocketEventSource(EventSource):
     """Readiness selection over socket handles.
 
     * ``ListenHandle`` registration yields :class:`AcceptEvent`.
-    * ``SocketHandle`` registration yields :class:`ReadableEvent` always
-      and :class:`WritableEvent` while the handle has buffered output.
+    * ``SocketHandle`` registration yields :class:`ReadableEvent` unless
+      the handle's read interest is paused, and :class:`WritableEvent`
+      while the handle has buffered output.
 
     The kernel-facing half lives behind a
     :class:`~repro.runtime.poller.Poller` (``poller=`` accepts an
     instance, a backend name, or None for the
-    ``REPRO_POLLER``/platform default).  Under the edge-triggered epoll
-    backend the pause/resume one-shot protocol still works because
-    ``EPOLL_CTL_MOD`` re-arms the edge — a resume with bytes already
-    pending delivers a fresh event.
+    ``REPRO_POLLER``/platform default).  The source keeps only an fd →
+    handle map; per-connection state is a flag on the handle, so a new
+    handle starts clear even at a freed one's address.  A call naming a
+    handle not registered for its fd (a late call for a closed
+    connection whose fd was reused) changes nothing.
+
+    Sockets are registered :data:`~repro.runtime.poller.ONESHOT`: epoll
+    disarms one once it delivers, so :meth:`pause` only marks the
+    handle, and the read step's :meth:`resume` re-arms it.  Under the
+    level-triggered select backend :meth:`pause` drops READ instead.
 
     A self-pipe (socketpair) lets other threads interrupt a blocking
-    poll — needed when an Event Processor thread queues output bytes on
-    a connection and the dispatcher must start watching writability.
+    poll, for posted events and the select backend's interest changes.
     """
 
     def __init__(self, poller=None):
@@ -111,12 +111,8 @@ class SocketEventSource(EventSource):
         # RLock: poll and mask updates may nest through callbacks.
         self._lock = threading.RLock()
         self._handles: dict = {}
-        self._paused: set = set()
-        self._forced: deque = deque()   # handles owed a synthetic event
-        self._forced_ids: set = set()
-        import socket as _socket
-
-        self._wake_recv, self._wake_send = _socket.socketpair()
+        self._forced: deque = deque()   # listeners owed an AcceptEvent
+        self._wake_recv, self._wake_send = socket.socketpair()
         self._wake_recv.setblocking(False)
         self._poller.register(self._wake_recv.fileno(), READ, None)
         self._closed = False
@@ -137,10 +133,7 @@ class SocketEventSource(EventSource):
             fd = handle.fileno()
             if fd in self._handles:
                 # A stale registration (socket closed without a
-                # deregister) must not kill the dispatcher when the
-                # kernel reuses the fd: drop it and register the new
-                # handle in its place.
-                self._paused.discard(id(self._handles[fd]))
+                # deregister) gives way to the fd's new handle.
                 try:
                     self._poller.unregister(fd)
                 except (KeyError, ValueError, OSError):
@@ -150,18 +143,10 @@ class SocketEventSource(EventSource):
 
     def deregister(self, handle: Handle) -> None:
         with self._lock:
-            fd = handle.fileno()
-            self._paused.discard(id(handle))
-            if id(handle) in self._forced_ids:
-                self._forced_ids.discard(id(handle))
-                try:
-                    self._forced.remove(handle)
-                except ValueError:  # pragma: no cover - popped concurrently
-                    pass
-            # A handle whose socket closed before its teardown (a reset
-            # mid-send) may find its fd number already re-registered by
-            # a new connection: that entry is not this handle's to drop.
-            if self._handles.get(fd) is handle:
+            # A handle closed before its teardown (a reset mid-send) may
+            # find its fd already re-registered by a new connection.
+            if self._registered(handle):
+                fd = handle.fileno()
                 del self._handles[fd]
                 try:
                     self._poller.unregister(fd)
@@ -169,81 +154,68 @@ class SocketEventSource(EventSource):
                     pass
 
     def update_interest(self, handle: SocketHandle) -> None:
-        """Re-arm write interest to match the handle's buffered output.
-        Only a level-triggered backend's poll(2), which waits on a
-        snapshot of the fd set, needs the dispatcher woken for it.
-
-        Under epoll this is also the edge re-arm: modifying interest on
-        a still-ready fd re-delivers the event, so a reader that had to
-        stop mid-drain gets called again."""
-        self._apply_mask(handle)
+        """Re-arm the handle with its current mask (WRITE while output is
+        buffered, READ unless paused); only poll(2) needs a wake-up."""
+        with self._lock:
+            self._modify(handle)
         if not self.edge_triggered:
             self.wakeup()
 
     def pause(self, handle: SocketHandle) -> None:
-        """One-shot semantics: stop watching readability until resumed.
+        """Stop reporting readability until :meth:`resume`.
 
         Called by the dispatcher when it hands a ReadableEvent to the
         Event Processor, so readiness does not storm duplicate events
-        while the event waits in the queue.
+        while the event waits in the queue.  Under epoll the delivery
+        already disarmed the fd.
         """
         with self._lock:
-            self._paused.add(id(handle))
-        self._apply_mask(handle)
+            if self._registered(handle):
+                handle.paused = True
+                if not self.edge_triggered:
+                    self._modify(handle)
 
     def resume(self, handle: SocketHandle) -> None:
         """Re-arm readability once the connection has read."""
         with self._lock:
-            self._paused.discard(id(handle))
-        if handle.closed:
-            return
-        self._apply_mask(handle)
-        self.wakeup()
-
-    def force_ready(self, handle: Handle) -> None:
-        """Queue one synthetic readiness event for a registered handle.
-
-        The next poll returns immediately and reports the handle ready
-        (AcceptEvent for a listener, ReadableEvent otherwise) on top of
-        whatever the kernel says.  Used by :meth:`rearm_listener` when
-        an accept drain stops before EAGAIN, and safe under both
-        backends."""
-        with self._lock:
-            if handle.fileno() not in self._handles:
+            if not self._registered(handle):
                 return
-            if id(handle) not in self._forced_ids:
-                self._forced_ids.add(id(handle))
-                self._forced.append(handle)
-        self.wakeup()
+            handle.paused = False
+            self._modify(handle)
+        if not self.edge_triggered:
+            self.wakeup()
 
     def rearm_listener(self, listen: ListenHandle) -> None:
-        """Re-post a listener whose accept drain stopped before EAGAIN,
-        if the backend needs it.  An edge-triggered backend never
-        repeats a consumed edge, so the backlog would strand until the
-        next connection arrives; a level-triggered one reports the
-        backlog again on every poll, so this is a no-op there."""
-        if self.edge_triggered:
-            self.force_ready(listen)
+        """Re-post a listener whose accept drain stopped before EAGAIN
+        on the next poll: an edge-triggered backend never repeats a
+        consumed edge (a level-triggered one needs nothing)."""
+        if not self.edge_triggered:
+            return
+        with self._lock:
+            if not self._registered(listen) or listen.forced:
+                return
+            listen.forced = True
+            self._forced.append(listen)
+        self.wakeup()
 
     def _mask(self, handle: Handle) -> int:
         if isinstance(handle, ListenHandle):
             return READ
-        read = READ if id(handle) not in self._paused else 0
+        read = 0 if handle.paused else READ
         write = WRITE if handle.wants_write else 0
-        return read | write
+        return ONESHOT | read | write
 
-    def _apply_mask(self, handle: SocketHandle) -> None:
-        if handle.closed:
-            return
-        with self._lock:
-            fd = handle.fileno()
-            if self._handles.get(fd) is not handle:
-                # Deregistered entirely, or a late call from a closed
-                # handle whose fd the kernel already gave to a new
-                # connection: the poller entry belongs to that one.
-                return
+    def _registered(self, handle: Handle) -> bool:
+        # call under the lock
+        return self._handles.get(handle.fileno()) is handle
+
+    def _modify(self, handle: SocketHandle) -> None:
+        # call under the lock; the poller entry of a reused fd belongs
+        # to the new connection
+        if not handle.closed and self._registered(handle):
             try:
-                self._poller.modify(fd, self._mask(handle), handle)
+                self._poller.modify(handle.fileno(), self._mask(handle),
+                                    handle)
             except (KeyError, ValueError, OSError):
                 pass
 
@@ -256,9 +228,8 @@ class SocketEventSource(EventSource):
     def poll(self, timeout: Optional[float] = None) -> List[Event]:
         if self._closed:
             return []
-        with self._lock:
-            if self._forced:
-                timeout = 0.0
+        if self._forced:   # unlocked: a racing re-post also wakes us
+            timeout = 0.0
         ready: List[Event] = []
         for data, mask in self._poller.poll(timeout):
             if data is None:  # the wakeup pipe
@@ -271,10 +242,10 @@ class SocketEventSource(EventSource):
             self._append_events(ready, data, mask)
         with self._lock:
             forced, self._forced = self._forced, deque()
-            self._forced_ids.clear()
-        for handle in forced:
-            if handle.fileno() in self._handles:
-                self._append_events(ready, handle, READ)
+            for listen in forced:
+                listen.forced = False
+                if self._registered(listen):
+                    ready.append(AcceptEvent(handle=listen))
         return ready
 
     def _append_events(self, ready: List[Event], handle: Handle,
@@ -282,10 +253,9 @@ class SocketEventSource(EventSource):
         if isinstance(handle, ListenHandle):
             ready.append(AcceptEvent(handle=handle))
             return
-        # epoll reports HUP/ERR regardless of the interest mask; a
-        # paused connection's readability stays suppressed here so the
-        # one-shot protocol holds on every backend.
-        if mask & READ and id(handle) not in self._paused:
+        # epoll reports HUP/ERR regardless of the interest mask: a
+        # paused connection's readability stays suppressed here.
+        if mask & READ and not handle.paused:
             ready.append(ReadableEvent(handle=handle))
         if mask & WRITE:
             ready.append(WritableEvent(handle=handle))
@@ -313,9 +283,6 @@ class EventSourceDecorator(EventSource):
 
     def deregister(self, handle: Handle) -> None:
         self.inner.deregister(handle)
-
-    def force_ready(self, handle: Handle) -> None:
-        self.inner.force_ready(handle)
 
     def wakeup(self) -> None:
         self.inner.wakeup()

@@ -94,6 +94,8 @@ class AsyncFileIO:
             t.start()
 
     def stop(self) -> None:
+        if not self._started:
+            return
         self._queue.close()
         for t in self._threads:
             t.join(timeout=2.0)

@@ -69,6 +69,8 @@ class SocketHandle(Handle):
         #: end-to-end trace id, stamped at the accept boundary and
         #: carried through dispatch, the worker and the write path
         self.trace_id = next_trace_id()
+        #: read interest paused (under the event-source lock)
+        self.paused = False
         # Cached so a fault-closed socket (fileno() == -1) can still be
         # deregistered; -1 for the fake sockets tests wire in, which
         # never meet a selector.
@@ -311,6 +313,8 @@ class ListenHandle(Handle):
         #: covers every generated AcceptorEventHandler that drains the
         #: backlog.
         self.flight = GLOBAL_FLIGHT
+        #: owed an AcceptEvent (under the event-source lock)
+        self.forced = False
         super().__init__(name=f"listen:{self.address[1]}")
         self._fd = sock.fileno()
 

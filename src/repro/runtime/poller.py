@@ -14,9 +14,9 @@ poll over raw fds and interest masks) with two implementations:
   (``EPOLLET``).  O(ready) per wait instead of O(registered), which is
   what keeps thousands of mostly-idle connections from taxing the hot
   loop.  Consumers must drain readiness to ``EAGAIN`` after every
-  event; re-arming via :meth:`modify` re-posts the edge when the
-  condition still holds, which the event source leans on for its
-  pause/resume one-shot protocol.
+  event.  A registration flagged :data:`ONESHOT` is disarmed once it
+  delivers an event; :meth:`modify` re-arms it and re-posts the edge
+  when the condition still holds (the event source's read pause).
 
 Backend selection (:func:`make_poller`): explicit name, else the
 ``REPRO_POLLER`` environment variable, else epoll when the platform has
@@ -31,20 +31,22 @@ import select
 import selectors
 from typing import Any, List, Optional, Tuple
 
-__all__ = ["READ", "WRITE", "Poller", "SelectPoller", "EpollPoller",
-           "available_pollers", "make_poller"]
+__all__ = ["READ", "WRITE", "ONESHOT", "Poller", "SelectPoller",
+           "EpollPoller", "available_pollers", "make_poller"]
 
 #: interest-mask bits (also the ready-mask bits :meth:`Poller.poll` returns)
 READ = 1
 WRITE = 2
+#: flag bit: disarm after each event until the next modify (epoll only)
+ONESHOT = 4
 
 
 class Poller:
     """Interface: readiness selection over raw file descriptors.
 
     ``data`` is an opaque cookie returned verbatim from :meth:`poll`;
-    the event source stores the Handle there.  A zero ``mask`` is legal
-    and means "keep the fd but report nothing" (the paused state).
+    the event source stores the Handle there.  A mask without READ or
+    WRITE means "keep the fd but report nothing" (the paused state).
     """
 
     #: backend name as accepted by :func:`make_poller`
@@ -100,12 +102,14 @@ class SelectPoller(Poller):
         self._inactive: dict = {}  # fd -> data, parked with zero interest
 
     def register(self, fd: int, mask: int, data: Any) -> None:
+        mask &= READ | WRITE
         if mask:
             self._selector.register(fd, self._MASK_MAP[mask], data)
         else:
             self._inactive[fd] = data
 
     def modify(self, fd: int, mask: int, data: Any) -> None:
+        mask &= READ | WRITE
         if fd in self._inactive:
             if mask:
                 del self._inactive[fd]
@@ -140,13 +144,15 @@ class SelectPoller(Poller):
 class EpollPoller(Poller):
     """Linux edge-triggered backend over ``select.epoll``.
 
-    Every registration carries ``EPOLLET``; ``EPOLLHUP``/``EPOLLERR``
+    Every registration carries ``EPOLLET``; a :data:`ONESHOT` one also
+    ``EPOLLONESHOT``, so it reports nothing after one event until
+    :meth:`modify` re-arms it.  ``EPOLLHUP``/``EPOLLERR``
     (always reported by the kernel, interest mask or not) surface as
     READ readiness so the read path observes the EOF/reset.  A closed
     fd silently leaves the epoll set, so :meth:`unregister` tolerates
     the kernel having beaten it to the cleanup — and :meth:`register`
     tolerates a reused fd number still sitting in the set from a
-    fault-closed predecessor (the PR 9 fd-reuse scenario).
+    fault-closed predecessor.
     """
 
     name = "epoll"
@@ -162,6 +168,8 @@ class EpollPoller(Poller):
             events |= select.EPOLLIN
         if mask & WRITE:
             events |= select.EPOLLOUT
+        if mask & ONESHOT:
+            events |= select.EPOLLONESHOT
         return events
 
     def register(self, fd: int, mask: int, data: Any) -> None:
@@ -185,8 +193,8 @@ class EpollPoller(Poller):
     def modify(self, fd: int, mask: int, data: Any) -> None:
         if fd not in self._data:
             raise KeyError(fd)
-        # EPOLL_CTL_MOD re-arms the edge: a still-readable fd delivers a
-        # fresh event, which is exactly what resume-after-pause needs.
+        # EPOLL_CTL_MOD re-arms the edge and a one-shot fd: a
+        # still-ready fd delivers a fresh event and wakes epoll_wait.
         self._epoll.modify(fd, self._events(mask))
         self._data[fd] = (data, mask)
 

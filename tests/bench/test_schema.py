@@ -12,12 +12,14 @@ import os
 
 import pytest
 
+import repro.bench
 from repro.bench import (
     SCHEMA_VERSION,
     SUITES,
     build_report,
     compare_reports,
     machine_info,
+    run_smoke,
     validate_report,
 )
 
@@ -183,3 +185,32 @@ def test_absolute_means_gate_only_full_runs_on_the_same_machine():
     smoked = copy.deepcopy(slow)
     smoked["smoke"] = True
     assert compare_reports(smoked, baseline) == []
+
+
+def test_smoke_gates_the_median_of_its_rounds(monkeypatch):
+    """One smoke round can land on either side of the floor; the gate
+    reads the median ratio of five rounds, and a ratio one round lacks
+    is dropped so the gate reports it missing."""
+    rounds = iter([0.3, 1.9, 1.2, 0.4, 1.5])
+    calls = []
+
+    def fake_run_suite(suite, smoke=False, verbose=False):
+        calls.append(smoke)
+        derived = {"procs_speedup_4v1": next(rounds)}
+        if len(calls) == 5:
+            derived["flaky_ratio"] = 1.0
+        return 0, make_report(smoke=smoke, derived=derived)
+
+    monkeypatch.setattr(repro.bench, "run_suite", fake_run_suite)
+    code, report = run_smoke(SUITES["procs"])
+    assert code == 0 and calls == [True] * 5
+    assert report["derived"] == {"procs_speedup_4v1": 1.2}
+    assert validate_report(report) == []
+
+
+def test_smoke_stops_at_a_failing_round(monkeypatch):
+    results = iter([(0, make_report(smoke=True)), (1, None)])
+    monkeypatch.setattr(repro.bench, "run_suite",
+                        lambda suite, smoke=False, verbose=False:
+                        next(results))
+    assert run_smoke(SUITES["procs"]) == (1, None)

@@ -82,14 +82,8 @@ def test_fault_storm_path_reconstructed_from_dumps(tmp_path, monkeypatch):
                       if "worker-death" in name]
         assert auto_dumps, "worker death produced no flight dump"
 
-        # A client can read its reply before the write-complete event
-        # lands in the ring, so snapshot only once the server is
-        # quiescent: every survivor's completion is on the record.
-        wait_until(lambda: len({e.trace_id for e
-                                in GLOBAL_FLIGHT.events("write-complete")})
-                   >= REQUESTS - 1,
-                   message="survivors' write-complete events never landed")
-
+        # Every reply's ``reply`` event is recorded before the send
+        # that lets its client read it, so the snapshot needs no wait.
         # One snapshot, then stop looking at the server: the
         # reconstruction below reads only files and the exporters'
         # record lists.
@@ -106,11 +100,10 @@ def test_fault_storm_path_reconstructed_from_dumps(tmp_path, monkeypatch):
     assert victim != 0
 
     accepts = {e.trace_id for e in events if e.category == "accept"}
-    completed = {e.trace_id for e in events
-                 if e.category == "write-complete"}
+    replied = {e.trace_id for e in events if e.category == "reply"}
     assert len(accepts) == REQUESTS
-    assert victim in accepts and victim not in completed
-    assert len(completed) == REQUESTS - 1
+    assert victim in accepts and victim not in replied
+    assert len(replied) == REQUESTS - 1
 
     # The victim's reconstructed path: accepted, dispatched to a
     # worker, through decode, into handle — where the fault fired — and
@@ -125,14 +118,14 @@ def test_fault_storm_path_reconstructed_from_dumps(tmp_path, monkeypatch):
 
     # A survivor's path tells the whole five-step story through to the
     # flushed reply.
-    survivor = sorted(completed)[0]
+    survivor = sorted(replied)[0]
     path = reconstruct_path(survivor, events)
     assert [e.category for e in path] == [
         "accept", "dispatch",
         "stage-enter", "stage-exit",      # decode
         "stage-enter", "stage-exit",      # handle
         "stage-enter", "stage-exit",      # encode
-        "write-complete"]
+        "reply", "write-complete"]
     assert [e.detail for e in path[2:8]] == [
         "decode", "decode", "handle", "handle", "encode", "encode"]
 

@@ -9,10 +9,12 @@ import pytest
 
 from harness import FakeClock
 from repro.runtime import (
+    Communicator,
     EventKind,
     ListenHandle,
     NullEventSource,
     QueueEventSource,
+    ServerHooks,
     SocketEventSource,
     SocketHandle,
     TimerEventSource,
@@ -225,6 +227,132 @@ def test_late_pause_resume_of_closed_handle_spares_fd_reuser(poller_backend):
         for sock in (a_peer, b_peer):
             sock.close()
         src.close()
+
+
+def drive(src, timeout=0.3):
+    """Poll as the dispatcher does, pausing read interest on every
+    ReadableEvent it hands on; returns every event seen in ``timeout``."""
+    seen = []
+    deadline = time.monotonic() + timeout
+    while time.monotonic() < deadline:
+        for ev in src.poll(0.02):
+            if ev.kind == EventKind.READABLE:
+                src.pause(ev.handle)
+            seen.append(ev)
+    return seen
+
+
+def kinds(events, handle):
+    return [ev.kind for ev in events if ev.handle is handle]
+
+
+def test_late_pause_of_deregistered_handle_leaves_no_state(poller_backend):
+    """The dispatcher may pause a handle from a ReadableEvent it polled
+    just before the connection's teardown deregistered it (typically
+    the client's FIN).  That pause must leave nothing behind: CPython
+    gives the next handle the freed one's memory, and so its ``id``,
+    and that connection must still register with read interest."""
+    src = SocketEventSource(poller=poller_backend)
+    pairs = []
+    try:
+        for _ in range(50):
+            old_sock, old_peer = socket.socketpair()
+            new_sock, new_peer = socket.socketpair()
+            pairs += [old_peer, new_sock, new_peer]
+            old = SocketHandle(old_sock, name="old")
+            src.register(old)
+            src.deregister(old)
+            src.pause(old)             # late: the teardown already ran
+            old.close()
+            freed = id(old)
+            del old
+            new = SocketHandle(new_sock, name="new")
+            if id(new) == freed:
+                break
+            new.close()
+        else:
+            pytest.fail("CPython never reused a freed handle's id")
+        src.register(new)
+        assert src._handles[new.fileno()] is new
+        new_peer.sendall(b"x")
+        found = poll_until(src, [EventKind.READABLE])
+        assert found[EventKind.READABLE].handle is new
+    finally:
+        for sock in pairs:
+            sock.close()
+        src.close()
+
+
+@pytest.fixture
+def conn_pair(poller_backend):
+    """A registered connection (handle and Communicator wired to the
+    event source as a generated build wires them) and its peer."""
+    src = SocketEventSource(poller=poller_backend)
+    sock, peer = socket.socketpair()
+    peer.settimeout(2.0)
+    handle = SocketHandle(sock, name="conn")
+    conn = Communicator(handle, ServerHooks(),
+                        update_interest=src.update_interest,
+                        resume_read=src.resume)
+    src.register(handle)
+    yield src, conn, peer
+    conn.close()
+    peer.close()
+    src.close()
+
+
+def test_bytes_sent_while_paused_give_one_readable_after_resume(conn_pair):
+    src, conn, peer = conn_pair
+    handle = conn.handle
+    peer.sendall(b"first\n")
+    assert kinds(drive(src), handle) == [EventKind.READABLE]
+    peer.sendall(b"second\n")       # arrives while the read is paused
+    assert kinds(drive(src), handle) == []
+    src.resume(handle)
+    assert kinds(drive(src), handle) == [EventKind.READABLE]
+    conn.on_readable()               # reads both lines, then resumes
+    assert bytes(peer.recv(64)) == b"first\nsecond\n"
+    assert kinds(drive(src), handle) == []
+
+
+def queue_output(src, handle):
+    """Leave output queued and write interest armed, as a short send
+    does; returns once the WritableEvent has been polled."""
+    handle.out_buffer.append([b"queued"])
+    src.update_interest(handle)
+    assert EventKind.WRITABLE in kinds(drive(src, 0.1), handle)
+
+
+@pytest.mark.parametrize("flushed", [False, True],
+                         ids=["to-flush", "already-flushed"])
+def test_consumed_writable_leaves_armed_reads_armed(conn_pair, flushed):
+    """Under epoll a one-shot delivery of WRITE disarms READ too; the
+    Send Reply step's re-sync re-arms it, also when an earlier step
+    already flushed the output."""
+    src, conn, peer = conn_pair
+    handle = conn.handle
+    queue_output(src, handle)
+    if flushed:
+        handle.try_send()
+    conn.on_writable()
+    assert peer.recv(64) == b"queued"
+    peer.sendall(b"ping\n")
+    assert kinds(drive(src), handle) == [EventKind.READABLE]
+
+
+def test_writable_consumed_while_paused_leaves_reads_armed_after_resume(
+        conn_pair):
+    src, conn, peer = conn_pair
+    handle = conn.handle
+    peer.sendall(b"ping\n")
+    assert kinds(drive(src), handle) == [EventKind.READABLE]
+    queue_output(src, handle)        # while the read is paused
+    conn.on_writable()
+    assert peer.recv(64) == b"queued"
+    conn.on_readable()               # echoes the line, then resumes
+    assert peer.recv(64) == b"ping\n"
+    peer.sendall(b"pong\n")
+    assert kinds(drive(src), handle) == [EventKind.READABLE]
 
 
 # -- TimerEventSource ----------------------------------------------------------

@@ -17,7 +17,7 @@ from repro.runtime import (
     available_pollers,
     make_poller,
 )
-from repro.runtime.poller import READ, WRITE
+from repro.runtime.poller import ONESHOT, READ, WRITE
 
 
 @pytest.fixture
@@ -98,6 +98,18 @@ def test_register_already_ready_fd_delivers_event(poller, pair):
     assert ("late-reg", READ) in poller.poll(1.0)
 
 
+def test_oneshot_flag_keeps_interest_semantics(poller, pair):
+    """ONESHOT is a flag, not an interest: the first delivery of a
+    one-shot registration looks exactly like a plain one."""
+    a, b = pair
+    poller.register(a.fileno(), READ | ONESHOT, "h")
+    assert poller.poll(0.0) == []
+    b.sendall(b"x")
+    assert poller.poll(1.0) == [("h", READ)]
+    poller.modify(a.fileno(), ONESHOT, "h")     # paused: no interest
+    assert poller.poll(0.05) == []
+
+
 # -- backend selection --------------------------------------------------
 
 
@@ -156,6 +168,30 @@ def test_epoll_mod_rearms_pending_edge():
         assert p.poll(0.05) == []            # ET: not re-posted
         p.modify(a.fileno(), READ, "h")      # re-arm
         assert p.poll(1.0) == [("h", READ)]
+    finally:
+        p.close()
+        a.close()
+        b.close()
+
+
+@epoll_only
+def test_epoll_oneshot_disarms_until_modify():
+    """The read pause the event source leaves to the kernel: after one
+    delivery a one-shot fd reports nothing — not new bytes, not its
+    write readiness — until a MOD re-arms it, which re-posts what is
+    still pending."""
+    a, b = socket.socketpair()
+    p = EpollPoller()
+    try:
+        a.setblocking(False)
+        p.register(a.fileno(), READ | ONESHOT, "h")
+        b.sendall(b"x")
+        assert p.poll(1.0) == [("h", READ)]
+        b.sendall(b"y")                          # a new edge, disarmed
+        assert p.poll(0.05) == []
+        p.modify(a.fileno(), READ | WRITE | ONESHOT, "h")
+        assert p.poll(1.0) == [("h", READ | WRITE)]
+        assert p.poll(0.05) == []                # disarmed again
     finally:
         p.close()
         a.close()

@@ -29,6 +29,17 @@ def server(site):
     server.stop()
 
 
+def test_stop_without_start_closes_the_event_source(site):
+    """A built server that never started still owns an epoll fd and a
+    wake-up socketpair; stopping it must release both."""
+    server = build_cops_http(str(site))[0]
+    source = server.reactor.socket_source
+    server.stop()
+    assert source._closed
+    assert source._wake_recv.fileno() == -1
+    assert source._wake_send.fileno() == -1
+
+
 def http_get(port, request: bytes, timeout=5.0) -> bytes:
     s = socket.create_connection(("127.0.0.1", port), timeout=timeout)
     s.settimeout(timeout)
