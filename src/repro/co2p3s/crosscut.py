@@ -45,9 +45,6 @@ class CrosscutMatrix:
     def row(self, class_name: str) -> Dict[str, str]:
         return dict(self.cells.get(class_name, {}))
 
-    def options_for(self, class_name: str) -> Dict[str, str]:
-        return {k: v for k, v in self.row(class_name).items() if v}
-
     def differences(self, other: "CrosscutMatrix") -> List[Tuple[str, str, str, str]]:
         """(class, option, mine, theirs) for every disagreeing cell."""
         diffs = []

@@ -298,8 +298,7 @@ def build_context(o: OptionSet) -> Dict[str, Any]:
         sup_extra += ", log=reactor.log"
         q_extra += ", log=reactor.log"
     ctx["make_deadlines"] = (
-        "self.deadlines = rt.DeadlineMonitor("
-        "reactor.container.connections, policy, "
+        "self.deadlines = rt.DeadlineMonitor(policy, "
         "interval=configuration.deadline_interval" + dl_extra + ")")
     ctx["make_supervisor"] = on(
         pool, "self.supervisor = rt.WorkerSupervisor(reactor.processor, "

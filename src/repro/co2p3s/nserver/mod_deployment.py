@@ -5,9 +5,10 @@ the template generates a ``Deployment`` component that runs N worker
 *processes* (each a fresh interpreter executing its own reactor)
 accepting from one shared ``SO_REUSEPORT`` listening socket,
 plus the ``Worker`` adapter each child process builds.  Crash respawn,
-SIGHUP rolling restarts and the cross-process stats plane live in the
-runtime's ``ProcessSupervisor``; the generated component only carries
-the option-resolved wiring.  When O16=1 the module is not emitted and
+SIGHUP rolling restarts and the merge of every worker's status fields
+(asked for over each worker's control socket) live in the runtime's
+``ProcessSupervisor``; the generated component only carries the
+option-resolved wiring.  When O16=1 the module is not emitted and
 no deployment call site appears anywhere in the generated framework.
 
 Table 2 extension rows:

@@ -16,7 +16,7 @@ Table 2 extension row:
 Observability  exists iff O11; body depends on O2 (pool probes),
                O9 (overload probes), O10 (span events mirrored into
                the debug event ring), O16 (status report aggregated across worker
-               processes through the supervisor's stats socket) and
+               processes by the supervisor) and
                O17 (shed-total and breaker-state probes)
 =============  ====================================================
 """
@@ -123,11 +123,12 @@ MODULE_OBSERVABILITY = ModuleSpec(
                     '''
                     def status_report(self, auto=False):
                         """mod_status-style report aggregated across the
-                        worker processes (option O16): the supervisor's
-                        stats socket sums every worker's registry and
-                        re-labels per-worker gauges ``worker="pid"``;
-                        outside a supervisor this worker build falls
-                        back to its own process-local fields."""
+                        worker processes (option O16): asked over the
+                        control socket, the supervisor sums every
+                        worker's registry and re-labels per-worker gauges
+                        ``worker="pid"``; outside a supervisor this
+                        worker build falls back to its own process-local
+                        fields."""
                         fields = rt.cluster_status_fields()
                         if fields is None:
                             self.sample()

@@ -115,7 +115,7 @@ PAPER_TABLE2 = {
 #: the Server Component adopts the shared SO_REUSEPORT listen socket,
 #: the configuration carries the worker deadlines and respawn budget,
 #: and the Observability status report aggregates across worker
-#: processes through the stats socket.
+#: processes through the supervisor.
 TABLE2_EXTENSIONS = {
     "Observability": {"O2": "+", "O9": "+", "O10": "+", "O11": "O",
                       "O16": "+", "O17": "+"},

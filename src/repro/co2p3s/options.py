@@ -103,6 +103,3 @@ class OptionSet:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"OptionSet({self._values!r})"
-
-    def legal_values(self, key: str) -> Optional[Tuple[Any, ...]]:
-        return self.spec(key).values

@@ -22,9 +22,8 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, globals(), {
         "TokenBucket", "hill_climb", "reject_handle", "rejection_response",
     ),
     "deployment": (
-        "STATS_SOCKET_ENV", "ProcessSupervisor", "adopted_listen_socket",
-        "cluster_status_fields", "generated_worker", "generated_worker_args",
-        "worker_listen_handle",
+        "ProcessSupervisor", "adopted_listen_socket", "cluster_status_fields",
+        "generated_worker", "generated_worker_args", "worker_listen_handle",
     ),
     "dispatcher": ("EventDispatcher",),
     "event_source": (

@@ -16,24 +16,24 @@ __all__ = ["Container"]
 
 
 class Container:
-    """Thread-safe handle -> Communicator registry (keyed by handle
-    identity, which stays valid even after the socket closes)."""
+    """Thread-safe handle -> Communicator registry (keyed by the handle
+    object, which stays a valid key even after the socket closes)."""
 
     def __init__(self):
         self._lock = threading.Lock()
-        self._by_handle: Dict[int, Communicator] = {}
+        self._by_handle: Dict[object, Communicator] = {}
 
     def add(self, conn: Communicator) -> None:
         with self._lock:
-            self._by_handle[id(conn.handle)] = conn
+            self._by_handle[conn.handle] = conn
 
     def remove(self, conn: Communicator) -> None:
         with self._lock:
-            self._by_handle.pop(id(conn.handle), None)
+            self._by_handle.pop(conn.handle, None)
 
     def lookup(self, handle) -> Optional[Communicator]:
         with self._lock:
-            return self._by_handle.get(id(handle))
+            return self._by_handle.get(handle)
 
     def connections(self) -> Iterable[Communicator]:
         with self._lock:

@@ -9,18 +9,19 @@ accepting from one shared listening socket:
   socket in the parent and **never closes it** while the deployment is
   up — the accept queue survives any individual worker's death or
   restart, which is what makes rolling restarts drop nothing;
-* each worker is a **fresh interpreter** (``python -m
-  repro.runtime.deployment --worker``), not a fork: no inherited
-  threads, no duplicated locks, no shared flight rings.  The listen
+* each worker is a **fresh interpreter** (``python -c`` calling
+  :func:`worker_main`), not a fork: no inherited threads, no
+  duplicated locks, no shared flight rings.  The listen
   socket's fd travels to the worker over a Unix-domain control socket
   via ``socket.send_fds`` along with a JSON spec naming a *factory*
   (``"module:callable"``) that builds the worker's server;
-* the control socket then carries newline-delimited JSON both ways:
-  ``status`` / ``drain`` / ``stop`` requests from the supervisor,
-  ``ready`` and id-correlated replies from the worker.  The worker's
-  **main thread is its control loop** — request handling runs on the
-  reactor's own threads, so a status query is never stuck behind a
-  slow request;
+* the control socket then carries newline-delimited JSON both ways,
+  one protocol at both ends (:class:`_Channel`): ``status`` /
+  ``drain`` / ``stop`` from the supervisor, ``ready`` and ``cluster``
+  from the worker, and an id-matched ``reply`` to every request.  The
+  worker's **main thread is its control loop** — request handling
+  runs on the reactor's own threads, so a status query is never stuck
+  behind a slow request;
 * crashes are detected by a monitor thread and respawned within a
   bounded budget (``respawn_limit`` exits per ``respawn_window``
   seconds), so a crash *storm* degrades to fewer workers instead of a
@@ -30,13 +31,13 @@ accepting from one shared listening socket:
   accepting, then drain the predecessor — at every instant at least
   ``procs`` workers are accepting, so no connection is refused and no
   in-flight request is cut;
-* cross-process observability: the supervisor serves an aggregation
-  endpoint on a Unix *stats socket* (path exported to workers as
-  ``$REPRO_STATS_SOCKET``); a worker answering ``/server-status``
-  calls :func:`cluster_status_fields`, which asks the supervisor,
-  which polls every worker's O11 registry over the control channels
-  and merges them with
-  :func:`repro.obs.exposition.merge_status_fields`.  Flight dumps
+* cross-process observability rides the same channel: a worker
+  answering ``/server-status`` calls :func:`cluster_status_fields`,
+  which sends ``cluster`` to the supervisor, which polls every
+  worker's O11 registry with ``status`` and answers with
+  :meth:`ProcessSupervisor.aggregated_status_fields`, the one place
+  that merges (:func:`repro.obs.exposition.merge_status_fields`).
+  Nothing touches the filesystem.  Flight dumps
   are already namespaced per PID, and trace ids carry a PID component
   (:func:`repro.obs.tracing.next_trace_id`), so evidence from
   different workers never collides.
@@ -55,17 +56,15 @@ import signal
 import socket
 import subprocess
 import sys
-import tempfile
 import threading
 import time
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.lint.locks import access, make_lock, shared
 from repro.obs.exposition import merge_status_fields
 from repro.obs.flight import install_signal_dump
 
 __all__ = [
-    "STATS_SOCKET_ENV",
     "ProcessSupervisor",
     "adopted_listen_socket",
     "cluster_status_fields",
@@ -74,14 +73,15 @@ __all__ = [
     "worker_listen_handle",
 ]
 
-#: environment variable carrying the supervisor's stats-socket path
-#: into worker processes (unset = not running under a supervisor)
-STATS_SOCKET_ENV = "REPRO_STATS_SOCKET"
-
 #: the listening socket this process adopted from its supervisor;
 #: module-level *runtime state*, set once by ``worker_main`` before any
 #: server is constructed and read by :func:`worker_listen_handle`
 _ADOPTED_LISTEN: Optional[socket.socket] = None
+
+#: this worker's end of the control socket, set by ``worker_main``;
+#: None outside a supervisor, where :func:`cluster_status_fields` has
+#: no one to ask
+_CONTROL: Optional["_Channel"] = None
 
 
 # -- worker-process runtime state ---------------------------------------------
@@ -125,11 +125,6 @@ def _resolve(path: str):
 # -- the control protocol -----------------------------------------------------
 
 
-def _send_json(sock: socket.socket, message: dict) -> None:
-    """One newline-terminated JSON message onto a control socket."""
-    sock.sendall(json.dumps(message).encode("utf-8") + b"\n")
-
-
 def _read_line(sock: socket.socket, buf: bytearray) -> Optional[bytes]:
     """Blocking read of one newline-terminated record; None on EOF."""
     while b"\n" not in buf:
@@ -146,21 +141,118 @@ def _read_line(sock: socket.socket, buf: bytearray) -> Optional[bytes]:
     return line
 
 
+class _Pending:
+    """The slot one request's reply lands in."""
+
+    __slots__ = ("id", "done", "reply")
+
+    def __init__(self, request_id: int):
+        self.id = request_id
+        self.done = threading.Event()
+        self.reply: Optional[dict] = None
+
+
+class _Channel:
+    """One end of a control socket: locked sends, id-matched requests.
+
+    The supervisor's :class:`_Worker` and the worker process speak the
+    same protocol through it.  :meth:`ask` tags a message with a fresh
+    ``id``; the one thread reading the socket hands each ``reply`` to
+    :meth:`deliver`, and calls :meth:`hang_up` once no reply can come,
+    which wakes every waiter and refuses later requests.
+    """
+
+    def __init__(self, sock: socket.socket):
+        self.sock = sock
+        self._send_lock = threading.Lock()
+        self._lock = make_lock("control-channel")
+        self._next_id = 1
+        #: request id -> slot; None once the channel hung up
+        self._pending: Optional[Dict[int, _Pending]] = {}
+        shared(self, "_next_id", "_pending",
+               label="control-channel pending replies (requesters vs "
+                     "reader)")
+
+    def send(self, message: dict) -> bool:
+        """Fire-and-forget message; False if the socket is dead."""
+        data = json.dumps(message).encode("utf-8") + b"\n"
+        try:
+            with self._send_lock:
+                self.sock.sendall(data)
+            return True
+        except OSError:
+            return False
+
+    def ask(self, message: dict) -> Optional[_Pending]:
+        """Send ``message`` as a request; the slot its reply will fill,
+        or None when the channel is down."""
+        with self._lock:
+            access(self, "_pending")
+            if self._pending is None:
+                return None
+            access(self, "_next_id")
+            slot = _Pending(self._next_id)
+            self._next_id += 1
+            self._pending[slot.id] = slot
+        if not self.send(dict(message, id=slot.id)):
+            self._drop(slot)
+            return None
+        return slot
+
+    def wait(self, slot: Optional[_Pending], timeout: float
+             ) -> Optional[dict]:
+        """The reply ``slot`` got within ``timeout``, or None."""
+        if slot is None:
+            return None
+        slot.done.wait(timeout)
+        self._drop(slot)
+        return slot.reply
+
+    def request(self, message: dict, timeout: float) -> Optional[dict]:
+        """Send a request and wait for its reply (None on timeout)."""
+        return self.wait(self.ask(message), timeout)
+
+    def deliver(self, reply: dict) -> None:
+        """Hand one ``reply`` to the request waiting for its id."""
+        with self._lock:
+            access(self, "_pending")
+            slot = (self._pending.pop(reply.get("id"), None)
+                    if self._pending is not None else None)
+        if slot is not None:
+            slot.reply = reply
+            slot.done.set()
+
+    def hang_up(self) -> None:
+        """No reply can come any more: wake every waiter."""
+        with self._lock:
+            access(self, "_pending")
+            pending, self._pending = self._pending or {}, None
+        for slot in pending.values():
+            slot.done.set()
+
+    def _drop(self, slot: _Pending) -> None:
+        with self._lock:
+            access(self, "_pending")
+            if self._pending is not None:
+                self._pending.pop(slot.id, None)
+
+
 # -- the supervisor -----------------------------------------------------------
 
 
 class _Worker:
     """Supervisor-side record of one worker process.
 
-    Owns the parent end of the control socket, the reader thread that
-    drains it, and the id-correlated pending-request table.
+    Owns the parent end of the control socket and the reader thread
+    that drains it.  A worker's ``cluster`` request is answered on a
+    short-lived thread with ``aggregate()``: the reader must stay free,
+    because the asking worker's own ``status`` reply arrives on it.
     """
 
     def __init__(self, proc: subprocess.Popen, control: socket.socket,
-                 generation: int):
+                 aggregate: Callable[[], list]):
         self.proc = proc
-        self.control = control
-        self.generation = generation
+        self.channel = _Channel(control)
         self.pid = proc.pid
         #: bound port reported in the worker's ready message
         self.port: Optional[int] = None
@@ -168,20 +260,17 @@ class _Worker:
         #: set during rolling restart / shutdown so the monitor does
         #: not respawn a worker we deliberately drained
         self.retiring = False
-        self._send_lock = threading.Lock()
-        self._next_id = 1
-        self._pending: Dict[int, dict] = {}
-        self._pending_lock = threading.Lock()
+        self._aggregate = aggregate
         self._reader = threading.Thread(
             target=self._read_loop, name=f"deploy-reader-{self.pid}",
             daemon=True)
         self._reader.start()
 
     def _read_loop(self) -> None:
-        """Drain control messages: readiness and request replies."""
+        """Drain control messages: readiness, replies, cluster asks."""
         buf = bytearray()
         while True:
-            line = _read_line(self.control, buf)
+            line = _read_line(self.channel.sock, buf)
             if line is None:
                 break  # worker exited (or crashed); the monitor reacts
             try:
@@ -193,47 +282,25 @@ class _Worker:
                 self.port = message.get("port")
                 self.ready.set()
             elif kind == "reply":
-                with self._pending_lock:
-                    slot = self._pending.pop(message.get("id"), None)
-                if slot is not None:
-                    slot["reply"] = message
-                    slot["event"].set()
-        # wake every waiter: no reply is ever coming
-        with self._pending_lock:
-            pending, self._pending = dict(self._pending), {}
-        for slot in pending.values():
-            slot["event"].set()
+                self.channel.deliver(message)
+            elif kind == "cluster":
+                threading.Thread(
+                    target=self._answer_cluster, args=(message.get("id"),),
+                    name=f"deploy-cluster-{self.pid}", daemon=True).start()
+        self.channel.hang_up()
+
+    def _answer_cluster(self, request_id) -> None:
+        self.channel.send({"type": "reply", "id": request_id,
+                           "fields": self._aggregate()})
 
     def send(self, message: dict) -> bool:
         """Fire-and-forget control message; False if the pipe is dead."""
-        try:
-            with self._send_lock:
-                _send_json(self.control, message)
-            return True
-        except OSError:
-            return False
-
-    def request(self, message: dict, timeout: float) -> Optional[dict]:
-        """Send a control request and wait for its correlated reply."""
-        slot = {"event": threading.Event(), "reply": None}
-        with self._pending_lock:
-            request_id = self._next_id
-            self._next_id += 1
-            self._pending[request_id] = slot
-        message = dict(message, id=request_id)
-        if not self.send(message):
-            with self._pending_lock:
-                self._pending.pop(request_id, None)
-            return None
-        slot["event"].wait(timeout)
-        with self._pending_lock:
-            self._pending.pop(request_id, None)
-        return slot["reply"]
+        return self.channel.send(message)
 
     def close(self) -> None:
         """Close the control socket (unblocks the reader thread)."""
         try:
-            self.control.close()
+            self.channel.sock.close()
         except OSError:  # pragma: no cover - already closed
             pass
 
@@ -249,10 +316,10 @@ class ProcessSupervisor:
     worker interpreter.
 
     The supervisor itself runs no reactor: it binds the shared socket,
-    spawns and watches workers, answers stats queries, and orchestrates
-    rolling restarts.  Per-server planes — Acceptor, fault plane,
-    worker supervision — are constructed *per process*, inside each
-    worker's own server.
+    spawns and watches workers, answers their ``cluster`` status
+    requests, and orchestrates rolling restarts.  Per-server planes —
+    Acceptor, fault plane, worker supervision — are constructed *per
+    process*, inside each worker's own server.
     """
 
     def __init__(self, factory: str, args: dict, procs: int,
@@ -276,10 +343,6 @@ class ProcessSupervisor:
         self.respawn_window = respawn_window
 
         self._listen_sock: Optional[socket.socket] = None
-        self._stats_dir: Optional[str] = None
-        self._stats_path: Optional[str] = None
-        self._stats_sock: Optional[socket.socket] = None
-        self._stats_thread: Optional[threading.Thread] = None
         self._monitor_thread: Optional[threading.Thread] = None
         self._stop_event = threading.Event()
         self._started = False
@@ -299,7 +362,7 @@ class ProcessSupervisor:
         shared(self, "_workers", "_respawn_times", "restarts_total",
                "generation", "respawn_exhausted", "_started",
                label="supervisor worker table (monitor vs restart vs "
-                     "stats threads)")
+                     "cluster-status threads)")
 
     # -- lifecycle ------------------------------------------------------
 
@@ -311,7 +374,7 @@ class ProcessSupervisor:
         return self._listen_sock.getsockname()[1]
 
     def start(self) -> None:
-        """Bind the shared socket, start stats + monitor, spawn workers.
+        """Bind the shared socket, spawn workers, start the monitor.
 
         Blocks until every worker reported ready (listening) or raises
         after ``ready_timeout``, tearing the half-started deployment
@@ -331,7 +394,6 @@ class ProcessSupervisor:
         sock.bind((self.host, self._requested_port))
         sock.listen(self.backlog)
         self._listen_sock = sock
-        self._open_stats_socket()
         try:
             workers = [self._spawn_worker() for _ in range(self.procs)]
             self._await_ready(workers)
@@ -357,13 +419,12 @@ class ProcessSupervisor:
         parent, child = socket.socketpair()
         # -c, not -m: runpy would execute this module a second time as
         # __main__ (and warn — repro.runtime already imported it), with
-        # the adopted-socket global in the wrong module instance.
+        # the worker's module state in the wrong module instance.
         command = [sys.executable, "-c",
-                   "import sys; from repro.runtime.deployment import main; "
-                   "sys.exit(main(sys.argv[1:]))",
-                   "--worker", "--control-fd", str(child.fileno())]
+                   "import sys; from repro.runtime.deployment import "
+                   "worker_main; sys.exit(worker_main(int(sys.argv[1])))",
+                   str(child.fileno())]
         env = dict(os.environ)
-        env[STATS_SOCKET_ENV] = self._stats_path or ""
         # The fresh interpreter must find the repro package wherever
         # the supervisor found it, with or without an installed dist.
         import repro
@@ -378,7 +439,7 @@ class ProcessSupervisor:
         spec = json.dumps({"factory": self.factory,
                            "args": self.args}).encode("utf-8") + b"\n"
         socket.send_fds(parent, [spec], [self._listen_sock.fileno()])
-        worker = _Worker(proc, parent, self.generation)
+        worker = _Worker(proc, parent, self.aggregated_status_fields)
         with self._lock:
             access(self, "_workers")
             self._workers.append(worker)
@@ -531,7 +592,6 @@ class ProcessSupervisor:
         for worker in self._live_workers():
             self._reap(worker, 5.0)
             self._forget(worker)
-        self._close_stats_socket()
         if self._listen_sock is not None:
             try:
                 self._listen_sock.close()
@@ -604,152 +664,55 @@ class ProcessSupervisor:
                               ) -> List[Tuple[int, list]]:
         """Every live worker's O11 status fields, via control channels.
 
-        Requests go out to all workers first, then replies are gathered
-        under one shared deadline; workers that miss it (or died) are
-        skipped rather than stalling the page.
+        Every request goes out first, then each reply is awaited under
+        one shared deadline; a worker that misses it, or dies (its
+        reader's hang-up wakes the wait), is skipped rather than
+        stalling the page.
         """
-        workers = [w for w in self._live_workers()
-                   if w.ready.is_set() and not w.retiring]
+        asked = [(worker, worker.channel.ask({"type": "status"}))
+                 for worker in self._live_workers()
+                 if worker.ready.is_set() and not worker.retiring]
+        deadline = time.monotonic() + timeout
         sections: List[Tuple[int, list]] = []
-        threads = []
-        results: Dict[int, Optional[dict]] = {}
-
-        def _ask(index: int, worker: _Worker) -> None:
-            results[index] = worker.request({"type": "status"}, timeout)
-
-        for index, worker in enumerate(workers):
-            thread = threading.Thread(target=_ask, args=(index, worker),
-                                      daemon=True)
-            thread.start()
-            threads.append(thread)
-        deadline = time.monotonic() + timeout + 0.5
-        for thread in threads:
-            thread.join(max(deadline - time.monotonic(), 0.05))
-        for index, worker in enumerate(workers):
-            reply = results.get(index)
-            if reply is None:
-                continue
-            sections.append((reply.get("pid", worker.pid),
-                             reply.get("fields") or []))
+        for worker, slot in asked:
+            reply = worker.channel.wait(
+                slot, max(deadline - time.monotonic(), 0.0))
+            if reply is not None:
+                sections.append((reply.get("pid", worker.pid),
+                                 reply.get("fields") or []))
         return sections
 
     def aggregated_status_fields(self) -> list:
-        """One merged status-field list over every worker's registry."""
+        """One merged status-field list over every worker's registry:
+        the generated ``Deployment``'s page and every worker's
+        ``cluster`` reply."""
         uptime = time.monotonic() - self._started_at
         return merge_status_fields(self.collect_status_fields(),
                                    uptime=uptime)
 
-    def _open_stats_socket(self) -> None:
-        """Bind the Unix stats socket workers aggregate through."""
-        self._stats_dir = tempfile.mkdtemp(prefix="repro-deploy-")
-        self._stats_path = os.path.join(self._stats_dir, "stats.sock")
-        stats = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
-        stats.bind(self._stats_path)
-        stats.listen(8)
-        stats.settimeout(0.2)
-        self._stats_sock = stats
-        self._stats_thread = threading.Thread(
-            target=self._stats_loop, name="deploy-stats", daemon=True)
-        self._stats_thread.start()
 
-    def _close_stats_socket(self) -> None:
-        if self._stats_sock is not None:
-            try:
-                self._stats_sock.close()
-            except OSError:  # pragma: no cover
-                pass
-            self._stats_sock = None
-        if self._stats_thread is not None:
-            self._stats_thread.join(timeout=2.0)
-            self._stats_thread = None
-        if self._stats_path is not None:
-            try:
-                os.unlink(self._stats_path)
-            except OSError:
-                pass
-            self._stats_path = None
-        if self._stats_dir is not None:
-            try:
-                os.rmdir(self._stats_dir)
-            except OSError:
-                pass
-            self._stats_dir = None
-
-    def _stats_loop(self) -> None:
-        """Accept stats queries; each served on its own thread."""
-        while not self._stop_event.is_set():
-            sock = self._stats_sock
-            if sock is None:
-                return
-            try:
-                conn, _addr = sock.accept()
-            except socket.timeout:
-                continue
-            except OSError:
-                return
-            threading.Thread(target=self._serve_stats, args=(conn,),
-                             daemon=True).start()
-
-    def _serve_stats(self, conn: socket.socket) -> None:
-        """Answer one stats query with the per-worker field sections."""
-        try:
-            conn.settimeout(5.0)
-            buf = bytearray()
-            _read_line(conn, buf)  # the request line; content ignored
-            sections = self.collect_status_fields()
-            payload = {
-                "uptime": time.monotonic() - self._started_at,
-                "workers": [[pid, fields] for pid, fields in sections],
-            }
-            conn.sendall(json.dumps(payload).encode("utf-8") + b"\n")
-        except OSError:  # pragma: no cover - client went away
-            pass
-        finally:
-            try:
-                conn.close()
-            except OSError:  # pragma: no cover
-                pass
-
-
-# -- worker-side client for the stats socket ----------------------------------
+# -- the worker side ----------------------------------------------------------
 
 
 def cluster_status_fields(timeout: float = 5.0) -> Optional[list]:
-    """Aggregated status fields for the whole deployment, or None.
+    """Merged status fields for the whole deployment, or None.
 
     Called by a worker's generated ``Observability`` when it serves
-    ``/server-status``: connects to the supervisor's stats socket
-    (``$REPRO_STATS_SOCKET``), which polls every worker and returns the
-    per-worker sections this function merges.  Returns None when not
-    running under a supervisor or the supervisor cannot answer — the
-    caller falls back to its own process-local registry.  No deadlock:
-    the querying worker's control loop runs on its main thread, free to
-    answer the supervisor's poll while a processor thread waits here.
+    ``/server-status``: sends ``cluster`` over this worker's control
+    channel, and the supervisor answers with
+    :meth:`ProcessSupervisor.aggregated_status_fields`.  Returns None
+    outside a supervisor, or when no answer comes in time — the caller
+    then falls back to its own process-local registry.  No deadlock:
+    this worker's control loop runs on its main thread, free to answer
+    the supervisor's ``status`` poll while a processor thread waits
+    here.
     """
-    path = os.environ.get(STATS_SOCKET_ENV)
-    if not path:
+    if _CONTROL is None:
         return None
-    try:
-        with socket.socket(socket.AF_UNIX, socket.SOCK_STREAM) as sock:
-            sock.settimeout(timeout)
-            sock.connect(path)
-            sock.sendall(b"status\n")
-            buf = bytearray()
-            line = _read_line(sock, buf)
-    except OSError:
+    reply = _CONTROL.request({"type": "cluster"}, timeout)
+    if reply is None:
         return None
-    if line is None:
-        return None
-    try:
-        payload = json.loads(line)
-    except ValueError:
-        return None
-    sections = [(entry[0], [tuple(field) for field in entry[1]])
-                for entry in payload.get("workers", [])
-                if isinstance(entry, list) and len(entry) == 2]
-    if not sections:
-        return None
-    return merge_status_fields(sections, uptime=payload.get("uptime"))
+    return [tuple(field) for field in reply.get("fields") or []] or None
 
 
 # -- the worker factory -----------------------------------------------------
@@ -833,13 +796,15 @@ def generated_worker_args(module_name: str, module_file: str,
 def worker_main(control_fd: int) -> int:
     """Run one worker: adopt the socket, build the server, serve.
 
-    The first control message carries the JSON spec and, as ancillary
-    data, the shared listening socket's fd.  After ``start()`` the
-    main thread settles into the control loop — ``status`` replies,
-    ``drain``/``stop`` shutdown, plus a test-only ``crash`` fault
-    injection — and exits when the supervisor's end closes.
+    The supervisor spawns ``python -c`` calling this with the inherited
+    control socket's fd.  The first control message carries the JSON
+    spec and, as ancillary data, the shared listening socket's fd.
+    After ``start()`` the main thread settles into the control loop —
+    ``status`` replies, replies to this worker's own ``cluster``
+    requests, ``drain``/``stop`` shutdown, plus a test-only ``crash``
+    fault injection — and exits when the supervisor's end closes.
     """
-    global _ADOPTED_LISTEN
+    global _ADOPTED_LISTEN, _CONTROL
     control = socket.socket(fileno=control_fd)
     buf = bytearray()
     fds: List[int] = []
@@ -855,72 +820,46 @@ def worker_main(control_fd: int) -> int:
         _ADOPTED_LISTEN = socket.socket(fileno=fds[0])
         for extra_fd in fds[1:]:  # pragma: no cover - defensive
             os.close(extra_fd)
+    _CONTROL = _Channel(control)
     # The supervisor forwards SIGUSR2 to every worker: dump this
     # process's flight rings instead of dying of the default action.
     install_signal_dump()
     factory = _resolve(spec["factory"])
     server = factory(spec.get("args") or {}, _ADOPTED_LISTEN)
     server.start()
-    _send_json(control, {"type": "ready", "pid": os.getpid(),
-                         "port": getattr(server, "port", None)})
+    _CONTROL.send({"type": "ready", "pid": os.getpid(),
+                   "port": getattr(server, "port", None)})
     buf = bytearray(rest)
     while True:
         message_line = _read_line(control, buf)
         if message_line is None:
-            break  # supervisor died: shut down with it
+            message = {"type": "stop"}  # supervisor died: stop with it
+            break
         try:
             message = json.loads(message_line)
         except ValueError:
             continue
         kind = message.get("type")
-        if kind == "status":
+        if kind in ("drain", "stop"):
+            break
+        if kind == "reply":
+            _CONTROL.deliver(message)
+        elif kind == "status":
             getter = getattr(server, "status_fields", None)
             fields = [[key, value] for key, value in getter()] \
                 if getter is not None else []
-            _send_json(control, {"type": "reply", "id": message.get("id"),
-                                 "pid": os.getpid(), "fields": fields})
-        elif kind == "drain":
-            drainer = getattr(server, "drain", None)
-            if drainer is not None:
-                drainer(message.get("timeout"))
-            else:
-                server.stop()
-            return 0
-        elif kind == "stop":
-            server.stop()
-            return 0
+            _CONTROL.send({"type": "reply", "id": message.get("id"),
+                           "pid": os.getpid(), "fields": fields})
         elif kind == "crash":
             # Test-only fault injection: die the way a segfault would,
             # skipping every finally block and atexit hook.
             os._exit(int(message.get("code", 2)))
-    server.stop()
+    # Nothing reads the channel from here on: a scrape still waiting
+    # for its cluster reply serves this worker's own fields instead.
+    _CONTROL.hang_up()
+    drainer = getattr(server, "drain", None)
+    if message.get("type") == "drain" and drainer is not None:
+        drainer(message.get("timeout"))
+    else:
+        server.stop()
     return 0
-
-
-def main(argv: Optional[Sequence[str]] = None) -> int:
-    """``python -m repro.runtime.deployment --worker --control-fd N``.
-
-    The only supported invocation is the worker entry the supervisor
-    spawns; everything operator-facing goes through the generated
-    servers' CLIs (e.g. ``python -m repro.servers.cops_http --procs``).
-    """
-    import argparse
-    parser = argparse.ArgumentParser(prog="repro.runtime.deployment")
-    parser.add_argument("--worker", action="store_true",
-                        help="run as a supervised worker process")
-    parser.add_argument("--control-fd", type=int, default=None,
-                        help="inherited control-socket file descriptor")
-    options = parser.parse_args(argv)
-    if not options.worker or options.control_fd is None:
-        parser.error("only the supervisor-spawned worker mode is "
-                     "supported: --worker --control-fd N")
-    return worker_main(options.control_fd)
-
-
-if __name__ == "__main__":  # pragma: no cover - subprocess entry
-    # Re-enter through the canonical module so the adopted-socket
-    # global lives where ``repro.runtime`` re-exports read it (under
-    # ``-m`` this file executes as ``__main__``, a *second* module
-    # instance).
-    from repro.runtime.deployment import main as _canonical_main
-    sys.exit(_canonical_main())

@@ -39,7 +39,6 @@ class EventDispatcher:
         self.source = source
         self.poll_timeout = poll_timeout
         self._routes: Dict[EventKind, Callable[[Event], None]] = {}
-        self._default_route: Optional[Callable[[Event], None]] = None
         self._threads_wanted = threads
         self._threads: List[threading.Thread] = []
         self._poll_lock = threading.Lock()
@@ -51,13 +50,10 @@ class EventDispatcher:
     def route(self, kind: EventKind, target: Callable[[Event], None]) -> None:
         self._routes[kind] = target
 
-    def route_default(self, target: Callable[[Event], None]) -> None:
-        self._default_route = target
-
     def dispatch(self, event: Event) -> None:
         """Route one event (public so single-step tests and the generated
         Reactor-mode loop can drive it directly)."""
-        target = self._routes.get(event.kind, self._default_route)
+        target = self._routes.get(event.kind)
         if target is None:
             self.unrouted += 1
             return

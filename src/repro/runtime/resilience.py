@@ -70,28 +70,19 @@ class DeadlinePolicy:
 class DeadlineMonitor:
     """Closes connections that blew a per-stage deadline.
 
-    Two operating modes share one violation check:
-
-    * **watched** — the owning server calls :meth:`watch` per accepted
-      connection and :meth:`unwatch` at teardown.  Each watched
-      connection carries one lazily re-armed timer on a hashed
-      :class:`~repro.runtime.timerwheel.TimerWheel`; the background
-      thread's :meth:`tick` inspects only fired entries (O(fired) per
-      pass, O(1) re-arm/cancel), re-arming at the earliest active
-      stage deadline, or at a parked recheck period while the
-      connection is idle.
-    * **legacy scan** — callers that never ``watch`` (the simulator,
-      manual tests with an injected clock) still get the periodic
-      full :meth:`scan` over ``connections``.
-
-    ``connections`` is a zero-argument callable returning the current
-    connection list (:meth:`Container.connections` fits).  Violations
-    are tallied per stage in :attr:`reasons` and on ``counter``.
+    The owning server calls :meth:`watch` per accepted connection and
+    :meth:`unwatch` at teardown.  Each watched connection carries one
+    lazily re-armed timer on a hashed
+    :class:`~repro.runtime.timerwheel.TimerWheel`; the background
+    thread's :meth:`tick` inspects only fired entries (O(fired) per
+    pass, O(1) re-arm/cancel), re-arming at the earliest active stage
+    deadline, or at a parked recheck period while the connection is
+    idle.  Violations are tallied per stage in :attr:`reasons` and on
+    ``counter``.
     """
 
     def __init__(
         self,
-        connections: Callable[[], list],
         policy: DeadlinePolicy,
         clock=time.monotonic,
         interval: float = 0.1,
@@ -99,7 +90,6 @@ class DeadlineMonitor:
         log=NULL_LOG,
         wheel=None,
     ):
-        self.connections = connections
         self.policy = policy
         self.clock = clock
         self.interval = interval
@@ -120,12 +110,13 @@ class DeadlineMonitor:
         self.park_interval = max(interval,
                                  min(enabled) / 4.0 if enabled else interval)
         self._watch_lock = threading.Lock()
-        self._watched: dict = {}   # id(conn) -> conn
-        self._tokens: dict = {}    # id(conn) -> wheel token
+        #: watched connection -> its wheel token (the wheel payload is
+        #: the connection itself)
+        self._tokens: dict = {}
         self._stop = threading.Event()
         self._thread: Optional[threading.Thread] = None
 
-    # -- scanning -----------------------------------------------------------
+    # -- checks -------------------------------------------------------------
     def _violation(self, conn, now: float) -> Optional[str]:
         """The stage ``conn`` has blown, or None within deadlines."""
         p = self.policy
@@ -169,27 +160,18 @@ class DeadlineMonitor:
     def watch(self, conn) -> None:
         """Start monitoring one connection (O(1))."""
         with self._watch_lock:
-            key = id(conn)
-            self._watched[key] = conn
-            old = self._tokens.pop(key, None)
+            old = self._tokens.pop(conn, None)
             if old is not None:
                 self.wheel.cancel(old)
-            self._tokens[key] = self.wheel.schedule(
-                self._next_check(conn, self.clock()), key)
+            self._tokens[conn] = self.wheel.schedule(
+                self._next_check(conn, self.clock()), conn)
 
     def unwatch(self, conn) -> None:
         """Stop monitoring (O(1), idempotent)."""
         with self._watch_lock:
-            key = id(conn)
-            self._watched.pop(key, None)
-            token = self._tokens.pop(key, None)
+            token = self._tokens.pop(conn, None)
             if token is not None:
                 self.wheel.cancel(token)
-
-    @property
-    def watched_count(self) -> int:
-        with self._watch_lock:
-            return len(self._watched)
 
     def tick(self) -> int:
         """Check fired timers only; returns how many connections were
@@ -201,22 +183,19 @@ class DeadlineMonitor:
         now = self.clock()
         victims = []
         with self._watch_lock:
-            for _deadline, token, key in fired:
-                if self._tokens.get(key) != token:
+            for _deadline, token, conn in fired:
+                if self._tokens.get(conn) != token:
                     continue  # re-armed or unwatched since firing
-                conn = self._watched.get(key)
-                if conn is None or conn.closed:
-                    self._watched.pop(key, None)
-                    self._tokens.pop(key, None)
+                if conn.closed:
+                    del self._tokens[conn]
                     continue
                 reason = self._violation(conn, now)
                 if reason is not None:
-                    self._watched.pop(key, None)
-                    self._tokens.pop(key, None)
+                    del self._tokens[conn]
                     victims.append((conn, reason))
                 else:
-                    self._tokens[key] = self.wheel.schedule(
-                        self._next_check(conn, now), key)
+                    self._tokens[conn] = self.wheel.schedule(
+                        self._next_check(conn, now), conn)
         for conn, reason in victims:
             self.reasons[reason] += 1
             self.timed_out += 1
@@ -226,29 +205,9 @@ class DeadlineMonitor:
             conn.close()
         return len(victims)
 
-    def scan(self) -> int:
-        """One full pass over ``connections``; returns how many were
-        closed.  The legacy path for drivers that never :meth:`watch`."""
-        now = self.clock()
-        closed = 0
-        for conn in self.connections():
-            if conn.closed:
-                continue
-            reason = self._violation(conn, now)
-            if reason is None:
-                continue
-            self.reasons[reason] += 1
-            self.timed_out += 1
-            self.counter.inc()
-            self.log.info(
-                f"deadline ({reason}) exceeded on {conn.handle.name}; closing")
-            conn.close()
-            closed += 1
-        return closed
-
     # -- background thread ----------------------------------------------------
     def start(self) -> None:
-        """Start the scanning thread (idempotent)."""
+        """Start the monitor thread (idempotent)."""
         if self._thread is not None:
             return
         self._thread = threading.Thread(target=self._run, daemon=True,
@@ -256,23 +215,16 @@ class DeadlineMonitor:
         self._thread.start()
 
     def stop(self) -> None:
-        """Stop and join the scanning thread."""
+        """Stop and join the monitor thread."""
         self._stop.set()
         if self._thread is not None:
             self._thread.join(timeout=2.0)
             self._thread = None
 
     def _run(self) -> None:
-        """Monitor loop: wheel :meth:`tick` per interval, falling back
-        to the legacy full :meth:`scan` while nothing is watched (a
-        driver that never wired :meth:`watch` still gets coverage; with
-        watchers, the scan is skipped and each pass is O(fired))."""
+        """Monitor loop: one wheel :meth:`tick` per interval."""
         while not self._stop.wait(self.interval):
             self.tick()
-            with self._watch_lock:
-                unwired = not self._tokens
-            if unwired:
-                self.scan()
 
 
 # -- worker supervision -------------------------------------------------------

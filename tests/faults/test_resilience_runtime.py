@@ -54,9 +54,11 @@ class FakeConn:
 
 
 def monitor_for(conns, now, **policy):
-    return DeadlineMonitor(lambda: conns,
-                           DeadlinePolicy(**policy),
-                           clock=lambda: now[0])
+    """A monitor on the injected clock, watching every conn."""
+    mon = DeadlineMonitor(DeadlinePolicy(**policy), clock=lambda: now[0])
+    for conn in conns:
+        mon.watch(conn)
+    return mon
 
 
 def test_header_deadline_closes_trickling_peer():
@@ -64,9 +66,9 @@ def test_header_deadline_closes_trickling_peer():
     conn = FakeConn("slow")
     conn.read_started = 99.0      # first partial byte buffered at t=99
     mon = monitor_for([conn], now, header=2.0)
-    assert mon.scan() == 0        # within budget
+    assert mon.tick() == 0        # within budget
     now[0] = 101.5
-    assert mon.scan() == 1
+    assert mon.tick() == 1
     assert conn.closed
     assert mon.reasons == {"header": 1, "request": 0, "write": 0}
     assert mon.timed_out == 1
@@ -77,7 +79,8 @@ def test_request_deadline_closes_stuck_handler():
     conn = FakeConn("stuck")
     conn.oldest = 1.0             # request in flight since t=1
     mon = monitor_for([conn], now, request=5.0)
-    assert mon.scan() == 1
+    now[0] += mon.wheel.tick      # already overdue: due on the next tick
+    assert mon.tick() == 1
     assert mon.reasons["request"] == 1
 
 
@@ -86,7 +89,8 @@ def test_write_deadline_closes_non_reading_peer():
     conn = FakeConn("deaf")
     conn.write_blocked_since = 10.0
     mon = monitor_for([conn], now, write=30.0)
-    assert mon.scan() == 1
+    now[0] += mon.wheel.tick
+    assert mon.tick() == 1
     assert mon.reasons["write"] == 1
 
 
@@ -97,7 +101,8 @@ def test_none_disables_a_stage():
     conn.write_blocked_since = 0.0
     conn.oldest = 0.0
     mon = monitor_for([conn], now, header=None, request=None, write=None)
-    assert mon.scan() == 0
+    now[0] += mon.park_interval   # the parked recheck fires
+    assert mon.tick() == 0
     assert not conn.closed
 
 
@@ -108,7 +113,8 @@ def test_healthy_and_closed_connections_untouched():
     gone.closed = True
     gone.read_started = 0.0                  # would violate if still open
     mon = monitor_for([healthy, gone], now, header=1.0)
-    assert mon.scan() == 0
+    now[0] += mon.park_interval   # both timers fire
+    assert mon.tick() == 0
     assert mon.timed_out == 0
 
 

@@ -173,13 +173,21 @@ def idle_container(clock: Callable[[], float]):
     return communication.ContainerComponent(SimpleNamespace(clock=clock))
 
 
+class _IdleHandle:
+    """A handle stand-in: hashable by identity, as the container keys
+    connections by their handle object."""
+
+    def __init__(self, last_activity: float):
+        self.last_activity = last_activity
+
+
 class IdleConn:
     """A Communicator stand-in for the idle reaper, added to
     ``container`` on construction; like the real teardown, ``close``
     removes it again."""
 
     def __init__(self, container, last_activity: float = 0.0):
-        self.handle = SimpleNamespace(last_activity=last_activity)
+        self.handle = _IdleHandle(last_activity)
         self.closed = False
         self.container = container
         container.add(self)

@@ -7,12 +7,17 @@ facade is the unit — ``Server`` delegating to ``Deployment``, the
 conversation-identical behaviour before and after a rolling restart.
 """
 
+import importlib
 import re
 import socket
 
 import pytest
 
-from repro.servers.cops_http import COPS_HTTP_OPTIONS, build_cops_http
+from repro.servers.cops_http import (
+    COPS_HTTP_OPTIONS,
+    CopsHttpHooks,
+    build_cops_http,
+)
 
 pytestmark = pytest.mark.skipif(
     not hasattr(socket, "send_fds"),
@@ -75,6 +80,32 @@ def test_server_status_auto_aggregates_each_worker_exactly_once(
     # every per-worker metric line is unique — nothing double-counted
     lines = [line for line in body.splitlines() if '{worker="' in line]
     assert len(lines) == len(set(lines))
+
+
+def test_worker_outside_a_supervisor_reports_its_own_status(
+        docroot, tmp_path):
+    """A generated ``Worker`` started directly has no supervisor to
+    ask: ``?auto`` falls back to this process's own registry."""
+    _server, fw, _report = build_cops_http(
+        str(docroot), options=dict(COPS_HTTP_OPTIONS, O11=True),
+        dest=str(tmp_path / "build"), package="deploy_lone_fw", procs=2)
+    deployment = importlib.import_module("deploy_lone_fw.deployment")
+    worker = deployment.Worker(CopsHttpHooks(), fw.ServerConfiguration(
+        port=0, document_root=str(docroot)))
+    worker.start()
+    try:
+        for _ in range(3):
+            assert get(worker.port, "/").startswith(b"HTTP/1.1 200")
+        head, body = get(worker.port, "/server-status",
+                         "auto").split(b"\r\n\r\n", 1)
+    finally:
+        worker.stop()
+    body = body.decode()
+    assert head.startswith(b"HTTP/1.1 200"), head
+    assert not re.search(r"^Workers:", body, re.M), body
+    assert 'worker="' not in body
+    assert int(re.search(r"^server_requests_total: (\d+)$", body,
+                         re.M).group(1)) >= 3
 
 
 def test_rolling_restart_is_conversation_identical(docroot, tmp_path):

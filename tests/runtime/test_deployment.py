@@ -7,16 +7,25 @@ state), never slept.
 """
 
 import importlib
+import json
 import os
 import random
 import signal
 import socket
+import sys
+import tempfile
 import threading
+import time
 
 import pytest
 
 from harness import generated_framework, wait_until
-from repro.runtime.deployment import ProcessSupervisor, generated_worker_args
+from repro.runtime.deployment import (
+    ProcessSupervisor,
+    _Channel,
+    _read_line,
+    generated_worker_args,
+)
 from repro.servers.time_server import TIME_SERVER_OPTIONS, TimeServerHooks
 
 #: the time server as a worker build: O16>1 emits the Worker each
@@ -55,6 +64,70 @@ def ask_time(port, timeout=10.0):
         return buf
     finally:
         s.close()
+
+
+def test_control_channel_matches_every_reply_to_its_request():
+    """Many threads share one channel's pending table: each request
+    gets its own reply, and a hang-up wakes a waiter at once."""
+    ours, theirs = socket.socketpair()
+    channel, peer = _Channel(ours), _Channel(theirs)
+
+    def echo():  # the far end: answer every request but "ignore"
+        buf = bytearray()
+        while (line := _read_line(theirs, buf)) is not None:
+            message = json.loads(line)
+            if message["type"] != "ignore":
+                peer.send({"type": "reply", "id": message["id"],
+                           "n": message["n"]})
+
+    def read():  # this end's one reader
+        buf = bytearray()
+        while (line := _read_line(ours, buf)) is not None:
+            channel.deliver(json.loads(line))
+        channel.hang_up()
+
+    mismatched = []
+
+    def requester(base):
+        for n in range(base, base + 50):
+            reply = channel.request({"type": "echo", "n": n}, timeout=10)
+            if reply is None or reply["n"] != n:
+                mismatched.append((n, reply))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    helpers = [threading.Thread(target=echo, daemon=True),
+               threading.Thread(target=read, daemon=True)]
+    try:
+        for thread in helpers:
+            thread.start()
+        requesters = [threading.Thread(target=requester, args=(i * 1000,))
+                      for i in range(8)]
+        for thread in requesters:
+            thread.start()
+        for thread in requesters:
+            thread.join(timeout=30)
+            assert not thread.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+    assert mismatched == []
+
+    started = time.monotonic()
+    waiter = threading.Thread(target=lambda: mismatched.append(
+        channel.request({"type": "ignore", "n": 0}, timeout=30)))
+    waiter.start()
+    wait_until(lambda: channel._pending,
+               message="the request never reached the pending table")
+    theirs.shutdown(socket.SHUT_RDWR)  # EOF at this end's reader
+    waiter.join(timeout=10)
+    assert not waiter.is_alive()
+    assert mismatched == [None]
+    assert time.monotonic() - started < 10
+    assert channel.request({"type": "echo", "n": 1}, timeout=30) is None
+    for thread in helpers:
+        thread.join(timeout=5)
+    ours.close()
+    theirs.close()
 
 
 def test_supervisor_spawns_and_serves():
@@ -201,6 +274,20 @@ def test_aggregated_status_fields_cover_every_worker_exactly_once():
         assert float(as_dict["server_requests_total"]) == sum(
             float(as_dict[name]) for name in labelled) == 6.0
         assert int(as_dict["Workers"]) == 2
+
+
+def test_running_supervisor_creates_nothing_on_the_filesystem(
+        tmp_path, monkeypatch):
+    """Status aggregation rides the control sockets: a deployment
+    leaves no socket file or directory behind, even if killed."""
+    supervisor = make_supervisor(procs=2)
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+    monkeypatch.setenv("TMPDIR", str(tmp_path))
+    with supervisor:
+        ask_time(supervisor.port)
+        assert len(supervisor.collect_status_fields()) == 2
+        assert list(tmp_path.iterdir()) == []
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_sigusr2_dumps_every_worker_flight_ring(tmp_path, monkeypatch):

@@ -39,15 +39,6 @@ def test_routes_by_kind():
     assert dispatcher.dispatched == 2
 
 
-def test_default_route_catches_unrouted():
-    source, dispatcher = make_dispatcher()
-    fallback = []
-    dispatcher.route_default(fallback.append)
-    source.post(UserEvent(payload="x"))
-    dispatcher.poll_once(timeout=0.0)
-    assert len(fallback) == 1
-
-
 def test_unrouted_counted_not_crashing():
     source, dispatcher = make_dispatcher()
     source.post(UserEvent())
