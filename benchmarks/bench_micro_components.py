@@ -11,7 +11,7 @@ import threading
 from repro.cache import Cache, make_policy
 from repro.co2p3s.nserver import COPS_HTTP_OPTIONS, NSERVER
 from repro.http import parse_request, split_request
-from repro.obs import NULL_REGISTRY, MetricsRegistry, SpanRecorder
+from repro.obs import NULL_METRIC, MetricsRegistry, SpanRecorder
 from repro.runtime import QuotaPriorityQueue
 from repro.sim import Simulator
 from repro.workload import SpecWebFileSet
@@ -128,9 +128,8 @@ def _hammer(counters, threads=4, ops=5_000):
 
 
 def test_profiler_null_baseline(benchmark):
-    benchmark(lambda: _hammer(
-        [NULL_REGISTRY.counter(name) for name in _HOT_COUNTERS]))
-    assert NULL_REGISTRY.collect() == []
+    benchmark(lambda: _hammer([NULL_METRIC for _name in _HOT_COUNTERS]))
+    assert NULL_METRIC.value == 0
 
 
 def test_profiler_single_lock_before(benchmark):

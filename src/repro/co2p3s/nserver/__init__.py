@@ -26,7 +26,7 @@ from repro.co2p3s.nserver.options import (
 __getattr__, __dir__, _ = lazy_exports(__name__, globals(), {
     "table2": (
         "EXPECTED_TABLE2", "PAPER_TABLE2", "TABLE2_CLASS_ORDER",
-        "TABLE2_EXTENSIONS",
+        "TABLE2_DIVERGENCES", "TABLE2_EXTENSIONS",
     ),
 })
 
@@ -36,6 +36,7 @@ __all__ = [
     "PAPER_TABLE2",
     "POOL_TOGGLE_BASE",
     "TABLE2_CLASS_ORDER",
+    "TABLE2_DIVERGENCES",
     "TABLE2_EXTENSIONS",
     "COPS_FTP_OPTIONS",
     "COPS_HTTP_OPTIONS",

@@ -14,12 +14,13 @@ from typing import Any, Dict
 
 from repro.co2p3s.codegen import OMIT
 from repro.co2p3s.options import OptionSet
+from repro.co2p3s.nserver import options as opt
 
 __all__ = ["build_context"]
 
 
 def build_context(o: OptionSet) -> Dict[str, Any]:
-    debug = o["O10"] == "Debug"
+    debug = opt.debug_mode(o)
     profiling = bool(o["O11"])
     logging = bool(o["O12"])
     idle = bool(o["O7"])
@@ -27,11 +28,11 @@ def build_context(o: OptionSet) -> Dict[str, Any]:
     overload = bool(o["O9"])
     codec = bool(o["O3"])
     pool = bool(o["O2"])
-    async_io = o["O4"] == "Asynchronous"
+    async_io = opt.async_io(o)
     cache = o["O6"]
-    dynamic = o["O5"] == "Dynamic"
+    dynamic = opt.dynamic_threads(o)
     resilient = bool(o["O13"])
-    multiproc = int(o["O16"]) > 1
+    multiproc = opt.multiproc(o)
     degradation = bool(o["O17"])
 
     def on(flag: bool, line: str) -> str:
@@ -47,7 +48,6 @@ def build_context(o: OptionSet) -> Dict[str, Any]:
             debug, f'self.reactor.tracer.record("{tag}", event.handle.name)')
         ctx[f"log_{step}"] = on(
             logging, f'self.reactor.log.debug(f"{label}: {{event.handle.name}}")')
-        ctx[f"count_{step}"] = on(profiling, "self.events_handled += 1")
         ctx[f"touch_{step}"] = on(
             idle, "conn.handle.last_activity = self.reactor.clock()")
 
@@ -126,14 +126,12 @@ def build_context(o: OptionSet) -> Dict[str, Any]:
                      'help="File-I/O circuit breaker not closed (0/1)")')
 
     # -- communication module -----------------------------------------------------
-    ctx["use_codec"] = "True" if codec else "False"
     ctx["communicator_spans_arg"] = on(
         profiling, "spans=reactor.observability.spans,")
-    five = ('("read request", "decode request", "handle request", '
-            '"encode reply", "send reply")')
-    three = '("read request", "handle request", "send reply")'
-    ctx["pipeline_steps"] = five if codec else three
-    ctx["server_pipeline"] = five if codec else three
+    ctx["server_pipeline"] = (
+        '("read request", "decode request", "handle request", '
+        '"encode reply", "send reply")' if codec else
+        '("read request", "handle request", "send reply")')
 
     ctx["server_open_trace"] = on(
         debug, 'self.reactor.tracer.record("server", f"open port {self.port}")')
@@ -158,7 +156,6 @@ def build_context(o: OptionSet) -> Dict[str, Any]:
 
     ctx["trace_server_event"] = on(
         debug, 'self.reactor.tracer.record("server-event", str(event.payload))')
-    ctx["count_timer_events"] = on(profiling, "self.timer_events += 1")
     ctx["idle_scan_dispatch"] = on(idle, "self._idle_scan(event)")
     ctx["obs_sample_dispatch"] = on(profiling, "self._obs_sample(event)")
 
@@ -166,8 +163,6 @@ def build_context(o: OptionSet) -> Dict[str, Any]:
         debug, 'self.reactor.tracer.record("connect", conn.handle.name)')
     ctx["log_connect_event"] = on(
         logging, 'self.reactor.log.info(f"connected to {conn.handle.name}")')
-    ctx["count_connections_established"] = on(
-        profiling, "self.connections_established += 1")
     ctx["send_client_greeting"] = (
         "conn.send_bytes(conn.hooks.encode("
         "conn.hooks.client_greeting(conn), conn))"
@@ -188,12 +183,9 @@ def build_context(o: OptionSet) -> Dict[str, Any]:
 
     ctx["trace_app_event"] = on(
         debug, 'self.reactor.tracer.record("app-event", str(event.payload))')
-    ctx["count_app_events"] = on(profiling, "self.events_handled += 1")
     ctx["touch_app_event"] = on(
         idle, "if event.handle is not None: "
               "event.handle.last_activity = self.reactor.clock()")
-
-    ctx["trace_connects"] = "True" if debug else "False"
 
     # -- reactor module ------------------------------------------------------------
     ctx["make_tracer"] = on(debug, "self.tracer = rt.debug_ring()")
@@ -344,10 +336,9 @@ def build_context(o: OptionSet) -> Dict[str, Any]:
     # binding its own (a worker build run outside a supervisor still
     # binds, with SO_REUSEPORT, so the generated package stands alone).
     ctx["server_component_listen_expr"] = (
-        "rt.worker_listen_handle(configuration, handle_cls=Handle)"
-        if multiproc else
+        "rt.worker_listen_handle(configuration)" if multiproc else
         "rt.ListenHandle(configuration.host, configuration.port, "
-        "configuration.backlog, handle_cls=Handle)")
+        "configuration.backlog)")
     ctx["server_make_reactor"] = (
         "self.deployment = Deployment(configuration, hooks)" if multiproc
         else "self.reactor = Reactor(configuration, hooks)")

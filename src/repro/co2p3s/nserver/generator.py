@@ -25,7 +25,6 @@ from repro.co2p3s.nserver.context import build_context
 from repro.co2p3s.nserver.mod_communication import MODULE_COMMUNICATION
 from repro.co2p3s.nserver.mod_degradation import MODULE_DEGRADATION
 from repro.co2p3s.nserver.mod_deployment import MODULE_DEPLOYMENT
-from repro.co2p3s.nserver.mod_events import MODULE_EVENTS, MODULE_HANDLES
 from repro.co2p3s.nserver.mod_handlers import MODULE_HANDLERS
 from repro.co2p3s.nserver.mod_observability import MODULE_OBSERVABILITY
 from repro.co2p3s.nserver.mod_processing import MODULE_CACHE, MODULE_PROCESSING
@@ -41,8 +40,6 @@ HEADER = (
 )
 
 NSERVER_MODULES = (
-    MODULE_EVENTS,
-    MODULE_HANDLES,
     MODULE_HANDLERS,
     MODULE_PROCESSING,
     MODULE_CACHE,

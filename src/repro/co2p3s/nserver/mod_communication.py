@@ -2,45 +2,37 @@
 
 Table 2 rows covered (all '+' entries, i.e. body-altering options):
 
-=======================  ============================
-Communicator Component   O3 O7 O8 O11
-Server Component         O3 O7 O10 O11 O12 O16
-Client Component         O3 O7 O10 O12
-Server Event Handler     O7 O10 O11
-Connector Event Handler  O3 O10 O11 O12
-Acceptor Event Handler   O3 O9 O10 O11 O12 O13 O17
-Container Component      O7 O10 O11 O12
-Application Event Handler O7 O10 O11
-Client Configuration     O3 O10
-Server Configuration     O10 O11 O13 O16 O17
-=======================  ============================
+=========================  ============================
+Communicator Component     O3 O7 O8 O11
+Server Component           O7 O10 O11 O12 O16
+Client Component           O7 O10 O12
+Server Event Handler       O7 O10 O11
+Connector Event Handler    O3 O10 O12
+Acceptor Event Handler     O3 O9 O10 O11 O12 O13 O17
+Container Component        O7 O10 O12
+Application Event Handler  O7 O10
+Client Configuration       none
+Server Configuration       O10 O11 O13 O16 O17
+=========================  ============================
+
+The paper's O3 cells on the Server and Client Components, its O3 and
+O10 cells on the Client Configuration and its O11 cells on the
+Connector, Container and Application handlers came from fields nothing
+read; ``table2.TABLE2_DIVERGENCES`` lists them.
 """
 
 from __future__ import annotations
 
 from repro.co2p3s.codegen import ClassSpec, Fragment, ModuleSpec
+from repro.co2p3s.nserver.options import (
+    enabled,
+    disabled,
+    debug_mode,
+    production_mode,
+    multiproc,
+)
 
 __all__ = ["MODULE_COMMUNICATION"]
-
-
-def _o(key):
-    return lambda o: bool(o[key])
-
-
-def _no(key):
-    return lambda o: not o[key]
-
-
-def _debug(o):
-    return o["O10"] == "Debug"
-
-
-def _production(o):
-    return o["O10"] == "Production"
-
-
-def _multiproc(o):
-    return int(o["O16"]) > 1
 
 
 MODULE_COMMUNICATION = ModuleSpec(
@@ -50,7 +42,6 @@ MODULE_COMMUNICATION = ModuleSpec(
         "request cycle).",
     imports=[
         Fragment("from repro import runtime as rt"),
-        Fragment("from $package.handles import Handle"),
     ],
     classes=[
         ClassSpec(
@@ -86,7 +77,7 @@ MODULE_COMMUNICATION = ModuleSpec(
                     def step_encode(self, result):
                         return self.reactor.encode_reply_event_handler.handle(result, self)
                     ''',
-                    guard=_o("O3"), options=("O3",),
+                    guard=enabled("O3"), options=("O3",),
                 ),
                 Fragment(
                     '''
@@ -101,7 +92,7 @@ MODULE_COMMUNICATION = ModuleSpec(
                     def step_encode(self, result):
                         return result
                     ''',
-                    guard=_no("O3"), options=("O3",),
+                    guard=disabled("O3"), options=("O3",),
                 ),
                 Fragment(
                     '''
@@ -109,7 +100,7 @@ MODULE_COMMUNICATION = ModuleSpec(
                         """Refresh the idle clock (shutdown-long-idle, O7)."""
                         self.handle.last_activity = self.reactor.clock()
                     ''',
-                    guard=_o("O7"), options=("O7",),
+                    guard=enabled("O7"), options=("O7",),
                 ),
                 Fragment(
                     '''
@@ -121,7 +112,7 @@ MODULE_COMMUNICATION = ModuleSpec(
                         self.priority = int(priority)
                         self.handle.write_priority = self.priority
                     ''',
-                    guard=_o("O8"), options=("O8",),
+                    guard=enabled("O8"), options=("O8",),
                 ),
             ],
         ),
@@ -131,12 +122,6 @@ MODULE_COMMUNICATION = ModuleSpec(
                 "owns the server socket and builds Communicators for "
                 "accepted connections.",
             fragments=[
-                Fragment(
-                    '''
-                    pipeline_steps = $pipeline_steps
-                    ''',
-                    options=("O3",),
-                ),
                 Fragment(
                     '''
                     def __init__(self, reactor, configuration):
@@ -187,12 +172,6 @@ MODULE_COMMUNICATION = ModuleSpec(
             fragments=[
                 Fragment(
                     '''
-                    pipeline_steps = $pipeline_steps
-                    ''',
-                    options=("O3",),
-                ),
-                Fragment(
-                    '''
                     def __init__(self, reactor):
                         self.reactor = reactor
                         self.connector = None
@@ -204,7 +183,7 @@ MODULE_COMMUNICATION = ModuleSpec(
                         """Establish an outbound connection and hand it to the
                         framework as a Communicator."""
                         if self.connector is None:
-                            self.connector = rt.Connector(handle_cls=Handle)
+                            self.connector = rt.Connector()
                         handle = self.connector.connect(client_configuration.host,
                                                         client_configuration.port)
                         $client_connect_trace
@@ -232,15 +211,8 @@ MODULE_COMMUNICATION = ModuleSpec(
                 ),
                 Fragment(
                     '''
-                    timer_events = 0
-                    ''',
-                    guard=_o("O11"), options=("O11",),
-                ),
-                Fragment(
-                    '''
                     def handle(self, event):
                         $trace_server_event
-                        $count_timer_events
                         $idle_scan_dispatch
                         $obs_sample_dispatch
                         if hasattr(self.reactor.hooks, "on_timer"):
@@ -260,7 +232,7 @@ MODULE_COMMUNICATION = ModuleSpec(
                             self.reactor.configuration.obs_sample_interval,
                             payload="obs-sample")
                     ''',
-                    guard=_o("O11"), options=("O11",),
+                    guard=enabled("O11"), options=("O11",),
                 ),
                 Fragment(
                     '''
@@ -275,7 +247,7 @@ MODULE_COMMUNICATION = ModuleSpec(
                             self.reactor.configuration.idle_scan_interval,
                             payload="idle-scan")
                     ''',
-                    guard=_o("O7"), options=("O7",),
+                    guard=enabled("O7"), options=("O7",),
                 ),
             ],
         ),
@@ -293,22 +265,15 @@ MODULE_COMMUNICATION = ModuleSpec(
                 ),
                 Fragment(
                     '''
-                    connections_established = 0
-                    ''',
-                    guard=_o("O11"), options=("O11",),
-                ),
-                Fragment(
-                    '''
                     def handle(self, event):
                         conn = event.payload
                         $trace_connect_event
                         $log_connect_event
-                        $count_connections_established
                         self.reactor.register_communicator(conn)
                         if hasattr(conn.hooks, "client_greeting"):
                             $send_client_greeting
                     ''',
-                    options=("O3", "O10", "O11", "O12"),
+                    options=("O3", "O10", "O12"),
                 ),
             ],
         ),
@@ -394,7 +359,7 @@ MODULE_COMMUNICATION = ModuleSpec(
                         close — no Communicator, no handler, no disk."""
                         rt.reject_handle(handle, self.reactor.degradation.reject_payload)
                     ''',
-                    guard=_o("O17"), options=("O11", "O13", "O17"),
+                    guard=enabled("O17"), options=("O11", "O13", "O17"),
                 ),
                 Fragment(
                     '''
@@ -426,23 +391,12 @@ MODULE_COMMUNICATION = ModuleSpec(
                 ),
                 Fragment(
                     '''
-                    peak_connections = 0
-
-                    def add(self, conn):
-                        super().add(conn)
-                        if len(self) > self.peak_connections:
-                            self.peak_connections = len(self)
-                    ''',
-                    guard=_o("O11"), options=("O11",),
-                ),
-                Fragment(
-                    '''
                     def remove(self, conn):
                         self.reactor.tracer.record(
                             "container", f"remove {conn.handle.name}")
                         super().remove(conn)
                     ''',
-                    guard=_debug, options=("O10",),
+                    guard=debug_mode, options=("O10",),
                 ),
                 Fragment(
                     '''
@@ -451,7 +405,7 @@ MODULE_COMMUNICATION = ModuleSpec(
                             f"closing {len(self)} connections")
                         super().close_all()
                     ''',
-                    guard=_o("O12"), options=("O12",),
+                    guard=enabled("O12"), options=("O12",),
                 ),
                 Fragment(
                     '''
@@ -468,7 +422,7 @@ MODULE_COMMUNICATION = ModuleSpec(
                                 reaped += 1
                         return reaped
                     ''',
-                    guard=_o("O7"), options=("O7",),
+                    guard=enabled("O7"), options=("O7",),
                 ),
             ],
         ),
@@ -484,20 +438,13 @@ MODULE_COMMUNICATION = ModuleSpec(
                 ),
                 Fragment(
                     '''
-                    events_handled = 0
-                    ''',
-                    guard=_o("O11"), options=("O11",),
-                ),
-                Fragment(
-                    '''
                     def handle(self, event):
                         $trace_app_event
-                        $count_app_events
                         $touch_app_event
                         if hasattr(self.reactor.hooks, "on_user_event"):
                             self.reactor.hooks.on_user_event(event)
                     ''',
-                    options=("O7", "O10", "O11"),
+                    options=("O7", "O10"),
                 ),
             ],
         ),
@@ -505,18 +452,6 @@ MODULE_COMMUNICATION = ModuleSpec(
             name="ClientConfiguration",
             doc="Settings for one outbound connection.",
             fragments=[
-                Fragment(
-                    '''
-                    uses_codec = $use_codec
-                    ''',
-                    options=("O3",),
-                ),
-                Fragment(
-                    '''
-                    trace_connects = $trace_connects
-                    ''',
-                    options=("O10",),
-                ),
                 Fragment(
                     '''
                     def __init__(self, host, port, hooks=None):
@@ -567,7 +502,7 @@ MODULE_COMMUNICATION = ModuleSpec(
                     obs_sample_interval = 1.0
                     trace_ring_capacity = 256
                     ''',
-                    guard=_o("O11"), options=("O11",),
+                    guard=enabled("O11"), options=("O11",),
                 ),
                 Fragment(
                     '''
@@ -584,7 +519,7 @@ MODULE_COMMUNICATION = ModuleSpec(
                     max_event_retries = 2
                     drain_timeout = 5.0
                     ''',
-                    guard=_o("O13"), options=("O13",),
+                    guard=enabled("O13"), options=("O13",),
                 ),
                 Fragment(
                     '''
@@ -602,7 +537,7 @@ MODULE_COMMUNICATION = ModuleSpec(
                     breaker_probes = 1
                     retry_budget_ratio = 0.1
                     ''',
-                    guard=_o("O17"), options=("O17",),
+                    guard=enabled("O17"), options=("O17",),
                 ),
                 Fragment(
                     '''
@@ -616,7 +551,7 @@ MODULE_COMMUNICATION = ModuleSpec(
                     respawn_limit = 5
                     respawn_window = 30.0
                     ''',
-                    guard=_multiproc, options=("O16",),
+                    guard=multiproc, options=("O16",),
                 ),
                 Fragment(
                     '''
@@ -625,7 +560,7 @@ MODULE_COMMUNICATION = ModuleSpec(
                     # (option O10=Debug; None keeps it in memory only).
                     debug_trace_path = None
                     ''',
-                    guard=_debug, options=("O10",),
+                    guard=debug_mode, options=("O10",),
                 ),
                 Fragment(
                     '''
@@ -633,7 +568,7 @@ MODULE_COMMUNICATION = ModuleSpec(
                     # generated (option O10=Production).
                     pass
                     ''',
-                    guard=_production, options=("O10",),
+                    guard=production_mode, options=("O10",),
                 ),
             ],
         ),

@@ -20,12 +20,9 @@ Degradation  exists iff O17; its body depends on no other option
 from __future__ import annotations
 
 from repro.co2p3s.codegen import ClassSpec, Fragment, ModuleSpec
+from repro.co2p3s.nserver.options import enabled
 
 __all__ = ["MODULE_DEGRADATION"]
-
-
-def _o(key):
-    return lambda o: bool(o[key])
 
 
 MODULE_DEGRADATION = ModuleSpec(
@@ -42,7 +39,7 @@ MODULE_DEGRADATION = ModuleSpec(
             doc="Holds the degradation runtime for the generated server: "
                 "shedding policy, rate limiter, breaker and retry budget, "
                 "assembled from the configuration's tuning values.",
-            exists=_o("O17"),
+            exists=enabled("O17"),
             exists_options=("O17",),
             fragments=[
                 Fragment(

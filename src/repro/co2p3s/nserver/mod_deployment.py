@@ -26,16 +26,9 @@ Worker      exists iff O16>1; body depends on O11 (per-worker status
 from __future__ import annotations
 
 from repro.co2p3s.codegen import ClassSpec, Fragment, ModuleSpec
+from repro.co2p3s.nserver.options import enabled, multiproc
 
 __all__ = ["MODULE_DEPLOYMENT"]
-
-
-def _o(key):
-    return lambda o: bool(o[key])
-
-
-def _multiproc(o):
-    return int(o["O16"]) > 1
 
 
 MODULE_DEPLOYMENT = ModuleSpec(
@@ -46,7 +39,7 @@ MODULE_DEPLOYMENT = ModuleSpec(
         "process supervisor.",
     imports=[
         Fragment("from repro import obs",
-                 guard=_o("O11"), options=("O11",)),
+                 guard=enabled("O11"), options=("O11",)),
         Fragment("from repro import runtime as rt"),
         Fragment("from $package.reactor import Reactor"),
     ],
@@ -57,7 +50,7 @@ MODULE_DEPLOYMENT = ModuleSpec(
                 "socket, spawns one Worker per process, respawns "
                 "crashed workers within a bounded budget, and replaces "
                 "the whole set zero-downtime on a rolling restart.",
-            exists=_multiproc,
+            exists=multiproc,
             exists_options=("O16",),
             fragments=[
                 Fragment(
@@ -113,7 +106,7 @@ MODULE_DEPLOYMENT = ModuleSpec(
                             timeout = self.configuration.drain_timeout
                         return self.supervisor.drain(timeout)
                     ''',
-                    guard=_o("O13"), options=("O13",),
+                    guard=enabled("O13"), options=("O13",),
                 ),
                 Fragment(
                     '''
@@ -123,7 +116,7 @@ MODULE_DEPLOYMENT = ModuleSpec(
                         gauges re-labelled ``worker="pid"``."""
                         return self.supervisor.aggregated_status_fields()
                     ''',
-                    guard=_o("O11"), options=("O11",),
+                    guard=enabled("O11"), options=("O11",),
                 ),
             ],
         ),
@@ -132,7 +125,7 @@ MODULE_DEPLOYMENT = ModuleSpec(
             doc="The per-process server one worker runs: built inside a "
                 "fresh interpreter from the supervisor's spec, accepting "
                 "on the shared listening socket it adopted.",
-            exists=_multiproc,
+            exists=multiproc,
             exists_options=("O16",),
             fragments=[
                 Fragment(
@@ -160,7 +153,7 @@ MODULE_DEPLOYMENT = ModuleSpec(
                         finishes before this process exits."""
                         return self.server.drain(timeout)
                     ''',
-                    guard=_o("O13"), options=("O13",),
+                    guard=enabled("O13"), options=("O13",),
                 ),
                 Fragment(
                     '''
@@ -173,7 +166,7 @@ MODULE_DEPLOYMENT = ModuleSpec(
                             self.server.observability.registry,
                             uptime=self.server.observability.uptime())
                     ''',
-                    guard=_o("O11"), options=("O11",),
+                    guard=enabled("O11"), options=("O11",),
                 ),
             ],
         ),

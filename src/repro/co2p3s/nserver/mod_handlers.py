@@ -5,8 +5,8 @@ Reply, Send Reply).
 Table 2 rows covered:
 
 ==============================  ======================================
-Read Request Event Handler      O7 O10 O11 O12 alter the body
-Send Reply Event Handler        O7 O10 O11 O12
+Read Request Event Handler      O7 O10 O12 alter the body
+Send Reply Event Handler        O7 O10 O12
 Decode Request Event Handler    exists iff O3; O7 O8 O10 O12
 Encode Reply Event Handler      exists iff O3; O7 O8 O10 O12
 Compute Request Event Handler   O3 O4 O7 O8 O10 O12
@@ -20,30 +20,15 @@ generated; Decode/Handle/Encode wrap the programmer's hook methods.
 from __future__ import annotations
 
 from repro.co2p3s.codegen import ClassSpec, Fragment, ModuleSpec
+from repro.co2p3s.nserver.options import (
+    enabled,
+    disabled,
+    debug_mode,
+    async_io,
+    sync_io,
+)
 
 __all__ = ["MODULE_HANDLERS"]
-
-
-def _o(key):
-    return lambda o: bool(o[key])
-
-
-def _debug(o):
-    return o["O10"] == "Debug"
-
-
-def _async(o):
-    return o["O4"] == "Asynchronous"
-
-
-def _sync(o):
-    return o["O4"] == "Synchronous"
-
-
-_TRACE = {
-    "guard": _debug,
-    "options": ("O10",),
-}
 
 
 def _io_handler(name: str, step: str, conn_method: str) -> ClassSpec:
@@ -59,12 +44,6 @@ def _io_handler(name: str, step: str, conn_method: str) -> ClassSpec:
                 '''
             ),
             Fragment(
-                '''
-                events_handled = 0
-                ''',
-                guard=_o("O11"), options=("O11",),
-            ),
-            Fragment(
                 f'''
                 def handle(self, event):
                     conn = self.reactor.container.lookup(event.handle)
@@ -72,11 +51,10 @@ def _io_handler(name: str, step: str, conn_method: str) -> ClassSpec:
                         return
                     $trace_{step.lower().replace(" ", "_")}
                     $log_{step.lower().replace(" ", "_")}
-                    $count_{step.lower().replace(" ", "_")}
                     conn.{conn_method}(event)
                     $touch_{step.lower().replace(" ", "_")}
                 ''',
-                options=("O7", "O10", "O11", "O12"),
+                options=("O7", "O10", "O12"),
             ),
         ],
     )
@@ -107,7 +85,7 @@ MODULE_HANDLERS = ModuleSpec(
                 reactor.decode_request_event_handler = DecodeRequestEventHandler(reactor)
                 reactor.encode_reply_event_handler = EncodeReplyEventHandler(reactor)
             ''',
-            guard=_o("O3"), options=("O3",),
+            guard=enabled("O3"), options=("O3",),
         ),
         Fragment(
             '''
@@ -118,7 +96,7 @@ MODULE_HANDLERS = ModuleSpec(
                 reactor.send_reply_event_handler = SendReplyEventHandler(reactor)
                 reactor.compute_request_event_handler = ComputeRequestEventHandler(reactor)
             ''',
-            guard=lambda o: not o["O3"], options=("O3",),
+            guard=disabled("O3"), options=("O3",),
         ),
     ],
     classes=[
@@ -127,7 +105,7 @@ MODULE_HANDLERS = ModuleSpec(
         ClassSpec(
             name="DecodeRequestEventHandler",
             doc="Decode Request step: wraps the application's decode hook.",
-            exists=_o("O3"),
+            exists=enabled("O3"),
             exists_options=("O3",),
             fragments=[
                 Fragment(
@@ -153,7 +131,7 @@ MODULE_HANDLERS = ModuleSpec(
         ClassSpec(
             name="EncodeReplyEventHandler",
             doc="Encode Reply step: wraps the application's encode hook.",
-            exists=_o("O3"),
+            exists=enabled("O3"),
             exists_options=("O3",),
             fragments=[
                 Fragment(
@@ -208,7 +186,7 @@ MODULE_HANDLERS = ModuleSpec(
                         event path (Proactor/ACT emulation)."""
                         self.reactor.read_file_async(path, act, priority)
                     ''',
-                    guard=_async, options=("O4",),
+                    guard=async_io, options=("O4",),
                 ),
                 Fragment(
                     '''
@@ -217,7 +195,7 @@ MODULE_HANDLERS = ModuleSpec(
                         processor thread (option O4=Synchronous)."""
                         return self.reactor.read_file_sync(path)
                     ''',
-                    guard=_sync, options=("O4",),
+                    guard=sync_io, options=("O4",),
                 ),
             ],
         ),

@@ -24,16 +24,9 @@ Observability  exists iff O11; body depends on O2 (pool probes),
 from __future__ import annotations
 
 from repro.co2p3s.codegen import ClassSpec, Fragment, ModuleSpec
+from repro.co2p3s.nserver.options import enabled, multiproc
 
 __all__ = ["MODULE_OBSERVABILITY"]
-
-
-def _o(key):
-    return lambda o: bool(o[key])
-
-
-def _multiproc(o):
-    return int(o["O16"]) > 1
 
 
 MODULE_OBSERVABILITY = ModuleSpec(
@@ -44,7 +37,7 @@ MODULE_OBSERVABILITY = ModuleSpec(
     imports=[
         Fragment("from repro import obs"),
         Fragment("from repro import runtime as rt",
-                 guard=_multiproc, options=("O16",)),
+                 guard=multiproc, options=("O16",)),
     ],
     classes=[
         ClassSpec(
@@ -53,7 +46,7 @@ MODULE_OBSERVABILITY = ModuleSpec(
                 "counters, the span recorder and the gauge sampler; "
                 "renders the Prometheus and server-status exposition "
                 "surfaces.",
-            exists=_o("O11"),
+            exists=enabled("O11"),
             exists_options=("O11",),
             fragments=[
                 Fragment(
@@ -117,7 +110,7 @@ MODULE_OBSERVABILITY = ModuleSpec(
                             return obs.render_status_auto(fields)
                         return obs.render_status_html(fields)
                     ''',
-                    guard=lambda o: not _multiproc(o), options=("O16",),
+                    guard=lambda o: not multiproc(o), options=("O16",),
                 ),
                 Fragment(
                     '''
@@ -137,7 +130,7 @@ MODULE_OBSERVABILITY = ModuleSpec(
                             return obs.render_status_auto(fields)
                         return obs.render_status_html(fields)
                     ''',
-                    guard=_multiproc, options=("O16",),
+                    guard=multiproc, options=("O16",),
                 ),
                 Fragment(
                     '''

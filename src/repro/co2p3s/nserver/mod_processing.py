@@ -13,24 +13,15 @@ Cache                 exists iff O6; body depends on O11
 from __future__ import annotations
 
 from repro.co2p3s.codegen import ClassSpec, Fragment, ModuleSpec
+from repro.co2p3s.nserver.options import (
+    enabled,
+    disabled,
+    debug_mode,
+    dynamic_threads,
+    static_threads,
+)
 
 __all__ = ["MODULE_PROCESSING", "MODULE_CACHE"]
-
-
-def _o(key):
-    return lambda o: bool(o[key])
-
-
-def _debug(o):
-    return o["O10"] == "Debug"
-
-
-def _dynamic(o):
-    return o["O5"] == "Dynamic"
-
-
-def _static(o):
-    return o["O5"] == "Static"
 
 
 MODULE_PROCESSING = ModuleSpec(
@@ -57,7 +48,7 @@ MODULE_PROCESSING = ModuleSpec(
                                          threads=threads, queue=queue, name=name)
                         self.reactor = reactor
                     ''',
-                    guard=_static, options=("O5",),
+                    guard=static_threads, options=("O5",),
                 ),
                 Fragment(
                     '''
@@ -70,7 +61,7 @@ MODULE_PROCESSING = ModuleSpec(
                         self.reactor = reactor
                         self.target_threads = threads
                     ''',
-                    guard=_dynamic, options=("O5",),
+                    guard=dynamic_threads, options=("O5",),
                 ),
                 Fragment(
                     '''
@@ -79,7 +70,7 @@ MODULE_PROCESSING = ModuleSpec(
                         (event scheduling, option O8)."""
                         self.queue.push(event, priority=event.priority)
                     ''',
-                    guard=_o("O8"), options=("O8",),
+                    guard=enabled("O8"), options=("O8",),
                 ),
                 Fragment(
                     '''
@@ -88,7 +79,7 @@ MODULE_PROCESSING = ModuleSpec(
                         (option O9)."""
                         return self.queue_length
                     ''',
-                    guard=_o("O9"), options=("O9",),
+                    guard=enabled("O9"), options=("O9",),
                 ),
                 Fragment(
                     '''
@@ -98,7 +89,7 @@ MODULE_PROCESSING = ModuleSpec(
                         self.reactor.tracer.record(
                             "processor-error", f"{event!r}: {exc!r}")
                     ''',
-                    guard=_debug, options=("O10",),
+                    guard=debug_mode, options=("O10",),
                 ),
             ],
         ),
@@ -108,7 +99,7 @@ MODULE_PROCESSING = ModuleSpec(
                 "the queue backs up, shrinks it when idle (option "
                 "O5=Dynamic).",
             bases=("rt.ProcessorController",),
-            exists=_dynamic,
+            exists=dynamic_threads,
             exists_options=("O5",),
             fragments=[
                 Fragment(
@@ -155,7 +146,7 @@ MODULE_PROCESSING = ModuleSpec(
                         self.route(EventKind.TIMER, reactor.server_event_handler.handle)
                         self.route(EventKind.USER, reactor.application_event_handler.handle)
                     ''',
-                    guard=_o("O2"), options=("O2", "O4", "O9"),
+                    guard=enabled("O2"), options=("O2", "O4", "O9"),
                 ),
                 Fragment(
                     '''
@@ -171,7 +162,7 @@ MODULE_PROCESSING = ModuleSpec(
                         self.route(EventKind.TIMER, reactor.server_event_handler.handle)
                         self.route(EventKind.USER, reactor.application_event_handler.handle)
                     ''',
-                    guard=lambda o: not o["O2"],
+                    guard=disabled("O2"),
                     options=("O2", "O4", "O9"),
                 ),
                 Fragment(
@@ -181,7 +172,7 @@ MODULE_PROCESSING = ModuleSpec(
                         $count_dispatch
                         super().dispatch(event)
                     ''',
-                    guard=lambda o: _debug(o) or o["O11"],
+                    guard=lambda o: debug_mode(o) or o["O11"],
                     options=("O10", "O11"),
                 ),
             ],
@@ -204,7 +195,7 @@ MODULE_CACHE = ModuleSpec(
             name="Cache",
             doc="Transparent file cache; the replacement policy selected by "
                 "option O6 is baked in at generation time.",
-            exists=lambda o: o["O6"] is not None,
+            exists=enabled("O6"),
             exists_options=("O6",),
             fragments=[
                 Fragment(
@@ -242,7 +233,7 @@ MODULE_CACHE = ModuleSpec(
                         (profiling, O11)."""
                         sampler.add_probe("server_cache_hit_rate", lambda: self.file_cache.stats.hit_rate, help="File cache hit rate (0..1)")
                     ''',
-                    guard=_o("O11"), options=("O11",),
+                    guard=enabled("O11"), options=("O11",),
                 ),
             ],
         ),

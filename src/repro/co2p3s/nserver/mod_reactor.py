@@ -17,32 +17,17 @@ Server    body depends on O3, O13 (the ``drain`` facade method) and
 from __future__ import annotations
 
 from repro.co2p3s.codegen import ClassSpec, Fragment, ModuleSpec
+from repro.co2p3s.nserver.options import (
+    enabled,
+    disabled,
+    debug_mode,
+    async_io,
+    sync_io,
+    dynamic_threads,
+    multiproc,
+)
 
 __all__ = ["MODULE_REACTOR", "MODULE_SERVER"]
-
-
-def _o(key):
-    return lambda o: bool(o[key])
-
-
-def _no(key):
-    return lambda o: not o[key]
-
-
-def _debug(o):
-    return o["O10"] == "Debug"
-
-
-def _async(o):
-    return o["O4"] == "Asynchronous"
-
-
-def _sync(o):
-    return o["O4"] == "Synchronous"
-
-
-def _multiproc(o):
-    return int(o["O16"]) > 1
 
 
 MODULE_REACTOR = ModuleSpec(
@@ -56,7 +41,7 @@ MODULE_REACTOR = ModuleSpec(
                  guard=lambda o: o["O1"] == "2N", options=("O1",)),
         Fragment("from repro import runtime as rt"),
         Fragment("from repro.cache.file_cache import read_body",
-                 guard=lambda o: o["O4"] == "Synchronous" and o["O6"] is None,
+                 guard=lambda o: sync_io(o) and not o["O6"],
                  options=("O4", "O6")),
         Fragment("from $package import handlers"),
         Fragment("from $package.communication import ("
@@ -65,16 +50,16 @@ MODULE_REACTOR = ModuleSpec(
                  "ContainerComponent, ServerComponent, ServerEventHandler)"),
         Fragment("from $package.processing import EventDispatcher, EventProcessor"),
         Fragment("from $package.processing import ProcessorController",
-                 guard=lambda o: o["O2"] and o["O5"] == "Dynamic",
+                 guard=lambda o: o["O2"] and dynamic_threads(o),
                  options=("O2", "O5")),
         Fragment("from $package.cache import Cache",
-                 guard=lambda o: o["O6"] is not None, options=("O6",)),
+                 guard=enabled("O6"), options=("O6",)),
         Fragment("from $package.observability import Observability",
-                 guard=_o("O11"), options=("O11",)),
+                 guard=enabled("O11"), options=("O11",)),
         Fragment("from $package.resilience import Resilience",
-                 guard=_o("O13"), options=("O13",)),
+                 guard=enabled("O13"), options=("O13",)),
         Fragment("from $package.degradation import Degradation",
-                 guard=_o("O17"), options=("O17",)),
+                 guard=enabled("O17"), options=("O17",)),
     ],
     classes=[
         ClassSpec(
@@ -160,14 +145,14 @@ MODULE_REACTOR = ModuleSpec(
                         $stamp_writable_priority
                         $submit_call
                     ''',
-                    guard=_o("O2"), options=("O2", "O8"),
+                    guard=enabled("O2"), options=("O2", "O8"),
                 ),
                 Fragment(
                     '''
                     def submit_completion(self, event):
                         $submit_call
                     ''',
-                    guard=lambda o: o["O2"] and o["O4"] == "Asynchronous",
+                    guard=lambda o: o["O2"] and async_io(o),
                     options=("O2", "O4", "O8"),
                 ),
                 Fragment(
@@ -199,7 +184,7 @@ MODULE_REACTOR = ModuleSpec(
                         if event.kind == rt.EventKind.COMPLETION:
                             event.complete()
                     ''',
-                    guard=_async, options=("O4",),
+                    guard=async_io, options=("O4",),
                 ),
                 Fragment(
                     '''
@@ -208,7 +193,7 @@ MODULE_REACTOR = ModuleSpec(
                         # readiness events reaches the processing path.
                         pass
                     ''',
-                    guard=_sync, options=("O4",),
+                    guard=sync_io, options=("O4",),
                 ),
                 # -- file access services ---------------------------------------
                 Fragment(
@@ -217,7 +202,7 @@ MODULE_REACTOR = ModuleSpec(
                         """Emulated non-blocking file read (Proactor/ACT)."""
                         self.file_io.read_file(path, act=act, priority=priority)
                     ''',
-                    guard=_async, options=("O4",),
+                    guard=async_io, options=("O4",),
                 ),
                 Fragment(
                     '''
@@ -225,7 +210,7 @@ MODULE_REACTOR = ModuleSpec(
                         """Blocking file read through the generated cache."""
                         return self.cache.get_file(path).payload
                     ''',
-                    guard=lambda o: o["O4"] == "Synchronous" and o["O6"] is not None,
+                    guard=lambda o: sync_io(o) and o["O6"],
                     options=("O4", "O6"),
                 ),
                 Fragment(
@@ -234,7 +219,7 @@ MODULE_REACTOR = ModuleSpec(
                         """Blocking, uncached file read."""
                         return read_body(self.configuration.document_root, path)
                     ''',
-                    guard=lambda o: o["O4"] == "Synchronous" and o["O6"] is None,
+                    guard=lambda o: sync_io(o) and not o["O6"],
                     options=("O4", "O6"),
                 ),
                 # -- lifecycle ----------------------------------------------------
@@ -277,7 +262,7 @@ MODULE_REACTOR = ModuleSpec(
                             with open(path, "w", encoding="utf-8") as sink:
                                 self.tracer.dump(sink)
                     ''',
-                    guard=_debug, options=("O10",),
+                    guard=debug_mode, options=("O10",),
                 ),
                 Fragment(
                     '''
@@ -307,7 +292,7 @@ MODULE_REACTOR = ModuleSpec(
                         self.stop()
                         return drained
                     ''',
-                    guard=_o("O13"), options=("O13", "O12"),
+                    guard=enabled("O13"), options=("O13", "O12"),
                 ),
             ],
         ),
@@ -322,9 +307,9 @@ MODULE_SERVER = ModuleSpec(
     imports=[
         Fragment("from $package.communication import ServerConfiguration"),
         Fragment("from $package.reactor import Reactor",
-                 guard=lambda o: not _multiproc(o), options=("O16",)),
+                 guard=lambda o: not multiproc(o), options=("O16",)),
         Fragment("from $package.deployment import Deployment",
-                 guard=_multiproc, options=("O16",)),
+                 guard=multiproc, options=("O16",)),
     ],
     classes=[
         ClassSpec(
@@ -378,7 +363,7 @@ MODULE_SERVER = ModuleSpec(
                         """Gracefully drain in-flight work, then stop."""
                         $server_drain_call
                     ''',
-                    guard=_o("O13"), options=("O13", "O16"),
+                    guard=enabled("O13"), options=("O13", "O16"),
                 ),
                 Fragment(
                     '''
@@ -389,7 +374,7 @@ MODULE_SERVER = ModuleSpec(
                         predecessor drains."""
                         self.deployment.rolling_restart(drain_timeout)
                     ''',
-                    guard=_multiproc, options=("O16",),
+                    guard=multiproc, options=("O16",),
                 ),
             ],
         ),

@@ -21,12 +21,9 @@ Resilience  exists iff O13; body depends on O2 (supervisor and
 from __future__ import annotations
 
 from repro.co2p3s.codegen import ClassSpec, Fragment, ModuleSpec
+from repro.co2p3s.nserver.options import enabled
 
 __all__ = ["MODULE_RESILIENCE"]
-
-
-def _o(key):
-    return lambda o: bool(o[key])
 
 
 MODULE_RESILIENCE = ModuleSpec(
@@ -46,7 +43,7 @@ MODULE_RESILIENCE = ModuleSpec(
                 "deadline monitor, worker supervisor and event "
                 "quarantine, assembled from the configuration's tuning "
                 "values.",
-            exists=_o("O13"),
+            exists=enabled("O13"),
             exists_options=("O13",),
             fragments=[
                 Fragment(

@@ -27,6 +27,15 @@ __all__ = [
     "DEGRADATION_TOGGLE_BASE",
     "DEPLOYMENT_TOGGLE_BASE",
     "option_table_rows",
+    "enabled",
+    "disabled",
+    "debug_mode",
+    "production_mode",
+    "async_io",
+    "sync_io",
+    "dynamic_threads",
+    "static_threads",
+    "multiproc",
 ]
 
 CACHE_POLICIES = ("LRU", "LFU", "LRU-MIN", "LRU-Threshold", "Hyper-G", "Custom")
@@ -96,6 +105,49 @@ NSERVER_OPTION_SPECS = (
                describe_values="Yes/No", default=False,
                values=(True, False)),
 )
+
+# -- option predicates ---------------------------------------------------------
+# The guards the template's fragments and context builder test, each
+# defined once.  ``o`` is an OptionSet.
+
+
+def enabled(key):
+    """Guard: option ``key`` is on (Yes, or a cache policy for O6)."""
+    return lambda o: bool(o[key])
+
+
+def disabled(key):
+    """Guard: option ``key`` is off (No, or no cache for O6)."""
+    return lambda o: not o[key]
+
+
+def debug_mode(o):
+    return o["O10"] == "Debug"
+
+
+def production_mode(o):
+    return o["O10"] == "Production"
+
+
+def async_io(o):
+    return o["O4"] == "Asynchronous"
+
+
+def sync_io(o):
+    return o["O4"] == "Synchronous"
+
+
+def dynamic_threads(o):
+    return o["O5"] == "Dynamic"
+
+
+def static_threads(o):
+    return o["O5"] == "Static"
+
+
+def multiproc(o):
+    return int(o["O16"]) > 1
+
 
 #: Table 1, COPS-FTP column.
 COPS_FTP_OPTIONS: Dict[str, object] = {

@@ -3,20 +3,23 @@
 The Table 2 toggle-diff verifies that the declared option/class
 dependencies match what codegen produces, but it compares *text* and
 says nothing about whether the output is a well-formed framework.  The
-auditor closes that gap with four invariants, checked per option
+auditor closes that gap with five invariants, checked per option
 configuration:
 
 1. **compiles + imports** — every emitted module byte-compiles, and the
    package as a whole imports against the runtime (a broken import in a
    rarely used corner is exactly the class of bug generators breed);
-2. **no dangling references** — no emitted module mentions a class that
+2. **every module is reached** — importing the package loads every
+   emitted module: a module nothing imports is generated code nothing
+   runs;
+3. **no dangling references** — no emitted module mentions a class that
    a disabled option removed (the paper's "only option-selected code
    exists", enforced at the identifier level via AST);
-3. **no dead branches** — generated code must never test options at
+4. **no dead branches** — generated code must never test options at
    runtime, so a constant-condition ``if``/``while`` or any reference
    to ``GENERATED_OPTIONS`` outside ``__init__`` means an option guard
    leaked a decidable branch into the output;
-4. **declared == AST-derived crosscut** — the Table 2 matrix computed
+5. **declared == AST-derived crosscut** — the Table 2 matrix computed
    by toggling options and diffing *ASTs* (structure, not text) must
    match the template's declared fragment metadata and the checked-in
    :data:`~repro.co2p3s.nserver.table2.EXPECTED_TABLE2`.
@@ -59,6 +62,7 @@ __all__ = [
     "audit_suite",
     "class_universe",
     "crosscut_findings",
+    "reach_findings",
     "suite_configs",
 ]
 
@@ -268,13 +272,33 @@ def audit_report(report, label: str,
     return findings
 
 
+def reach_findings(report, package: str, label: str) -> List[Finding]:
+    """One finding per emitted module that importing ``package`` left
+    out of :data:`sys.modules`: nothing imports it, so nothing runs it.
+    Call right after :func:`load_generated_package`."""
+    findings: List[Finding] = []
+    for filename in sorted(report.files):
+        module = filename[:-len(".py")]
+        name = package if module == "__init__" else f"{package}.{module}"
+        if name not in sys.modules:
+            findings.append(Finding(
+                kind="audit",
+                ident=f"audit:unreached:{filename}",
+                location=f"{label}/{filename}",
+                message=("emitted module is never imported — generated "
+                         "code nothing runs"),
+            ))
+    return findings
+
+
 def audit_config(options: Mapping[str, object], label: str,
                  import_check: bool = True) -> List[Finding]:
     """Render one configuration and run every per-framework invariant.
 
     With ``import_check`` the framework is also written to a temporary
     directory and actually imported against the runtime — the strongest
-    form of "the emitted code is a working package".
+    form of "the emitted code is a working package" — and every emitted
+    module must then be loaded (:func:`reach_findings`).
     """
     opts = NSERVER.configure(options)
     package = f"audit_{abs(hash(label)) % 10 ** 8:08d}"
@@ -285,6 +309,7 @@ def audit_config(options: Mapping[str, object], label: str,
         try:
             NSERVER.generate(opts, dest, package=package)
             module = load_generated_package(dest, package)
+            findings.extend(reach_findings(report, package, label))
             for required in ("Server", "ServerConfiguration", "ServerHooks"):
                 if not hasattr(module, required):
                     findings.append(Finding(

@@ -43,9 +43,8 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, globals(), {
         "parse_dump", "reconstruct_path",
     ),
     "registry": (
-        "DEFAULT_BUCKETS", "NULL_METRIC", "NULL_REGISTRY", "Counter", "Gauge",
-        "Histogram", "MetricFamily", "MetricsRegistry", "NullMetric",
-        "NullRegistry",
+        "DEFAULT_BUCKETS", "NULL_METRIC", "Counter", "Gauge", "Histogram",
+        "MetricFamily", "MetricsRegistry", "NullMetric",
     ),
     "sampler": ("PeriodicSampler",),
     "spans": (

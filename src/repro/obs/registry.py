@@ -16,9 +16,9 @@ Design points:
 * **Labeled families.**  ``registry.counter("x_total", labels=("kind",))``
   returns a family; ``family.labels(kind="read")`` returns (and caches)
   the child metric.  Unlabeled registrations return the metric directly.
-* **Null objects.**  :data:`NULL_REGISTRY` / :data:`NULL_METRIC` keep the
-  O11=No path branch-free: every recording call is a no-op method on a
-  singleton, never an ``if enabled`` check.
+* **Null object.**  :data:`NULL_METRIC` keeps the O11=No path
+  branch-free: a library call site defaults to it, so every recording
+  call is a no-op method on a singleton, never an ``if enabled`` check.
 * **Race-tracked.**  Metric locks come from
   :func:`repro.lint.locks.make_lock` and the shared fields carry
   :func:`~repro.lint.locks.access` annotations, so the tier-1 suite can
@@ -41,9 +41,7 @@ __all__ = [
     "MetricFamily",
     "MetricsRegistry",
     "NullMetric",
-    "NullRegistry",
     "NULL_METRIC",
-    "NULL_REGISTRY",
     "DEFAULT_BUCKETS",
 ]
 
@@ -360,30 +358,3 @@ class NullMetric:
 
 
 NULL_METRIC = NullMetric()
-
-
-class NullRegistry:
-    """O11=No: every registration hands back the inert metric."""
-
-    enabled = False
-
-    def counter(self, name, help="", labels=()):
-        return NULL_METRIC
-
-    def gauge(self, name, help="", labels=()):
-        return NULL_METRIC
-
-    def histogram(self, name, help="", labels=(), buckets=DEFAULT_BUCKETS):
-        return NULL_METRIC
-
-    def collect(self):
-        return []
-
-    def get(self, name):
-        return None
-
-    def value(self, name, **labels):
-        return None
-
-
-NULL_REGISTRY = NullRegistry()

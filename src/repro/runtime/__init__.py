@@ -32,7 +32,7 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, globals(), {
     ),
     "events": (
         "AcceptEvent", "AsynchronousCompletionToken", "CompletionEvent",
-        "ConnectEvent", "Event", "EventKind", "FileOpenEvent", "FileReadEvent",
+        "ConnectEvent", "Event", "EventKind", "FileReadEvent",
         "ReadableEvent", "TimerEvent", "UserEvent", "WritableEvent",
     ),
     "file_io": ("AsyncFileIO",),

@@ -92,7 +92,7 @@ def adopted_listen_socket() -> Optional[socket.socket]:
     return _ADOPTED_LISTEN
 
 
-def worker_listen_handle(configuration, handle_cls: Optional[type] = None):
+def worker_listen_handle(configuration):
     """The listen handle for a server component inside an O16 worker.
 
     Adopts the supervisor-passed socket when one was received; outside
@@ -106,9 +106,9 @@ def worker_listen_handle(configuration, handle_cls: Optional[type] = None):
     adopted = adopted_listen_socket()
     if adopted is not None:
         return ListenHandle(configuration.host, configuration.port,
-                            backlog, handle_cls=handle_cls, sock=adopted)
+                            backlog, sock=adopted)
     return ListenHandle(configuration.host, configuration.port,
-                        backlog, handle_cls=handle_cls, reuse_port=True)
+                        backlog, reuse_port=True)
 
 
 def _resolve(path: str):

@@ -5,14 +5,17 @@ The N-Server synthesises four patterns (section II): the *Reactor*
 (completion events carrying a token that routes the result back to the
 issuing context), and the *Acceptor-Connector* (connection events).
 
-Table 2's first six rows are the classes here: ``Event``,
-``CompletionEvent``, ``FileOpenEvent``, ``FileReadEvent`` plus the
-``Handle``/``FileHandle`` pair in :mod:`repro.runtime.handles`.
+Table 2's first six rows (``Event``, ``CompletionEvent``,
+``FileOpenEvent``, ``FileReadEvent``, ``Handle``, ``FileHandle``) were
+generated subclasses of the classes here and in
+:mod:`repro.runtime.handles`.  What the options changed in them was
+never run, so the template emits none of them and generated frameworks
+use the library classes directly (see ``TABLE2_DIVERGENCES`` in
+:mod:`repro.co2p3s.nserver.table2`).  Nothing opens a file
+asynchronously, so there is no file-open event.
 
-Events carry an optional ``priority`` field — present in the paper only
-when O8 (event scheduling) is generated; here it always exists at the
-library layer (the *generated* Event class omits the field when O8=No,
-which is what Table 2's ``Event x O8 = +`` records).
+Every event carries a ``priority`` field; the O8 scheduling queue
+orders events by it.
 """
 
 from __future__ import annotations
@@ -31,7 +34,6 @@ __all__ = [
     "TimerEvent",
     "UserEvent",
     "CompletionEvent",
-    "FileOpenEvent",
     "FileReadEvent",
     "AsynchronousCompletionToken",
 ]
@@ -155,13 +157,6 @@ class CompletionEvent(Event):
         """Invoke the token's completion callback, if any."""
         if self.token.on_complete is not None:
             self.token.on_complete(self)
-
-
-class FileOpenEvent(CompletionEvent):
-    """Completion of an emulated non-blocking file *open* (exists in the
-    generated framework only when O4=Asynchronous; cache-aware when O6)."""
-
-    __slots__ = ()
 
 
 class FileReadEvent(CompletionEvent):

@@ -1,12 +1,12 @@
 """Handles: the I/O endpoints events refer to.
 
 A *Handle* wraps an OS-level endpoint (socket, file) behind the small
-interface the dispatcher and event handlers need.  Table 2 lists
-``Handle`` (whose generated body depends on O1) and ``FileHandle``
-(exists when O4=Asynchronous, body depends on O6).  A
-:class:`FileHandle` range is also the body of every docroot file of at
-least one page, and :meth:`SocketHandle._send` is the one place bytes
-leave for a socket: ``sendmsg`` for memory, ``os.sendfile`` for files.
+interface the dispatcher and event handlers need.  Generated frameworks
+use these classes directly: accepted and connected sockets are plain
+:class:`SocketHandle` objects.  A :class:`FileHandle` range is the body
+of every docroot file of at least one page, and
+:meth:`SocketHandle._send` is the one place bytes leave for a socket:
+``sendmsg`` for memory, ``os.sendfile`` for files.
 """
 
 from __future__ import annotations
@@ -284,8 +284,8 @@ class OutBuffer:
 class ListenHandle(Handle):
     """A listening TCP socket (the Acceptor Event Handler's handle).
 
-    ``handle_cls`` lets generated frameworks wrap accepted sockets in
-    their own Handle subclass (Table 2's generated ``Handle``).
+    ``handle_cls`` is the class accepted sockets are wrapped in; the
+    fault plane swaps in a fault-injecting subclass.
     """
 
     def __init__(self, host: str = "127.0.0.1", port: int = 0,

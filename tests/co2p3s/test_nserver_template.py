@@ -27,9 +27,15 @@ from repro.co2p3s.nserver import (
     PAPER_TABLE2,
     POOL_TOGGLE_BASE,
     TABLE2_CLASS_ORDER,
+    TABLE2_DIVERGENCES,
     TABLE2_EXTENSIONS,
     option_table_rows,
 )
+
+#: Paper Table 2 rows the template no longer emits: the event and
+#: handle subclasses whose option-dependent code nothing ran.
+DELETED_CLASSES = {"Event", "CompletionEvent", "FileOpenEvent",
+                   "FileReadEvent", "Handle", "FileHandle"}
 
 
 # -- Table 1: the option model -------------------------------------------------
@@ -125,18 +131,18 @@ def test_all_files_parse_for_paper_configs():
 
 def test_full_config_generates_every_table2_class():
     report = render(ALL_FEATURES_ON)
-    assert set(report.class_names()) == set(TABLE2_CLASS_ORDER)
+    assert set(report.class_names()) == (set(TABLE2_CLASS_ORDER)
+                                         - DELETED_CLASSES)
     # paper's 27 + Observability (O11) + Resilience (O13)
-    # + Degradation (O17) + Deployment + Worker (O16)
+    # + Degradation (O17) + Deployment + Worker (O16) ...
     assert len(TABLE2_CLASS_ORDER) == 32
+    # ... minus the six event and handle subclasses nothing ran
+    assert len(report.class_names()) == 26
 
 
 def test_optional_classes_absent_when_options_off():
     report = render(COPS_FTP_OPTIONS)  # Synchronous, no cache, static=no ctrl
     names = set(report.class_names())
-    assert "CompletionEvent" not in names          # O4=Synchronous
-    assert "FileOpenEvent" not in names
-    assert "FileHandle" not in names
     assert "Cache" not in names                    # O6=No
     assert "ProcessorController" in names          # O5=Dynamic
     report2 = render(COPS_HTTP_OPTIONS)
@@ -344,6 +350,40 @@ def test_buffered_write_path_emits_zero_buffer_code():
         assert "out_buffer" not in text, filename
 
 
+@pytest.mark.parametrize("config", [COPS_FTP_OPTIONS, COPS_HTTP_OPTIONS,
+                                    ALL_FEATURES_ON,
+                                    dict(ALL_FEATURES_ON, O1="2N")],
+                         ids=["cops-ftp", "cops-http", "all-on", "all-on-2N"])
+def test_no_events_or_handles_module_is_emitted(config):
+    """Accepted sockets are the library's SocketHandle and events the
+    library's classes: no build emits the subclass modules nothing ran,
+    nor names their classes."""
+    report = render(config)
+    assert "events.py" not in report.files
+    assert "handles.py" not in report.files
+    assert not DELETED_CLASSES & set(report.class_names())
+    for filename, text in report.files.items():
+        assert "handle_cls" not in text, filename
+        assert "io_lock" not in text, filename
+
+
+def test_table2_divergences_are_paper_cells_with_reasons():
+    # PAPER_TABLE2 stays verbatim: 27 rows, 91 cells.
+    assert len(PAPER_TABLE2) == 27
+    assert sum(len(row) for row in PAPER_TABLE2.values()) == 91
+    assert sum(len(row) for row in TABLE2_DIVERGENCES.values()) == 19
+    for name, row in TABLE2_DIVERGENCES.items():
+        for key, reason in row.items():
+            assert key in PAPER_TABLE2[name], (name, key)
+            assert key not in EXPECTED_TABLE2.get(name, {}), (name, key)
+            assert reason.strip(), (name, key)
+    # A deleted class loses every paper cell and gains no extension.
+    for name in DELETED_CLASSES:
+        assert TABLE2_DIVERGENCES[name] == {
+            key: TABLE2_DIVERGENCES[name][key] for key in PAPER_TABLE2[name]}
+        assert name not in EXPECTED_TABLE2
+
+
 def test_table2_extension_rows_merge():
     assert "Observability" not in PAPER_TABLE2  # paper stays verbatim
     assert "Resilience" not in PAPER_TABLE2
@@ -444,14 +484,16 @@ def test_empirical_crosscut_reproduces_paper_table2():
                                         DEPLOYMENT_TOGGLE_BASE))
     diffs = emp.differences(expected_matrix())
     assert diffs == []
-    # The only cells beyond the paper's table are the declared
-    # observability extension rows.
+    # The only differences from the paper's table are the declared
+    # extension cells and the recorded divergences.
     vs_paper = emp.differences(paper_matrix())
-    assert vs_paper == [
-        (name, key, value, "")
-        for name in sorted(TABLE2_EXTENSIONS)
-        for key, value in sorted(TABLE2_EXTENSIONS[name].items())
-    ]
+    assert sorted(vs_paper) == sorted(
+        [(name, key, value, "")
+         for name, row in TABLE2_EXTENSIONS.items()
+         for key, value in row.items()]
+        + [(name, key, "", PAPER_TABLE2[name][key])
+           for name, row in TABLE2_DIVERGENCES.items()
+           for key in row])
 
 
 def test_declared_metadata_matches_empirical():

@@ -233,3 +233,26 @@ def test_stub_options_without_o11_do_not_crash():
 def test_crosscut_three_way_agreement():
     # AST-derived == declared fragment metadata == checked-in Table 2
     assert crosscut_findings() == []
+
+
+def test_unimported_module_is_flagged(monkeypatch):
+    """The reach check: a module the package never imports is flagged.
+    The seeded module is the shape of the old generated ``events``
+    module, whose Event subclass nothing imported."""
+    from repro.co2p3s.codegen import ClassSpec, Fragment, ModuleSpec
+    from repro.co2p3s.nserver import generator
+    from repro.co2p3s.nserver.options import COPS_HTTP_OPTIONS
+
+    class_universe()  # computed from the real template, not the seeded one
+    events = ModuleSpec(
+        name="events",
+        imports=[Fragment("from repro.runtime import events as rt_events")],
+        classes=[ClassSpec(
+            name="Event", doc="Base event of the generated framework.",
+            bases=("rt_events.Event",),
+            fragments=[Fragment("__slots__ = ()\nis_completion = False")])],
+    )
+    monkeypatch.setattr(generator, "NSERVER_MODULES",
+                        (events,) + generator.NSERVER_MODULES)
+    idents = [f.ident for f in audit_config(COPS_HTTP_OPTIONS, "reach")]
+    assert idents == ["audit:unreached:events.py"]

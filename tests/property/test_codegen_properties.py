@@ -57,20 +57,18 @@ def test_every_legal_config_generates_valid_python(config):
 @settings(max_examples=60, deadline=None)
 def test_class_inventory_follows_existence_rules(config):
     assume(legal(config))
-    names = set(NSERVER.render(NSERVER.configure(config),
-                               package="prop").class_names())
-    async_io = config["O4"] == "Asynchronous"
-    assert ("CompletionEvent" in names) == async_io
-    assert ("FileOpenEvent" in names) == async_io
-    assert ("FileReadEvent" in names) == async_io
-    assert ("FileHandle" in names) == async_io
+    report = NSERVER.render(NSERVER.configure(config), package="prop")
+    names = set(report.class_names())
+    # No build emits the event or handle subclass modules.
+    assert "events.py" not in report.files
+    assert "handles.py" not in report.files
     assert ("Cache" in names) == (config["O6"] is not None)
     assert ("ProcessorController" in names) == (config["O5"] == "Dynamic")
     assert ("Observability" in names) == config["O11"]
     assert ("DecodeRequestEventHandler" in names) == config["O3"]
     assert ("EncodeReplyEventHandler" in names) == config["O3"]
     # The unconditional core is always present.
-    for always in ("Event", "Handle", "Reactor", "Server",
+    for always in ("Reactor", "Server",
                    "CommunicatorComponent", "EventDispatcher",
                    "EventProcessor", "AcceptorEventHandler",
                    "ServerConfiguration"):
