@@ -158,6 +158,9 @@ def build_context(o: OptionSet) -> Dict[str, Any]:
         debug, 'self.reactor.tracer.record("server-event", str(event.payload))')
     ctx["idle_scan_dispatch"] = on(idle, "self._idle_scan(event)")
     ctx["obs_sample_dispatch"] = on(profiling, "self._obs_sample(event)")
+    ctx["deadline_tick_dispatch"] = on(resilient, "self._deadline_tick(event)")
+    ctx["supervise_dispatch"] = on(resilient and pool, "self._supervise(event)")
+    ctx["control_dispatch"] = on(pool and dynamic, "self._control(event)")
 
     ctx["trace_connect_event"] = on(
         debug, 'self.reactor.tracer.record("connect", conn.handle.name)')
@@ -255,15 +258,25 @@ def build_context(o: OptionSet) -> Dict[str, Any]:
                           else "self.processor.submit(event)")
 
     ctx["start_processor"] = on(pool, "self.processor.start()")
-    ctx["start_controller"] = on(pool and dynamic,
-                                 "self.processor_controller.start()")
     ctx["start_file_io"] = on(async_io, "self.file_io.start()")
+    # The first timer of each O5/O13 periodic duty; the Server Event
+    # Handler re-arms it after every pass.
+    ctx["arm_deadline_timer"] = on(
+        resilient, "self.timer_source.schedule("
+                   'self.configuration.deadline_interval, '
+                   'payload="deadline-tick")')
+    ctx["arm_supervision_timer"] = on(
+        resilient and pool, "self.timer_source.schedule("
+                            "self.configuration.supervision_interval, "
+                            'payload="supervise")')
+    ctx["arm_control_timer"] = on(
+        pool and dynamic, "self.timer_source.schedule("
+                          'self.processor_controller.period, '
+                          'payload="control")')
     ctx["log_started"] = on(
         logging,
         'self.log.info(f"server listening on port '
         '{self.server_component.port}")')
-    ctx["stop_controller"] = on(pool and dynamic,
-                                "self.processor_controller.stop()")
     ctx["stop_processor"] = on(pool, "self.processor.stop()")
     ctx["stop_file_io"] = on(async_io, "self.file_io.stop()")
     ctx["final_obs_sample"] = on(
@@ -293,13 +306,11 @@ def build_context(o: OptionSet) -> Dict[str, Any]:
         "self.deadlines = rt.DeadlineMonitor(policy, "
         "interval=configuration.deadline_interval" + dl_extra + ")")
     ctx["make_supervisor"] = on(
-        pool, "self.supervisor = rt.WorkerSupervisor(reactor.processor, "
-              "interval=configuration.supervision_interval" + sup_extra + ")")
+        pool, "self.supervisor = rt.WorkerSupervisor(reactor.processor"
+              + sup_extra + ")")
     ctx["make_quarantine"] = on(
         pool, "self.quarantine = rt.EventQuarantine.attach(reactor.processor, "
               "max_retries=configuration.max_event_retries" + q_extra + ")")
-    ctx["start_supervisor"] = on(pool, "self.supervisor.start()")
-    ctx["stop_supervisor"] = on(pool, "self.supervisor.stop()")
     ctx["quiescent_queue_check"] = on(
         pool, "if reactor.processor.queue_length or "
               "reactor.processor.busy_count: return False")
@@ -314,8 +325,6 @@ def build_context(o: OptionSet) -> Dict[str, Any]:
         resilient, "self.resilience.deadlines.watch(conn)")
     ctx["deadline_unwatch"] = on(
         resilient, "self.resilience.deadlines.unwatch(conn)")
-    ctx["start_resilience"] = on(resilient, "self.resilience.start()")
-    ctx["stop_resilience"] = on(resilient, "self.resilience.stop()")
     ctx["try_accept_expr"] = (
         "self.reactor.resilience.safe_accept(listen)" if resilient
         else "listen.try_accept()")

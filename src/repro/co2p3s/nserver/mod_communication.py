@@ -6,7 +6,7 @@ Table 2 rows covered (all '+' entries, i.e. body-altering options):
 Communicator Component     O3 O7 O8 O11
 Server Component           O7 O10 O11 O12 O16
 Client Component           O7 O10 O12
-Server Event Handler       O7 O10 O11
+Server Event Handler       O2 O5 O7 O10 O11 O13
 Connector Event Handler    O3 O10 O12
 Acceptor Event Handler     O3 O9 O10 O11 O12 O13 O17
 Container Component        O7 O10 O12
@@ -18,10 +18,15 @@ Server Configuration       O10 O11 O13 O16 O17
 The paper's O3 cells on the Server and Client Components, its O3 and
 O10 cells on the Client Configuration and its O11 cells on the
 Connector, Container and Application handlers came from fields nothing
-read; ``table2.TABLE2_DIVERGENCES`` lists them.
+read; ``table2.TABLE2_DIVERGENCES`` lists them.  The Server Event
+Handler's O2, O5 and O13 cells are extensions: it runs every periodic
+duty, and the worker supervisor (O13, with a pool to supervise) and
+the Processor Controller (O5=Dynamic) are periodic duties.
 """
 
 from __future__ import annotations
+
+import textwrap
 
 from repro.co2p3s.codegen import ClassSpec, Fragment, ModuleSpec
 from repro.co2p3s.nserver.options import (
@@ -30,9 +35,32 @@ from repro.co2p3s.nserver.options import (
     debug_mode,
     production_mode,
     multiproc,
+    dynamic_threads,
 )
 
 __all__ = ["MODULE_COMMUNICATION"]
+
+
+def _timer_duty(method, payload, doc, run, period, guard, options):
+    """The Server Event Handler method for one periodic duty.
+
+    Every periodic duty of a generated server is a timer event on the
+    reactor's timer source, handled on a dispatcher thread: when the
+    duty's own timer (``payload``) fires, the method runs one pass
+    (``run``) and re-arms the timer ``period`` seconds out.  The first
+    timer is armed at start-up: by ``ServerComponent.open`` for O7 and
+    O11, by ``Reactor.start`` for O5 and O13.
+    """
+    body = (f'"""{doc}"""\n'
+            f'if event.payload != "{payload}":\n'
+            f"    return\n"
+            f"{run}\n"
+            f"self.reactor.timer_source.schedule(\n"
+            f"    {period},\n"
+            f'    payload="{payload}")')
+    return Fragment(f"def {method}(self, event):\n"
+                    + textwrap.indent(body, "    "),
+                    guard=guard, options=options)
 
 
 MODULE_COMMUNICATION = ModuleSpec(
@@ -215,39 +243,56 @@ MODULE_COMMUNICATION = ModuleSpec(
                         $trace_server_event
                         $idle_scan_dispatch
                         $obs_sample_dispatch
+                        $deadline_tick_dispatch
+                        $supervise_dispatch
+                        $control_dispatch
                         if hasattr(self.reactor.hooks, "on_timer"):
                             self.reactor.hooks.on_timer(event)
                     ''',
-                    options=("O7", "O10", "O11"),
+                    options=("O2", "O5", "O7", "O10", "O11", "O13"),
                 ),
-                Fragment(
-                    '''
-                    def _obs_sample(self, event):
-                        """Sample the observability gauges and re-arm the
-                        sampling timer (option O11)."""
-                        if event.payload != "obs-sample":
-                            return
-                        self.reactor.observability.sample()
-                        self.reactor.timer_source.schedule(
-                            self.reactor.configuration.obs_sample_interval,
-                            payload="obs-sample")
-                    ''',
+                _timer_duty(
+                    "_obs_sample", "obs-sample",
+                    "Sample the observability gauges and re-arm the\n"
+                    "sampling timer (option O11).",
+                    "self.reactor.observability.sample()",
+                    "self.reactor.configuration.obs_sample_interval",
                     guard=enabled("O11"), options=("O11",),
                 ),
-                Fragment(
-                    '''
-                    def _idle_scan(self, event):
-                        """Reap long-idle connections and re-arm the scan
-                        timer (option O7)."""
-                        if event.payload != "idle-scan":
-                            return
-                        self.reactor.container.reap_idle(
-                            self.reactor.configuration.idle_limit)
-                        self.reactor.timer_source.schedule(
-                            self.reactor.configuration.idle_scan_interval,
-                            payload="idle-scan")
-                    ''',
+                _timer_duty(
+                    "_idle_scan", "idle-scan",
+                    "Reap long-idle connections and re-arm the scan\n"
+                    "timer (option O7).",
+                    "self.reactor.container.reap_idle(\n"
+                    "    self.reactor.configuration.idle_limit)",
+                    "self.reactor.configuration.idle_scan_interval",
                     guard=enabled("O7"), options=("O7",),
+                ),
+                _timer_duty(
+                    "_deadline_tick", "deadline-tick",
+                    "Close connections that blew a stage deadline and\n"
+                    "re-arm the deadline timer (option O13).",
+                    "self.reactor.resilience.deadlines.tick()",
+                    "self.reactor.configuration.deadline_interval",
+                    guard=enabled("O13"), options=("O13",),
+                ),
+                _timer_duty(
+                    "_supervise", "supervise",
+                    "Replace dead Event Processor workers and re-arm the\n"
+                    "supervision timer (option O13).",
+                    "self.reactor.resilience.supervisor.check()",
+                    "self.reactor.configuration.supervision_interval",
+                    guard=lambda o: o["O2"] and o["O13"],
+                    options=("O2", "O13"),
+                ),
+                _timer_duty(
+                    "_control", "control",
+                    "Grow or shrink the reactive pool and re-arm the\n"
+                    "control timer (option O5=Dynamic).",
+                    "self.reactor.processor_controller.evaluate()",
+                    "self.reactor.processor_controller.period",
+                    guard=lambda o: o["O2"] and dynamic_threads(o),
+                    options=("O2", "O5"),
                 ),
             ],
         ),

@@ -228,9 +228,10 @@ MODULE_REACTOR = ModuleSpec(
                     def start(self):
                         self.server_component.open()
                         $start_processor
-                        $start_controller
                         $start_file_io
-                        $start_resilience
+                        $arm_deadline_timer
+                        $arm_supervision_timer
+                        $arm_control_timer
                         self.dispatcher.start()
                         $log_started
 
@@ -238,8 +239,6 @@ MODULE_REACTOR = ModuleSpec(
                         self.dispatcher.stop()
                         self.server_component.close()
                         self.container.close_all()
-                        $stop_resilience
-                        $stop_controller
                         $stop_processor
                         $stop_file_io
                         self.source.close()
@@ -247,8 +246,6 @@ MODULE_REACTOR = ModuleSpec(
                         $write_debug_trace
                         $log_stopped
                     ''',
-                    # Resilience stops before the processor so a dead
-                    # worker is not respawned into a stopping pool.
                     options=("O2", "O4", "O5", "O10", "O11", "O12", "O13"),
                 ),
                 Fragment(

@@ -64,18 +64,6 @@ MODULE_RESILIENCE = ModuleSpec(
                 ),
                 Fragment(
                     '''
-                    def start(self):
-                        self.deadlines.start()
-                        $start_supervisor
-
-                    def stop(self):
-                        $stop_supervisor
-                        self.deadlines.stop()
-                    ''',
-                    options=("O2",),
-                ),
-                Fragment(
-                    '''
                     def safe_accept(self, listen):
                         """Hardened accept: a transient OSError (aborted
                         connection, interrupted call) retries at once;

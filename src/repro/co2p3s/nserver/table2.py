@@ -186,10 +186,17 @@ TABLE2_DIVERGENCES = {
 #: the configuration carries the worker deadlines and respawn budget,
 #: and the Observability status report aggregates across worker
 #: processes through the supervisor.
+#: Every periodic duty is a timer event the Server Event Handler runs
+#: and re-arms, as the paper has it for the O7 idle reaper and the
+#: O11 sampler; the O13 deadline monitor and worker supervisor and the
+#: O5=Dynamic Processor Controller are such duties, so the handler
+#: gains O5 and O13 cells, and an O2 cell because the supervisor and
+#: the controller exist only with a pool to supervise or resize.
 TABLE2_EXTENSIONS = {
     "Observability": {"O2": "+", "O9": "+", "O10": "+", "O11": "O",
                       "O16": "+", "O17": "+"},
     "ServerComponent": {"O11": "+", "O16": "+"},
+    "ServerEventHandler": {"O2": "+", "O5": "+", "O13": "+"},
     "ServerConfiguration": {"O11": "+", "O13": "+", "O16": "+",
                             "O17": "+"},
     "Resilience": {"O2": "+", "O11": "+", "O12": "+", "O13": "O"},

@@ -9,8 +9,8 @@ run on the Event Processor pool); this lint checks the structure holds.
 The pass parses ``repro.runtime`` and ``repro.servers`` (or any path
 set), builds a name-resolved call graph, and walks reachability from
 the *reactor-loop roots* — the functions the dispatcher runs inline:
-the acceptor's drain loop, readiness routing, the communicator's
-``on_readable``/``on_writable``, and event submission.  Any blocking
+readiness routing, the communicator's ``on_readable``/``on_writable``
+and the periodic duties run from timer events.  Any blocking
 primitive reachable from a root is a finding, reported with one sample
 call path.
 
@@ -76,10 +76,6 @@ DEFAULT_ROOT_NAMES: Set[str] = {
     "route_readable",
     "route_writable",
     "dispatch",
-    "adopt",
-    "_distribute",
-    "_process_event",
-    "_submit",
     # an accept loop that stops draining early re-posts its listener
     # inline on the loop, through the event source's synthetic-ready
     # queue
@@ -87,9 +83,13 @@ DEFAULT_ROOT_NAMES: Set[str] = {
 }
 
 #: fully qualified roots that need their class context to be meaningful
-#: (``handle`` alone would make every protocol handler a root)
+#: (``tick`` or ``check`` alone would make unrelated methods roots):
+#: the periodic duties a generated Server Event Handler runs from timer
+#: events on the dispatcher thread
 DEFAULT_ROOT_QUALNAMES: Set[str] = {
-    "Acceptor.handle",
+    "DeadlineMonitor.tick",
+    "WorkerSupervisor.check",
+    "ProcessorController.evaluate",
 }
 
 

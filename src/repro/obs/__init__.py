@@ -18,7 +18,7 @@ Four pieces, composable and individually testable:
   exemplars) and the Apache ``mod_status``-style ``/server-status``
   report (HTML + ``?auto`` + ``?trace``);
 * :mod:`repro.obs.tracing` — end-to-end trace ids allocated at accept,
-  span exporters (in-memory ring, JSONL file) and the trace report;
+  the in-memory span exporter ring and the trace report;
 * :mod:`repro.obs.flight` — the always-on flight recorder: a bounded
   ring of binary-packed lifecycle events, dumped on worker death,
   quarantine or ``SIGUSR2``.
@@ -52,8 +52,7 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, globals(), {
         "SpanRecorder",
     ),
     "tracing": (
-        "NULL_EXPORTER", "JsonlExporter", "NullExporter", "RingExporter",
-        "format_trace_id", "next_trace_id", "read_jsonl",
+        "RingExporter", "format_trace_id", "next_trace_id",
         "render_trace_report",
     ),
 })

@@ -48,13 +48,12 @@ class Connector:
     would surface as a :class:`~repro.runtime.events.ConnectEvent`.
     """
 
-    def __init__(self, timeout: float = 5.0, handle_cls: type = SocketHandle):
+    def __init__(self, timeout: float = 5.0):
         self.timeout = timeout
-        self.handle_cls = handle_cls
         self.connected = 0
 
     def connect(self, host: str, port: int) -> SocketHandle:
         """Establish one outbound connection; returns its non-blocking handle."""
         sock = socket.create_connection((host, port), timeout=self.timeout)
         self.connected += 1
-        return self.handle_cls(sock)
+        return SocketHandle(sock)

@@ -301,12 +301,10 @@ class TimerEventSource(EventSourceDecorator):
     less than one wheel tick).
     """
 
-    def __init__(self, inner: EventSource, clock=time.monotonic,
-                 wheel: Optional[TimerWheel] = None):
+    def __init__(self, inner: EventSource, clock=time.monotonic):
         super().__init__(inner)
         self._clock = clock
-        self.wheel = wheel if wheel is not None else TimerWheel(
-            tick=0.005, slots=512, clock=clock)
+        self.wheel = TimerWheel(tick=0.005, slots=512, clock=clock)
 
     def schedule(self, delay: float, payload=None) -> int:
         token = self.wheel.schedule(delay, payload)

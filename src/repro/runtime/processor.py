@@ -225,18 +225,22 @@ class EventProcessor:
             if error is not None and self.error_hook is not None:
                 self.error_hook(item, error)
 
+
 class ProcessorController:
     """Dynamic thread allocation (O5=Dynamic).
 
-    Samples the processor's queue every ``interval`` seconds: when the
+    Each :meth:`evaluate` samples the processor's queue: when the
     backlog per thread exceeds ``grow_at`` the pool grows (up to
     ``max_threads``); when the whole pool is idle with an empty queue it
-    shrinks (down to ``min_threads``).
+    shrinks (down to ``min_threads``).  The owner runs it every
+    :attr:`period` seconds.
     """
 
+    #: seconds between control decisions
+    period = 0.05
+
     def __init__(self, processor: EventProcessor, min_threads: int = 1,
-                 max_threads: int = 8, grow_at: int = 4,
-                 interval: float = 0.05):
+                 max_threads: int = 8, grow_at: int = 4):
         if not (1 <= min_threads <= max_threads):
             raise ValueError("need 1 <= min_threads <= max_threads")
         if grow_at < 1:
@@ -245,39 +249,13 @@ class ProcessorController:
         self.min_threads = min_threads
         self.max_threads = max_threads
         self.grow_at = grow_at
-        self.interval = interval
-        self._stop = threading.Event()
-        self._thread: Optional[threading.Thread] = None
-        self.decisions: list = []
-
-    def start(self) -> None:
-        """Start the sampling thread (idempotent)."""
-        if self._thread is not None:
-            return
-        self._thread = threading.Thread(target=self._run, daemon=True,
-                                        name="processor-controller")
-        self._thread.start()
-
-    def stop(self) -> None:
-        """Stop and join the sampling thread."""
-        self._stop.set()
-        if self._thread is not None:
-            self._thread.join(timeout=2.0)
-            self._thread = None
-
-    def _run(self) -> None:
-        """Sampling loop: one :meth:`evaluate` per interval."""
-        while not self._stop.wait(self.interval):
-            self.evaluate()
 
     def evaluate(self) -> None:
-        """One control decision (public so tests can drive it directly)."""
+        """One control decision: grow, shrink or leave the pool."""
         p = self.processor
         threads = p.thread_count
         backlog = p.queue_length
         if threads < self.max_threads and backlog >= self.grow_at * max(threads, 1):
             p.add_thread()
-            self.decisions.append(("grow", threads + 1))
         elif threads > self.min_threads and backlog == 0 and p.busy_count == 0:
             p.remove_thread()
-            self.decisions.append(("shrink", threads - 1))

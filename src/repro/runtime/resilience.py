@@ -19,6 +19,11 @@ Plus :func:`is_transient_accept_error`, re-exported from
 :mod:`repro.runtime.acceptor`: the generated O13 ``safe_accept`` uses
 it to tell a retryable accept error from one that needs a backoff.
 
+None of them owns a thread: the monitor's :meth:`DeadlineMonitor.tick`
+and the supervisor's :meth:`WorkerSupervisor.check` are one-pass
+methods the generated Server Event Handler runs from periodic timers
+on the reactor's timer source, on a dispatcher thread.
+
 Everything here follows the option-guarded style of the rest of the
 runtime: null-object metrics/log defaults, zero references from any code
 path that did not opt in.
@@ -36,6 +41,7 @@ from repro.obs.flight import GLOBAL as GLOBAL_FLIGHT
 from repro.obs.registry import NULL_METRIC
 from repro.runtime.acceptor import is_transient_accept_error
 from repro.runtime.nulls import NULL_LOG
+from repro.runtime.timerwheel import TimerWheel
 
 __all__ = [
     "DeadlinePolicy",
@@ -73,12 +79,17 @@ class DeadlineMonitor:
     The owning server calls :meth:`watch` per accepted connection and
     :meth:`unwatch` at teardown.  Each watched connection carries one
     lazily re-armed timer on a hashed
-    :class:`~repro.runtime.timerwheel.TimerWheel`; the background
-    thread's :meth:`tick` inspects only fired entries (O(fired) per
-    pass, O(1) re-arm/cancel), re-arming at the earliest active stage
-    deadline, or at a parked recheck period while the connection is
-    idle.  Violations are tallied per stage in :attr:`reasons` and on
-    ``counter``.
+    :class:`~repro.runtime.timerwheel.TimerWheel`; each :meth:`tick`
+    (run once per ``interval`` by the owner's periodic timer) inspects
+    only fired entries (O(fired) per pass, O(1) re-arm/cancel),
+    re-arming at the earliest active stage deadline, or at a parked
+    recheck period while the connection is idle.  Violations are
+    tallied per stage in :attr:`reasons` and on ``counter``.
+
+    The wheel is the monitor's own, not the event source's: a timer
+    source computes its next deadline on every poll in O(live
+    entries), so one entry per connection there would make every poll
+    O(connections); here one periodic source timer ticks the wheel.
     """
 
     def __init__(
@@ -88,20 +99,15 @@ class DeadlineMonitor:
         interval: float = 0.1,
         counter=NULL_METRIC,
         log=NULL_LOG,
-        wheel=None,
     ):
         self.policy = policy
         self.clock = clock
-        self.interval = interval
         self.counter = counter
         self.log = log
         self.reasons = {"header": 0, "request": 0, "write": 0}
         self.timed_out = 0
-        if wheel is None:
-            from repro.runtime.timerwheel import TimerWheel
-            wheel = TimerWheel(tick=max(interval / 2.0, 0.01), slots=512,
-                               clock=clock)
-        self.wheel = wheel
+        self.wheel = TimerWheel(tick=max(interval / 2.0, 0.01), slots=512,
+                                clock=clock)
         #: while no stage is active the per-connection timer parks at
         #: this recheck period; a stage starting right after a parked
         #: check is still caught within deadline + one period
@@ -113,8 +119,6 @@ class DeadlineMonitor:
         #: watched connection -> its wheel token (the wheel payload is
         #: the connection itself)
         self._tokens: dict = {}
-        self._stop = threading.Event()
-        self._thread: Optional[threading.Thread] = None
 
     # -- checks -------------------------------------------------------------
     def _violation(self, conn, now: float) -> Optional[str]:
@@ -205,27 +209,6 @@ class DeadlineMonitor:
             conn.close()
         return len(victims)
 
-    # -- background thread ----------------------------------------------------
-    def start(self) -> None:
-        """Start the monitor thread (idempotent)."""
-        if self._thread is not None:
-            return
-        self._thread = threading.Thread(target=self._run, daemon=True,
-                                        name="deadline-monitor")
-        self._thread.start()
-
-    def stop(self) -> None:
-        """Stop and join the monitor thread."""
-        self._stop.set()
-        if self._thread is not None:
-            self._thread.join(timeout=2.0)
-            self._thread = None
-
-    def _run(self) -> None:
-        """Monitor loop: one wheel :meth:`tick` per interval."""
-        while not self._stop.wait(self.interval):
-            self.tick()
-
 
 # -- worker supervision -------------------------------------------------------
 
@@ -236,21 +219,18 @@ class WorkerSupervisor:
     A handler that raises an ``Exception`` is survived in place; only a
     ``BaseException`` kills a worker thread.  The supervisor prunes dead
     threads from the pool and spawns replacements so the pool holds its
-    configured size.
+    configured size.  The owner runs :meth:`check` periodically.
     """
 
-    def __init__(self, processor, interval: float = 0.05,
-                 counter=NULL_METRIC, log=NULL_LOG, flight=None):
+    def __init__(self, processor, counter=NULL_METRIC, log=NULL_LOG,
+                 flight=None):
         self.processor = processor
-        self.interval = interval
         self.counter = counter
         self.log = log
         #: flight recorder receiving worker-death events (and the dump
         #: trigger — a dead worker is exactly a post-mortem moment)
         self.flight = flight if flight is not None else GLOBAL_FLIGHT
         self.restarts = 0
-        self._stop = threading.Event()
-        self._thread: Optional[threading.Thread] = None
 
     def check(self) -> int:
         """One supervision pass; returns how many workers were replaced."""
@@ -273,26 +253,6 @@ class WorkerSupervisor:
                 f"{self.processor.name} worker died "
                 f"({self.processor.last_death!r}); replaced")
         return dead
-
-    def start(self) -> None:
-        """Start the supervision thread (idempotent)."""
-        if self._thread is not None:
-            return
-        self._thread = threading.Thread(target=self._run, daemon=True,
-                                        name="worker-supervisor")
-        self._thread.start()
-
-    def stop(self) -> None:
-        """Stop and join the supervision thread."""
-        self._stop.set()
-        if self._thread is not None:
-            self._thread.join(timeout=2.0)
-            self._thread = None
-
-    def _run(self) -> None:
-        """Supervision loop: one :meth:`check` per interval."""
-        while not self._stop.wait(self.interval):
-            self.check()
 
 
 # -- poison-event quarantine ---------------------------------------------------

@@ -148,25 +148,6 @@ def test_worker_crash_is_detected_and_replaced():
         proc.stop()
 
 
-def test_supervisor_background_thread_keeps_pool_at_size():
-    def handler(event):
-        if event.payload == "poison":
-            raise WorkerCrash("injected")
-
-    proc = EventProcessor(handler, threads=2, name="pool")
-    proc.start()
-    sup = WorkerSupervisor(proc, interval=0.01)
-    sup.start()
-    try:
-        for _ in range(3):
-            proc.submit(UserEvent(payload="poison"))
-        assert wait_for(lambda: proc.worker_deaths == 3)
-        assert wait_for(lambda: sup.restarts == 3 and proc.thread_count == 2)
-    finally:
-        sup.stop()
-        proc.stop()
-
-
 def test_supervisor_is_noop_after_stop():
     proc = EventProcessor(lambda e: None, threads=1)
     proc.start()

@@ -44,7 +44,7 @@ def test_table2_matches_expected_and_lists_divergences():
     assert result.vs_declared == []
     text = format_table2(result)
     assert "Exact match" not in text
-    assert "26 classes x 15 options, 101 non-empty cells" in text
+    assert "26 classes x 15 options, 104 non-empty cells" in text
     assert "Handle x O1 (+): generated subclass deleted" in text
     assert "ClientConfiguration x O3 (+): the uses_codec field" in text
 

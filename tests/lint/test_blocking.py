@@ -42,19 +42,20 @@ def test_builtin_open_flagged_only_as_bare_name(tmp_path):
 def test_qualname_root_requires_class_context(tmp_path):
     src = (
         "import time\n"
-        "class Acceptor:\n"
-        "    def handle(self):\n"
+        "class WorkerSupervisor:\n"
+        "    def check(self):\n"
         "        time.sleep(1)\n"
         "class Other:\n"
-        "    def handle(self):\n"
+        "    def check(self):\n"
         "        time.sleep(1)\n")
     path = tmp_path / "mod.py"
     path.write_text(src)
     lint = BlockingLint()
     lint.scan_file(str(path), "mod.py")
-    # only Acceptor.handle is a root; Other.handle is an ordinary method
+    # only WorkerSupervisor.check is a root; Other.check is an ordinary
+    # method
     assert [f.ident for f in lint.findings()] == [
-        "blocking:mod.py:Acceptor.handle:time.sleep"]
+        "blocking:mod.py:WorkerSupervisor.check:time.sleep"]
 
 
 def test_shipped_tree_has_no_blocking_findings():

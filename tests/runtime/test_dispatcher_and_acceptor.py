@@ -101,19 +101,3 @@ def test_connector_refused():
     connector = Connector(timeout=0.5)
     with pytest.raises(OSError):
         connector.connect("127.0.0.1", 1)  # nothing listens there
-
-
-def test_connector_custom_handle_class():
-    from repro.runtime import SocketHandle
-
-    class MyHandle(SocketHandle):
-        pass
-
-    listener = socket.socket()
-    listener.bind(("127.0.0.1", 0))
-    listener.listen(1)
-    connector = Connector(timeout=2.0, handle_cls=MyHandle)
-    handle = connector.connect("127.0.0.1", listener.getsockname()[1])
-    assert isinstance(handle, MyHandle)
-    handle.close()
-    listener.close()

@@ -164,23 +164,6 @@ def test_controller_respects_bounds():
         ProcessorController(EventProcessor(handler=lambda e: None), grow_at=0)
 
 
-def test_controller_background_thread():
-    block = threading.Event()
-    p = EventProcessor(handler=lambda e: block.wait(5.0), threads=1)
-    ctl = ProcessorController(p, min_threads=1, max_threads=4, grow_at=1,
-                              interval=0.01)
-    p.start()
-    ctl.start()
-    try:
-        for _ in range(30):
-            p.submit(UserEvent())
-        assert wait_for(lambda: p.thread_count >= 2)
-    finally:
-        block.set()
-        ctl.stop()
-        p.stop()
-
-
 def test_processed_counter():
     p = EventProcessor(handler=lambda e: None, threads=2)
     p.start()
